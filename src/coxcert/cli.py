@@ -186,7 +186,13 @@ def cmd_racg(args) -> RunReport:
     return report
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 0:
+        raise InputError(f"{flag} must be >= 0, got {value}")
+
+
 def cmd_davis(args) -> RunReport:
+    _check_count("--radius", args.radius)
     sys_, digest, refusal = _load_system_or_complex(args.path)
     report = RunReport("davis", digest)
     if refusal is not None:
@@ -203,20 +209,20 @@ def cmd_davis(args) -> RunReport:
         cosets=len(ball.cosets),
         realization_dim=ball.realization_dim(),
     )
-    if args.sharp:
-        extracted, kind = hash_union_sharp(ball), "sharp"
-        extracted_dim = dim_of(extracted)
-    elif args.singular:
-        kind = "singular"
+    if args.sharp or args.singular:
+        kind = "sharp" if args.sharp else "singular"
+        extract = hash_union_sharp if args.sharp else singular_subcomplex
+        # every wall holds the cosets e*W_T with T containing its generator, so
+        # the sharp set has the dimension of the singular set
         extracted_dim = ball.singular_dim()
         try:
-            extracted = singular_subcomplex(ball, max_cells=args.max_cells)
+            extracted = extract(ball, max_cells=args.max_cells)
         except MatrixSizeError as exc:
             extracted = None
             report.add("extract", "skipped", kind=kind, reason=str(exc), dim=extracted_dim)
     else:
-        extracted, kind = None, None
-    if kind and (args.sharp or extracted is not None):
+        extracted = None
+    if extracted is not None:
         cells = sum(extracted.counts())
         report.add("extract", "pass", kind=kind, dim=extracted_dim, cells=cells)
         if cells > args.max_homology_cells:
@@ -238,6 +244,7 @@ def cmd_davis(args) -> RunReport:
 
 
 def cmd_farrell(args) -> RunReport:
+    _check_count("--slopes", args.slopes)
     report = RunReport("farrell", _digest_bytes(str(args.slopes).encode()))
     if args.slopes == 0:
         h = homology(farrell_quotient([]))

@@ -4,6 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 import random
 
+from coxcert.coxeter import ball, in_special_subgroup, min_coset_rep
+from coxcert.davis import DavisBall, SphericalCoset
 from coxcert.simplicial import SimplicialComplex, faces_closure
 
 
@@ -122,3 +124,66 @@ def rational_betti(k: SimplicialComplex) -> dict[int, int]:
     for d in range(1, dim + 1):
         ranks[d] = rational_rank(cc.boundary_columns(d), cc.n_cells(d - 1))
     return {d: cc.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
+
+
+# -- Davis-ball coset arithmetic through the general word problem -----------
+
+
+class ReferenceBall(DavisBall):
+    """DavisBall whose cosets and containments come from the word problem.
+
+    Every (w, T) with w in the ball is normalized by greedy descent
+    (`min_coset_rep`) and the cosets are sorted; `to_json` tests containment
+    on all pairs.  An oracle for the right-angled fast paths of DavisBall.
+    """
+
+    def __init__(self, system, radius: int):
+        super().__init__(system, radius)
+        cosets = {
+            SphericalCoset(self._normalize(w, t), t)
+            for w in ball(system, radius)
+            for t in self._sphericals
+        }
+        self.cosets = tuple(
+            sorted(cosets, key=lambda c: (len(c.rep), c.rep, len(c.gens), c.gens))
+        )
+
+    def _normalize(self, w, t):
+        if not t:
+            return w
+        return min_coset_rep(self.system, w, [self.system.generators[i] for i in t])
+
+    def to_json(self) -> dict:
+        data = super().to_json()
+        data["order"] = [
+            [i, j]
+            for i, a in enumerate(self.cosets)
+            for j, b in enumerate(self.cosets)
+            if i != j and self.leq(a, b)
+        ]
+        return data
+
+
+def reference_fixed_cosets(ball_: DavisBall, g) -> set:
+    """Cosets w*W_T with g.w*W_T = w*W_T, i.e. w^-1 g w in W_T."""
+    sys = ball_.system
+    return {
+        c
+        for c in ball_.cosets
+        if in_special_subgroup(
+            sys, tuple(reversed(c.rep)) + tuple(g) + c.rep, [sys.generators[i] for i in c.gens]
+        )
+    }
+
+
+def reference_sharp(ball_: DavisBall) -> SimplicialComplex:
+    """Union of the generators' fixed subcomplexes, built one wall at a time."""
+    verts: set[str] = set()
+    simplices: set[tuple[str, ...]] = set()
+    for s in range(ball_.system.matrix.rank):
+        fixed = reference_fixed_cosets(ball_, (s,))
+        part = ball_._order_complex(lambda c: c in fixed)
+        verts.update(part.vertices)
+        simplices |= part.simplices
+    order = {ball_.coset_id(c): i for i, c in enumerate(ball_.cosets)}
+    return SimplicialComplex(sorted(verts, key=order.__getitem__), simplices, _validate=False)

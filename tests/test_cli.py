@@ -101,6 +101,33 @@ def test_davis_command_sharp_and_dump(tmp_path, capsys):
     assert data["cosets"]
 
 
+def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys):
+    path = write_complex(tmp_path, cycle_complex(4))
+    code, report = run_cli(
+        capsys, "davis", path, "--radius", "2", "--sharp", "--max-cells", "10"
+    )
+    assert code == 0
+    assert report["overall"] == "indeterminate"
+    steps = {s["name"]: s for s in report["steps"]}
+    assert steps["extract"]["status"] == "skipped"
+    assert steps["extract"]["data"]["kind"] == "sharp"
+    assert steps["extract"]["data"]["dim"] == 1
+    assert "homology" not in steps
+
+
+def test_davis_negative_radius_exits_2(tmp_path, capsys):
+    path = write_complex(tmp_path, cycle_complex(4))
+    code, report = run_cli(capsys, "davis", path, "--radius", "-1")
+    assert code == 2
+    assert "--radius" in report["error"]
+
+
+def test_farrell_negative_slopes_exits_2(capsys):
+    code, report = run_cli(capsys, "farrell", "--slopes", "-2")
+    assert code == 2
+    assert "--slopes" in report["error"]
+
+
 def test_farrell_command(capsys):
     code, report = run_cli(capsys, "farrell", "--slopes", "2")
     assert code == 0

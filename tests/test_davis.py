@@ -1,7 +1,10 @@
 """Davis-complex balls: cosets, realizations, walls and singular sets."""
-import pytest
+import random
 
-from coxcert.coxeter import INF, racg_from_flag, system_from_matrix
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coxcert.coxeter import INF, racg_from_flag, reduce, system_from_matrix
 from coxcert.davis import (
     chamber,
     davis_ball,
@@ -12,7 +15,15 @@ from coxcert.davis import (
 from coxcert.homology import homology
 from coxcert.simplicial import dim_of, faces_closure, square_report
 
-from helpers import cycle_complex, full_triangle, two_points
+from helpers import (
+    ReferenceBall,
+    cycle_complex,
+    full_triangle,
+    random_flag_complex,
+    reference_fixed_cosets,
+    reference_sharp,
+    two_points,
+)
 
 
 def edge_nerve_system():
@@ -146,6 +157,16 @@ def test_triangle_nerve_full_ball_size():
     assert len(b.cosets) == 27
 
 
+def test_materialization_cap_counts_cosets_then_chains():
+    from coxcert.homology import MatrixSizeError
+
+    b = davis_ball(edge_nerve_system(), 2)  # singular set: 5 cosets, 9 chains
+    assert sum(singular_subcomplex(b, max_cells=9).counts()) == 9
+    for cap in (4, 8):
+        with pytest.raises(MatrixSizeError):
+            singular_subcomplex(b, max_cells=cap)
+
+
 def test_realization_is_flag():
     for sys in (edge_nerve_system(), racg_from_flag(cycle_complex(4))):
         real = davis_ball(sys, 1).realization()
@@ -202,9 +223,7 @@ def test_fixed_membership_agrees_with_orbit_oracle():
     """g fixes w*W_T iff the explicit element sets g.(wW_T) and wW_T agree."""
     from itertools import product
 
-    from coxcert.coxeter import ball as group_ball
     from coxcert.coxeter import reduce as nf
-    from coxcert.davis import _fixed_cosets
 
     for l, radius in ((faces_closure([("a", "b")]), 2), (cycle_complex(4), 2)):
         sys = racg_from_flag(l)
@@ -213,7 +232,9 @@ def test_fixed_membership_agrees_with_orbit_oracle():
             g_nf = nf(sys, g)
             if not g_nf:
                 continue
-            fixed = _fixed_cosets(b, g_nf)
+            fixed_ids = set(fixed_subcomplex(b, g_nf).vertices)
+            fixed = {c for c in b.cosets if b.coset_id(c) in fixed_ids}
+            assert fixed == reference_fixed_cosets(b, g_nf)
             for c in b.cosets:
                 # enumerate the coset elements through words over T
                 t = c.gens
@@ -232,3 +253,38 @@ def test_fixed_subcomplex_nonempty_for_conjugates_within_radius():
         b = davis_ball(sys, len(g) // 2 + 1 + 1)
         fs = fixed_subcomplex(b, g)
         assert len(fs.vertices) > 0
+
+
+ORACLE_MAX_COSETS = 300  # keeps the all-pairs reference dump fast
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0))
+def test_fast_coset_paths_match_word_problem_oracle(seed):
+    """Descent-set enumeration, normalization and closed-form walls agree
+    with the general word problem on random flag nerves."""
+    rng = random.Random(seed)
+    l = random_flag_complex(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
+    sys = racg_from_flag(l)
+    radius = rng.randint(0, 3)
+    fast = davis_ball(sys, radius)
+    while len(fast.cosets) > ORACLE_MAX_COSETS:
+        radius -= 1
+        fast = davis_ball(sys, radius)
+    ref = ReferenceBall(sys, radius)
+    assert fast.cosets == ref.cosets
+    assert fast.to_json() == ref.to_json()
+    assert fast.realization().simplices == ref.realization().simplices
+    sing, ref_sing = singular_subcomplex(fast), singular_subcomplex(ref)
+    assert (sing.vertices, sing.simplices) == (ref_sing.vertices, ref_sing.simplices)
+    sharp, ref_sharp = hash_union_sharp(fast), reference_sharp(ref)
+    assert (sharp.vertices, sharp.simplices) == (ref_sharp.vertices, ref_sharp.simplices)
+    assert dim_of(sharp) == fast.singular_dim()
+    n = sys.matrix.rank
+    for s in range(n):
+        wall = {c for c in fast.cosets if fast.fixes(s, c)}
+        assert wall == reference_fixed_cosets(ref, (s,))
+    g = reduce(sys, [rng.randrange(n) for _ in range(rng.randint(1, 4))])
+    if g:
+        ids = {fast.coset_id(c) for c in reference_fixed_cosets(ref, g)}
+        assert set(fixed_subcomplex(fast, g).vertices) == ids
