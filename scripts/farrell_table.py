@@ -3,7 +3,7 @@
 import argparse
 import time
 
-from coxcert.models import farey_slopes, farrell_quotient, SlopeSet
+from coxcert.models import farey_slopes, farrell_quotient
 from coxcert.homology import homology
 
 
@@ -11,11 +11,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-n", type=int, default=5, help="number of slopes")
     args = parser.parse_args()
-    slopes = farey_slopes(args.n).slopes
+    slopes = farey_slopes(args.n)
     print(f"{'k':>3} {'slope':>8} {'H1':>12} {'H3 rank':>8} {'cells':>8} {'sec':>6}")
     for k in range(1, args.n + 1):
         start = time.monotonic()
-        x = farrell_quotient(SlopeSet(slopes[:k]))
+        x = farrell_quotient(slopes[:k])
         h = homology(x)
         h1 = "Z^%d" % h.betti(1) + (
             " + " + "+".join(f"Z/{t}" for t in h.torsion(1)) if h.torsion(1) else ""

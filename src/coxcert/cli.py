@@ -12,8 +12,8 @@ from typing import Optional
 from .coxeter import hyperbolicity, racg_from_flag, nerve as nerve_of
 from .coxeter import CoxeterSystem, system_from_json, system_to_json
 from .davis import davis_ball, hash_union_sharp, singular_subcomplex
-from .homology import MatrixSizeError, homology
-from .models import farrell_h3_growth, farrell_quotient, dihedral_pairs, main_theorem_report
+from .homology import MatrixSizeError, _cell_limit, homology
+from .models import farrell_h3_growth, farrell_quotient, main_theorem_report
 from .presentations import (
     presentation_complex,
     spine_certificate,
@@ -122,6 +122,14 @@ def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str
         return None, digest, str(exc)  # non-flag input: a failed check, not an input error
 
 
+def _check_cell_limit() -> None:
+    """A malformed SNF cell cap is an input error, found before any work."""
+    try:
+        _cell_limit()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _homology_table(k: SimplicialComplex, reduced: bool) -> list[dict]:
     return homology(k, reduced=reduced).to_json(max_degree=max(k.dim(), 0))
 
@@ -132,7 +140,11 @@ def _homology_table(k: SimplicialComplex, reduced: bool) -> list[dict]:
 def cmd_homology(args) -> RunReport:
     k, digest = _load_complex(args.path)
     report = RunReport("homology", digest)
-    result = homology(k, reduced=args.reduced)
+    try:
+        result = homology(k, reduced=args.reduced)
+    except MatrixSizeError as exc:
+        report.add("homology", "skipped", reduced=args.reduced, reason=str(exc))
+        return report
     report.add(
         "homology",
         "pass",
@@ -410,6 +422,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        _check_cell_limit()
         report: RunReport = args.func(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplicialComplex, SquareReport, square_report
+from .simplicial import SimplicialComplex, square_report
 
 INF = 0  # Coxeter matrix entries use 0 to encode infinity (as in the JSON format)
 
@@ -346,10 +346,6 @@ def reduce(sys: CoxeterSystem, w: Iterable[int]) -> Word:
         result.append(remaining[best])
         del remaining[best]
     return tuple(result)
-
-
-def word_length(sys: CoxeterSystem, w: Iterable[int]) -> int:
-    return len(reduce(sys, w))
 
 
 def multiply(sys: CoxeterSystem, w: Word, g: int) -> Word:

@@ -14,11 +14,13 @@ from .coxeter import (
     nerve,
     reduce,
 )
+from .homology import MatrixSizeError
+from .simplicial import SimplicialComplex
+from .subdivide import order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .coxeter import in_special_subgroup, min_coset_rep  # noqa: F401
-from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex, cone, dim_of, square_report
-from .subdivide import barycentric_subdivision
+from .simplicial import square_report  # noqa: F401
+from .subdivide import barycentric_subdivision  # noqa: F401
 
 Subset = tuple[int, ...]  # sorted generator indices
 
@@ -65,7 +67,7 @@ class DavisBall:
             (tuple(sorted(lookup[v] for v in s)) for s in self.nerve.simplices),
             key=lambda t: (len(t), t),
         )
-        # strict superset lists drive chain enumeration and height DP
+        # strict superset lists drive the up-lists and the height DP
         self._supersets: dict[Subset, list[Subset]] = {t: [] for t in self._sphericals}
         for t in self._sphericals:
             if t:
@@ -127,43 +129,22 @@ class DavisBall:
         t = ",".join(gens[i] for i in c.gens) or "-"
         return f"{rep}|{t}"
 
-    def chambers(self) -> list[SphericalCoset]:
-        return [c for c in self.cosets if not c.gens]
-
     # -- order complex -----------------------------------------------------
 
-    def _chains(self, kept: list[bool], max_cells: Optional[int] = None) -> list[tuple[int, ...]]:
-        """All chains of the coset poset restricted to the kept cosets."""
-        out: list[tuple[int, ...]] = []
-        supersets = self._supersets
-        for i, c in enumerate(self.cosets):
-            if not kept[i]:
-                continue
-            above = self._above(c)
-            stack: list[tuple[tuple[int, ...], Subset]] = [((i,), c.gens)]
-            while stack:
-                chain, t = stack.pop()
-                out.append(chain)
-                for t2 in supersets[t]:
-                    j = above[t2]
-                    if kept[j]:
-                        stack.append((chain + (j,), t2))
-            if max_cells is not None and len(out) > max_cells:
-                raise MatrixSizeError(f"{len(out)} chains exceed the materialization cap")
-        return out
-
     def _order_complex(self, keep, max_cells: Optional[int] = None) -> SimplicialComplex:
-        kept = [keep(c) for c in self.cosets]
-        n_kept = sum(kept)
-        if max_cells is not None and n_kept > max_cells:
-            raise MatrixSizeError(f"{n_kept} cosets exceed the materialization cap")
-        ids = [self.coset_id(c) if k else None for c, k in zip(self.cosets, kept)]
-        chains = self._chains(kept, max_cells)
-        return SimplicialComplex(
-            [v for v in ids if v is not None],
-            [tuple(ids[j] for j in chain) for chain in chains],
-            _validate=False,
-        )
+        """Order complex of the kept cosets: a full subcomplex of the realization."""
+        kept = [i for i, c in enumerate(self.cosets) if keep(c)]
+        # each coset is a chain: check the cap before building the up-lists
+        if max_cells is not None and len(kept) > max_cells:
+            raise MatrixSizeError(f"{len(kept)} cosets exceed the materialization cap")
+        ids = [-1] * len(self.cosets)
+        for n, i in enumerate(kept):
+            ids[i] = n
+        up = []
+        for i in kept:
+            above = [ids[j] for j in self._above(self.cosets[i]).values()]
+            up.append([j for j in above if j >= 0])
+        return order_complex([self.coset_id(self.cosets[i]) for i in kept], up, max_cells)
 
     def realization(self, max_cells: Optional[int] = None) -> SimplicialComplex:
         if self._realization is None:
@@ -246,60 +227,3 @@ def hash_union_sharp(ball_: DavisBall, max_cells: Optional[int] = None) -> Simpl
 def singular_subcomplex(ball_: DavisBall, max_cells: Optional[int] = None) -> SimplicialComplex:
     """Full subcomplex on the cosets with non-trivial type (stabilised points)."""
     return ball_._order_complex(lambda c: bool(c.gens), max_cells)
-
-
-# -- the fundamental chamber -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Chamber:
-    """Cone on the barycentric subdivision of the nerve, with its mirrors."""
-
-    complex: SimplicialComplex
-    apex: str
-    boundary: SimplicialComplex
-    mirrors: dict[str, SimplicialComplex]
-
-    def mirror_union(self) -> SimplicialComplex:
-        verts = []
-        seen = set()
-        simplices: set[tuple[str, ...]] = set()
-        for m in self.mirrors.values():
-            for v in m.vertices:
-                if v not in seen:
-                    seen.add(v)
-                    verts.append(v)
-            simplices |= m.simplices
-        order = {v: i for i, v in enumerate(self.boundary.vertices)}
-        verts.sort(key=order.__getitem__)
-        return SimplicialComplex(verts, simplices, _validate=False)
-
-
-def chamber(l: SimplicialComplex) -> Chamber:
-    """Fundamental chamber of the right-angled system with nerve L."""
-    report = square_report(l)
-    if not report.is_flag:
-        raise ValueError(f"nerve must be flag; witness {report.flag_witness}")
-    bary = barycentric_subdivision(l)
-    apex = "*cone*"
-    k = cone(bary, apex)
-    mirrors = {}
-    for v in l.vertices:
-        star_center = f"({v})"
-        containing = [s for s in bary.simplices if star_center in s]
-        verts = []
-        seen = set()
-        simplices: set[tuple[str, ...]] = set()
-        for s in containing:
-            simplices.add(s)
-            for r in range(1, len(s)):
-                for face in combinations(s, r):
-                    simplices.add(face)
-            for u in s:
-                if u not in seen:
-                    seen.add(u)
-                    verts.append(u)
-        order = {u: i for i, u in enumerate(bary.vertices)}
-        verts.sort(key=order.__getitem__)
-        mirrors[v] = SimplicialComplex(verts, simplices, _validate=False)
-    return Chamber(complex=k, apex=apex, boundary=bary, mirrors=mirrors)

@@ -13,7 +13,11 @@ class MatrixSizeError(RuntimeError):
 
 
 def _cell_limit() -> int:
-    return int(os.environ.get("COXCERT_SNF_CELL_LIMIT", "50000000"))
+    raw = os.environ.get("COXCERT_SNF_CELL_LIMIT", "50000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"COXCERT_SNF_CELL_LIMIT must be an integer, got {raw!r}") from None
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -103,7 +107,7 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def snf_divisors(columns: Iterable[dict[int, int]], check_limit: bool = True) -> list[int]:
+def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of a sparse integer matrix.
 
     `columns[j]` maps row index to entry.  Unit pivots are eliminated first
@@ -120,7 +124,7 @@ def snf_divisors(columns: Iterable[dict[int, int]], check_limit: bool = True) ->
             for r in col:
                 rows.setdefault(r, set()).add(j)
             nnz += len(col)
-    if check_limit and nnz > _cell_limit():
+    if nnz > _cell_limit():
         raise MatrixSizeError(f"sparse matrix with {nnz} entries exceeds cell limit")
     unit_rank = 0
     heap: list[tuple[int, int]] = [(len(c), j) for j, c in cols.items()]
@@ -193,13 +197,12 @@ class ChainComplex:
     rows by (k-1)-simplices, with alternating signs over omitted vertices.
     """
 
-    def __init__(self, k: SimplicialComplex, relative_to: Optional[SimplicialComplex] = None):
-        excluded = relative_to.simplices if relative_to is not None else frozenset()
+    def __init__(self, k: SimplicialComplex):
         self.basis: list[list[tuple[str, ...]]] = []
         self.index: list[dict[tuple[str, ...], int]] = []
         dim = k.dim()
         for d in range(dim + 1):
-            cells = [s for s in k.k_simplices(d) if s not in excluded]
+            cells = k.k_simplices(d)
             self.basis.append(cells)
             self.index.append({s: i for i, s in enumerate(cells)})
         self.boundaries: list[list[dict[int, int]]] = []
@@ -209,10 +212,7 @@ class ChainComplex:
             for s in self.basis[d]:
                 col: dict[int, int] = {}
                 for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    r = idx.get(face)
-                    if r is not None:
-                        col[r] = -1 if i % 2 else 1
+                    col[idx[s[:i] + s[i + 1 :]]] = -1 if i % 2 else 1
                 cols.append(col)
             self.boundaries.append(cols)
 
@@ -246,13 +246,6 @@ class HomologyResult:
     def is_trivial(self) -> bool:
         """All stored groups vanish (for reduced results: acyclicity)."""
         return not self._betti and not self._torsion
-
-    def cohomology_betti(self, degree: int) -> int:
-        """Free rank of integral cohomology via universal coefficients."""
-        return self.betti(degree)
-
-    def cohomology_torsion(self, degree: int) -> tuple[int, ...]:
-        return self.torsion(degree - 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomologyResult):
@@ -313,34 +306,3 @@ def homology(k: SimplicialComplex, reduced: bool = False) -> HomologyResult:
         betti[d] = cc.n_cells(d) - ranks[d] - ranks[d + 1]
         torsion[d] = torsions[d + 1]
     return HomologyResult(betti, torsion, reduced=reduced)
-
-
-def relative_homology(k: SimplicialComplex, a: SimplicialComplex) -> HomologyResult:
-    """Homology of the quotient chain complex C(K)/C(A)."""
-    if not a.simplices <= k.simplices:
-        raise ValueError("A is not a subcomplex of K")
-    if not k.simplices:
-        return HomologyResult({}, {}, reduced=False)
-    cc = ChainComplex(k, relative_to=a)
-    dim = k.dim()
-    ranks = {0: 0}
-    torsions = {0: ()}
-    for d in range(1, dim + 1):
-        ranks[d], torsions[d] = rank_and_torsion(cc.boundary_columns(d))
-    ranks[dim + 1], torsions[dim + 1] = 0, ()
-    betti = {}
-    torsion = {}
-    for d in range(dim + 1):
-        betti[d] = cc.n_cells(d) - ranks[d] - ranks[d + 1]
-        torsion[d] = torsions[d + 1]
-    return HomologyResult(betti, torsion, reduced=False)
-
-
-def euler_from_homology(result: HomologyResult) -> int:
-    """Euler characteristic from Betti numbers (torsion contributes nothing).
-
-    For reduced results the augmentation degree is put back, so the value is
-    comparable with the simplex-count alternating sum either way.
-    """
-    total = sum((-1 if d % 2 else 1) * result.betti(d) for d in result.degrees())
-    return total + (1 if result.reduced else 0)

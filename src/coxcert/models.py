@@ -7,30 +7,21 @@ from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .coxeter import INF, CoxeterSystem, hyperbolicity, racg_from_flag
-from .homology import HomologyResult, homology
+from .homology import homology
 from .presentations import Pi1Certificate
 from .simplicial import SimplicialComplex, dim_of, faces_closure, square_report, wedge
-from .subdivide import barycentric_subdivision, _chain_id
+from .subdivide import _chain_id, barycentric_subdivision, face_poset, order_complex
 
 
 # -- dihedral pair bookkeeping ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DihedralPairSet:
+def dihedral_pairs(sys: CoxeterSystem) -> tuple[tuple[str, str], ...]:
     """Generator pairs with infinite order product: infinite dihedral subgroups.
 
     A lower-bound proxy for the index set of maximal infinite virtually cyclic
     subgroups containing two non-commuting fundamental generators.
     """
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def dihedral_pairs(sys: CoxeterSystem) -> DihedralPairSet:
     if not sys.right_angled:
         raise ValueError("dihedral pair census requires a right-angled system")
     gens = sys.generators
@@ -40,7 +31,7 @@ def dihedral_pairs(sys: CoxeterSystem) -> DihedralPairSet:
         for j in range(i + 1, len(gens))
         if sys.matrix.order(i, j) == INF
     ]
-    return DihedralPairSet(tuple(pairs))
+    return tuple(pairs)
 
 
 # -- wedge model ---------------------------------------------------------------
@@ -180,16 +171,6 @@ def main_theorem_report(l: SimplicialComplex, cert: Pi1Certificate) -> MainTheor
 # -- slopes ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlopeSet:
-    """Primitive integer directions in Z^2, identified up to sign."""
-
-    slopes: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.slopes)
-
-
 def canonical_slope(p: int, q: int) -> tuple[int, int]:
     if p == 0 and q == 0:
         raise ValueError("(0, 0) is not a slope")
@@ -200,17 +181,18 @@ def canonical_slope(p: int, q: int) -> tuple[int, int]:
     return (p, q)
 
 
-def slope_set(slopes: Iterable[Sequence[int]]) -> SlopeSet:
+def slope_set(slopes: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """Canonical primitive directions in Z^2, identified up to sign."""
     canon = []
     for p, q in slopes:
         c = canonical_slope(int(p), int(q))
         if c in canon:
             raise ValueError(f"parallel slopes: {c} repeated")
         canon.append(c)
-    return SlopeSet(tuple(canon))
+    return tuple(canon)
 
 
-def farey_slopes(n: int) -> SlopeSet:
+def farey_slopes(n: int) -> tuple[tuple[int, int], ...]:
     """First n primitive slopes: (1,0), (0,1), then mediant levels p+q = 2, 3, ...
 
     Within a level, smaller q first.  Only non-negative directions appear;
@@ -227,7 +209,7 @@ def farey_slopes(n: int) -> SlopeSet:
             if gcd(p, q) == 1:
                 found.append((p, q))
         s += 1
-    return SlopeSet(tuple(found[:n]))
+    return tuple(found[:n])
 
 
 # -- torus with slope fillings ----------------------------------------------
@@ -249,85 +231,42 @@ def _grid_torus(n: int) -> SimplicialComplex:
 
 def poset_mapping_cylinder(
     source: SimplicialComplex,
-    vertex_map: Mapping[str, str],
-    target: SimplicialComplex,
+    maps: Sequence[tuple[Mapping[str, str], SimplicialComplex]],
 ) -> SimplicialComplex:
-    """Order complex of the mapping-cylinder poset of a simplicial map.
+    """Order complex of the mapping-cylinder poset of simplicial maps.
 
-    Elements are the faces of source and target ordered by inclusion, with a
-    target face below a source face whenever it is a face of its image.  The
-    result contains the barycentric subdivisions of both ends and carries the
-    homotopy type of the topological mapping cylinder.
+    `maps` holds `(vertex_map, target)` pairs out of one source.  Elements
+    are the faces of the source and of each target ordered by inclusion,
+    with a target face below a source face whenever it is a face of that
+    map's image.  The result contains the barycentric subdivisions of all
+    ends and carries the homotopy type of the topological mapping cylinders
+    glued along the source.  Targets share no vertex name.  Vertices come in
+    blocks: the first target's faces, the source faces, then the other
+    targets' faces.
     """
-    for s in source.simplices:
-        image = {vertex_map[v] for v in s}
-        if not target.has(image):
-            raise ValueError(f"vertex map is not simplicial on {s}")
-
-    # source faces keep barycentric naming (so cylinders over a common source
-    # share that end); target faces get their own namespace
-    def kid(s: tuple[str, ...]) -> str:
-        return _chain_id(s)
-
-    def tid(s: tuple[str, ...]) -> str:
-        return "~" + _chain_id(s)
-
-    k_supersets: dict[tuple[str, ...], list[tuple[str, ...]]] = {
-        s: [] for s in source.simplices
-    }
-    for s in source.simplices:
-        for r in range(1, len(s)):
-            for face in combinations(s, r):
-                k_supersets[face].append(s)
-    l_supersets: dict[tuple[str, ...], list[tuple[str, ...]]] = {
-        s: [] for s in target.simplices
-    }
-    for s in target.simplices:
-        for r in range(1, len(s)):
-            for face in combinations(s, r):
-                l_supersets[face].append(s)
-
-    # all ascending chains in the target face poset, grouped by top element
-    l_chains_by_top: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    frontier = [(s,) for s in target.simplices]
-    while frontier:
-        nxt = []
-        for chain in frontier:
-            top = chain[-1]
-            l_chains_by_top.setdefault(top, []).append(
-                tuple(tid(c) for c in chain)
-            )
-            for s in l_supersets[top]:
-                nxt.append(chain + (s,))
-        frontier = nxt
-
-    simplices: set[tuple[str, ...]] = set()
-    verts: list[str] = [tid(s) for s in _sorted_faces(target)]
-    verts += [kid(s) for s in _sorted_faces(source)]
-    for chains in l_chains_by_top.values():
-        simplices.update(chains)
-
-    # K-chains with every compatible L-prefix below their bottom face
-    k_frontier = [(s,) for s in source.simplices]
-    while k_frontier:
-        nxt = []
-        for chain in k_frontier:
-            named = tuple(kid(c) for c in chain)
-            simplices.add(named)
-            bottom = chain[0]
-            image = target.sort_simplex({vertex_map[v] for v in bottom})
+    # source faces keep barycentric naming (the source end is the barycentric
+    # subdivision); target faces get their own namespace
+    ends = [t for _, t in maps[:1]] + [source] + [t for _, t in maps[1:]]
+    at = 1 if maps else 0  # position of the source among the ends
+    names: list[str] = []
+    up: list[list[int]] = []
+    ids = []
+    for e, k in enumerate(ends):
+        faces, k_ids, k_up = face_poset(k, len(names))
+        tag = "" if e == at else "~"
+        names += [tag + _chain_id(s) for s in faces]
+        up += k_up
+        ids.append(k_ids)
+    source_ids = ids.pop(at)
+    for (vertex_map, target), target_ids in zip(maps, ids):
+        for s, i in source_ids.items():
+            image = target.sort_simplex({vertex_map[v] for v in s})
+            if image not in target_ids:
+                raise ValueError(f"vertex map is not simplicial on {s}")
             for r in range(1, len(image) + 1):
                 for face in combinations(image, r):
-                    for prefix in l_chains_by_top.get(face, ()):
-                        simplices.add(prefix + named)
-            for s in k_supersets[chain[-1]]:
-                nxt.append(chain + (s,))
-        k_frontier = nxt
-    return SimplicialComplex(verts, simplices, _validate=False)
-
-
-def _sorted_faces(k: SimplicialComplex) -> list[tuple[str, ...]]:
-    return sorted(k.simplices, key=lambda s: (len(s), tuple(k._pos[v] for v in s)))
+                    up[target_ids[face]].append(i)
+    return order_complex(names, up)
 
 
 def _circle(tag: str, m: int) -> SimplicialComplex:
@@ -336,7 +275,16 @@ def _circle(tag: str, m: int) -> SimplicialComplex:
     return faces_closure(edges, vertices=verts)
 
 
-def farrell_quotient(slopes: Iterable[Sequence[int]] | SlopeSet) -> SimplicialComplex:
+def _filling(i: int, p: int, q: int, n: int) -> tuple[dict[str, str], SimplicialComplex]:
+    """Map of the n-by-n grid torus onto circle i, collapsing the (p, q) direction."""
+    m = 3  # target circle size; edge spans stay within one third of the grid
+    vmap = {
+        f"t{x}_{y}": f"c{i}v{((p * y - q * x) % n) * m // n}" for x in range(n) for y in range(n)
+    }
+    return vmap, _circle(f"c{i}", m)
+
+
+def farrell_quotient(slopes: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Torus with one solid-torus filling per slope, as a simplicial complex.
 
     Each filling is the mapping cylinder of a degree-(-q, p) circle-valued
@@ -345,35 +293,15 @@ def farrell_quotient(slopes: Iterable[Sequence[int]] | SlopeSet) -> SimplicialCo
     along its boundary with meridian (p, q).  The shared end of all cylinders
     is the barycentric subdivision of the grid torus.
     """
-    sset = slopes if isinstance(slopes, SlopeSet) else slope_set(slopes)
-    spans = [max(abs(p), abs(q), abs(p - q)) for p, q in sset.slopes]
+    slopes = slope_set(slopes)
+    spans = [max(abs(p), abs(q), abs(p - q)) for p, q in slopes]
     n = 3 * max(spans, default=1)
     base = _grid_torus(n)
-    if not sset.slopes:
+    if not slopes:
         return barycentric_subdivision(base)
-    m = 3  # target circle size; edge spans stay within one third of the grid
-
-    pieces = []
-    for i, (p, q) in enumerate(sset.slopes):
-        circle = _circle(f"c{i}", m)
-
-        def level(x: int, y: int) -> int:
-            return ((p * y - q * x) % n) * m // n
-
-        vmap = {
-            f"t{x}_{y}": f"c{i}v{level(x, y)}" for x in range(n) for y in range(n)
-        }
-        pieces.append(poset_mapping_cylinder(base, vmap, circle))
-    verts: list[str] = []
-    seen = set()
-    simplices: set[tuple[str, ...]] = set()
-    for piece in pieces:
-        for v in piece.vertices:
-            if v not in seen:
-                seen.add(v)
-                verts.append(v)
-        simplices |= piece.simplices
-    return SimplicialComplex(verts, simplices, _validate=False)
+    # the circles share no vertex, so every chain lies in a single cylinder
+    maps = [_filling(i, p, q, n) for i, (p, q) in enumerate(slopes)]
+    return poset_mapping_cylinder(base, maps)
 
 
 def farrell_h3_growth(n: int) -> list[int]:
@@ -381,8 +309,8 @@ def farrell_h3_growth(n: int) -> list[int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     out = []
-    all_slopes = farey_slopes(n).slopes
+    all_slopes = farey_slopes(n)
     for k in range(1, n + 1):
-        x = farrell_quotient(SlopeSet(all_slopes[:k]))
+        x = farrell_quotient(all_slopes[:k])
         out.append(homology(x).betti(3))
     return out

@@ -314,7 +314,9 @@ def complex_from_json(data: Mapping) -> SimplicialComplex:
         raise ValueError("complex JSON needs 'vertices' and 'maximal_simplices'") from exc
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ValueError("'vertices' must be a list of strings")
-    if not isinstance(maximal, list):
+    if not isinstance(maximal, list) or not all(
+        isinstance(m, list) and all(isinstance(v, str) for v in m) for m in maximal
+    ):
         raise ValueError("'maximal_simplices' must be a list of vertex lists")
     if not maximal:
         return SimplicialComplex(vertices, [(v,) for v in vertices])

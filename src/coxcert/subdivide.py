@@ -1,13 +1,57 @@
-"""Subdivisions: barycentric, median, and flag-no-square refinement."""
+"""Order complexes of posets, and the subdivisions built from them."""
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Optional, Sequence
 
-from .simplicial import SimplicialComplex, SquareReport, square_report
+from .homology import MatrixSizeError
+from .simplicial import SimplicialComplex, square_report
+
+
+def order_complex(
+    names: Sequence[str], up: Sequence[Sequence[int]], max_cells: Optional[int] = None
+) -> SimplicialComplex:
+    """Order complex of a finite poset on the element ids 0..n-1.
+
+    `up[i]` lists every element strictly above i, and element i becomes the
+    vertex `names[i]`; vertices keep the order of `names`.  Each chain is
+    found once, by a depth-first search from its least element.  More than
+    `max_cells` chains raise `MatrixSizeError`.
+    """
+    chains: list[tuple[int, ...]] = []
+    for i in range(len(names)):
+        stack = [(i,)]
+        while stack:
+            chain = stack.pop()
+            chains.append(chain)
+            stack.extend([chain + (j,) for j in up[chain[-1]]])
+        if max_cells is not None and len(chains) > max_cells:
+            raise MatrixSizeError(f"{len(chains)} chains exceed the materialization cap")
+    return SimplicialComplex(
+        names, (tuple(names[j] for j in chain) for chain in chains), _validate=False
+    )
 
 
 def _chain_id(simplex: tuple[str, ...]) -> str:
     return "(" + " ".join(simplex) + ")"
+
+
+def face_poset(
+    k: SimplicialComplex, start: int = 0
+) -> tuple[list[tuple[str, ...]], dict[tuple[str, ...], int], list[list[int]]]:
+    """Face poset of k: faces in (size, positions) order, ids and up-lists.
+
+    Face number i gets the id `start + i`; the up-lists, indexed by i, hold
+    the ids of the strict supersets of each face.
+    """
+    faces = sorted(k.simplices, key=lambda s: (len(s), tuple(k._pos[v] for v in s)))
+    ids = {s: start + i for i, s in enumerate(faces)}
+    up: list[list[int]] = [[] for _ in faces]
+    for s in faces:
+        for r in range(1, len(s)):
+            for face in combinations(s, r):
+                up[ids[face] - start].append(ids[s])
+    return faces, ids, up
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
@@ -15,59 +59,8 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 
     The output is always a flag complex and carries the same homology.
     """
-    order = {s: (len(s),) + tuple(k._pos[v] for v in s) for s in k.simplices}
-    verts = sorted(k.simplices, key=order.__getitem__)
-    names = {s: _chain_id(s) for s in verts}
-    # strict supersets of each simplex, found through its proper faces
-    supersets: dict[tuple[str, ...], list[tuple[str, ...]]] = {s: [] for s in k.simplices}
-    for s in k.simplices:
-        if len(s) > 1:
-            for r in range(1, len(s)):
-                for face in combinations(s, r):
-                    supersets[face].append(s)
-    simplices: set[tuple[str, ...]] = set()
-    frontier: list[tuple[tuple[str, ...], ...]] = [(s,) for s in k.simplices]
-    while frontier:
-        nxt = []
-        for chain in frontier:
-            simplices.add(tuple(names[c] for c in chain))
-            for s in supersets[chain[-1]]:
-                nxt.append(chain + (s,))
-        frontier = nxt
-    return SimplicialComplex([names[s] for s in verts], simplices, _validate=False)
-
-
-def _mid_id(a: str, b: str) -> str:
-    return "[" + a + "|" + b + "]"
-
-
-def median_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """Split every edge at a midpoint; triangles become four trianglets.
-
-    Only defined for complexes of dimension at most 2.
-    """
-    if k.dim() > 2:
-        raise ValueError("median subdivision implemented for dim <= 2 only")
-    verts: list[str] = list(k.vertices)
-    simplices: set[tuple[str, ...]] = {(v,) for v in k.vertices}
-    mid: dict[tuple[str, str], str] = {}
-    for e in k.k_simplices(1):
-        m = _mid_id(e[0], e[1])
-        mid[e] = m
-        verts.append(m)
-        simplices.add((m,))
-        simplices.add(tuple(sorted((e[0], m))))
-        simplices.add(tuple(sorted((e[1], m))))
-    for t in k.k_simplices(2):
-        a, b, c = t
-        mab = mid[(a, b)]
-        mac = mid[(a, c)]
-        mbc = mid[(b, c)]
-        for tri in ((a, mab, mac), (b, mab, mbc), (c, mac, mbc), (mab, mac, mbc)):
-            simplices.add(tuple(sorted(tri)))
-            for u, w in combinations(tri, 2):
-                simplices.add(tuple(sorted((u, w))))
-    return SimplicialComplex(verts, simplices, _validate=False)
+    faces, _, up = face_poset(k)
+    return order_complex([_chain_id(s) for s in faces], up)
 
 
 def _pentagon_subdivision(k: SimplicialComplex) -> SimplicialComplex:

@@ -44,6 +44,33 @@ def test_homology_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_homology_nested_simplex_exits_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "maximal_simplices": [["a", ["b"]]]}))
+    code, report = run_cli(capsys, "homology", str(path))
+    assert code == 2
+    assert "maximal_simplices" in report["error"]
+
+
+def test_homology_over_cell_limit_is_skipped(tmp_path, capsys, monkeypatch):
+    from coxcert.simplicial import faces_closure
+
+    path = write_complex(tmp_path, faces_closure([("a", "b")]), "edge.json")
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "1")
+    code, report = run_cli(capsys, "homology", path)
+    assert code == 0
+    assert report["overall"] == "indeterminate"
+    assert report["steps"][0]["status"] == "skipped"
+
+
+def test_malformed_cell_limit_exits_2(tmp_path, capsys, monkeypatch):
+    path = write_complex(tmp_path, hollow_triangle())
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "abc")
+    code, report = run_cli(capsys, "homology", path)
+    assert code == 2
+    assert "COXCERT_SNF_CELL_LIMIT" in report["error"]
+
+
 def test_hyperbolic_four_and_five_cycle(tmp_path, capsys):
     path4 = write_complex(tmp_path, cycle_complex(4), "c4.json")
     code, report = run_cli(capsys, "hyperbolic", path4)

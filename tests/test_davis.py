@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from coxcert.coxeter import INF, racg_from_flag, reduce, system_from_matrix
 from coxcert.davis import (
-    chamber,
     davis_ball,
     fixed_subcomplex,
     hash_union_sharp,
@@ -171,38 +170,6 @@ def test_realization_is_flag():
     for sys in (edge_nerve_system(), racg_from_flag(cycle_complex(4))):
         real = davis_ball(sys, 1).realization()
         assert square_report(real).is_flag
-
-
-def test_chamber_two_points():
-    c = chamber(two_points())
-    assert len(c.complex.vertices) == 3  # a path of two edges
-    assert c.complex.dim() == 1
-    assert set(c.mirrors) == {"p", "q"}
-    assert all(len(m.vertices) == 1 for m in c.mirrors.values())
-
-
-def test_chamber_edge_nerve():
-    l = faces_closure([("a", "b")])
-    c = chamber(l)
-    assert homology(c.complex, reduced=True).is_trivial()
-    assert len(c.mirrors["a"].vertices) == 2  # endpoint plus barycenter
-    inter = set(c.mirrors["a"].vertices) & set(c.mirrors["b"].vertices)
-    assert len(inter) == 1  # they meet in the barycenter vertex
-
-
-def test_chamber_mirror_union_is_boundary():
-    for l in (two_points(), faces_closure([("a", "b")]), cycle_complex(5)):
-        c = chamber(l)
-        union = c.mirror_union()
-        assert union == c.boundary
-        assert homology(union) == homology(l)
-
-
-def test_chamber_rejects_non_flag():
-    from helpers import hollow_triangle
-
-    with pytest.raises(ValueError):
-        chamber(hollow_triangle())
 
 
 def test_ball_json_dump():

@@ -1,10 +1,12 @@
 """Wedge models, dihedral pair census, Farrell fillings, main report."""
+import hashlib
+import json
+
 import pytest
 
 from coxcert.coxeter import racg_from_flag
 from coxcert.homology import homology
 from coxcert.models import (
-    SlopeSet,
     canonical_slope,
     dihedral_pairs,
     farey_slopes,
@@ -14,6 +16,7 @@ from coxcert.models import (
     poset_mapping_cylinder,
     slope_set,
     wedge_model,
+    _filling,
     _grid_torus,
 )
 from coxcert.presentations import (
@@ -22,7 +25,7 @@ from coxcert.presentations import (
     presentation_complex,
     spine_certificate,
 )
-from coxcert.simplicial import faces_closure, wedge
+from coxcert.simplicial import SimplicialComplex, complex_to_json, faces_closure, wedge
 from coxcert.subdivide import barycentric_subdivision
 
 from helpers import cycle_complex, full_triangle, two_points
@@ -84,24 +87,24 @@ def test_canonical_slope():
 
 
 def test_farey_enumeration():
-    assert farey_slopes(5).slopes == ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
+    assert farey_slopes(5) == ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
     assert len(farey_slopes(9)) == 9
 
 
 def test_mapping_cylinder_identity_and_collapse():
     edge = faces_closure([("a", "b")])
     assert homology(
-        poset_mapping_cylinder(edge, {"a": "a", "b": "b"}, edge), reduced=True
+        poset_mapping_cylinder(edge, [({"a": "a", "b": "b"}, edge)]), reduced=True
     ).is_trivial()
     pt = faces_closure([("w",)])
     assert homology(
-        poset_mapping_cylinder(edge, {"a": "w", "b": "w"}, pt), reduced=True
+        poset_mapping_cylinder(edge, [({"a": "w", "b": "w"}, pt)]), reduced=True
     ).is_trivial()
 
 
 def test_mapping_cylinder_torus_identity():
     b = _grid_torus(3)
-    cyl = poset_mapping_cylinder(b, {v: v for v in b.vertices}, b)
+    cyl = poset_mapping_cylinder(b, [({v: v for v in b.vertices}, b)])
     h = homology(cyl)
     assert (h.betti(0), h.betti(1), h.betti(2)) == (1, 2, 1)
 
@@ -112,13 +115,36 @@ def test_mapping_cylinder_rejects_non_simplicial():
     bad = dict.fromkeys(b.vertices, "a")
     bad[b.vertices[1]] = "c"  # a,c not adjacent in the square
     with pytest.raises(ValueError):
-        poset_mapping_cylinder(b, bad, square)
+        poset_mapping_cylinder(b, [(bad, square)])
 
 
 def test_farrell_bare_torus():
     x = farrell_quotient([])
+    assert x == barycentric_subdivision(_grid_torus(3))
     h = homology(x)
     assert (h.betti(1), h.betti(2), h.betti(3)) == (2, 1, 0)
+
+
+def test_farrell_is_union_of_single_cylinders():
+    for slopes in ([(1, 0)], [(1, 0), (1, 2)], [(1, 0), (0, 1), (1, 1)]):
+        n = 3 * max(max(abs(p), abs(q), abs(p - q)) for p, q in slopes)
+        base = _grid_torus(n)
+        verts: dict[str, None] = {}
+        simplices = set()
+        for i, (p, q) in enumerate(slopes):
+            piece = poset_mapping_cylinder(base, [_filling(i, p, q, n)])
+            verts.update(dict.fromkeys(piece.vertices))
+            simplices |= piece.simplices
+        x = farrell_quotient(slopes)
+        # simplex tuples follow each complex's vertex order, so re-sort them
+        assert x.simplices == SimplicialComplex(list(verts), simplices).simplices
+        assert x.vertices == tuple(verts)
+
+
+def test_farrell_output_is_pinned():
+    data = json.dumps(complex_to_json(farrell_quotient([(1, 0), (1, 2)])), sort_keys=True)
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    assert digest == "c4b931fa3781a5e98cb6805342a599f3204128d324b1bb4e1516096b9ec60162"
 
 
 def test_farrell_single_filling_is_solid_torus():

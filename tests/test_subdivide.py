@@ -1,15 +1,26 @@
-"""Subdivision invariants: flagness, square removal, homology preservation."""
+"""Order complexes and subdivision invariants: flagness, square removal, homology."""
+import hashlib
+import json
 import random
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxcert.homology import homology
-from coxcert.simplicial import cone, faces_closure, square_report
+from coxcert.homology import MatrixSizeError, homology
+from coxcert.presentations import presentation_complex, spine_presentation
+from coxcert.simplicial import (
+    SimplicialComplex,
+    complex_to_json,
+    cone,
+    faces_closure,
+    square_report,
+)
 from coxcert.subdivide import (
     barycentric_subdivision,
     contract_flag_no_squares,
-    median_subdivision,
     no_square_subdivision,
+    order_complex,
 )
 
 from helpers import (
@@ -20,6 +31,52 @@ from helpers import (
     random_complex,
     two_points,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0))
+def test_order_complex_matches_brute_force_chains(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    # a random DAG along a shuffled order, then its transitive closure
+    order = list(range(n))
+    rng.shuffle(order)
+    above = {i: set() for i in range(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.4:
+                above[order[a]].add(order[b])
+    for a in reversed(order):
+        for b in list(above[a]):
+            above[a] |= above[b]
+    names = [f"e{i}" for i in range(n)]
+    up = [sorted(above[i]) for i in range(n)]
+    chains = [
+        c
+        for r in range(1, n + 1)
+        for c in combinations(range(n), r)
+        if all(b in above[a] or a in above[b] for a, b in combinations(c, 2))
+    ]
+    brute = SimplicialComplex(names, [tuple(names[i] for i in c) for c in chains])
+    fast = order_complex(names, up)
+    assert fast == brute
+    assert fast.vertices == tuple(names)
+
+
+def test_order_complex_cap():
+    names = ["a", "b", "c"]
+    up = [[1, 2], [2], []]  # a < b < c: 7 chains
+    assert len(order_complex(names, up, max_cells=7).simplices) == 7
+    for cap in (2, 6):
+        with pytest.raises(MatrixSizeError):
+            order_complex(names, up, max_cells=cap)
+
+
+def test_bary_output_is_pinned():
+    k = barycentric_subdivision(presentation_complex(spine_presentation()))
+    data = json.dumps(complex_to_json(k), sort_keys=True)
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    assert digest == "eb3d40e0152f7ef9cc59436768693d527f680b8221bb5cbf549a76a4721d7479"
 
 
 def test_bary_point_is_point():
@@ -43,11 +100,6 @@ def test_bary_preserves_homology():
         assert homology(barycentric_subdivision(k)) == homology(k)
 
 
-def test_median_preserves_homology():
-    for k in (hollow_triangle(), full_triangle(), projective_plane()):
-        assert homology(median_subdivision(k)) == homology(k)
-
-
 def test_no_square_subdivision_four_cycle():
     out = no_square_subdivision(cycle_complex(4))
     rep = square_report(out)
@@ -63,8 +115,6 @@ def test_no_square_subdivision_projective_plane():
 
 
 def test_no_square_subdivision_rejects_high_dim():
-    import pytest
-
     solid = faces_closure([("a", "b", "c", "d")])
     with pytest.raises(ValueError):
         no_square_subdivision(solid)
