@@ -20,13 +20,7 @@ from .presentations import (
     spine_complex,
     spine_presentation,
 )
-from .simplicial import (
-    SimplicialComplex,
-    complex_from_json,
-    complex_to_json,
-    dim_of,
-    square_report,
-)
+from .simplicial import SimplicialComplex, complex_from_json, complex_to_json, square_report
 from .subdivide import barycentric_subdivision
 
 
@@ -259,14 +253,22 @@ def cmd_farrell(args) -> RunReport:
     _check_count("--slopes", args.slopes)
     report = RunReport("farrell", _digest_bytes(str(args.slopes).encode()))
     if args.slopes == 0:
-        h = homology(farrell_quotient([]))
+        try:
+            h = homology(farrell_quotient([]))
+        except MatrixSizeError as exc:
+            report.add("bare-torus", "skipped", reason=str(exc))
+            return report
         report.add(
             "bare-torus",
             "pass" if (h.betti(3), h.betti(1)) == (0, 2) else "fail",
             betti=[h.betti(i) for i in range(4)],
         )
         return report
-    ranks = farrell_h3_growth(args.slopes)
+    try:
+        ranks = farrell_h3_growth(args.slopes)
+    except MatrixSizeError as exc:
+        report.add("h3-growth", "skipped", reason=str(exc))
+        return report
     monotone = all(a <= b for a, b in zip(ranks, ranks[1:]))
     report.add("h3-growth", "pass" if monotone else "fail", ranks=ranks)
     return report
@@ -276,8 +278,11 @@ def cmd_spine(args) -> RunReport:
     report = RunReport("spine", _digest_bytes(b"spine"))
     l = spine_complex(compact=not args.no_compact)
     report.add("build", "pass", counts=l.counts())
-    h = homology(l, reduced=True)
-    report.add("acyclicity", "pass" if h.is_trivial() else "fail", homology=repr(h))
+    try:
+        h = homology(l, reduced=True)
+        report.add("acyclicity", "pass" if h.is_trivial() else "fail", homology=repr(h))
+    except MatrixSizeError as exc:
+        report.add("acyclicity", "skipped", reason=str(exc))
     sq = square_report(l)
     report.add("flag", "pass" if sq.is_flag else "fail", witness=sq.flag_witness)
     report.add(
@@ -311,23 +316,22 @@ def cmd_certify_main_theorem(args) -> RunReport:
     else:
         l = spine_complex()
         report.add("build", "pass", variant="spine", counts=l.counts())
-    h = homology(l, reduced=True)
-    report.add("acyclicity", "pass" if h.is_trivial() else "fail")
-    sq = square_report(l)
+    cert = spine_certificate()
+    try:
+        mt = main_theorem_report(l, cert)
+    except MatrixSizeError as exc:
+        report.add("acyclicity", "skipped", reason=str(exc))
+        return report
+    report.add("acyclicity", "pass" if mt.nerve_acyclic else "fail")
+    sq = mt.squares
     report.add("flag", "pass" if sq.is_flag else "fail", witness=sq.flag_witness)
     report.add("squares", "pass", empty_squares=len(sq.empty_squares))
-    cert = spine_certificate()
-    report.add(
-        "certificate",
-        "pass" if cert.valid and cert.subgroup_order() == 60 else "fail",
-    )
-    mt = main_theorem_report(l, cert)
+    report.add("certificate", "pass" if mt.certificate_order == 60 else "fail")
     if not mt.ok:
         report.add("hypotheses", "fail", failures=list(mt.hypothesis_failures))
         return report
     report.add("hyperbolicity", "pass", hyperbolic=mt.hyperbolic)
     if mt.hyperbolic:
-        sys_ = racg_from_flag(l)
         if args.radius < 1:
             report.add(
                 "singular-dimension",
@@ -336,10 +340,10 @@ def cmd_certify_main_theorem(args) -> RunReport:
                 radius=args.radius,
             )
         else:
-            ball = davis_ball(sys_, args.radius)
+            ball = davis_ball(racg_from_flag(l), args.radius)
             sdim = ball.singular_dim()
             rdim = ball.realization_dim()
-            ok = sdim == 2 and rdim == dim_of(l) + 1
+            ok = sdim == 2 and rdim == mt.nerve_dim + 1
             report.add(
                 "singular-dimension",
                 "pass" if ok else "fail",

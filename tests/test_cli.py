@@ -1,5 +1,7 @@
 """CLI harness: exit codes, report shapes, determinism."""
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,10 @@ from coxcert.simplicial import complex_to_json
 from coxcert.coxeter import racg_from_flag, system_to_json
 
 from helpers import cycle_complex, hollow_triangle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import report_digest  # noqa: E402  (sha256 without timing_seconds)
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +67,26 @@ def test_homology_over_cell_limit_is_skipped(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert report["overall"] == "indeterminate"
     assert report["steps"][0]["status"] == "skipped"
+
+
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        (("farrell", "--slopes", "0"), "bare-torus"),
+        (("farrell", "--slopes", "1"), "h3-growth"),
+        (("spine",), "acyclicity"),
+        (("certify-main-theorem", "--skip-nsq-subdivision"), "acyclicity"),
+    ],
+    ids=["farrell-bare-torus", "farrell-growth", "spine", "certify-main-theorem"],
+)
+def test_pipeline_over_cell_limit_is_skipped(capsys, monkeypatch, argv, step):
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "1")
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["overall"] == "indeterminate"
+    skipped = [s for s in report["steps"] if s["status"] == "skipped"]
+    assert [s["name"] for s in skipped] == [step]
+    assert "exceeds cell limit" in skipped[0]["data"]["reason"]
 
 
 def test_malformed_cell_limit_exits_2(tmp_path, capsys, monkeypatch):
@@ -206,6 +232,9 @@ def test_spine_command(tmp_path, capsys):
     assert dumped["vertices"]
     cert = json.loads(cert_out.read_text())
     assert cert["degree"] == 5
+    assert report_digest(report) == (
+        "a575a8607f30ed2ff612cb416df11b7f2ca7bda3446c4db7778f4f51c8b79dd6"
+    )
 
 
 def test_certify_main_theorem_default(capsys):
@@ -214,6 +243,9 @@ def test_certify_main_theorem_default(capsys):
     assert report["overall"] == "pass"
     final = report["steps"][-1]["data"]
     assert (final["predicted_cd"], final["predicted_gd"]) == (2, 3)
+    assert report_digest(report) == (
+        "0ce36a520156a8323014ddec6108104cd7d3a5f312977afa201aee59bea9fae7"
+    )
 
 
 def test_certify_main_theorem_skip_subdivision(capsys):
@@ -223,6 +255,9 @@ def test_certify_main_theorem_skip_subdivision(capsys):
     assert final["predicted_cd"] == final["predicted_gd"] == ">=3"
     steps = {s["name"]: s for s in report["steps"]}
     assert steps["squares"]["data"]["empty_squares"] > 0
+    assert report_digest(report) == (
+        "86619ee5234b2815c2d5aeb7e752c382025b0edbddf3b71954d277b557d8f62c"
+    )
 
 
 def test_certify_main_theorem_radius_zero_indeterminate(capsys):
@@ -232,3 +267,6 @@ def test_certify_main_theorem_radius_zero_indeterminate(capsys):
     steps = {s["name"]: s for s in report["steps"]}
     assert steps["singular-dimension"]["status"] == "indeterminate"
     assert steps["singular-dimension"]["data"]["reason"] == "insufficient radius"
+    assert report_digest(report) == (
+        "7aad1f999e42c56c6b1516faabca9d3b0a2dd6e19dd0b8c19e5fcaf7779e17f4"
+    )

@@ -1,14 +1,13 @@
-"""Wedge models, dihedral pair census, Farrell fillings, main report."""
+"""Wedge models, Farrell fillings, main report."""
 import hashlib
 import json
 
 import pytest
 
-from coxcert.coxeter import racg_from_flag
+from coxcert.coxeter import INF, hyperbolicity, racg_from_flag
 from coxcert.homology import homology
 from coxcert.models import (
     canonical_slope,
-    dihedral_pairs,
     farey_slopes,
     farrell_h3_growth,
     farrell_quotient,
@@ -24,25 +23,12 @@ from coxcert.presentations import (
     pi1_certificate,
     presentation_complex,
     spine_certificate,
+    spine_presentation,
 )
 from coxcert.simplicial import SimplicialComplex, complex_to_json, faces_closure, wedge
 from coxcert.subdivide import barycentric_subdivision
 
-from helpers import cycle_complex, full_triangle, two_points
-
-
-def test_dihedral_pairs_examples():
-    assert len(dihedral_pairs(racg_from_flag(two_points()))) == 1
-    assert len(dihedral_pairs(racg_from_flag(cycle_complex(5)))) == 5
-    assert len(dihedral_pairs(racg_from_flag(full_triangle()))) == 0
-
-
-def test_dihedral_pairs_count_non_edges():
-    l = cycle_complex(6)
-    sys = racg_from_flag(l)
-    n = len(l.vertices)
-    n_edges = len(l.k_simplices(1))
-    assert len(dihedral_pairs(sys)) == n * (n - 1) // 2 - n_edges
+from helpers import cycle_complex, full_triangle
 
 
 def test_wedge_model_homology():
@@ -213,7 +199,7 @@ def test_main_theorem_report_non_hyperbolic_branch():
     assert report.ok
     assert report.hyperbolic is False
     assert report.predicted_cd == report.predicted_gd == ">=3"
-    assert report.empty_square_count > 0
+    assert report.squares.empty_squares
 
 
 def test_main_theorem_report_guard_case():
@@ -240,3 +226,24 @@ def test_report_branch_mirrors_square_test():
     for l in (_tiny_acyclic_flag_complex(),):
         report = main_theorem_report(l, cert)
         assert report.hyperbolic == (not square_report(l).empty_squares)
+
+
+def test_report_branch_and_pairs_match_the_coxeter_system(spine_bundle):
+    # the old path, which rebuilds W_L and reads its nerve, is the oracle
+    cert = spine_bundle["certificate"]
+    complexes = (
+        _tiny_acyclic_flag_complex(),
+        spine_bundle["complex"],
+        barycentric_subdivision(presentation_complex(spine_presentation())),
+    )
+    branches = set()
+    for l in complexes:
+        report = main_theorem_report(l, cert)
+        assert report.ok
+        sys_ = racg_from_flag(l)
+        assert report.hyperbolic == hyperbolicity(sys_).hyperbolic
+        rows = sys_.matrix.entries
+        infinite = sum(row[j] == INF for i, row in enumerate(rows) for j in range(i + 1, len(row)))
+        assert report.dihedral_pair_count == infinite
+        branches.add(report.hyperbolic)
+    assert branches == {True, False}
