@@ -26,7 +26,7 @@ from .subdivide import barycentric_subdivision
 
 @dataclass
 class RunReport:
-    """Stepwise result of one CLI command; JSON round-trips losslessly."""
+    """Stepwise result of one CLI command."""
 
     command: str
     input_digest: str
@@ -53,18 +53,6 @@ class RunReport:
             "overall": self.overall,
             "timing_seconds": self.timing_seconds,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RunReport":
-        report = cls(
-            command=data["command"],
-            input_digest=data["input_digest"],
-            steps=list(data["steps"]),
-            timing_seconds=data.get("timing_seconds"),
-        )
-        if report.overall != data.get("overall"):
-            raise ValueError("inconsistent overall status in report JSON")
-        return report
 
     def exit_code(self) -> int:
         return 1 if self.overall == "fail" else 0

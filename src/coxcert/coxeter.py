@@ -44,11 +44,10 @@ class CoxeterMatrix:
 
 @dataclass(frozen=True)
 class CoxeterSystem:
-    """A Coxeter matrix together with the right-angled flag it determines."""
+    """A Coxeter matrix together with whether it is right-angled."""
 
     matrix: CoxeterMatrix
     right_angled: bool = field(init=False)
-    flag_complex: Optional[SimplicialComplex] = None
 
     def __post_init__(self):
         ra = all(
@@ -100,10 +99,7 @@ def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
         ]
         for i in range(n)
     ]
-    return CoxeterSystem(
-        CoxeterMatrix(gens, tuple(tuple(r) for r in entries)),
-        flag_complex=l,
-    )
+    return CoxeterSystem(CoxeterMatrix(gens, tuple(tuple(r) for r in entries)))
 
 
 # -- finiteness classification ----------------------------------------------
@@ -243,24 +239,33 @@ def _is_spherical_idx(sys: CoxeterSystem, idx: tuple[int, ...]) -> bool:
     return True
 
 
+def _spherical_subsets(sys: CoxeterSystem) -> list[tuple[int, ...]]:
+    """Non-empty spherical subsets as sorted index tuples, in (size, lex) order.
+
+    Spherical subsets are closed under taking subsets, so each level grows
+    from the one before by larger indices.  In a right-angled system j joins
+    t exactly when j commutes with every member of t.
+    """
+    n = sys.matrix.rank
+    link = [frozenset(j for j in range(n) if sys.commutes(i, j)) for i in range(n)]
+    ra = sys.right_angled
+    level = [(i,) for i in range(n)]
+    out: list[tuple[int, ...]] = []
+    while level:
+        out += level
+        level = [
+            t + (j,)
+            for t in level
+            for j in range(t[-1] + 1, n)
+            if (link[j].issuperset(t) if ra else _is_spherical_idx(sys, t + (j,)))
+        ]
+    return out
+
+
 def nerve(sys: CoxeterSystem) -> SimplicialComplex:
     """Complex on the generators whose simplices are the spherical subsets."""
     gens = sys.generators
-    simplices: set[tuple[str, ...]] = set()
-    frontier = [(i,) for i in range(len(gens))]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            simplices.add(tuple(gens[i] for i in idx))
-            for j in range(idx[-1] + 1, len(gens)):
-                cand = idx + (j,)
-                if sys.right_angled:
-                    ok = all(sys.commutes(i, j) for i in idx)
-                else:
-                    ok = _is_spherical_idx(sys, cand)
-                if ok:
-                    nxt.append(cand)
-        frontier = nxt
+    simplices = {tuple(gens[i] for i in t) for t in _spherical_subsets(sys)}
     return SimplicialComplex(gens, simplices, _validate=False)
 
 

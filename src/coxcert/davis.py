@@ -6,19 +6,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .coxeter import (
-    CoxeterSystem,
-    Word,
-    _check_ra,
-    ball,
-    nerve,
-    reduce,
-)
+from .coxeter import CoxeterSystem, Word, _check_ra, _spherical_subsets, ball, reduce
 from .homology import MatrixSizeError
 from .simplicial import SimplicialComplex
 from .subdivide import order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
-from .coxeter import in_special_subgroup, min_coset_rep  # noqa: F401
+from .coxeter import in_special_subgroup, min_coset_rep, nerve  # noqa: F401
 from .simplicial import square_report  # noqa: F401
 from .subdivide import barycentric_subdivision  # noqa: F401
 
@@ -54,20 +47,14 @@ class DavisBall:
             raise ValueError("radius must be >= 0")
         self.system = system
         self.radius = radius
-        self.nerve = nerve(system)
-        gens = system.generators
-        lookup = {g: i for i, g in enumerate(gens)}
+        n = system.matrix.rank
         # _link[s]: the generators that commute with s
         self._link = [
-            frozenset(j for j in range(len(gens)) if system.commutes(i, j))
-            for i in range(len(gens))
+            frozenset(j for j in range(n) if system.commutes(i, j)) for i in range(n)
         ]
-        self._sphericals: list[Subset] = [()]
-        self._sphericals += sorted(
-            (tuple(sorted(lookup[v] for v in s)) for s in self.nerve.simplices),
-            key=lambda t: (len(t), t),
-        )
-        # strict superset lists drive the up-lists and the height DP
+        # the empty type, then the cliques of the nerve in (size, lex) order
+        self._sphericals: list[Subset] = [()] + _spherical_subsets(system)
+        # strict superset lists drive the up-lists
         self._supersets: dict[Subset, list[Subset]] = {t: [] for t in self._sphericals}
         for t in self._sphericals:
             if t:
@@ -81,8 +68,6 @@ class DavisBall:
             descents = self._descents(w)
             cosets += [SphericalCoset(w, t) for t in self._sphericals if descents.isdisjoint(t)]
         self.cosets: tuple[SphericalCoset, ...] = tuple(cosets)
-        self._height: dict[Subset, int] = {}
-        self._realization: Optional[SimplicialComplex] = None
 
     # -- coset arithmetic --------------------------------------------------
 
@@ -147,34 +132,22 @@ class DavisBall:
         return order_complex([self.coset_id(self.cosets[i]) for i in kept], up, max_cells)
 
     def realization(self, max_cells: Optional[int] = None) -> SimplicialComplex:
-        if self._realization is None:
-            self._realization = self._order_complex(lambda c: True, max_cells)
-        return self._realization
+        return self._order_complex(lambda c: True, max_cells)
 
-    # -- poset heights (dimensions without materializing chains) -----------
-
-    def _type_height(self, t: Subset) -> int:
-        cached = self._height.get(t)
-        if cached is not None:
-            return cached
-        best = 1
-        for t2 in self._supersets[t]:
-            h = 1 + self._type_height(t2)
-            if h > best:
-                best = h
-        self._height[t] = best
-        return best
+    # -- dimensions (closed form) ------------------------------------------
 
     def realization_dim(self) -> int:
-        """Dimension of the order complex: longest coset chain minus one."""
-        if not self.cosets:
-            return -1
-        return max(self._type_height(c.gens) for c in self.cosets) - 1
+        """Dimension of the order complex: dim L + 1 at every radius.
+
+        The identity has no right descents, so e*W_T is in the ball for every
+        clique T, and the chain e*W_() < ... < e*W_T along a largest clique T
+        is a longest chain of cosets.
+        """
+        return len(self._sphericals[-1])
 
     def singular_dim(self) -> int:
-        """Dimension of the singular subcomplex (chains of non-chamber cosets)."""
-        heights = [self._type_height(c.gens) for c in self.cosets if c.gens]
-        return max(heights, default=0) - 1
+        """Dimension of the singular subcomplex (chains of non-chamber cosets): dim L."""
+        return len(self._sphericals[-1]) - 1
 
     def to_json(self) -> dict:
         gens = self.system.generators

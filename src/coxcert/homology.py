@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from typing import Iterable, Optional
 
@@ -27,14 +28,17 @@ def _dense_snf_divisors(entries: dict[tuple[int, int], int]) -> list[int]:
     """Exact SNF divisors of a small dense integer matrix.
 
     Entries are given sparsely; arbitrary-precision arithmetic throughout.
+    The m x n array counts against the cell limit before it is allocated.
     """
     if not entries:
         return []
     rows = sorted({r for r, _ in entries})
     cols = sorted({c for _, c in entries})
+    m, n = len(rows), len(cols)
+    if m * n > _cell_limit():
+        raise MatrixSizeError(f"dense {m} x {n} residual exceeds cell limit")
     rmap = {r: i for i, r in enumerate(rows)}
     cmap = {c: j for j, c in enumerate(cols)}
-    m, n = len(rows), len(cols)
     a = [[0] * n for _ in range(m)]
     for (r, c), v in entries.items():
         a[rmap[r]][cmap[c]] = v
@@ -96,15 +100,9 @@ def _dense_snf_divisors(entries: dict[tuple[int, int], int]) -> list[int]:
         for j in range(i + 1, len(divisors)):
             di, dj = divisors[i], divisors[j]
             if dj % di:
-                g = _gcd(di, dj)
+                g = math.gcd(di, dj)
                 divisors[i], divisors[j] = g, di * dj // g
     return divisors
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:

@@ -199,15 +199,6 @@ def test_reports_are_deterministic(tmp_path, capsys):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_run_report_json_round_trip(tmp_path, capsys):
-    from coxcert.cli import RunReport
-
-    path = write_complex(tmp_path, cycle_complex(4))
-    _, data = run_cli(capsys, "hyperbolic", path)
-    report = RunReport.from_json(data)
-    assert report.to_json() == data
-
-
 def test_davis_command_klein_four(tmp_path, capsys):
     from coxcert.simplicial import faces_closure
 

@@ -241,9 +241,12 @@ def test_fast_coset_paths_match_word_problem_oracle(seed):
     ref = ReferenceBall(sys, radius)
     assert fast.cosets == ref.cosets
     assert fast.to_json() == ref.to_json()
-    assert fast.realization().simplices == ref.realization().simplices
+    real = fast.realization()
+    assert real.simplices == ref.realization().simplices
+    assert fast.realization_dim() == real.dim()
     sing, ref_sing = singular_subcomplex(fast), singular_subcomplex(ref)
     assert (sing.vertices, sing.simplices) == (ref_sing.vertices, ref_sing.simplices)
+    assert fast.singular_dim() == sing.dim()
     sharp, ref_sharp = hash_union_sharp(fast), reference_sharp(ref)
     assert (sharp.vertices, sharp.simplices) == (ref_sharp.vertices, ref_sharp.simplices)
     assert dim_of(sharp) == fast.singular_dim()

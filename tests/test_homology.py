@@ -1,11 +1,13 @@
 """Homology engine: SNF correctness against independent oracles."""
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcert.homology import (
     ChainComplex,
     HomologyResult,
+    MatrixSizeError,
     homology,
     snf_divisors,
 )
@@ -59,12 +61,30 @@ def test_snf_divisibility_chain(seed):
     rng = random.Random(seed)
     m, n = rng.randint(2, 5), rng.randint(2, 5)
     rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-    divisors = snf_divisors(_columns_from_dense(rows))
-    for a, b in zip(divisors, sorted(divisors)):
-        pass
-    chain = sorted(divisors)
+    chain = sorted(snf_divisors(_columns_from_dense(rows)))
     for a, b in zip(chain, chain[1:]):
         assert b % a == 0
+
+
+def test_snf_matches_sympy_smith_normal_form():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix, ZZ
+
+    rng = random.Random(3)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        snf = normalforms.smith_normal_form(Matrix(rows), domain=ZZ)
+        diagonal = sorted(abs(int(snf[i, i])) for i in range(min(m, n)) if snf[i, i])
+        assert sorted(snf_divisors(_columns_from_dense(rows))) == diagonal
+
+
+def test_dense_residual_is_capped_before_allocation(monkeypatch):
+    """50 nonzeros pass the sparse check; the 50 x 50 dense residual must not."""
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "100")
+    with pytest.raises(MatrixSizeError, match="50 x 50"):
+        snf_divisors([{i: 2} for i in range(50)])
+    assert snf_divisors([{i: 2} for i in range(10)]) == [2] * 10
 
 
 def test_boundary_squares_to_zero():
