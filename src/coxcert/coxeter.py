@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplicialComplex, square_report
+from .simplicial import SimplicialComplex, _flag_witness, square_report
 
 INF = 0  # Coxeter matrix entries use 0 to encode infinity (as in the JSON format)
 
@@ -62,18 +62,8 @@ class CoxeterSystem:
     def generators(self) -> tuple[str, ...]:
         return self.matrix.generators
 
-    def index_of(self, label: str) -> int:
-        return self.matrix.generators.index(label)
-
     def commutes(self, i: int, j: int) -> bool:
         return self.matrix.order(i, j) == 2
-
-    def word(self, labels: Iterable[str]) -> Word:
-        lookup = {g: i for i, g in enumerate(self.generators)}
-        return tuple(lookup[x] for x in labels)
-
-    def label_word(self, w: Word) -> str:
-        return "".join(self.generators[i] for i in w)
 
 
 def system_from_matrix(generators: Sequence[str], entries: Sequence[Sequence[int]]) -> CoxeterSystem:
@@ -86,9 +76,9 @@ def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
     m_st = 2 for edges of L and infinity for non-edges; rejects non-flag
     input, reporting the minimal witness clique.
     """
-    report = square_report(l)
-    if not report.is_flag:
-        raise ValueError(f"input is not flag; witness clique {report.flag_witness}")
+    witness = _flag_witness(l)
+    if witness is not None:
+        raise ValueError(f"input is not flag; witness clique {witness}")
     gens = tuple(l.vertices)
     n = len(gens)
     adj = l.adjacency()
@@ -435,9 +425,12 @@ def system_from_json(data: Mapping) -> CoxeterSystem:
         raise ValueError("system JSON needs 'generators' and 'matrix'") from exc
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise ValueError("'generators' must be a list of strings")
-    if not isinstance(matrix, list):
+    # bool is a subclass of int, and int() would also take floats and strings
+    if not isinstance(matrix, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in matrix
+    ):
         raise ValueError("'matrix' must be a list of integer rows")
     try:
-        return system_from_matrix(gens, [[int(x) for x in row] for row in matrix])
+        return system_from_matrix(gens, matrix)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid Coxeter matrix: {exc}") from exc

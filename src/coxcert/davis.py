@@ -4,14 +4,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
-from .coxeter import CoxeterSystem, Word, _check_ra, _spherical_subsets, ball, reduce
+from .coxeter import CoxeterSystem, Word, _check_ra, _spherical_subsets, ball
 from .homology import MatrixSizeError
 from .simplicial import SimplicialComplex
 from .subdivide import order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
-from .coxeter import in_special_subgroup, min_coset_rep, nerve  # noqa: F401
+from .coxeter import in_special_subgroup, min_coset_rep, nerve, reduce  # noqa: F401
 from .simplicial import square_report  # noqa: F401
 from .subdivide import barycentric_subdivision  # noqa: F401
 
@@ -62,12 +62,18 @@ class DavisBall:
                 for r in range(1, len(t)):
                     for sub in combinations(t, r):
                         self._supersets[sub].append(t)
-        # ordered by (length, word) of the representative, then (size, T)
+
+    @cached_property
+    def cosets(self) -> tuple[SphericalCoset, ...]:
+        """Every coset, ordered by (length, word) of the representative, then (size, T).
+
+        Enumerated on first use: the dimensions do not need the cosets.
+        """
         cosets: list[SphericalCoset] = []
-        for w in ball(system, radius):
+        for w in ball(self.system, self.radius):
             descents = self._descents(w)
             cosets += [SphericalCoset(w, t) for t in self._sphericals if descents.isdisjoint(t)]
-        self.cosets: tuple[SphericalCoset, ...] = tuple(cosets)
+        return tuple(cosets)
 
     # -- coset arithmetic --------------------------------------------------
 
@@ -171,20 +177,6 @@ def davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
 
 
 # -- distinguished subcomplexes ---------------------------------------------
-
-
-def fixed_subcomplex(ball_: DavisBall, g: Iterable[int]) -> SimplicialComplex:
-    """Full subcomplex of the realization on the cosets fixed by g.
-
-    g fixes w*W_T exactly when g*w*W_T has minimal representative w.
-    """
-    sys = ball_.system
-    word = reduce(sys, tuple(g))
-    if not word:
-        raise ValueError("fixed_subcomplex requires a non-identity element")
-    return ball_._order_complex(
-        lambda c: ball_._normalize(reduce(sys, word + c.rep), c.gens) == c.rep
-    )
 
 
 def hash_union_sharp(ball_: DavisBall, max_cells: Optional[int] = None) -> SimplicialComplex:

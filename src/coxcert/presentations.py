@@ -5,8 +5,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
-from .homology import snf_divisors
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, faces_closure
 from .subdivide import contract_flag_no_squares, no_square_subdivision
 # unused here, but kept bound: the benchmark's tracing hooks wrap this name
 from .simplicial import square_report  # noqa: F401
@@ -71,13 +70,6 @@ class Presentation:
         return {"generators": list(self.generators), "relators": list(self.relators)}
 
 
-def presentation_from_json(data: Mapping) -> Presentation:
-    try:
-        return Presentation(tuple(data["generators"]), tuple(data["relators"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError("presentation JSON needs 'generators' and 'relators'") from exc
-
-
 def presentation_complex(p: Presentation) -> SimplicialComplex:
     """Triangulated presentation 2-complex.
 
@@ -89,28 +81,13 @@ def presentation_complex(p: Presentation) -> SimplicialComplex:
     """
     base = "o"
     verts: list[str] = [base]
-    simplices: set[tuple[str, ...]] = {(base,)}
-
-    def add_edge(a: str, b: str) -> None:
-        simplices.add(tuple(sorted((a, b))))
-
-    def add_tri(a: str, b: str, c: str) -> None:
-        cell = tuple(sorted((a, b, c)))
-        simplices.add(cell)
-        add_edge(cell[0], cell[1])
-        add_edge(cell[0], cell[2])
-        add_edge(cell[1], cell[2])
-
+    cells: list[tuple[str, ...]] = [(base,)]
     loop: dict[str, tuple[str, str]] = {}
     for g in p.generators:
         g1, g2 = f"{g}1", f"{g}2"
         loop[g] = (g1, g2)
         verts.extend((g1, g2))
-        simplices.add((g1,))
-        simplices.add((g2,))
-        add_edge(base, g1)
-        add_edge(g1, g2)
-        add_edge(g2, base)
+        cells += [(base, g1), (g1, g2), (g2, base)]
     for ri, relator in enumerate(p.relators):
         path: list[str] = [base]
         for ch in relator:
@@ -122,15 +99,14 @@ def presentation_complex(p: Presentation) -> SimplicialComplex:
         apex = f"r{ri}apex"
         verts.extend(ring)
         verts.append(apex)
-        simplices.add((apex,))
-        for b in ring:
-            simplices.add((b,))
         for i in range(m):
             j = (i + 1) % m
-            add_tri(apex, ring[i], ring[j])
-            add_tri(ring[i], ring[j], path[i])
-            add_tri(ring[j], path[i], path[j])
-    return SimplicialComplex(verts, simplices, _validate=False)
+            cells += [
+                (apex, ring[i], ring[j]),
+                (ring[i], ring[j], path[i]),
+                (ring[j], path[i], path[j]),
+            ]
+    return faces_closure(cells, vertices=verts)
 
 
 # -- permutation certificates -------------------------------------------------
@@ -215,16 +191,6 @@ class Pi1Certificate:
         }
 
 
-def certificate_from_json(data: Mapping) -> Pi1Certificate:
-    try:
-        p = presentation_from_json(data["presentation"])
-        degree = int(data["degree"])
-        images = tuple(tuple(int(x) for x in img) for img in data["images"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("malformed certificate JSON") from exc
-    return pi1_certificate(p, degree, images)
-
-
 def pi1_certificate(
     p: Presentation, degree: int, images: Sequence[Sequence[int]]
 ) -> Pi1Certificate:
@@ -303,13 +269,3 @@ def spine_complex(compact: bool = True) -> SimplicialComplex:
     if compact:
         l = contract_flag_no_squares(l)
     return l
-
-
-def abelianized_divisors(p: Presentation) -> list[int]:
-    """SNF divisors of the abelianized relator matrix (independent H1 check)."""
-    rows = p.abelianized_matrix()
-    cols = [
-        {r: rows[r][c] for r in range(len(rows)) if rows[r][c]}
-        for c in range(len(p.generators))
-    ]
-    return sorted(snf_divisors(cols))

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -61,9 +61,6 @@ class SimplicialComplex:
     def sort_simplex(self, s: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(s, key=self._pos.__getitem__))
 
-    def has(self, s: Iterable[str]) -> bool:
-        return self.sort_simplex(s) in self.simplices
-
     def dim(self) -> int:
         """Max simplex cardinality minus one; -1 for the empty complex."""
         if not self.simplices:
@@ -105,16 +102,6 @@ class SimplicialComplex:
                 adj[s[1]].add(s[0])
         return adj
 
-    def full_subcomplex(self, keep: Iterable[str]) -> "SimplicialComplex":
-        """Full subcomplex on the given vertex subset."""
-        kept = set(keep)
-        verts = tuple(v for v in self.vertices if v in kept)
-        simp = [s for s in self.simplices if all(v in kept for v in s)]
-        return SimplicialComplex(verts, simp, _validate=False)
-
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.simplices <= other.simplices
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -138,39 +125,23 @@ def faces_closure(
     """
     if not maximal:
         raise ValueError("faces_closure needs at least one maximal face")
-    sets = [tuple(m) for m in maximal]
-    for m in sets:
-        if not m:
-            raise ValueError("empty member set")
+    sets = [tuple(dict.fromkeys(m)) for m in maximal]
+    if not all(sets):
+        raise ValueError("empty member set")
+    used = set(chain.from_iterable(sets))
     if vertices is None:
-        universe: list[str] = sorted({v for m in sets for v in m})
+        universe: list[str] = sorted(used)
     else:
         universe = list(vertices)
-        declared = set(universe)
-        for m in sets:
-            for v in m:
-                if v not in declared:
-                    raise ValueError(f"vertex {v!r} outside declared universe")
-    simplices = set()
+        outside = used.difference(universe)
+        if outside:
+            v = next(v for m in sets for v in m if v in outside)
+            raise ValueError(f"vertex {v!r} outside declared universe")
+    simplices = {(v,) for v in universe}
     for m in sets:
-        m = tuple(dict.fromkeys(m))
-        for k in range(1, len(m) + 1):
+        for k in range(2, len(m) + 1):
             simplices.update(combinations(m, k))
-    for v in universe:
-        simplices.add((v,))
     return SimplicialComplex(universe, simplices, _validate=False)
-
-
-def cone(k: SimplicialComplex, apex: str) -> SimplicialComplex:
-    """Cone on a complex: every simplex gains a copy joined with the apex."""
-    if apex in k._pos:
-        raise ValueError(f"apex {apex!r} already a vertex")
-    verts = k.vertices + (apex,)
-    simplices = set(k.simplices)
-    simplices.add((apex,))
-    for s in k.simplices:
-        simplices.add(s + (apex,))
-    return SimplicialComplex(verts, simplices, _validate=False)
 
 
 def wedge(
@@ -254,17 +225,15 @@ def _empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
     return sorted(squares, key=lambda q: tuple(pos[v] for v in q))
 
 
-def square_report(k: SimplicialComplex) -> SquareReport:
-    """Check flagness (all cliques span simplices) and list empty squares.
+def _flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:
+    """An inclusion-minimal clique of the 1-skeleton that spans no simplex.
 
-    Cliques are grown in size order, so the reported witness is an
-    inclusion-minimal non-simplex clique.
+    Cliques are grown in size order; None when k is flag.
     """
     adj = k.adjacency()
     pos = k._pos
-    witness = None
     frontier: list[tuple[str, ...]] = [(v,) for v in k.vertices]
-    while frontier and witness is None:
+    while frontier:
         nxt = []
         for clique in frontier:
             cands = set(adj[clique[0]])
@@ -276,12 +245,15 @@ def square_report(k: SimplicialComplex) -> SquareReport:
                     continue
                 bigger = clique + (v,)
                 if bigger not in k.simplices:
-                    witness = bigger
-                    break
+                    return bigger
                 nxt.append(bigger)
-            if witness is not None:
-                break
         frontier = nxt
+    return None
+
+
+def square_report(k: SimplicialComplex) -> SquareReport:
+    """Check flagness (all cliques span simplices) and list empty squares."""
+    witness = _flag_witness(k)
     return SquareReport(
         is_flag=witness is None,
         flag_witness=witness,

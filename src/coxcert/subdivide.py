@@ -5,7 +5,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex, square_report
+from .simplicial import SimplicialComplex, faces_closure, square_report
 
 
 def order_complex(
@@ -73,25 +73,16 @@ def _pentagon_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     none of which contains an induced 4-cycle, for an arbitrary 2-complex.
     """
     verts: list[str] = list(k.vertices)
-    simplices: set[tuple[str, ...]] = {(v,) for v in k.vertices}
-
-    def add(*cell: str) -> None:
-        cell_sorted = tuple(sorted(cell))
-        simplices.add(cell_sorted)
-        if len(cell) > 1:
-            for r in range(1, len(cell)):
-                for face in combinations(cell_sorted, r):
-                    simplices.add(face)
-
+    # old vertices as cells, since faces_closure needs one: a complex without
+    # edges subdivides to its vertices
+    cells: list[tuple[str, ...]] = [(v,) for v in k.vertices]
     p_id: dict[tuple[str, str], str] = {}
     for a, b in k.k_simplices(1):
         pa, pb = f"[{a}>{b}]", f"[{b}>{a}]"
         p_id[(a, b)] = pa
         p_id[(b, a)] = pb
         verts.extend((pa, pb))
-        add(a, pa)
-        add(pa, pb)
-        add(pb, b)
+        cells += [(a, pa), (pa, pb), (pb, b)]
     for t in k.k_simplices(2):
         a, b, c = t
         q = {v: f"[q {v}|{' '.join(u for u in t if u != v)}]" for v in t}
@@ -105,16 +96,18 @@ def _pentagon_subdivision(k: SimplicialComplex) -> SimplicialComplex:
         verts.append(z)
         for u, w in combinations(t, 2):
             pu, pw, m = p_id[(u, w)], p_id[(w, u)], mid[(u, w)]
-            # corner cells and the edge strip around the private mid point
-            add(u, pu, q[u])
-            add(w, pw, q[w])
-            add(pu, pw, m)
-            add(pu, m, q[u])
-            add(pw, m, q[w])
-            # center fan over the interior hexagon
-            add(z, q[u], m)
-            add(z, m, q[w])
-    return SimplicialComplex(verts, simplices, _validate=False)
+            cells += [
+                # corner cells and the edge strip around the private mid point
+                (u, pu, q[u]),
+                (w, pw, q[w]),
+                (pu, pw, m),
+                (pu, m, q[u]),
+                (pw, m, q[w]),
+                # center fan over the interior hexagon
+                (z, q[u], m),
+                (z, m, q[w]),
+            ]
+    return faces_closure(cells, vertices=verts)
 
 
 def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:

@@ -23,6 +23,13 @@ def cycle_complex(n: int, prefix: str = "c") -> SimplicialComplex:
     return faces_closure(edges, vertices=verts)
 
 
+def cone(k: SimplicialComplex, apex: str) -> SimplicialComplex:
+    """Cone on a complex: every simplex gains a copy joined with the apex."""
+    assert apex not in k.vertices
+    simplices = set(k.simplices) | {(apex,)} | {s + (apex,) for s in k.simplices}
+    return SimplicialComplex(k.vertices + (apex,), simplices)
+
+
 def two_points() -> SimplicialComplex:
     return SimplicialComplex(("p", "q"), [("p",), ("q",)])
 

@@ -134,6 +134,23 @@ def test_nerve_and_racg_round_trip(tmp_path, capsys):
     assert report["steps"][0]["data"]["system"]["generators"] == list(sys_.generators)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 2.5], [2.5, 1]],
+        [[1, "2"], ["2", 1]],
+        [[1.9, 2], [2, 1]],
+        [[True, 2], [2, 1]],
+    ],
+)
+def test_non_integer_matrix_entries_exit_2(tmp_path, capsys, matrix):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"generators": ["s", "t"], "matrix": matrix}))
+    code, report = run_cli(capsys, "nerve", str(path))
+    assert code == 2
+    assert "matrix" in report["error"]
+
+
 def test_davis_command_singular(tmp_path, capsys):
     path = write_complex(tmp_path, cycle_complex(4))
     code, report = run_cli(capsys, "davis", path, "--radius", "2", "--singular")

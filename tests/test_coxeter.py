@@ -138,7 +138,7 @@ def test_hyperbolicity_four_cycle():
     rep = hyperbolicity(sys)
     assert rep.hyperbolic is False
     a, c, b, d = rep.z2_witness
-    ia, ic, ib, id_ = (sys.index_of(x) for x in (a, c, b, d))
+    ia, ic, ib, id_ = (sys.generators.index(x) for x in (a, c, b, d))
     assert sys.matrix.order(ia, ic) == INF and sys.matrix.order(ib, id_) == INF
     for x in (ia, ic):
         for y in (ib, id_):
@@ -233,7 +233,7 @@ def test_spherical_iff_subsystem_ball_stabilises():
         for _ in range(5):
             size = rng.randint(1, 3)
             subset = rng.sample(gens, size)
-            idx = sorted(sys.index_of(g) for g in subset)
+            idx = sorted(sys.generators.index(g) for g in subset)
             sub_entries = [[sys.matrix.order(i, j) for j in idx] for i in idx]
             sub = system_from_matrix([gens[i] for i in idx], sub_entries)
             stabilises = len(ball(sub, 3)) == len(ball(sub, 4))

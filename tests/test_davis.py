@@ -4,10 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxcert.coxeter import INF, racg_from_flag, reduce, system_from_matrix
+from coxcert.coxeter import INF, racg_from_flag, system_from_matrix
 from coxcert.davis import (
     davis_ball,
-    fixed_subcomplex,
     hash_union_sharp,
     singular_subcomplex,
 )
@@ -83,31 +82,6 @@ def test_leq_matches_invariant():
     # the full-group coset is above everything
     top = [c for c in b.cosets if len(c.gens) == 2][0]
     assert all(b.leq(c, top) for c in b.cosets)
-
-
-def test_fixed_subcomplex_dihedral():
-    b = davis_ball(dihedral_system(), 2)
-    fs = fixed_subcomplex(b, (0,))
-    assert len(fs.vertices) == 1
-    assert fs.vertices[0] == "e|s" if b.system.generators[0] == "s" else True
-    with pytest.raises(ValueError):
-        fixed_subcomplex(b, ())
-
-
-def test_fixed_subcomplex_klein_four_wall():
-    b = davis_ball(edge_nerve_system(), 2)
-    wall = fixed_subcomplex(b, (0,))
-    assert len(wall.vertices) == 3
-    assert wall.dim() == 1
-    assert homology(wall, reduced=True).is_trivial()  # a path of 3 vertices
-
-
-def test_fixed_subcomplex_conjugate_reflection():
-    sys = racg_from_flag(cycle_complex(4))
-    b = davis_ball(sys, 2)
-    g = (1, 0, 1)  # a reflection conjugate to generator 0
-    fs = fixed_subcomplex(b, g)
-    assert len(fs.vertices) > 0
 
 
 def test_sharp_union_klein_four_cross():
@@ -199,9 +173,9 @@ def test_fixed_membership_agrees_with_orbit_oracle():
             g_nf = nf(sys, g)
             if not g_nf:
                 continue
-            fixed_ids = set(fixed_subcomplex(b, g_nf).vertices)
-            fixed = {c for c in b.cosets if b.coset_id(c) in fixed_ids}
-            assert fixed == reference_fixed_cosets(b, g_nf)
+            fixed = reference_fixed_cosets(b, g_nf)
+            if len(g_nf) == 1:
+                assert fixed == {c for c in b.cosets if b.fixes(g_nf[0], c)}
             for c in b.cosets:
                 # enumerate the coset elements through words over T
                 t = c.gens
@@ -211,15 +185,6 @@ def test_fixed_membership_agrees_with_orbit_oracle():
                 coset_elements = _element_set(sys, [c.rep + w for w in words_over_t])
                 translated = _element_set(sys, [g_nf + c.rep + w for w in words_over_t])
                 assert (coset_elements == translated) == (c in fixed), (c, g)
-
-
-def test_fixed_subcomplex_nonempty_for_conjugates_within_radius():
-    sys = racg_from_flag(cycle_complex(5))
-    for w in ((1,), (2, 0)):
-        g = tuple(w) + (0,) + tuple(reversed(w))
-        b = davis_ball(sys, len(g) // 2 + 1 + 1)
-        fs = fixed_subcomplex(b, g)
-        assert len(fs.vertices) > 0
 
 
 ORACLE_MAX_COSETS = 300  # keeps the all-pairs reference dump fast
@@ -254,7 +219,10 @@ def test_fast_coset_paths_match_word_problem_oracle(seed):
     for s in range(n):
         wall = {c for c in fast.cosets if fast.fixes(s, c)}
         assert wall == reference_fixed_cosets(ref, (s,))
-    g = reduce(sys, [rng.randrange(n) for _ in range(rng.randint(1, 4))])
-    if g:
-        ids = {fast.coset_id(c) for c in reference_fixed_cosets(ref, g)}
-        assert set(fixed_subcomplex(fast, g).vertices) == ids
+
+
+def test_dimensions_do_not_enumerate_cosets():
+    b = davis_ball(racg_from_flag(cycle_complex(5)), 2)
+    assert (b.realization_dim(), b.singular_dim()) == (2, 1)
+    assert "cosets" not in b.__dict__
+    assert b.realization().dim() == 2

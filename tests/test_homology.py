@@ -11,9 +11,10 @@ from coxcert.homology import (
     homology,
     snf_divisors,
 )
-from coxcert.simplicial import SimplicialComplex, cone, faces_closure
+from coxcert.simplicial import SimplicialComplex, faces_closure
 
 from helpers import (
+    cone,
     cycle_complex,
     full_triangle,
     hollow_triangle,

@@ -3,7 +3,8 @@
 No linter ships with the project, so this walks each module's syntax tree.
 A module may keep an unused import bound only when `bench/tracing.WRAPS`
 wraps that name in that module; once a tracing change drops the wrap, the
-import is dead and this test names it.
+import is dead and this test names it.  The package's `__all__` lists
+exactly the names `__init__.py` imports, and each resolves.
 """
 import ast
 import sys
@@ -39,3 +40,18 @@ def test_unused_imports_are_only_traced_names():
         for path in MODULES
     }
     assert not {name: names for name, names in dead.items() if names}
+
+
+def test_package_exports_match_its_imports():
+    import coxcert
+
+    tree = ast.parse((ROOT / "src" / "coxcert" / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert [name for name in coxcert.__all__ if not hasattr(coxcert, name)] == []
+    assert len(coxcert.__all__) == len(set(coxcert.__all__))
+    assert set(coxcert.__all__) == imported

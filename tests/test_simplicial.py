@@ -1,4 +1,4 @@
-"""Core complex construction, flag/square reports, wedges and cones."""
+"""Core complex construction, flag/square reports and wedges."""
 import random
 
 import pytest
@@ -8,7 +8,6 @@ from coxcert.simplicial import (
     SimplicialComplex,
     complex_from_json,
     complex_to_json,
-    cone,
     dim_of,
     faces_closure,
     square_report,
@@ -17,6 +16,7 @@ from coxcert.simplicial import (
 from coxcert.homology import homology
 
 from helpers import (
+    cone,
     cycle_complex,
     full_triangle,
     hollow_triangle,
@@ -54,16 +54,6 @@ def test_faces_closure_rejects_bad_input():
 def test_closure_invariant_enforced():
     with pytest.raises(ValueError):
         SimplicialComplex(("a", "b", "c"), [("a",), ("b",), ("c",), ("a", "b", "c")])
-
-
-def test_cone_examples():
-    disk = cone(hollow_triangle(), "apex")
-    assert disk.dim() == 2
-    assert homology(disk, reduced=True).is_trivial()
-    path = cone(two_points(), "apex")
-    assert sorted(len(s) for s in path.simplices) == [1, 1, 1, 2, 2]
-    with pytest.raises(ValueError):
-        cone(hollow_triangle(), "a")
 
 
 def test_wedge_of_circles():

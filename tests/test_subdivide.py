@@ -12,7 +12,6 @@ from coxcert.presentations import presentation_complex, spine_presentation
 from coxcert.simplicial import (
     SimplicialComplex,
     complex_to_json,
-    cone,
     faces_closure,
     square_report,
 )
@@ -24,6 +23,7 @@ from coxcert.subdivide import (
 )
 
 from helpers import (
+    cone,
     cycle_complex,
     full_triangle,
     hollow_triangle,
