@@ -1,4 +1,5 @@
 """CLI harness: exit codes, report shapes, determinism."""
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -6,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from coxcert.cli import main
-from coxcert.simplicial import complex_to_json
-from coxcert.coxeter import racg_from_flag, system_to_json
+from coxcert.simplicial import complex_to_json, faces_closure
+from coxcert.coxeter import racg_from_flag, system_from_matrix, system_to_json
 
-from helpers import cycle_complex, hollow_triangle
+from helpers import cone, cycle_complex, hollow_triangle, projective_plane
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -277,4 +278,70 @@ def test_certify_main_theorem_radius_zero_indeterminate(capsys):
     assert steps["singular-dimension"]["data"]["reason"] == "insufficient radius"
     assert report_digest(report) == (
         "7aad1f999e42c56c6b1516faabca9d3b0a2dd6e19dd0b8c19e5fcaf7779e17f4"
+    )
+
+
+def _bipartite_k33():
+    """K_{3,3} with its sides interleaved: nine empty squares, vertex order not by name."""
+    left, right = ("b0", "b1", "b2"), ("a0", "a1", "a2")
+    return faces_closure(
+        [(u, w) for u in left for w in right],
+        vertices=[v for pair in zip(left, right) for v in pair],
+    )
+
+
+# A3 on a-b-c, with d commuting with a and b and free against c
+_MIXED_SYSTEM = system_from_matrix(
+    ["a", "b", "c", "d"],
+    [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 0], [2, 2, 0, 1]],
+)
+
+PIN_INPUTS = {
+    "k33": lambda: complex_to_json(_bipartite_k33()),
+    "c5": lambda: complex_to_json(cycle_complex(5)),
+    "cone-c5": lambda: complex_to_json(cone(cycle_complex(5), "z")),
+    "rp2": lambda: complex_to_json(projective_plane()),
+    "mixed": lambda: system_to_json(_MIXED_SYSTEM),
+}
+
+
+@pytest.mark.parametrize(
+    "source, argv, digest",
+    [
+        ("k33", ("hyperbolic",),
+         "fbc0d2938ecd837f25203a317cd8b1c3e182cf65f8132bf543cfed6b42aa7ce8"),
+        ("mixed", ("nerve",),
+         "97aaa61e10c82bba0a81548aeb6d0739563da70b50255ea835ef469914e6943d"),
+        ("cone-c5", ("racg",),
+         "ae7db0ae0aa18b37c6e295e41e6518b8c180ce0489ba06323e19dc0270c81eb6"),
+        ("c5", ("davis", "--radius", "2", "--singular"),
+         "aaeaab3c665fc205ecba344de50c8161bb21367b331d8f448cf74a6b58cfb620"),
+        (None, ("farrell", "--slopes", "3"),
+         "f13fb46204903fe31713da0d5b227b9e945d44893bd3a200cdb6a129aed1a233"),
+        ("rp2", ("homology",),
+         "b128b19d3884497c69ea23f534ef90310d9cc2c0acf489ae962d1f16cd07a242"),
+    ],
+    ids=["hyperbolic-squares", "nerve", "racg", "davis-singular", "farrell", "homology-rp2"],
+)
+def test_report_is_pinned(tmp_path, capsys, source, argv, digest):
+    if source is not None:
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(PIN_INPUTS[source]()))
+        argv = (argv[0], str(path), *argv[1:])
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report_digest(report) == digest
+
+
+def test_davis_sharp_dump_is_pinned(tmp_path, capsys):
+    path = tmp_path / "cone-c5.json"
+    path.write_text(json.dumps(PIN_INPUTS["cone-c5"]()))
+    dump = tmp_path / "ball.json"
+    code, report = run_cli(capsys, "davis", str(path), "--sharp", "--dump", str(dump))
+    assert code == 0
+    assert report_digest(report) == (
+        "48e1e5f04e698a5393b8bd03c211bc63e43e642d701699452f7c4925bfbe0e73"
+    )
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "c18225f19f9620269167932dd9f9c6d5b922a5802f73bf99ae980102e2617b95"
     )
