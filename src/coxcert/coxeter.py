@@ -84,7 +84,7 @@ def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
     adj = l.adjacency()
     entries = [
         [
-            1 if i == j else (2 if gens[j] in adj[gens[i]] else INF)
+            1 if i == j else (2 if j in adj[i] else INF)
             for j in range(n)
         ]
         for i in range(n)
@@ -254,9 +254,7 @@ def _spherical_subsets(sys: CoxeterSystem) -> list[tuple[int, ...]]:
 
 def nerve(sys: CoxeterSystem) -> SimplicialComplex:
     """Complex on the generators whose simplices are the spherical subsets."""
-    gens = sys.generators
-    simplices = {tuple(gens[i] for i in t) for t in _spherical_subsets(sys)}
-    return SimplicialComplex(gens, simplices, _validate=False)
+    return SimplicialComplex(sys.generators, _spherical_subsets(sys))
 
 
 # -- hyperbolicity -----------------------------------------------------------

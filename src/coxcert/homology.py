@@ -118,7 +118,7 @@ def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
     for j, col in enumerate(columns):
         col = {r: v for r, v in col.items() if v}
         if col:
-            cols[j] = dict(col)
+            cols[j] = col
             for r in col:
                 rows.setdefault(r, set()).add(j)
             nnz += len(col)
@@ -191,21 +191,21 @@ def rank_and_torsion(columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int,
 class ChainComplex:
     """Boundary matrices of a complex with the sorted-vertex orientation.
 
-    Degree-k boundary columns are indexed by k-simplices (position-lex order),
-    rows by (k-1)-simplices, with alternating signs over omitted vertices.
+    The cells are the complex's position tuples, grouped by degree in one
+    pass and sorted within each degree.  Degree-k boundary columns are
+    indexed by k-simplices, rows by (k-1)-simplices, with alternating signs
+    over omitted vertices; each face is a slice of the cell's tuple.
     """
 
     def __init__(self, k: SimplicialComplex):
-        self.basis: list[list[tuple[str, ...]]] = []
-        self.index: list[dict[tuple[str, ...], int]] = []
-        dim = k.dim()
-        for d in range(dim + 1):
-            cells = k.k_simplices(d)
-            self.basis.append(cells)
-            self.index.append({s: i for i, s in enumerate(cells)})
+        self.basis: list[list[tuple[int, ...]]] = [[] for _ in range(k.dim() + 1)]
+        for s in k.simplices:
+            self.basis[len(s) - 1].append(s)
+        for cells in self.basis:
+            cells.sort()
         self.boundaries: list[list[dict[int, int]]] = []
-        for d in range(1, dim + 1):
-            idx = self.index[d - 1]
+        for d in range(1, len(self.basis)):
+            idx = {s: i for i, s in enumerate(self.basis[d - 1])}
             cols = []
             for s in self.basis[d]:
                 col: dict[int, int] = {}

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .homology import homology
 from .presentations import Pi1Certificate
@@ -198,11 +198,12 @@ def _grid_torus(n: int) -> SimplicialComplex:
 
 def poset_mapping_cylinder(
     source: SimplicialComplex,
-    maps: Sequence[tuple[Mapping[str, str], SimplicialComplex]],
+    maps: Sequence[tuple[Sequence[int], SimplicialComplex]],
 ) -> SimplicialComplex:
     """Order complex of the mapping-cylinder poset of simplicial maps.
 
-    `maps` holds `(vertex_map, target)` pairs out of one source.  Elements
+    `maps` holds `(vertex_map, target)` pairs out of one source, where
+    `vertex_map[i]` is the target position of source vertex i.  Elements
     are the faces of the source and of each target ordered by inclusion,
     with a target face below a source face whenever it is a face of that
     map's image.  The result contains the barycentric subdivisions of all
@@ -221,15 +222,16 @@ def poset_mapping_cylinder(
     for e, k in enumerate(ends):
         faces, k_ids, k_up = face_poset(k, len(names))
         tag = "" if e == at else "~"
-        names += [tag + _chain_id(s) for s in faces]
+        names += [tag + _chain_id(k, s) for s in faces]
         up += k_up
         ids.append(k_ids)
     source_ids = ids.pop(at)
     for (vertex_map, target), target_ids in zip(maps, ids):
         for s, i in source_ids.items():
-            image = target.sort_simplex({vertex_map[v] for v in s})
+            image = tuple(sorted({vertex_map[v] for v in s}))
             if image not in target_ids:
-                raise ValueError(f"vertex map is not simplicial on {s}")
+                named = tuple(source.vertices[v] for v in s)
+                raise ValueError(f"vertex map is not simplicial on {named}")
             for r in range(1, len(image) + 1):
                 for face in combinations(image, r):
                     up[target_ids[face]].append(i)
@@ -242,12 +244,11 @@ def _circle(tag: str, m: int) -> SimplicialComplex:
     return faces_closure(edges, vertices=verts)
 
 
-def _filling(i: int, p: int, q: int, n: int) -> tuple[dict[str, str], SimplicialComplex]:
+def _filling(i: int, p: int, q: int, n: int) -> tuple[list[int], SimplicialComplex]:
     """Map of the n-by-n grid torus onto circle i, collapsing the (p, q) direction."""
     m = 3  # target circle size; edge spans stay within one third of the grid
-    vmap = {
-        f"t{x}_{y}": f"c{i}v{((p * y - q * x) % n) * m // n}" for x in range(n) for y in range(n)
-    }
+    # torus vertex t{x}_{y} sits at position x*n + y, circle vertex v{j} at j
+    vmap = [((p * y - q * x) % n) * m // n for x in range(n) for y in range(n)]
     return vmap, _circle(f"c{i}", m)
 
 

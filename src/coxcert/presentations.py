@@ -81,7 +81,7 @@ def presentation_complex(p: Presentation) -> SimplicialComplex:
     """
     base = "o"
     verts: list[str] = [base]
-    cells: list[tuple[str, ...]] = [(base,)]
+    cells: list[tuple[str, ...]] = []
     loop: dict[str, tuple[str, str]] = {}
     for g in p.generators:
         g1, g2 = f"{g}1", f"{g}2"

@@ -9,57 +9,27 @@ from typing import Iterable, Mapping, Optional, Sequence
 class SimplicialComplex:
     """Immutable abstract simplicial complex on opaque string vertex ids.
 
-    Simplices are non-empty vertex subsets stored as tuples that are strictly
-    increasing in the declared vertex order, and the simplex set is closed
-    under taking non-empty faces.  Every vertex occurs as a singleton simplex.
+    A simplex is a non-empty tuple of vertex positions, indices into
+    `vertices`, in strictly increasing order.  The simplex set is closed
+    under taking non-empty faces, and every vertex occurs as a singleton
+    simplex.  Constructions hand their simplices over in this form and the
+    constructor takes them as given.  Vertex names are looked up only where
+    a simplex leaves the program: JSON and reports.
     """
 
-    __slots__ = ("vertices", "simplices", "_pos")
+    __slots__ = ("vertices", "simplices")
 
-    def __init__(
-        self,
-        vertices: Sequence[str],
-        simplices: Iterable[Sequence[str]],
-        _validate: bool = True,
-    ):
+    def __init__(self, vertices: Sequence[str], simplices: Iterable[tuple[int, ...]]):
         verts = tuple(vertices)
-        pos = {v: i for i, v in enumerate(verts)}
-        if len(pos) != len(verts):
+        if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertex ids")
-        sorted_simplices = set()
-        for s in simplices:
-            t = tuple(sorted(s, key=pos.__getitem__))
-            sorted_simplices.add(t)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "simplices", frozenset(sorted_simplices))
-        object.__setattr__(self, "_pos", pos)
-        if _validate:
-            self._check_invariants()
+        object.__setattr__(self, "simplices", frozenset(simplices))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("SimplicialComplex is immutable")
 
-    def _check_invariants(self) -> None:
-        for s in self.simplices:
-            if not s:
-                raise ValueError("empty simplex")
-            for v in s:
-                if v not in self._pos:
-                    raise ValueError(f"simplex uses undeclared vertex {v!r}")
-            if len(set(s)) != len(s):
-                raise ValueError(f"repeated vertex in simplex {s!r}")
-            if len(s) > 1:
-                for facet in combinations(s, len(s) - 1):
-                    if facet not in self.simplices:
-                        raise ValueError(f"not closed under faces: missing {facet!r}")
-        for v in self.vertices:
-            if (v,) not in self.simplices:
-                raise ValueError(f"missing singleton for vertex {v!r}")
-
     # -- basic queries ---------------------------------------------------
-
-    def sort_simplex(self, s: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(s, key=self._pos.__getitem__))
 
     def dim(self) -> int:
         """Max simplex cardinality minus one; -1 for the empty complex."""
@@ -67,11 +37,9 @@ class SimplicialComplex:
             return -1
         return max(len(s) for s in self.simplices) - 1
 
-    def k_simplices(self, k: int) -> list[tuple[str, ...]]:
-        """All k-dimensional simplices in a canonical (position-lex) order."""
-        found = [s for s in self.simplices if len(s) == k + 1]
-        found.sort(key=lambda s: tuple(self._pos[v] for v in s))
-        return found
+    def k_simplices(self, k: int) -> list[tuple[int, ...]]:
+        """All k-dimensional simplices in lexicographic order."""
+        return sorted(s for s in self.simplices if len(s) == k + 1)
 
     def counts(self) -> list[int]:
         out = [0] * (self.dim() + 1 if self.simplices else 0)
@@ -82,30 +50,25 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.counts()))
 
-    def maximal_simplices(self) -> list[tuple[str, ...]]:
-        maximal = []
-        by_size = sorted(self.simplices, key=len, reverse=True)
-        seen: set[tuple[str, ...]] = set()
-        for s in by_size:
-            if s not in seen:
-                maximal.append(s)
-            for k in range(1, len(s)):
-                seen.update(combinations(s, k))
-        maximal.sort(key=lambda s: (len(s), tuple(self._pos[v] for v in s)))
-        return maximal
+    def maximal_simplices(self) -> list[tuple[int, ...]]:
+        """Simplices that are a facet of no simplex, in (size, lex) order."""
+        facets = {f for s in self.simplices if len(s) > 1 for f in combinations(s, len(s) - 1)}
+        return sorted(self.simplices - facets, key=lambda s: (len(s), s))
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+    def adjacency(self) -> list[set[int]]:
+        """Neighbours of each vertex in the 1-skeleton, by position."""
+        adj: list[set[int]] = [set() for _ in self.vertices]
         for s in self.simplices:
             if len(s) == 2:
-                adj[s[0]].add(s[1])
-                adj[s[1]].add(s[0])
+                a, b = s
+                adj[a].add(b)
+                adj[b].add(a)
         return adj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return set(self.vertices) == set(other.vertices) and self.simplices == other.simplices
+        return self.vertices == other.vertices and self.simplices == other.simplices
 
     def __hash__(self) -> int:
         return hash(self.simplices)
@@ -121,11 +84,11 @@ def faces_closure(
     """Smallest simplicial complex containing the given vertex sets.
 
     The vertex universe defaults to the sorted union of the given sets; an
-    explicit `vertices` sequence fixes both universe and order.
+    explicit `vertices` sequence fixes both universe and order, and with no
+    sets gives the complex of those vertices alone.  Here vertex names
+    become positions.
     """
-    if not maximal:
-        raise ValueError("faces_closure needs at least one maximal face")
-    sets = [tuple(dict.fromkeys(m)) for m in maximal]
+    sets = [tuple(m) for m in maximal]
     if not all(sets):
         raise ValueError("empty member set")
     used = set(chain.from_iterable(sets))
@@ -137,11 +100,13 @@ def faces_closure(
         if outside:
             v = next(v for m in sets for v in m if v in outside)
             raise ValueError(f"vertex {v!r} outside declared universe")
-    simplices = {(v,) for v in universe}
+    pos = {v: i for i, v in enumerate(universe)}
+    simplices = {(i,) for i in range(len(universe))}
     for m in sets:
-        for k in range(2, len(m) + 1):
-            simplices.update(combinations(m, k))
-    return SimplicialComplex(universe, simplices, _validate=False)
+        face = sorted({pos[v] for v in m})
+        for k in range(2, len(face) + 1):
+            simplices.update(combinations(face, k))
+    return SimplicialComplex(universe, simplices)
 
 
 def wedge(
@@ -159,22 +124,23 @@ def wedge(
     if not complexes:
         raise ValueError("empty wedge")
     for k, b in zip(complexes, basepoints):
-        if b not in k._pos:
+        if b not in k.vertices:
             raise ValueError(f"basepoint {b!r} is not a vertex")
     if len(complexes) == 1:
         return complexes[0]
-    base = basepoints[0]
+    base = complexes[0].vertices.index(basepoints[0])
     verts: list[str] = list(complexes[0].vertices)
-    simplices: set[tuple[str, ...]] = set(complexes[0].simplices)
+    simplices: set[tuple[int, ...]] = set(complexes[0].simplices)
     for i in range(1, len(complexes)):
-        k, b = complexes[i], basepoints[i]
-        rename = {v: f"{i}:{v}" for v in k.vertices}
-        rename[b] = base
-        for v in k.vertices:
-            if v != b:
-                verts.append(rename[v])
-        for s in k.simplices:
-            simplices.add(tuple(rename[v] for v in s))
+        k, b = complexes[i], complexes[i].vertices.index(basepoints[i])
+        moved = []  # new position of each vertex of k
+        for j, v in enumerate(k.vertices):
+            if j == b:
+                moved.append(base)
+            else:
+                moved.append(len(verts))
+                verts.append(f"{i}:{v}")
+        simplices.update(tuple(sorted(moved[j] for j in s)) for s in k.simplices)
     if len(set(verts)) != len(verts):
         raise ValueError("vertex name collision while wedging")
     return SimplicialComplex(verts, simplices)
@@ -196,11 +162,10 @@ class SquareReport:
 def _empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
     """All induced 4-cycles: 4 vertices, cyclically adjacent, no diagonal edge."""
     adj = k.adjacency()
-    pos = k._pos
     # middles[(x, y)] = vertices adjacent to both x and y, for non-adjacent x < y
-    middles: dict[tuple[str, str], list[str]] = {}
-    for u in k.vertices:
-        nbrs = sorted(adj[u], key=pos.__getitem__)
+    middles: dict[tuple[int, int], list[int]] = {}
+    for u, nbrs_u in enumerate(adj):
+        nbrs = sorted(nbrs_u)
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 x, y = nbrs[i], nbrs[j]
@@ -214,15 +179,16 @@ def _empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
                 if w in adj[u]:
                     continue
                 # cycle x-u-y-w with non-edges (x,y) and (u,w)
-                a = min((x, u, y, w), key=pos.__getitem__)
+                a = min(x, u, y, w)
                 if a in (x, y):
-                    b, d = sorted((u, w), key=pos.__getitem__)
+                    b, d = sorted((u, w))
                     c = y if a == x else x
                 else:
-                    b, d = sorted((x, y), key=pos.__getitem__)
+                    b, d = x, y
                     c = w if a == u else u
                 squares.add((a, b, c, d))
-    return sorted(squares, key=lambda q: tuple(pos[v] for v in q))
+    names = k.vertices
+    return [(names[a], names[b], names[c], names[d]) for a, b, c, d in sorted(squares)]
 
 
 def _flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:
@@ -231,21 +197,15 @@ def _flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:
     Cliques are grown in size order; None when k is flag.
     """
     adj = k.adjacency()
-    pos = k._pos
-    frontier: list[tuple[str, ...]] = [(v,) for v in k.vertices]
+    frontier: list[tuple[int, ...]] = [(v,) for v in range(len(adj))]
     while frontier:
         nxt = []
         for clique in frontier:
-            cands = set(adj[clique[0]])
-            for v in clique[1:]:
-                cands &= adj[v]
-            last = pos[clique[-1]]
-            for v in sorted(cands, key=pos.__getitem__):
-                if pos[v] <= last:
-                    continue
+            cands = adj[clique[0]].intersection(*(adj[v] for v in clique[1:]))
+            for v in sorted(v for v in cands if v > clique[-1]):
                 bigger = clique + (v,)
                 if bigger not in k.simplices:
-                    return bigger
+                    return tuple(k.vertices[i] for i in bigger)
                 nxt.append(bigger)
         frontier = nxt
     return None
@@ -270,9 +230,10 @@ def dim_of(k: SimplicialComplex) -> int:
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
+    names = k.vertices
     return {
-        "vertices": list(k.vertices),
-        "maximal_simplices": [list(s) for s in k.maximal_simplices()],
+        "vertices": list(names),
+        "maximal_simplices": [[names[i] for i in s] for s in k.maximal_simplices()],
     }
 
 
@@ -290,6 +251,4 @@ def complex_from_json(data: Mapping) -> SimplicialComplex:
         isinstance(m, list) and all(isinstance(v, str) for v in m) for m in maximal
     ):
         raise ValueError("'maximal_simplices' must be a list of vertex lists")
-    if not maximal:
-        return SimplicialComplex(vertices, [(v,) for v in vertices])
     return faces_closure(maximal, vertices=vertices)

@@ -14,9 +14,9 @@ def order_complex(
     """Order complex of a finite poset on the element ids 0..n-1.
 
     `up[i]` lists every element strictly above i, and element i becomes the
-    vertex `names[i]`; vertices keep the order of `names`.  Each chain is
-    found once, by a depth-first search from its least element.  More than
-    `max_cells` chains raise `MatrixSizeError`.
+    vertex at position i, named `names[i]`.  Each chain is found once, by a
+    depth-first search from its least element, and its sorted ids are the
+    simplex.  More than `max_cells` chains raise `MatrixSizeError`.
     """
     chains: list[tuple[int, ...]] = []
     for i in range(len(names)):
@@ -27,24 +27,23 @@ def order_complex(
             stack.extend([chain + (j,) for j in up[chain[-1]]])
         if max_cells is not None and len(chains) > max_cells:
             raise MatrixSizeError(f"{len(chains)} chains exceed the materialization cap")
-    return SimplicialComplex(
-        names, (tuple(names[j] for j in chain) for chain in chains), _validate=False
-    )
+    return SimplicialComplex(names, (tuple(sorted(chain)) for chain in chains))
 
 
-def _chain_id(simplex: tuple[str, ...]) -> str:
-    return "(" + " ".join(simplex) + ")"
+def _chain_id(k: SimplicialComplex, simplex: tuple[int, ...]) -> str:
+    """Vertex name of a simplex of k in a subdivision."""
+    return "(" + " ".join(k.vertices[i] for i in simplex) + ")"
 
 
 def face_poset(
     k: SimplicialComplex, start: int = 0
-) -> tuple[list[tuple[str, ...]], dict[tuple[str, ...], int], list[list[int]]]:
-    """Face poset of k: faces in (size, positions) order, ids and up-lists.
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], list[list[int]]]:
+    """Face poset of k: faces in (size, lex) order, ids and up-lists.
 
     Face number i gets the id `start + i`; the up-lists, indexed by i, hold
     the ids of the strict supersets of each face.
     """
-    faces = sorted(k.simplices, key=lambda s: (len(s), tuple(k._pos[v] for v in s)))
+    faces = sorted(k.simplices, key=lambda s: (len(s), s))
     ids = {s: start + i for i, s in enumerate(faces)}
     up: list[list[int]] = [[] for _ in faces]
     for s in faces:
@@ -60,7 +59,7 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     The output is always a flag complex and carries the same homology.
     """
     faces, _, up = face_poset(k)
-    return order_complex([_chain_id(s) for s in faces], up)
+    return order_complex([_chain_id(k, s) for s in faces], up)
 
 
 def _pentagon_subdivision(k: SimplicialComplex) -> SimplicialComplex:
@@ -72,18 +71,19 @@ def _pentagon_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     points), 5-cycles (mid points), 6-cycles (corner points and centers) -
     none of which contains an induced 4-cycle, for an arbitrary 2-complex.
     """
-    verts: list[str] = list(k.vertices)
-    # old vertices as cells, since faces_closure needs one: a complex without
-    # edges subdivides to its vertices
-    cells: list[tuple[str, ...]] = [(v,) for v in k.vertices]
+    name = k.vertices
+    verts: list[str] = list(name)
+    cells: list[tuple[str, ...]] = []
     p_id: dict[tuple[str, str], str] = {}
-    for a, b in k.k_simplices(1):
+    for i, j in k.k_simplices(1):
+        a, b = name[i], name[j]
         pa, pb = f"[{a}>{b}]", f"[{b}>{a}]"
         p_id[(a, b)] = pa
         p_id[(b, a)] = pb
         verts.extend((pa, pb))
         cells += [(a, pa), (pa, pb), (pb, b)]
     for t in k.k_simplices(2):
+        t = tuple(name[i] for i in t)
         a, b, c = t
         q = {v: f"[q {v}|{' '.join(u for u in t if u != v)}]" for v in t}
         mid = {}
@@ -128,12 +128,7 @@ def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 
 def relabel_compact(k: SimplicialComplex, prefix: str) -> SimplicialComplex:
     """Rename vertices to short sequential ids, keeping the vertex order."""
-    names = {v: f"{prefix}{i}" for i, v in enumerate(k.vertices)}
-    return SimplicialComplex(
-        [names[v] for v in k.vertices],
-        [tuple(names[v] for v in s) for s in k.simplices],
-        _validate=False,
-    )
+    return SimplicialComplex([f"{prefix}{i}" for i in range(len(k.vertices))], k.simplices)
 
 
 # -- flag-no-square preserving compaction ----------------------------------
@@ -152,17 +147,12 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
     if k.dim() > 2:
         raise ValueError("contraction pass requires dim <= 2")
     n = len(k.vertices)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    pos = k._pos
+    adj = k.adjacency()
     triangles: set[frozenset[int]] = set()
     tri_at: list[set[frozenset[int]]] = [set() for _ in range(n)]
     for s in k.simplices:
-        if len(s) == 2:
-            a, b = pos[s[0]], pos[s[1]]
-            adj[a].add(b)
-            adj[b].add(a)
-        elif len(s) == 3:
-            t = frozenset(pos[v] for v in s)
+        if len(s) == 3:
+            t = frozenset(s)
             triangles.add(t)
             for v in t:
                 tri_at[v].add(t)
@@ -244,17 +234,13 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
         if not merged:
             break
 
-    keep = [i for i in range(n) if alive[i]]
-    names = {i: k.vertices[i] for i in keep}
-    simplices: set[tuple[str, ...]] = set()
-    for i in keep:
-        simplices.add((names[i],))
-        for j in adj[i]:
-            if i < j:
-                simplices.add(tuple(sorted((names[i], names[j]))))
-    for t in triangles:
-        simplices.add(tuple(sorted(names[i] for i in t)))
-    out = SimplicialComplex(sorted(names.values()), simplices, _validate=False)
+    # the survivors in name order, and the new position of each
+    keep = sorted((i for i in range(n) if alive[i]), key=k.vertices.__getitem__)
+    new = {i: p for p, i in enumerate(keep)}
+    simplices = {(new[i],) for i in keep}
+    simplices.update(tuple(sorted((new[i], new[j]))) for i in keep for j in adj[i] if i < j)
+    simplices.update(tuple(sorted(new[i] for i in t)) for t in triangles)
+    out = SimplicialComplex([k.vertices[i] for i in keep], simplices)
     if not square_report(out).flag_no_squares:
         raise RuntimeError("contraction pass broke the flag-no-square property")
     return out

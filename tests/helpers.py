@@ -2,11 +2,38 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
 from coxcert.coxeter import ball, in_special_subgroup, min_coset_rep
 from coxcert.davis import DavisBall, SphericalCoset
 from coxcert.simplicial import SimplicialComplex, faces_closure
+
+
+def check_invariants(k: SimplicialComplex) -> None:
+    """Oracle for the representation: raise ValueError unless every simplex is a
+    non-empty, strictly increasing tuple of vertex positions, the simplex set
+    is closed under facets and every vertex is a singleton simplex."""
+    n = len(k.vertices)
+    for s in k.simplices:
+        if not s:
+            raise ValueError("empty simplex")
+        if not all(isinstance(v, int) and 0 <= v < n for v in s):
+            raise ValueError(f"simplex {s!r} uses an undeclared vertex position")
+        if any(a >= b for a, b in zip(s, s[1:])):
+            raise ValueError(f"simplex {s!r} is not strictly increasing")
+        if len(s) > 1:
+            for facet in combinations(s, len(s) - 1):
+                if facet not in k.simplices:
+                    raise ValueError(f"not closed under faces: missing {facet!r}")
+    for v in range(n):
+        if (v,) not in k.simplices:
+            raise ValueError(f"missing singleton for vertex {k.vertices[v]!r}")
+
+
+def named_simplices(k: SimplicialComplex) -> set[tuple[str, ...]]:
+    """The simplices of k as tuples of vertex names."""
+    return {tuple(k.vertices[i] for i in s) for s in k.simplices}
 
 
 def hollow_triangle() -> SimplicialComplex:
@@ -26,12 +53,13 @@ def cycle_complex(n: int, prefix: str = "c") -> SimplicialComplex:
 def cone(k: SimplicialComplex, apex: str) -> SimplicialComplex:
     """Cone on a complex: every simplex gains a copy joined with the apex."""
     assert apex not in k.vertices
-    simplices = set(k.simplices) | {(apex,)} | {s + (apex,) for s in k.simplices}
+    a = len(k.vertices)  # the apex comes last, so s + (a,) stays sorted
+    simplices = set(k.simplices) | {(a,)} | {s + (a,) for s in k.simplices}
     return SimplicialComplex(k.vertices + (apex,), simplices)
 
 
 def two_points() -> SimplicialComplex:
-    return SimplicialComplex(("p", "q"), [("p",), ("q",)])
+    return SimplicialComplex(("p", "q"), [(0,), (1,)])
 
 
 def projective_plane() -> SimplicialComplex:
@@ -70,14 +98,14 @@ def random_complex(rng: random.Random, n_vertices: int = 6, n_faces: int = 5) ->
 def random_flag_complex(rng: random.Random, n_vertices: int, p: float = 0.5) -> SimplicialComplex:
     """Flag complex of a random graph (used for nerve round trips)."""
     verts = [f"f{i}" for i in range(n_vertices)]
-    adj = {u: set() for u in verts}
+    adj = [set() for _ in verts]
     for i in range(n_vertices):
         for j in range(i + 1, n_vertices):
             if rng.random() < p:
-                adj[verts[i]].add(verts[j])
-                adj[verts[j]].add(verts[i])
+                adj[i].add(j)
+                adj[j].add(i)
     simplices = set()
-    frontier = [(u,) for u in verts]
+    frontier = [(u,) for u in range(n_vertices)]
     while frontier:
         nxt = []
         for clique in frontier:
@@ -191,6 +219,6 @@ def reference_sharp(ball_: DavisBall) -> SimplicialComplex:
         fixed = reference_fixed_cosets(ball_, (s,))
         part = ball_._order_complex(lambda c: c in fixed)
         verts.update(part.vertices)
-        simplices |= part.simplices
+        simplices |= named_simplices(part)
     order = {ball_.coset_id(c): i for i, c in enumerate(ball_.cosets)}
-    return SimplicialComplex(sorted(verts, key=order.__getitem__), simplices, _validate=False)
+    return faces_closure(simplices, vertices=sorted(verts, key=order.__getitem__))

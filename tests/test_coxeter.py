@@ -22,7 +22,14 @@ from coxcert.coxeter import (
 )
 from coxcert.simplicial import faces_closure
 
-from helpers import cycle_complex, full_triangle, random_flag_complex, two_points
+from helpers import (
+    check_invariants,
+    cycle_complex,
+    full_triangle,
+    named_simplices,
+    random_flag_complex,
+    two_points,
+)
 
 
 def dihedral_infinite():
@@ -98,7 +105,7 @@ def test_is_spherical_classification_table():
 
 
 def test_nerve_examples():
-    assert nerve(dihedral_infinite()).simplices == {("s",), ("t",)}
+    assert named_simplices(nerve(dihedral_infinite())) == {("s",), ("t",)}
     a2 = system_from_matrix(["s", "t"], [[1, 3], [3, 1]])
     n2 = nerve(a2)
     assert n2.dim() == 1 and len(n2.simplices) == 3  # an edge
@@ -122,7 +129,8 @@ def test_nerve_matches_is_spherical_on_general_matrices(seed):
         for t in combinations(gens, r)
         if is_spherical(sys, t)
     }
-    assert nerve(sys).simplices == expected
+    check_invariants(nerve(sys))
+    assert named_simplices(nerve(sys)) == expected
 
 
 def test_nerve_racg_round_trip():

@@ -4,7 +4,9 @@ No linter ships with the project, so this walks each module's syntax tree.
 A module may keep an unused import bound only when `bench/tracing.WRAPS`
 wraps that name in that module; once a tracing change drops the wrap, the
 import is dead and this test names it.  The package's `__all__` lists
-exactly the names `__init__.py` imports, and each resolves.
+exactly the names `__init__.py` imports, and each resolves.  A module reads
+a private attribute of another object only when it defines that attribute
+itself, so no module depends on another's internals.
 """
 import ast
 import sys
@@ -55,3 +57,44 @@ def test_package_exports_match_its_imports():
     assert [name for name in coxcert.__all__ if not hasattr(coxcert, name)] == []
     assert len(coxcert.__all__) == len(set(coxcert.__all__))
     assert set(coxcert.__all__) == imported
+
+
+def private_attributes(source: str) -> tuple[set[str], list[tuple[int, str]]]:
+    """Single-underscore attributes a module defines, and those it reads off non-self objects.
+
+    Defined: function, method and class names, attribute assignment targets,
+    class-body names and `__slots__` entries.
+    """
+    tree = ast.parse(source)
+    defined = set()
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    names = {stmt.target.id}
+                else:
+                    continue
+                defined |= names
+                if "__slots__" in names:
+                    defined |= {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+        if isinstance(node, ast.Attribute):
+            private = node.attr.startswith("_") and not node.attr.startswith("__")
+            if isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif private and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                reads.append((node.lineno, node.attr))
+    return defined, reads
+
+
+def test_private_attributes_are_read_only_where_defined():
+    assert MODULES
+    foreign = []
+    for path in MODULES:
+        defined, reads = private_attributes(path.read_text())
+        foreign += [f"{path.name}:{line}: .{attr}" for line, attr in reads if attr not in defined]
+    assert foreign == []

@@ -16,6 +16,7 @@ from coxcert.simplicial import (
 from coxcert.homology import homology
 
 from helpers import (
+    check_invariants,
     cone,
     cycle_complex,
     full_triangle,
@@ -43,22 +44,33 @@ def test_faces_closure_four_cycle():
 
 
 def test_faces_closure_rejects_bad_input():
-    with pytest.raises(ValueError):
-        faces_closure([])
-    with pytest.raises(ValueError):
+    assert faces_closure([]) == SimplicialComplex((), [])
+    assert faces_closure([], vertices=["a", "b"]) == SimplicialComplex(("a", "b"), [(0,), (1,)])
+    with pytest.raises(ValueError, match="empty member set"):
         faces_closure([()])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside declared universe"):
         faces_closure([("a", "z")], vertices=["a", "b"])
 
 
 def test_closure_invariant_enforced():
-    with pytest.raises(ValueError):
-        SimplicialComplex(("a", "b", "c"), [("a",), ("b",), ("c",), ("a", "b", "c")])
+    """The constructor checks the vertex ids; the oracle checks the simplices."""
+    with pytest.raises(ValueError, match="duplicate vertex ids"):
+        SimplicialComplex(("a", "a"), [(0,)])
+    check_invariants(full_triangle())
+    for bad in (
+        [(0,), (1,), (2,), (0, 1, 2)],  # not closed under faces
+        [(0,), (1,), (2,), (1, 0)],  # not increasing
+        [(0,), (1,), (2,), (0, 3)],  # undeclared position
+        [(0,), (1,)],  # no singleton for c
+    ):
+        with pytest.raises(ValueError):
+            check_invariants(SimplicialComplex(("a", "b", "c"), bad))
 
 
 def test_wedge_of_circles():
     c1, c2 = cycle_complex(3, "a"), cycle_complex(3, "b")
     w = wedge([c1, c2], ["a0", "b0"])
+    check_invariants(w)
     h = homology(w, reduced=True)
     assert h.betti(1) == 2 and h.betti(0) == 0
 
@@ -118,8 +130,7 @@ def test_json_rejects_malformed():
 def test_random_complexes_are_closed_and_euler_consistent(seed):
     rng = random.Random(seed)
     k = random_complex(rng)
-    # re-validate invariants explicitly
-    SimplicialComplex(k.vertices, k.simplices)
+    check_invariants(k)
     assert k.euler_characteristic() == sum(
         (-1) ** d * len(k.k_simplices(d)) for d in range(k.dim() + 1)
     )

@@ -23,6 +23,7 @@ from coxcert.subdivide import (
 )
 
 from helpers import (
+    check_invariants,
     cone,
     cycle_complex,
     full_triangle,
@@ -57,8 +58,9 @@ def test_order_complex_matches_brute_force_chains(seed):
         for c in combinations(range(n), r)
         if all(b in above[a] or a in above[b] for a, b in combinations(c, 2))
     ]
-    brute = SimplicialComplex(names, [tuple(names[i] for i in c) for c in chains])
+    brute = SimplicialComplex(names, chains)
     fast = order_complex(names, up)
+    check_invariants(fast)
     assert fast == brute
     assert fast.vertices == tuple(names)
 
@@ -126,6 +128,7 @@ def test_no_square_subdivision_random_small(seed):
     rng = random.Random(seed)
     k = random_complex(rng, n_vertices=5, n_faces=4)
     out = no_square_subdivision(k)
+    check_invariants(out)
     rep = square_report(out)
     assert rep.flag_no_squares
     assert homology(out) == homology(k)
@@ -134,6 +137,7 @@ def test_no_square_subdivision_random_small(seed):
 def test_contraction_preserves_fns_and_homology():
     base = no_square_subdivision(projective_plane())
     small = contract_flag_no_squares(base)
+    check_invariants(small)
     assert len(small.vertices) < len(base.vertices)
     assert square_report(small).flag_no_squares
     assert homology(small) == homology(base)
