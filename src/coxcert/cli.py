@@ -81,7 +81,7 @@ def _load_json(path: str):
 def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
     data, digest = _load_json(path)
     try:
-        return complex_from_json(data), digest
+        return complex_from_json(data, max_cells=_cell_limit()), digest
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -95,7 +95,7 @@ def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     try:
-        complex_ = complex_from_json(data)
+        complex_ = complex_from_json(data, max_cells=_cell_limit())
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     try:
@@ -110,10 +110,6 @@ def _check_cell_limit() -> None:
         _cell_limit()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _homology_table(k: SimplicialComplex, reduced: bool) -> list[dict]:
-    return homology(k, reduced=reduced).to_json(max_degree=max(k.dim(), 0))
 
 
 # -- commands -----------------------------------------------------------------
@@ -219,18 +215,11 @@ def cmd_davis(args) -> RunReport:
     if extracted is not None:
         cells = sum(extracted.counts())
         report.add("extract", "pass", kind=kind, dim=extracted_dim, cells=cells)
-        if cells > args.max_homology_cells:
-            report.add(
-                "homology",
-                "skipped",
-                reason=f"{cells} cells exceed the homology cap {args.max_homology_cells}",
-            )
-        else:
-            try:
-                table = _homology_table(extracted, reduced=True)
-                report.add("homology", "pass", table=table)
-            except MatrixSizeError as exc:
-                report.add("homology", "skipped", reason=str(exc))
+        try:
+            result = homology(extracted, reduced=True, max_cells=args.max_homology_cells)
+            report.add("homology", "pass", table=result.to_json(max_degree=max(extracted.dim(), 0)))
+        except MatrixSizeError as exc:
+            report.add("homology", "skipped", reason=str(exc))
     if args.dump:
         with open(args.dump, "w") as fh:
             json.dump(ball.to_json(), fh, indent=1, sort_keys=True)

@@ -115,10 +115,11 @@ class DavisBall:
         return {t: idx[(self._normalize(c.rep, t), t)] for t in self._supersets[c.gens]}
 
     def coset_id(self, c: SphericalCoset) -> str:
-        gens = self.system.generators
-        rep = ".".join(gens[i] for i in c.rep) or "e"
-        t = ",".join(gens[i] for i in c.gens) or "-"
-        return f"{rep}|{t}"
+        """Vertex name of c in its order complexes, from generator indices:
+        "0.2|1" is the coset 02*W_{1}, "|" the trivial coset of the identity.
+        Digits and separators only, so distinct cosets get distinct names
+        whatever the generators are called."""
+        return f"{'.'.join(map(str, c.rep))}|{','.join(map(str, c.gens))}"
 
     # -- order complex -----------------------------------------------------
 

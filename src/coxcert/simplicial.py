@@ -80,17 +80,24 @@ class SimplicialComplex:
 def faces_closure(
     maximal: Sequence[Iterable[str]],
     vertices: Optional[Sequence[str]] = None,
+    max_cells: Optional[int] = None,
 ) -> SimplicialComplex:
     """Smallest simplicial complex containing the given vertex sets.
 
     The vertex universe defaults to the sorted union of the given sets; an
     explicit `vertices` sequence fixes both universe and order, and with no
     sets gives the complex of those vertices alone.  Here vertex names
-    become positions.
+    become positions.  A set of n vertices has 2^n - 1 - n faces with two
+    or more vertices; when their sum over the sets exceeds `max_cells`,
+    `ValueError` is raised before any face is listed.
     """
     sets = [tuple(m) for m in maximal]
     if not all(sets):
         raise ValueError("empty member set")
+    if max_cells is not None:
+        faces = sum((1 << n) - 1 - n for n in (len(set(m)) for m in sets))
+        if faces > max_cells:
+            raise ValueError(f"the sets span up to {faces} faces, over the cell limit {max_cells}")
     used = set(chain.from_iterable(sets))
     if vertices is None:
         universe: list[str] = sorted(used)
@@ -237,7 +244,9 @@ def complex_to_json(k: SimplicialComplex) -> dict:
     }
 
 
-def complex_from_json(data: Mapping) -> SimplicialComplex:
+def complex_from_json(data: Mapping, max_cells: Optional[int] = None) -> SimplicialComplex:
+    """Complex of a JSON object; `max_cells` caps the faces to enumerate (see
+    `faces_closure`)."""
     if not isinstance(data, Mapping):
         raise ValueError("complex JSON must be an object")
     try:
@@ -251,4 +260,4 @@ def complex_from_json(data: Mapping) -> SimplicialComplex:
         isinstance(m, list) and all(isinstance(v, str) for v in m) for m in maximal
     ):
         raise ValueError("'maximal_simplices' must be a list of vertex lists")
-    return faces_closure(maximal, vertices=vertices)
+    return faces_closure(maximal, vertices=vertices, max_cells=max_cells)

@@ -149,6 +149,23 @@ def rational_rank(columns: list[dict[int, int]], n_rows: int) -> int:
     return rank
 
 
+def reference_homology(k: SimplicialComplex, reduced: bool = False):
+    """Integral homology from the SNF of every full boundary matrix, with no
+    reduction before it: the oracle for the coreduced path of `homology`."""
+    from coxcert.homology import ChainComplex, HomologyResult, rank_and_torsion
+
+    if not k.simplices:
+        return HomologyResult({-1: 1} if reduced else {}, {}, reduced=reduced)
+    cc = ChainComplex(k)
+    dim = k.dim()
+    ranks = {0: 1 if reduced else 0, dim + 1: 0}
+    torsions = {dim + 1: ()}
+    for d in range(1, dim + 1):
+        ranks[d], torsions[d] = rank_and_torsion(cc.boundary_columns(d))
+    betti = {d: len(cc.basis[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
+    return HomologyResult(betti, {d: torsions[d + 1] for d in range(dim + 1)}, reduced=reduced)
+
+
 def rational_betti(k: SimplicialComplex) -> dict[int, int]:
     """Unreduced Betti numbers over Q, computed independently of the SNF path."""
     from coxcert.homology import ChainComplex
@@ -157,8 +174,8 @@ def rational_betti(k: SimplicialComplex) -> dict[int, int]:
     dim = k.dim()
     ranks = {0: 0, dim + 1: 0}
     for d in range(1, dim + 1):
-        ranks[d] = rational_rank(cc.boundary_columns(d), cc.n_cells(d - 1))
-    return {d: cc.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
+        ranks[d] = rational_rank(cc.boundary_columns(d), len(cc.basis[d - 1]))
+    return {d: len(cc.basis[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
 
 
 # -- Davis-ball coset arithmetic through the general word problem -----------

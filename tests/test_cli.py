@@ -9,6 +9,7 @@ import pytest
 from coxcert.cli import main
 from coxcert.simplicial import complex_to_json, faces_closure
 from coxcert.coxeter import racg_from_flag, system_from_matrix, system_to_json
+from coxcert.presentations import spine_complex
 
 from helpers import cone, cycle_complex, hollow_triangle, projective_plane
 
@@ -184,6 +185,63 @@ def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys):
     assert steps["extract"]["data"]["kind"] == "sharp"
     assert steps["extract"]["data"]["dim"] == 1
     assert "homology" not in steps
+
+
+def test_davis_homology_cap_counts_critical_cells(tmp_path, capsys):
+    path = write_complex(tmp_path, cycle_complex(4))
+    argv = ("davis", path, "--radius", "2", "--singular", "--max-homology-cells")
+    code, report = run_cli(capsys, *argv, "14")
+    steps = {s["name"]: s for s in report["steps"]}
+    assert steps["extract"]["data"]["cells"] == 132
+    assert steps["homology"]["status"] == "pass"
+    code, report = run_cli(capsys, *argv, "13")
+    assert code == 0
+    steps = {s["name"]: s for s in report["steps"]}
+    assert steps["homology"]["status"] == "skipped"
+    assert steps["homology"]["data"]["reason"] == "14 critical cells exceed the homology cap 13"
+
+
+def test_spine_singular_set_is_acyclic(tmp_path, capsys):
+    """The paper's example in full: 854,641 materialized cells reduce to few enough for SNF."""
+    path = write_complex(tmp_path, spine_complex())
+    code, report = run_cli(capsys, "davis", path, "--radius", "1", "--singular")
+    assert code == 0
+    assert report["overall"] == "pass"
+    steps = {s["name"]: s for s in report["steps"]}
+    assert steps["extract"]["data"]["cells"] == 854641
+    assert all(row["betti"] == 0 and not row["torsion"] for row in steps["homology"]["data"]["table"])
+    assert report_digest(report) == (
+        "342958f033bfdc1279f07cfdd25d494689cf94f76d827f899be61c5908cf5d2a"
+    )
+
+
+@pytest.mark.parametrize(
+    "vertices, radius",
+    [(["a", "e"], "1"), (["a", "b", "a.b"], "2")],
+    ids=["generator-e", "generator-a.b"],
+)
+def test_davis_extracts_accept_any_generator_names(tmp_path, capsys, vertices, radius):
+    """A generator named like the identity or like a word names no other coset."""
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"vertices": vertices, "maximal_simplices": [[v] for v in vertices]}))
+    for extract in ("--singular", "--sharp"):
+        code, report = run_cli(capsys, "davis", str(path), "--radius", radius, extract)
+        assert code == 0
+        steps = {s["name"]: s for s in report["steps"]}
+        assert steps["homology"]["status"] == "pass"
+        assert steps["homology"]["data"]["table"]
+
+
+@pytest.mark.parametrize("command", ["homology", "hyperbolic"])
+def test_closure_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, command):
+    """One 20-vertex simplex spans about 10^6 faces: refused before they are listed."""
+    verts = [f"v{i}" for i in range(20)]
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"vertices": verts, "maximal_simplices": [verts]}))
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "1000")
+    code, report = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert "cell limit" in report["error"]
 
 
 def test_davis_negative_radius_exits_2(tmp_path, capsys):

@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from coxcert.cli import main
 
-COMMANDS = (["homology"], ["hyperbolic"], ["racg"], ["nerve"], ["davis", "--radius", "1"])
+COMMANDS = (
+    ["homology"],
+    ["hyperbolic"],
+    ["racg"],
+    ["nerve"],
+    ["davis", "--radius", "1"],
+    ["davis", "--radius", "1", "--singular"],
+    ["davis", "--radius", "1", "--sharp"],
+)
 NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 
 json_values = st.recursive(

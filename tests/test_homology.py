@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxcert.coxeter import racg_from_flag
+from coxcert.davis import davis_ball, hash_union_sharp, singular_subcomplex
 from coxcert.homology import (
     ChainComplex,
     HomologyResult,
@@ -11,6 +13,7 @@ from coxcert.homology import (
     homology,
     snf_divisors,
 )
+from coxcert.models import farrell_quotient
 from coxcert.simplicial import SimplicialComplex, faces_closure
 
 from helpers import (
@@ -20,8 +23,10 @@ from helpers import (
     hollow_triangle,
     projective_plane,
     random_complex,
+    random_flag_complex,
     rational_betti,
     rational_rank,
+    reference_homology,
     torus_grid,
 )
 
@@ -148,3 +153,54 @@ def test_homology_result_equality_and_json():
     assert a == b
     dumped = a.to_json(max_degree=2)
     assert {"degree": 1, "betti": 0, "torsion": [2]} in dumped
+
+
+def _check_against_reference(k):
+    """Homology equals the oracle without coreductions, reduced and unreduced,
+    and the critical cells form a chain complex: the boundary squares to 0."""
+    for reduced in (False, True):
+        assert homology(k, reduced=reduced) == reference_homology(k, reduced=reduced)
+    cc = ChainComplex(k)
+    critical = cc.coreduce()
+    for d in range(2, len(critical)):
+        lower = cc.boundary_columns(d - 1)
+        for i in critical[d]:
+            acc: dict = {}
+            for r, v in cc.boundary_columns(d)[i].items():
+                for rr, vv in lower[r].items():
+                    acc[rr] = acc.get(rr, 0) + v * vv
+            assert not any(acc.values())
+    return critical
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0))
+def test_coreduced_homology_matches_reference_on_random_complexes(seed):
+    rng = random.Random(seed)
+    _check_against_reference(random_complex(rng, rng.randint(3, 9), rng.randint(1, 12)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0), st.integers(1, 2), st.booleans())
+def test_coreduced_homology_matches_reference_on_davis_sets(seed, radius, sharp):
+    rng = random.Random(seed)
+    ball = davis_ball(racg_from_flag(random_flag_complex(rng, rng.randint(2, 7))), radius)
+    _check_against_reference((hash_union_sharp if sharp else singular_subcomplex)(ball))
+
+
+@pytest.mark.parametrize(
+    "k, h1_torsion",
+    [
+        (projective_plane, (2,)),
+        (lambda: farrell_quotient([(2, 5), (4, 3)]), (14,)),
+        (lambda: farrell_quotient([(3, -2), (3, 5), (2, 1)]), (7,)),
+    ],
+    ids=["rp2", "farrell-z14", "farrell-z7"],
+)
+def test_coreduced_homology_keeps_torsion(k, h1_torsion):
+    k = k()
+    critical = _check_against_reference(k)
+    h = homology(k)
+    assert h.torsion(1) == h1_torsion
+    assert sum(map(len, critical)) < len(k.simplices)
+
