@@ -114,7 +114,7 @@ def presentation_complex(p: Presentation) -> SimplicialComplex:
 
 def _perm_mul(a: Perm, b: Perm) -> Perm:
     """Composition: apply a, then b."""
-    return tuple(b[x] for x in a)
+    return tuple(map(b.__getitem__, a))
 
 
 def _perm_inv(a: Perm) -> Perm:
@@ -125,10 +125,10 @@ def _perm_inv(a: Perm) -> Perm:
 
 
 def _evaluate(relator: str, images: Mapping[str, Perm], degree: int) -> Perm:
+    """Image of a relator; `images` holds every letter, capitals included."""
     acc = tuple(range(degree))
     for ch in relator:
-        img = images[ch.lower()]
-        acc = _perm_mul(acc, img if ch.islower() else _perm_inv(img))
+        acc = _perm_mul(acc, images[ch])
     return acc
 
 
@@ -163,7 +163,12 @@ class Pi1Certificate:
     images: tuple[Perm, ...]
 
     def image_map(self) -> dict[str, Perm]:
-        return dict(zip(self.presentation.generators, self.images))
+        """Image of each letter: a generator's permutation, its inverse under
+        the capital letter."""
+        gens = self.presentation.generators
+        imap = dict(zip(gens, self.images))
+        imap.update((g.upper(), _perm_inv(img)) for g, img in zip(gens, self.images))
+        return imap
 
     def relators_killed(self) -> bool:
         identity = tuple(range(self.degree))
@@ -214,10 +219,13 @@ def find_pi1_certificate(p: Presentation, degree: int) -> Optional[Pi1Certificat
     """
     identity = tuple(range(degree))
     perms = list(permutations(range(degree)))
+    inverse = {perm: _perm_inv(perm) for perm in perms}
+    capitals = [g.upper() for g in p.generators]
 
     def search(prefix: list[Perm]) -> Optional[tuple[Perm, ...]]:
         if len(prefix) == len(p.generators):
             imap = dict(zip(p.generators, prefix))
+            imap.update(zip(capitals, map(inverse.__getitem__, prefix)))
             ok = all(_evaluate(r, imap, degree) == identity for r in p.relators)
             if ok and any(x != identity for x in prefix):
                 return tuple(prefix)

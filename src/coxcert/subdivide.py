@@ -5,7 +5,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex, faces_closure, square_report
+from .simplicial import SimplicialComplex, _flag_witness, faces_closure, square_report
 
 
 def order_complex(
@@ -137,109 +137,84 @@ def relabel_compact(k: SimplicialComplex, prefix: str) -> SimplicialComplex:
 def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
     """Shrink a flag-no-square 2-complex by edge contractions.
 
-    Each contraction satisfies the link condition (no common link edge of the
-    endpoints, every common neighbour spans with the edge), so it preserves
-    homotopy type; a local check additionally rejects any move that would
-    break flagness or create an empty square or an unfillable 4-clique.  The
-    underlying homotopy type, and hence homology and the fundamental group,
-    are preserved, while the triangulation generally changes PL type.
+    The input must be flag, so its triangles are the 3-cliques of the
+    1-skeleton and every check is about the graph alone.  In a flag
+    2-complex each edge meets the link condition of Dey, Edelsbrunner, Guha
+    and Nekhayev ("Topology preserving edge contraction", 1999), since a
+    common link edge of u and v would be a 4-clique.  So every contraction
+    preserves homotopy type, hence homology and the fundamental group, but
+    generally not PL type.  A move is taken only if the complex stays flag
+    and gains no empty square.
     """
     if k.dim() > 2:
         raise ValueError("contraction pass requires dim <= 2")
+    witness = _flag_witness(k)
+    if witness is not None:
+        raise ValueError(f"contraction pass requires a flag complex; {witness} spans no simplex")
     n = len(k.vertices)
-    adj = k.adjacency()
-    triangles: set[frozenset[int]] = set()
-    tri_at: list[set[frozenset[int]]] = [set() for _ in range(n)]
-    for s in k.simplices:
-        if len(s) == 3:
-            t = frozenset(s)
-            triangles.add(t)
-            for v in t:
-                tri_at[v].add(t)
-    alive = [True] * n
-
-    def link_edges(u: int) -> set[frozenset[int]]:
-        return {t - {u} for t in tri_at[u]}
+    adj = k.adjacency()  # a vertex merged away keeps no neighbours
+    gone: set[int] = set()
 
     def contraction_ok(u: int, v: int) -> bool:
-        # link condition: no link edge shared by both endpoints
-        lu = link_edges(u)
-        if any(e in lu for e in link_edges(v)):
-            return False
-        nbrs = (adj[u] | adj[v]) - {u, v}
-        # flagness in dim 2 forbids 4-cliques at the merged vertex: a triangle
-        # inside the merged neighbourhood would need a 3-simplex to span
+        au, av = adj[u], adj[v]
+        inner = au | av
+        nbrs = inner - {u, v}
+        # no empty square through the merged vertex: the neighbours in nbrs
+        # of any vertex d beyond it are pairwise adjacent
+        seen: dict[int, set[int]] = {}
         for x in nbrs:
-            for t in tri_at[x]:
-                if t <= nbrs:
-                    return False
-        # every edge inside the merged neighbourhood must span a triangle
-        for x in nbrs:
-            for y in adj[x] & nbrs:
-                if x < y:
-                    xy = frozenset((x, y))
-                    if (xy | {u}) not in triangles and (xy | {v}) not in triangles:
-                        return False
-        # no empty square through the merged vertex
-        nbr_list = sorted(nbrs)
-        for i, x in enumerate(nbr_list):
             ax = adj[x]
-            for y in nbr_list[i + 1 :]:
-                if y in ax:
-                    continue
-                for d in (ax & adj[y]) - nbrs - {u, v}:
+            for d in ax - inner:
+                before = seen.get(d)
+                if before is None:
+                    seen[d] = {x}
+                elif before <= ax:
+                    before.add(x)
+                else:
                     return False
-        return True
+        # flag after the move: an edge from a neighbour of u alone to one of v
+        # alone would span no triangle; it is also the only way to a 4-clique
+        only_v = av - au - {u}
+        return all(adj[x].isdisjoint(only_v) for x in au - av - {v})
 
     def contract(u: int, v: int) -> None:
         # merge v into u
-        for t in list(tri_at[v]):
-            triangles.discard(t)
-            for w in t:
-                tri_at[w].discard(t)
-            rest = t - {v}
-            if u in rest:
-                continue  # triangle through the contracted edge degenerates
-            nt = frozenset(rest | {u})
-            if len(nt) == 3:
-                triangles.add(nt)
-                for w in nt:
-                    tri_at[w].add(nt)
-        for w in list(adj[v]):
+        for w in adj[v]:
             adj[w].discard(v)
             if w != u:
                 adj[w].add(u)
                 adj[u].add(w)
-        adj[u].discard(u)
         adj[u].discard(v)
         adj[v].clear()
-        tri_at[v].clear()
-        alive[v] = False
+        gone.add(v)
 
     while True:
         merged = 0
         edges = sorted(
             (len(adj[u]) + len(adj[v]), u, v)
             for u in range(n)
-            if alive[u]
             for v in adj[u]
             if u < v
         )
         for _, u, v in edges:
-            if not (alive[u] and alive[v]) or v not in adj[u]:
-                continue
-            if contraction_ok(u, v):
+            if v in adj[u] and contraction_ok(u, v):
                 contract(u, v)
                 merged += 1
         if not merged:
             break
 
-    # the survivors in name order, and the new position of each
-    keep = sorted((i for i in range(n) if alive[i]), key=k.vertices.__getitem__)
+    # the survivors in name order, and the new position of each; the
+    # triangles are the 3-cliques of the final graph
+    keep = sorted(set(range(n)) - gone, key=k.vertices.__getitem__)
     new = {i: p for p, i in enumerate(keep)}
     simplices = {(new[i],) for i in keep}
-    simplices.update(tuple(sorted((new[i], new[j]))) for i in keep for j in adj[i] if i < j)
-    simplices.update(tuple(sorted(new[i] for i in t)) for t in triangles)
+    for i in keep:
+        for j in adj[i]:
+            if i < j:
+                simplices.add(tuple(sorted((new[i], new[j]))))
+                simplices.update(
+                    tuple(sorted((new[i], new[j], new[m]))) for m in adj[i] & adj[j] if j < m
+                )
     out = SimplicialComplex([k.vertices[i] for i in keep], simplices)
     if not square_report(out).flag_no_squares:
         raise RuntimeError("contraction pass broke the flag-no-square property")

@@ -178,6 +178,99 @@ def rational_betti(k: SimplicialComplex) -> dict[int, int]:
     return {d: len(cc.basis[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
 
 
+# -- contraction with explicit triangle sets ---------------------------------
+
+
+def reference_contraction(k: SimplicialComplex) -> SimplicialComplex:
+    """Edge contractions of `contract_flag_no_squares`, checked on explicit
+    triangle sets instead of the 1-skeleton: its oracle on flag 2-complexes.
+
+    Same edge order, passes and survivor naming; each move keeps the set of
+    triangles and tests the link condition on the endpoints' link edges.
+    """
+    n = len(k.vertices)
+    adj = k.adjacency()
+    triangles: set[frozenset[int]] = set()
+    tri_at: list[set[frozenset[int]]] = [set() for _ in range(n)]
+    for s in k.simplices:
+        if len(s) == 3:
+            t = frozenset(s)
+            triangles.add(t)
+            for v in t:
+                tri_at[v].add(t)
+    alive = [True] * n
+
+    def link_edges(u: int) -> set[frozenset[int]]:
+        return {t - {u} for t in tri_at[u]}
+
+    def contraction_ok(u: int, v: int) -> bool:
+        lu = link_edges(u)
+        if any(e in lu for e in link_edges(v)):
+            return False
+        nbrs = (adj[u] | adj[v]) - {u, v}
+        for x in nbrs:
+            for t in tri_at[x]:
+                if t <= nbrs:
+                    return False
+        for x in nbrs:
+            for y in adj[x] & nbrs:
+                if x < y:
+                    xy = frozenset((x, y))
+                    if (xy | {u}) not in triangles and (xy | {v}) not in triangles:
+                        return False
+        nbr_list = sorted(nbrs)
+        for i, x in enumerate(nbr_list):
+            for y in nbr_list[i + 1 :]:
+                if y not in adj[x] and (adj[x] & adj[y]) - nbrs - {u, v}:
+                    return False
+        return True
+
+    def contract(u: int, v: int) -> None:
+        for t in list(tri_at[v]):
+            triangles.discard(t)
+            for w in t:
+                tri_at[w].discard(t)
+            rest = t - {v}
+            if u in rest:
+                continue
+            nt = frozenset(rest | {u})
+            triangles.add(nt)
+            for w in nt:
+                tri_at[w].add(nt)
+        for w in list(adj[v]):
+            adj[w].discard(v)
+            if w != u:
+                adj[w].add(u)
+                adj[u].add(w)
+        adj[u].discard(v)
+        adj[v].clear()
+        tri_at[v].clear()
+        alive[v] = False
+
+    while True:
+        merged = 0
+        edges = sorted(
+            (len(adj[u]) + len(adj[v]), u, v)
+            for u in range(n)
+            if alive[u]
+            for v in adj[u]
+            if u < v
+        )
+        for _, u, v in edges:
+            if alive[u] and alive[v] and v in adj[u] and contraction_ok(u, v):
+                contract(u, v)
+                merged += 1
+        if not merged:
+            break
+
+    keep = sorted((i for i in range(n) if alive[i]), key=k.vertices.__getitem__)
+    new = {i: p for p, i in enumerate(keep)}
+    simplices = {(new[i],) for i in keep}
+    simplices.update(tuple(sorted((new[i], new[j]))) for i in keep for j in adj[i] if i < j)
+    simplices.update(tuple(sorted(new[i] for i in t)) for t in triangles)
+    return SimplicialComplex([k.vertices[i] for i in keep], simplices)
+
+
 # -- Davis-ball coset arithmetic through the general word problem -----------
 
 

@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coxcert.homology import MatrixSizeError, homology
 from coxcert.presentations import presentation_complex, spine_presentation
@@ -30,6 +30,8 @@ from helpers import (
     hollow_triangle,
     projective_plane,
     random_complex,
+    random_flag_complex,
+    reference_contraction,
     two_points,
 )
 
@@ -148,3 +150,48 @@ def test_contraction_on_circle():
     small = contract_flag_no_squares(circle)
     assert homology(small) == homology(circle)
     assert square_report(small).flag_no_squares
+
+
+def test_contraction_rejects_non_flag_input():
+    with pytest.raises(ValueError, match="flag"):
+        contract_flag_no_squares(hollow_triangle())
+
+
+def _assert_contraction_matches_reference(k):
+    fast = contract_flag_no_squares(k)
+    check_invariants(fast)
+    assert fast == reference_contraction(k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0))
+def test_contraction_matches_triangle_set_reference_random_small(seed):
+    rng = random.Random(seed)
+    _assert_contraction_matches_reference(
+        no_square_subdivision(random_complex(rng, n_vertices=5, n_faces=4))
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [projective_plane, lambda: cycle_complex(4), lambda: presentation_complex(spine_presentation())],
+    ids=["projective_plane", "four_cycle", "spine"],
+)
+def test_contraction_matches_triangle_set_reference(build):
+    _assert_contraction_matches_reference(no_square_subdivision(build()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0))
+def test_contraction_matches_triangle_set_reference_with_squares(seed):
+    # flag 2-complexes with empty squares: the only inputs on which the
+    # spanning test can reject a move
+    rng = random.Random(seed)
+    k = random_flag_complex(rng, rng.randint(4, 9), p=0.45)
+    assume(k.dim() <= 2)
+    slow = reference_contraction(k)
+    if square_report(slow).flag_no_squares:
+        assert contract_flag_no_squares(k) == slow
+    else:
+        with pytest.raises(RuntimeError):
+            contract_flag_no_squares(k)
