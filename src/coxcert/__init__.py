@@ -1,125 +1,1 @@
 """Combinatorial certificates for right-angled Coxeter group dimension counts."""
-
-from .simplicial import (
-    SimplicialComplex,
-    SquareReport,
-    complex_from_json,
-    complex_to_json,
-    dim_of,
-    faces_closure,
-    square_report,
-    wedge,
-)
-from .homology import (
-    ChainComplex,
-    HomologyResult,
-    MatrixSizeError,
-    homology,
-    snf_divisors,
-)
-from .subdivide import (
-    barycentric_subdivision,
-    contract_flag_no_squares,
-    no_square_subdivision,
-    order_complex,
-)
-from .coxeter import (
-    INF,
-    CoxeterMatrix,
-    CoxeterSystem,
-    HyperbolicityReport,
-    ball,
-    hyperbolicity,
-    in_special_subgroup,
-    is_spherical,
-    min_coset_rep,
-    nerve,
-    racg_from_flag,
-    reduce,
-    system_from_json,
-    system_from_matrix,
-    system_to_json,
-)
-from .davis import (
-    DavisBall,
-    SphericalCoset,
-    davis_ball,
-    hash_union_sharp,
-    singular_subcomplex,
-)
-from .models import (
-    MainTheoremReport,
-    farey_slopes,
-    farrell_h3_growth,
-    farrell_quotient,
-    main_theorem_report,
-    poset_mapping_cylinder,
-    slope_set,
-    wedge_model,
-)
-from .presentations import (
-    Pi1Certificate,
-    Presentation,
-    find_pi1_certificate,
-    pi1_certificate,
-    presentation_complex,
-    spine_certificate,
-    spine_complex,
-    spine_presentation,
-)
-
-__all__ = [
-    "SimplicialComplex",
-    "SquareReport",
-    "ChainComplex",
-    "HomologyResult",
-    "MatrixSizeError",
-    "faces_closure",
-    "wedge",
-    "square_report",
-    "dim_of",
-    "homology",
-    "snf_divisors",
-    "order_complex",
-    "barycentric_subdivision",
-    "no_square_subdivision",
-    "contract_flag_no_squares",
-    "complex_to_json",
-    "complex_from_json",
-    "INF",
-    "CoxeterMatrix",
-    "CoxeterSystem",
-    "HyperbolicityReport",
-    "system_from_matrix",
-    "system_to_json",
-    "system_from_json",
-    "racg_from_flag",
-    "is_spherical",
-    "nerve",
-    "hyperbolicity",
-    "reduce",
-    "ball",
-    "min_coset_rep",
-    "in_special_subgroup",
-    "SphericalCoset",
-    "DavisBall",
-    "davis_ball",
-    "hash_union_sharp",
-    "singular_subcomplex",
-    "MainTheoremReport",
-    "wedge_model",
-    "main_theorem_report",
-    "slope_set",
-    "farey_slopes",
-    "farrell_quotient",
-    "farrell_h3_growth",
-    "poset_mapping_cylinder",
-    "Presentation",
-    "Pi1Certificate",
-    "presentation_complex",
-    "pi1_certificate",
-    "find_pi1_certificate",
-    "spine_presentation",
-    "spine_certificate",
-    "spine_complex",
-]

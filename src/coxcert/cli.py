@@ -183,6 +183,8 @@ def _check_count(flag: str, value: int) -> None:
 
 def cmd_davis(args) -> RunReport:
     _check_count("--radius", args.radius)
+    _check_count("--max-cells", args.max_cells)
+    _check_count("--max-homology-cells", args.max_homology_cells)
     sys_, digest, refusal = _load_system_or_complex(args.path)
     report = RunReport("davis", digest)
     if refusal is not None:

@@ -1,8 +1,8 @@
-"""Integral simplicial homology: coreductions, then exact Smith normal form."""
+"""Integral simplicial homology: coreductions, then one dense exact Smith
+normal form on the critical cells they leave."""
 from __future__ import annotations
 
 import gc
-import heapq
 import math
 import os
 from collections import deque
@@ -20,9 +20,12 @@ class MatrixSizeError(RuntimeError):
 def _cell_limit() -> int:
     raw = os.environ.get("COXCERT_SNF_CELL_LIMIT", "50000000")
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise ValueError(f"COXCERT_SNF_CELL_LIMIT must be an integer, got {raw!r}") from None
+        limit = -1  # rejected below, with the message for a negative value
+    if limit < 0:
+        raise ValueError(f"COXCERT_SNF_CELL_LIMIT must be a non-negative integer, got {raw!r}")
+    return limit
 
 
 @contextmanager
@@ -45,24 +48,23 @@ def _collector_paused():
 # -- Smith normal form ----------------------------------------------------
 
 
-def _dense_snf_divisors(entries: dict[tuple[int, int], int]) -> list[int]:
-    """Exact SNF divisors of a small dense integer matrix.
+def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
+    """Nonzero diagonal of the Smith normal form of a sparse integer matrix.
 
-    Entries are given sparsely; arbitrary-precision arithmetic throughout.
-    The m x n array counts against the cell limit before it is allocated.
+    `columns[j]` maps row index to entry.  Exact dense elimination with
+    arbitrary-precision integers over the nonzero rows and columns; the
+    m x n array counts against the cell limit before it is allocated.
+    `homology` calls it only on the critical cells left by coreductions.
     """
-    if not entries:
-        return []
-    rows = sorted({r for r, _ in entries})
-    cols = sorted({c for _, c in entries})
-    m, n = len(rows), len(cols)
+    cols = [col for col in ({r: v for r, v in c.items() if v} for c in columns) if col]
+    rmap = {r: i for i, r in enumerate(sorted({r for col in cols for r in col}))}
+    m, n = len(rmap), len(cols)
     if m * n > _cell_limit():
-        raise MatrixSizeError(f"dense {m} x {n} residual exceeds cell limit")
-    rmap = {r: i for i, r in enumerate(rows)}
-    cmap = {c: j for j, c in enumerate(cols)}
+        raise MatrixSizeError(f"dense {m} x {n} SNF array exceeds cell limit")
     a = [[0] * n for _ in range(m)]
-    for (r, c), v in entries.items():
-        a[rmap[r]][cmap[c]] = v
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            a[rmap[r]][j] = v
     divisors = []
     top = 0
     while True:
@@ -124,81 +126,6 @@ def _dense_snf_divisors(entries: dict[tuple[int, int], int]) -> list[int]:
                 g = math.gcd(di, dj)
                 divisors[i], divisors[j] = g, di * dj // g
     return divisors
-
-
-def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of a sparse integer matrix.
-
-    `columns[j]` maps row index to entry.  Unit pivots are eliminated first
-    with Markowitz-style pivoting to limit fill; whatever residue is left
-    (torsion candidates) goes through a dense exact SNF.
-    """
-    cols: dict[int, dict[int, int]] = {}
-    rows: dict[int, set[int]] = {}
-    nnz = 0
-    for j, col in enumerate(columns):
-        col = {r: v for r, v in col.items() if v}
-        if col:
-            cols[j] = col
-            for r in col:
-                rows.setdefault(r, set()).add(j)
-            nnz += len(col)
-    if nnz > _cell_limit():
-        raise MatrixSizeError(f"sparse matrix with {nnz} entries exceeds cell limit")
-    unit_rank = 0
-    heap: list[tuple[int, int]] = [(len(c), j) for j, c in cols.items()]
-    heapq.heapify(heap)
-    while heap:
-        sz, j = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None:
-            continue
-        if len(col) != sz:
-            heapq.heappush(heap, (len(col), j))
-            continue
-        pivot_row = None
-        best = None
-        for r, v in col.items():
-            if v in (1, -1):
-                score = len(rows[r])
-                if best is None or score < best:
-                    best = score
-                    pivot_row = r
-        if pivot_row is None:
-            continue  # leave for the dense stage
-        pv = col[pivot_row]
-        unit_rank += 1
-        pivot_col_entries = [(r, v) for r, v in col.items() if r != pivot_row]
-        pivot_row_cols = [c for c in rows[pivot_row] if c != j]
-        # remove the pivot row and column
-        for r, _ in pivot_col_entries:
-            rows[r].discard(j)
-        del cols[j]
-        for c in pivot_row_cols:
-            coef = cols[c].pop(pivot_row)
-            factor = coef if pv == 1 else -coef
-            if pivot_col_entries:
-                target = cols[c]
-                for r, v in pivot_col_entries:
-                    nv = target.get(r, 0) - factor * v
-                    if nv:
-                        if r not in target:
-                            rows[r].add(c)
-                        target[r] = nv
-                    elif r in target:
-                        del target[r]
-                        rows[r].discard(c)
-            if cols[c]:
-                heapq.heappush(heap, (len(cols[c]), c))
-            else:
-                del cols[c]
-        del rows[pivot_row]
-    residual: dict[tuple[int, int], int] = {}
-    for j, col in cols.items():
-        for r, v in col.items():
-            residual[(r, j)] = v
-    tail = _dense_snf_divisors(residual)
-    return [1] * unit_rank + [d for d in tail if d]
 
 
 def rank_and_torsion(columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int, ...]]:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import heapq
 from itertools import combinations
 import random
 
@@ -149,10 +150,72 @@ def rational_rank(columns: list[dict[int, int]], n_rows: int) -> int:
     return rank
 
 
+# -- sparse unit-pivot SNF ---------------------------------------------------
+
+
+def reference_snf_divisors(columns: list[dict[int, int]]) -> list[int]:
+    """SNF divisors with the unit pivots eliminated sparsely first.
+
+    Markowitz-style: the shortest column goes first, pivoting on the +-1
+    entry whose row has the fewest entries, to limit fill.  What is left
+    (torsion candidates) goes through `snf_divisors`.  Handles full
+    boundary matrices of tens of thousands of cells, which the dense
+    `snf_divisors` alone cannot: the oracle behind `reference_homology`.
+    """
+    from coxcert.homology import snf_divisors
+
+    cols: dict[int, dict[int, int]] = {}
+    rows: dict[int, set[int]] = {}
+    for j, col in enumerate(columns):
+        col = {r: v for r, v in col.items() if v}
+        if col:
+            cols[j] = col
+            for r in col:
+                rows.setdefault(r, set()).add(j)
+    unit_rank = 0
+    heap = [(len(c), j) for j, c in cols.items()]
+    heapq.heapify(heap)
+    while heap:
+        size, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None:
+            continue
+        if len(col) != size:
+            heapq.heappush(heap, (len(col), j))
+            continue
+        units = [r for r, v in col.items() if v in (1, -1)]
+        if not units:
+            continue  # left for the dense stage
+        pivot_row = min(units, key=lambda r: len(rows[r]))
+        pv = col[pivot_row]
+        unit_rank += 1
+        rest = [(r, v) for r, v in col.items() if r != pivot_row]
+        for r, _ in rest:
+            rows[r].discard(j)
+        del cols[j]
+        for c in rows.pop(pivot_row) - {j}:
+            target = cols[c]
+            factor = target.pop(pivot_row) * pv
+            for r, v in rest:
+                nv = target.get(r, 0) - factor * v
+                if nv:
+                    if r not in target:
+                        rows[r].add(c)
+                    target[r] = nv
+                elif r in target:
+                    del target[r]
+                    rows[r].discard(c)
+            if target:
+                heapq.heappush(heap, (len(target), c))
+            else:
+                del cols[c]
+    return [1] * unit_rank + snf_divisors(list(cols.values()))
+
+
 def reference_homology(k: SimplicialComplex, reduced: bool = False):
     """Integral homology from the SNF of every full boundary matrix, with no
     reduction before it: the oracle for the coreduced path of `homology`."""
-    from coxcert.homology import ChainComplex, HomologyResult, rank_and_torsion
+    from coxcert.homology import ChainComplex, HomologyResult
 
     if not k.simplices:
         return HomologyResult({-1: 1} if reduced else {}, {}, reduced=reduced)
@@ -161,7 +224,8 @@ def reference_homology(k: SimplicialComplex, reduced: bool = False):
     ranks = {0: 1 if reduced else 0, dim + 1: 0}
     torsions = {dim + 1: ()}
     for d in range(1, dim + 1):
-        ranks[d], torsions[d] = rank_and_torsion(cc.boundary_columns(d))
+        divisors = reference_snf_divisors(cc.boundary_columns(d))
+        ranks[d], torsions[d] = len(divisors), tuple(sorted(x for x in divisors if x > 1))
     betti = {d: len(cc.basis[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
     return HomologyResult(betti, {d: torsions[d + 1] for d in range(dim + 1)}, reduced=reduced)
 

@@ -93,10 +93,15 @@ def test_pipeline_over_cell_limit_is_skipped(capsys, monkeypatch, argv, step):
 
 def test_malformed_cell_limit_exits_2(tmp_path, capsys, monkeypatch):
     path = write_complex(tmp_path, hollow_triangle())
-    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "abc")
-    code, report = run_cli(capsys, "homology", path)
-    assert code == 2
-    assert "COXCERT_SNF_CELL_LIMIT" in report["error"]
+    for limit, argv in [
+        ("abc", ("homology", path)),
+        ("-1", ("homology", path)),
+        ("-1", ("farrell", "--slopes", "1")),
+    ]:
+        monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", limit)
+        code, report = run_cli(capsys, *argv)
+        assert code == 2
+        assert "COXCERT_SNF_CELL_LIMIT" in report["error"]
 
 
 def test_hyperbolic_four_and_five_cycle(tmp_path, capsys):
@@ -246,9 +251,10 @@ def test_closure_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, command)
 
 def test_davis_negative_radius_exits_2(tmp_path, capsys):
     path = write_complex(tmp_path, cycle_complex(4))
-    code, report = run_cli(capsys, "davis", path, "--radius", "-1")
-    assert code == 2
-    assert "--radius" in report["error"]
+    for flag, value in [("--radius", "-1"), ("--max-cells", "-3"), ("--max-homology-cells", "-1")]:
+        code, report = run_cli(capsys, "davis", path, "--singular", flag, value)
+        assert code == 2
+        assert flag in report["error"]
 
 
 def test_farrell_negative_slopes_exits_2(capsys):

@@ -27,8 +27,13 @@ from helpers import (
     rational_betti,
     rational_rank,
     reference_homology,
+    reference_snf_divisors,
     torus_grid,
 )
+
+# the dense SNF of the program and the sparse unit-pivot oracle behind
+# reference_homology: each SNF test below holds for both
+SNFS = (snf_divisors, reference_snf_divisors)
 
 
 def _columns_from_dense(rows):
@@ -42,13 +47,15 @@ def _columns_from_dense(rows):
 def test_snf_known_matrix():
     # d1 = gcd of entries = 2, d1*d2 = gcd of 2x2 minors = 4, d1*d2*d3 = |det| = 624
     cols = _columns_from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert sorted(snf_divisors(cols)) == [2, 2, 156]
+    for snf in SNFS:
+        assert sorted(snf(cols)) == [2, 2, 156]
 
 
 def test_snf_single_entries():
-    assert snf_divisors([{0: 5}]) == [5]
-    assert snf_divisors([{}]) == []
-    assert sorted(snf_divisors(_columns_from_dense([[2, 0], [0, 3]]))) == [1, 6]
+    for snf in SNFS:
+        assert snf([{0: 5}]) == [5]
+        assert snf([{}]) == []
+        assert sorted(snf(_columns_from_dense([[2, 0], [0, 3]]))) == [1, 6]
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,7 +65,8 @@ def test_snf_rank_matches_rational_rank(seed):
     m, n = rng.randint(1, 6), rng.randint(1, 6)
     rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
     cols = _columns_from_dense(rows)
-    assert len(snf_divisors(cols)) == rational_rank(cols, m)
+    for snf in SNFS:
+        assert len(snf(cols)) == rational_rank(cols, m)
 
 
 @settings(max_examples=30, deadline=None)
@@ -67,9 +75,10 @@ def test_snf_divisibility_chain(seed):
     rng = random.Random(seed)
     m, n = rng.randint(2, 5), rng.randint(2, 5)
     rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-    chain = sorted(snf_divisors(_columns_from_dense(rows)))
-    for a, b in zip(chain, chain[1:]):
-        assert b % a == 0
+    for snf in SNFS:
+        chain = sorted(snf(_columns_from_dense(rows)))
+        for a, b in zip(chain, chain[1:]):
+            assert b % a == 0
 
 
 def test_snf_matches_sympy_smith_normal_form():
@@ -80,13 +89,14 @@ def test_snf_matches_sympy_smith_normal_form():
     for _ in range(300):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
-        snf = normalforms.smith_normal_form(Matrix(rows), domain=ZZ)
-        diagonal = sorted(abs(int(snf[i, i])) for i in range(min(m, n)) if snf[i, i])
-        assert sorted(snf_divisors(_columns_from_dense(rows))) == diagonal
+        normal = normalforms.smith_normal_form(Matrix(rows), domain=ZZ)
+        diagonal = sorted(abs(int(normal[i, i])) for i in range(min(m, n)) if normal[i, i])
+        for snf in SNFS:
+            assert sorted(snf(_columns_from_dense(rows))) == diagonal
 
 
 def test_dense_residual_is_capped_before_allocation(monkeypatch):
-    """50 nonzeros pass the sparse check; the 50 x 50 dense residual must not."""
+    """50 nonzeros fit under the cap of 100; the 50 x 50 dense array must not."""
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "100")
     with pytest.raises(MatrixSizeError, match="50 x 50"):
         snf_divisors([{i: 2} for i in range(50)])
