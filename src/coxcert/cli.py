@@ -78,6 +78,15 @@ def _load_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _write_json(path: str, data) -> None:
+    """An unwritable output path is an input error, like an unreadable input."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
     data, digest = _load_json(path)
     try:
@@ -223,8 +232,7 @@ def cmd_davis(args) -> RunReport:
         except MatrixSizeError as exc:
             report.add("homology", "skipped", reason=str(exc))
     if args.dump:
-        with open(args.dump, "w") as fh:
-            json.dump(ball.to_json(), fh, indent=1, sort_keys=True)
+        _write_json(args.dump, ball.to_json())
     return report
 
 
@@ -255,7 +263,7 @@ def cmd_farrell(args) -> RunReport:
 
 def cmd_spine(args) -> RunReport:
     report = RunReport("spine", _digest_bytes(b"spine"))
-    l = spine_complex(compact=not args.no_compact)
+    l = spine_complex()
     report.add("build", "pass", counts=l.counts())
     try:
         h = homology(l, reduced=True)
@@ -279,15 +287,14 @@ def cmd_spine(args) -> RunReport:
         subgroup_order=order,
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(complex_to_json(l), fh, indent=1, sort_keys=True)
+        _write_json(args.out, complex_to_json(l))
     if args.cert_out:
-        with open(args.cert_out, "w") as fh:
-            json.dump(cert.to_json(), fh, indent=1, sort_keys=True)
+        _write_json(args.cert_out, cert.to_json())
     return report
 
 
 def cmd_certify_main_theorem(args) -> RunReport:
+    _check_count("--radius", args.radius)
     report = RunReport("certify-main-theorem", _digest_bytes(b"certify-main-theorem"))
     if args.skip_nsq_subdivision:
         l = barycentric_subdivision(presentation_complex(spine_presentation()))
@@ -386,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spine", help="build and certify the canonical example complex")
     p.add_argument("--out", help="write the complex JSON here")
     p.add_argument("--cert-out", help="write the certificate JSON here")
-    p.add_argument("--no-compact", action="store_true", help="skip the contraction pass")
     p.set_defaults(func=cmd_spine)
 
     p = sub.add_parser("certify-main-theorem", help="end-to-end certification pipeline")

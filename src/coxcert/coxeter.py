@@ -186,17 +186,6 @@ def _path_steps(edges: dict[tuple[int, int], int], v: int):
             yield (w, u), m
 
 
-def is_spherical(sys: CoxeterSystem, subset: Iterable[str]) -> bool:
-    """True iff the special subgroup on the given generators is finite."""
-    gens = sys.generators
-    lookup = {g: i for i, g in enumerate(gens)}
-    try:
-        idx = sorted({lookup[g] for g in subset})
-    except KeyError as exc:
-        raise ValueError(f"unknown generator {exc.args[0]!r}") from exc
-    return _is_spherical_idx(sys, tuple(idx))
-
-
 def _is_spherical_idx(sys: CoxeterSystem, idx: tuple[int, ...]) -> bool:
     if not idx:
         return True

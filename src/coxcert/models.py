@@ -11,7 +11,6 @@ from .presentations import Pi1Certificate
 from .simplicial import (
     SimplicialComplex,
     SquareReport,
-    dim_of,
     faces_closure,
     square_report,
     wedge,
@@ -99,7 +98,7 @@ def main_theorem_report(l: SimplicialComplex, cert: Pi1Certificate) -> MainTheor
     square, and its infinite dihedral pairs are the non-edges of L.
     """
     sq = square_report(l)
-    dim = dim_of(l)
+    dim = l.dim()
     acyclic = homology(l, reduced=True).is_trivial()
     order = cert.subgroup_order() if cert.valid else None
     checks = (("flag", sq.is_flag), ("dimension", dim == 2), ("acyclicity", acyclic),

@@ -55,17 +55,6 @@ class Presentation:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(reduced))
 
-    def abelianized_matrix(self) -> list[list[int]]:
-        """Exponent-sum matrix, one row per relator, one column per generator."""
-        rows = []
-        for r in self.relators:
-            row = [0] * len(self.generators)
-            for ch in r:
-                idx = self.generators.index(ch.lower())
-                row[idx] += 1 if ch.islower() else -1
-            rows.append(row)
-        return rows
-
     def to_json(self) -> dict:
         return {"generators": list(self.generators), "relators": list(self.relators)}
 
@@ -196,21 +185,6 @@ class Pi1Certificate:
         }
 
 
-def pi1_certificate(
-    p: Presentation, degree: int, images: Sequence[Sequence[int]]
-) -> Pi1Certificate:
-    """Package candidate permutation images; validity is a property, not an error."""
-    if len(images) != len(p.generators):
-        raise ValueError("one permutation per generator required")
-    perms = []
-    for img in images:
-        perm = tuple(int(x) for x in img)
-        if sorted(perm) != list(range(degree)):
-            raise ValueError(f"{perm} is not a permutation of degree {degree}")
-        perms.append(perm)
-    return Pi1Certificate(presentation=p, degree=degree, images=tuple(perms))
-
-
 def find_pi1_certificate(p: Presentation, degree: int) -> Optional[Pi1Certificate]:
     """Exhaustive search for the lexicographically least valid image tuple.
 
@@ -255,25 +229,23 @@ def spine_presentation() -> Presentation:
     return Presentation(("x", "y"), ("xxxxxYXYX", "yyyYXYX"))
 
 
-def spine_certificate(degree: int = 5) -> Pi1Certificate:
-    cert = find_pi1_certificate(spine_presentation(), degree)
+def spine_certificate() -> Pi1Certificate:
+    cert = find_pi1_certificate(spine_presentation(), 5)
     if cert is None:
         raise RuntimeError("no certificate found for the spine presentation")
     return cert
 
 
-def spine_complex(compact: bool = True) -> SimplicialComplex:
+def spine_complex() -> SimplicialComplex:
     """Flag-no-squares acyclic 2-complex with nontrivial perfect fundamental group.
 
     Pipeline: triangulated presentation 2-complex of the binary-icosahedral
     type presentation, then the no-square subdivision (which also flagifies),
-    then an optional homotopy-preserving contraction pass that keeps the
-    flag-no-square property while shrinking the complex to a size where
-    Davis-ball computations stay desk-scale.  Each stage checks its output
-    for flag-no-squares and raises if it fails.
+    then a homotopy-preserving contraction pass that keeps the flag-no-square
+    property while shrinking the complex to a size where Davis-ball
+    computations stay desk-scale.  The subdivision is checked once, by the
+    contraction's flag precondition; the contraction checks its own output
+    for flag-no-squares.  Either check raises if it fails.
     """
     x = presentation_complex(spine_presentation())
-    l = no_square_subdivision(x)
-    if compact:
-        l = contract_flag_no_squares(l)
-    return l
+    return contract_flag_no_squares(no_square_subdivision(x))

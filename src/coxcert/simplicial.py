@@ -228,11 +228,6 @@ def square_report(k: SimplicialComplex) -> SquareReport:
     )
 
 
-def dim_of(k: SimplicialComplex) -> int:
-    """Dimension of a complex: max simplex cardinality - 1 (empty -> -1)."""
-    return k.dim()
-
-
 # -- JSON interchange ----------------------------------------------------
 
 

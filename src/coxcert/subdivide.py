@@ -5,7 +5,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex, _flag_witness, faces_closure, square_report
+from .simplicial import SimplicialComplex, _flag_witness, square_report
 
 
 def order_complex(
@@ -62,40 +62,39 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     return order_complex([_chain_id(k, s) for s in faces], up)
 
 
-def _pentagon_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """Trisect edges and split each triangle into 21 cells with good links.
+def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
+    """Triangulate the same space so the result is flag with no empty squares.
 
-    Per triangle {a,b,c}: two edge points per edge, a near-corner point per
-    vertex, a private mid point per edge, and a center.  Resulting vertex
-    links: original links once-subdivided (old vertices), theta graphs (edge
-    points), 5-cycles (mid points), 6-cycles (corner points and centers) -
-    none of which contains an induced 4-cycle, for an arbitrary 2-complex.
+    One pass of the pentagon scheme: trisect the edges and split each
+    triangle {a,b,c} into 21 cells.  Per triangle: two edge points per edge,
+    a near-corner point per vertex, a private mid point per edge, and a
+    center.  Resulting vertex links: original links once-subdivided (old
+    vertices), theta graphs (edge points), 5-cycles (mid points), 6-cycles
+    (corner points and centers) - none of which contains an induced 4-cycle,
+    for an arbitrary 2-complex, and all short cycles acquire chords.  The
+    vertices are named q0, q1, ... in the order they are made: the old
+    vertices first, then two edge points per edge, then per triangle its
+    three corner points, three mid points and center.  Nothing is checked
+    here; `contract_flag_no_squares` checks its input for flagness.
     """
-    name = k.vertices
-    verts: list[str] = list(name)
-    cells: list[tuple[str, ...]] = []
-    p_id: dict[tuple[str, str], str] = {}
-    for i, j in k.k_simplices(1):
-        a, b = name[i], name[j]
-        pa, pb = f"[{a}>{b}]", f"[{b}>{a}]"
-        p_id[(a, b)] = pa
-        p_id[(b, a)] = pb
-        verts.extend((pa, pb))
+    if k.dim() > 2:
+        raise ValueError("no_square_subdivision requires dim <= 2")
+    count = len(k.vertices)
+    point: dict[tuple[int, int], int] = {}  # (a, b): the point of edge ab next to a
+    cells: list[tuple[int, ...]] = []
+    for a, b in k.k_simplices(1):
+        pa, pb = count, count + 1
+        point[(a, b)], point[(b, a)] = pa, pb
+        count += 2
         cells += [(a, pa), (pa, pb), (pb, b)]
     for t in k.k_simplices(2):
-        t = tuple(name[i] for i in t)
-        a, b, c = t
-        q = {v: f"[q {v}|{' '.join(u for u in t if u != v)}]" for v in t}
-        mid = {}
-        for u, w in combinations(t, 2):
-            other = next(x for x in t if x not in (u, w))
-            mid[(u, w)] = f"[m {u} {w}@{other}]"
-        z = f"[z {a} {b} {c}]"
-        verts.extend(q.values())
-        verts.extend(mid.values())
-        verts.append(z)
-        for u, w in combinations(t, 2):
-            pu, pw, m = p_id[(u, w)], p_id[(w, u)], mid[(u, w)]
+        q = dict(zip(t, range(count, count + 3)))
+        sides = list(combinations(t, 2))
+        mid = dict(zip(sides, range(count + 3, count + 6)))
+        z = count + 6
+        count += 7
+        for u, w in sides:
+            pu, pw, m = point[(u, w)], point[(w, u)], mid[(u, w)]
             cells += [
                 # corner cells and the edge strip around the private mid point
                 (u, pu, q[u]),
@@ -107,28 +106,12 @@ def _pentagon_subdivision(k: SimplicialComplex) -> SimplicialComplex:
                 (z, q[u], m),
                 (z, m, q[w]),
             ]
-    return faces_closure(cells, vertices=verts)
-
-
-def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """Triangulate the same space so the result is flag with no empty squares.
-
-    One pass of the pentagon subdivision scheme; every vertex link of the
-    output is a square-free graph and all short cycles acquire chords, which
-    is checked again on the result.
-    """
-    if k.dim() > 2:
-        raise ValueError("no_square_subdivision requires dim <= 2")
-    out = relabel_compact(_pentagon_subdivision(k), "q")
-    report = square_report(out)
-    if not report.flag_no_squares:
-        raise RuntimeError(f"no-square subdivision failed verification: {report}")
-    return out
-
-
-def relabel_compact(k: SimplicialComplex, prefix: str) -> SimplicialComplex:
-    """Rename vertices to short sequential ids, keeping the vertex order."""
-    return SimplicialComplex([f"{prefix}{i}" for i in range(len(k.vertices))], k.simplices)
+    simplices = {(i,) for i in range(count)}
+    for cell in cells:
+        face = sorted(cell)
+        for r in range(2, len(face) + 1):
+            simplices.update(combinations(face, r))
+    return SimplicialComplex([f"q{i}" for i in range(count)], simplices)
 
 
 # -- flag-no-square preserving compaction ----------------------------------

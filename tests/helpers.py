@@ -6,9 +6,20 @@ import heapq
 from itertools import combinations
 import random
 
-from coxcert.coxeter import ball, in_special_subgroup, min_coset_rep
+from coxcert.coxeter import (
+    _is_spherical_idx,
+    _subset_indices,
+    ball,
+    in_special_subgroup,
+    min_coset_rep,
+)
 from coxcert.davis import DavisBall, SphericalCoset
 from coxcert.simplicial import SimplicialComplex, faces_closure
+
+
+def is_spherical(sys, subset) -> bool:
+    """True iff the special subgroup on the named generators is finite."""
+    return _is_spherical_idx(sys, _subset_indices(sys, subset))
 
 
 def check_invariants(k: SimplicialComplex) -> None:

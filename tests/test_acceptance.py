@@ -16,7 +16,7 @@ from coxcert.davis import davis_ball, singular_subcomplex
 from coxcert.homology import homology
 from coxcert.models import farrell_h3_growth, main_theorem_report, wedge_model
 from coxcert.presentations import presentation_complex, spine_presentation
-from coxcert.simplicial import dim_of, faces_closure, square_report
+from coxcert.simplicial import faces_closure, square_report
 from coxcert.subdivide import barycentric_subdivision
 
 from helpers import (
@@ -99,11 +99,11 @@ def test_criterion_3_singular_set_dimensions(spine_ball):
 
     edge_ball = davis_ball(racg_from_flag(faces_closure([("a", "b")])), 1)
     results.append(
-        ("edge", dim_of(singular_subcomplex(edge_ball)), dim_of(edge_ball.realization()), 1, 2)
+        ("edge", singular_subcomplex(edge_ball).dim(), edge_ball.realization().dim(), 1, 2)
     )
     point_ball = davis_ball(racg_from_flag(two_points()), 1)
     results.append(
-        ("two points", dim_of(singular_subcomplex(point_ball)), dim_of(point_ball.realization()), 0, 1)
+        ("two points", singular_subcomplex(point_ball).dim(), point_ball.realization().dim(), 0, 1)
     )
     ok = all(s == es and r == er for _, s, r, es, er in results)
     _report(

@@ -257,6 +257,19 @@ def test_davis_negative_radius_exits_2(tmp_path, capsys):
         assert flag in report["error"]
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("davis", "--dump"), ("spine", "--out"), ("spine", "--cert-out")]
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag):
+    target = str(tmp_path / "missing" / "out.json")
+    argv = [command, flag, target]
+    if command == "davis":
+        argv[1:1] = [write_complex(tmp_path, cycle_complex(5)), "--radius", "0"]
+    code, report = run_cli(capsys, *argv)
+    assert code == 2
+    assert target in report["error"]
+
+
 def test_farrell_negative_slopes_exits_2(capsys):
     code, report = run_cli(capsys, "farrell", "--slopes", "-2")
     assert code == 2
@@ -344,6 +357,20 @@ def test_certify_main_theorem_radius_zero_indeterminate(capsys):
     assert report_digest(report) == (
         "7aad1f999e42c56c6b1516faabca9d3b0a2dd6e19dd0b8c19e5fcaf7779e17f4"
     )
+
+
+def test_certify_main_theorem_negative_radius_exits_2(capsys, monkeypatch):
+    # refused before anything is built
+    monkeypatch.setattr("coxcert.cli.spine_complex", lambda: pytest.fail("built the spine"))
+    code, report = run_cli(capsys, "certify-main-theorem", "--radius", "-3")
+    assert code == 2
+    assert "--radius" in report["error"]
+
+
+def test_spine_no_compact_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spine", "--no-compact"])
+    assert exc.value.code == 2
 
 
 def _bipartite_k33():

@@ -10,7 +10,6 @@ from coxcert.coxeter import (
     ball,
     hyperbolicity,
     in_special_subgroup,
-    is_spherical,
     min_coset_rep,
     multiply,
     nerve,
@@ -26,6 +25,7 @@ from helpers import (
     check_invariants,
     cycle_complex,
     full_triangle,
+    is_spherical,
     named_simplices,
     random_flag_complex,
     two_points,

@@ -11,7 +11,7 @@ from coxcert.davis import (
     singular_subcomplex,
 )
 from coxcert.homology import homology
-from coxcert.simplicial import dim_of, faces_closure, square_report
+from coxcert.simplicial import faces_closure, square_report
 
 from helpers import (
     ReferenceBall,
@@ -47,7 +47,7 @@ def test_klein_four_ball_counts_and_realization():
     counts = real.counts()
     assert counts == [9, 16, 8]  # barycentric subdivision of a square
     assert square_report(real).is_flag
-    assert dim_of(real) == b.realization_dim() == 2
+    assert real.dim() == b.realization_dim() == 2
 
 
 def test_dihedral_ball_is_a_path():
@@ -111,10 +111,10 @@ def test_singular_dims_match_nerve_dims():
     for sys, nerve_dim in cases:
         b = davis_ball(sys, 1)
         sing = singular_subcomplex(b)
-        assert dim_of(sing) == nerve_dim
+        assert sing.dim() == nerve_dim
         assert b.singular_dim() == nerve_dim
         assert b.realization_dim() == nerve_dim + 1
-        assert dim_of(b.realization()) == nerve_dim + 1
+        assert b.realization().dim() == nerve_dim + 1
 
 
 def test_finite_group_singular_acyclic():
@@ -214,7 +214,7 @@ def test_fast_coset_paths_match_word_problem_oracle(seed):
     assert fast.singular_dim() == sing.dim()
     sharp, ref_sharp = hash_union_sharp(fast), reference_sharp(ref)
     assert (sharp.vertices, sharp.simplices) == (ref_sharp.vertices, ref_sharp.simplices)
-    assert dim_of(sharp) == fast.singular_dim()
+    assert sharp.dim() == fast.singular_dim()
     n = sys.matrix.rank
     for s in range(n):
         wall = {c for c in fast.cosets if fast.fixes(s, c)}

@@ -6,9 +6,13 @@ wraps that name in that module; once a tracing change drops the wrap, the
 import is dead and this test names it.  `__init__.py` is checked like the
 other modules, so a re-export added back there fails as unused.  A module reads
 a private attribute of another object only when it defines that attribute
-itself, so no module depends on another's internals.
+itself, so no module depends on another's internals.  Every function, class
+and method the package defines is named in code (not in a comment or a
+docstring) somewhere in the package, its scripts, the benchmark or the
+acceptance tests; a definition only unit tests reach is dead code.
 """
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -83,3 +87,67 @@ def test_private_attributes_are_read_only_where_defined():
         defined, reads = private_attributes(path.read_text())
         foreign += [f"{path.name}:{line}: .{attr}" for line, attr in reads if attr not in defined]
     assert foreign == []
+
+
+# every definition must be reachable from these: the package, its scripts,
+# the benchmark, and the acceptance criteria with their fixtures
+REACHING = [
+    *MODULES,
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "bench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "tests" / "conftest.py",
+]
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """Function, class and method names with the line each is defined on; dunders skipped."""
+    return [
+        (node.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def references(source: str) -> list[tuple[str, int]]:
+    """Identifiers a module names in code: names, attributes, imports, keywords and
+    the identifiers inside string literals (the benchmark wraps names by string).
+    Comments and docstrings name nothing."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out += [(part, node.lineno) for part in node.name.split(".")]
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            out.append((node.arg, node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            out += [(word, node.lineno) for word in re.findall(r"\w+", node.value)]
+    return out
+
+
+def unreached_definitions() -> list[str]:
+    named: dict[str, set[tuple[str, int]]] = {}
+    for path in REACHING:
+        for name, line in references(path.read_text()):
+            named.setdefault(name, set()).add((path, line))
+    unreached = []
+    for path in MODULES:
+        for name, line in definitions(path.read_text()):
+            if not named.get(name, set()) - {(path, line)}:
+                unreached.append(f"{path.name}:{line}: {name}")
+    return unreached
+
+
+def test_every_definition_is_reached():
+    assert unreached_definitions() == []

@@ -19,8 +19,8 @@ from coxcert.models import (
     _grid_torus,
 )
 from coxcert.presentations import (
+    Pi1Certificate,
     Presentation,
-    pi1_certificate,
     presentation_complex,
     spine_certificate,
     spine_presentation,
@@ -214,7 +214,7 @@ def test_main_theorem_report_guard_case():
 def test_main_theorem_report_invalid_certificate():
     l = _tiny_acyclic_flag_complex()
     p = Presentation(("x",), ("xx",))
-    bad = pi1_certificate(p, 3, [(0, 1, 2)])  # identity image: not nontrivial
+    bad = Pi1Certificate(p, 3, ((0, 1, 2),))  # identity image: not nontrivial
     report = main_theorem_report(l, bad)
     assert "certificate" in report.hypothesis_failures
 

@@ -1,17 +1,25 @@
 """Presentation complexes, certificates, and the spine pipeline pieces."""
+from collections import Counter
+
 import pytest
 
 from coxcert.homology import homology, snf_divisors
 from coxcert.presentations import (
+    Pi1Certificate,
     Presentation,
     find_pi1_certificate,
     free_reduce,
-    pi1_certificate,
     presentation_complex,
     spine_certificate,
+    spine_complex,
     spine_presentation,
 )
 from coxcert.simplicial import square_report
+
+
+def exponent_sums(p: Presentation) -> list[list[int]]:
+    """Abelianized relator matrix: one row per relator, one column per generator."""
+    return [[r.count(g) - r.count(g.upper()) for g in p.generators] for r in p.relators]
 
 
 def test_free_reduce():
@@ -69,7 +77,7 @@ def test_presentation_h1_matches_abelianization():
     for p in cases:
         k = presentation_complex(p)
         h = homology(k)
-        rows = p.abelianized_matrix()
+        rows = exponent_sums(p)
         cols = [
             {r: rows[r][c] for r in range(len(rows)) if rows[r][c]}
             for c in range(len(p.generators))
@@ -84,7 +92,7 @@ def test_presentation_h1_matches_abelianization():
 
 def test_spine_presentation_data():
     p = spine_presentation()
-    assert p.abelianized_matrix() == [[3, -2], [-2, 1]]
+    assert exponent_sums(p) == [[3, -2], [-2, 1]]
     x = presentation_complex(p)
     assert homology(x, reduced=True).is_trivial()
 
@@ -98,22 +106,37 @@ def test_certificate_search_finds_alt5():
 
 def test_certificate_invalid_not_exception():
     p = Presentation(("x",), ("x",))
-    cert = pi1_certificate(p, 3, [(1, 2, 0)])
+    cert = Pi1Certificate(p, 3, ((1, 2, 0),))
     assert not cert.relators_killed()
     assert not cert.valid
-    identity_cert = pi1_certificate(p, 3, [(0, 1, 2)])
+    identity_cert = Pi1Certificate(p, 3, ((0, 1, 2),))
     assert identity_cert.relators_killed()
     assert not identity_cert.valid  # trivial image
-
-
-def test_certificate_arity_and_degree_errors():
-    p = spine_presentation()
-    with pytest.raises(ValueError):
-        pi1_certificate(p, 5, [(0, 1, 2, 3, 4)])  # one image missing
-    with pytest.raises(ValueError):
-        pi1_certificate(p, 5, [(0, 0, 1, 2, 3), (0, 1, 2, 3, 4)])
 
 
 def test_no_certificate_for_trivial_group():
     p = Presentation(("x",), ("x",))
     assert find_pi1_certificate(p, 3) is None
+
+
+def test_spine_build_checks_the_subdivision_once(monkeypatch):
+    """The 1279-vertex subdivision gets one flag check and no square census;
+    the contraction's postcondition still checks the 136-vertex result."""
+    import coxcert.simplicial as simplicial
+    import coxcert.subdivide as subdivide
+
+    calls = Counter()
+
+    def counted(kind, fn):
+        def wrapper(k):
+            calls[kind, len(k.vertices)] += 1
+            return fn(k)
+
+        return wrapper
+
+    flag = counted("flag", simplicial._flag_witness)
+    monkeypatch.setattr(simplicial, "_flag_witness", flag)
+    monkeypatch.setattr(subdivide, "_flag_witness", flag)
+    monkeypatch.setattr(simplicial, "_empty_squares", counted("squares", simplicial._empty_squares))
+    spine_complex()
+    assert calls == {("flag", 1279): 1, ("flag", 136): 1, ("squares", 136): 1}

@@ -8,7 +8,6 @@ from coxcert.simplicial import (
     SimplicialComplex,
     complex_from_json,
     complex_to_json,
-    dim_of,
     faces_closure,
     square_report,
     wedge,
@@ -107,9 +106,9 @@ def test_square_report_five_cycle():
 
 
 def test_dim_of():
-    assert dim_of(full_triangle()) == 2
-    assert dim_of(two_points()) == 0
-    assert dim_of(SimplicialComplex((), [])) == -1
+    assert full_triangle().dim() == 2
+    assert two_points().dim() == 0
+    assert SimplicialComplex((), []).dim() == -1
 
 
 def test_json_round_trip():
