@@ -95,6 +95,18 @@ def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
         raise InputError(str(exc)) from exc
 
 
+def _racg_of(k: SimplicialComplex) -> tuple[Optional[CoxeterSystem], Optional[str]]:
+    """Right-angled system of a flag complex, or why it is not flag.  The n x n
+    matrix of n vertices counts against the cell cap; over it is an input error."""
+    n, limit = len(k.vertices), _cell_limit()
+    if n * n > limit:
+        raise InputError(f"{n} vertices imply a {n} x {n} Coxeter matrix, over the cell limit {limit}")
+    try:
+        return racg_from_flag(k), None
+    except ValueError as exc:
+        return None, str(exc)  # non-flag input: a failed check, not an input error
+
+
 def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str]]:
     """Accept a Coxeter system or a flag complex (implying racg_from_flag)."""
     data, digest = _load_json(path)
@@ -107,10 +119,8 @@ def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str
         complex_ = complex_from_json(data, max_cells=_cell_limit())
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    try:
-        return racg_from_flag(complex_), digest, None
-    except ValueError as exc:
-        return None, digest, str(exc)  # non-flag input: a failed check, not an input error
+    sys_, refusal = _racg_of(complex_)
+    return sys_, digest, refusal
 
 
 def _check_cell_limit() -> None:
@@ -176,10 +186,9 @@ def cmd_nerve(args) -> RunReport:
 def cmd_racg(args) -> RunReport:
     k, digest = _load_complex(args.path)
     report = RunReport("racg", digest)
-    try:
-        sys_ = racg_from_flag(k)
-    except ValueError as exc:
-        report.add("flag-input", "fail", reason=str(exc))
+    sys_, refusal = _racg_of(k)
+    if refusal is not None:
+        report.add("flag-input", "fail", reason=refusal)
         return report
     report.add("racg", "pass", system=system_to_json(sys_))
     return report

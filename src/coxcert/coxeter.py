@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplicialComplex, _flag_witness, square_report
+from .simplicial import SimplicialComplex, _flag_witness, cliques, square_report
 
 INF = 0  # Coxeter matrix entries use 0 to encode infinity (as in the JSON format)
 
@@ -44,10 +44,12 @@ class CoxeterMatrix:
 
 @dataclass(frozen=True)
 class CoxeterSystem:
-    """A Coxeter matrix together with whether it is right-angled."""
+    """A Coxeter matrix, whether it is right-angled, and in `link[i]` the
+    generators that commute with generator i."""
 
     matrix: CoxeterMatrix
     right_angled: bool = field(init=False)
+    link: tuple[frozenset[int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ra = all(
@@ -57,13 +59,17 @@ class CoxeterSystem:
             if i != j
         )
         object.__setattr__(self, "right_angled", ra)
+        link = tuple(
+            frozenset(j for j, m in enumerate(row) if m == 2) for row in self.matrix.entries
+        )
+        object.__setattr__(self, "link", link)
 
     @property
     def generators(self) -> tuple[str, ...]:
         return self.matrix.generators
 
     def commutes(self, i: int, j: int) -> bool:
-        return self.matrix.order(i, j) == 2
+        return j in self.link[i]
 
 
 def system_from_matrix(generators: Sequence[str], entries: Sequence[Sequence[int]]) -> CoxeterSystem:
@@ -218,32 +224,27 @@ def _is_spherical_idx(sys: CoxeterSystem, idx: tuple[int, ...]) -> bool:
     return True
 
 
-def _spherical_subsets(sys: CoxeterSystem) -> list[tuple[int, ...]]:
-    """Non-empty spherical subsets as sorted index tuples, in (size, lex) order.
+def nerve(sys: CoxeterSystem) -> SimplicialComplex:
+    """Complex on the generators whose simplices are the spherical subsets.
 
-    Spherical subsets are closed under taking subsets, so each level grows
-    from the one before by larger indices.  In a right-angled system j joins
-    t exactly when j commutes with every member of t.
+    In a right-angled system they are the cliques of the commuting graph.
+    Otherwise each level grows from the one before by larger indices (they
+    are closed under subsets) through the finiteness classification.
     """
+    if sys.right_angled:
+        return SimplicialComplex(sys.generators, cliques(sys.link))
     n = sys.matrix.rank
-    link = [frozenset(j for j in range(n) if sys.commutes(i, j)) for i in range(n)]
-    ra = sys.right_angled
     level = [(i,) for i in range(n)]
-    out: list[tuple[int, ...]] = []
+    simplices: list[tuple[int, ...]] = []
     while level:
-        out += level
+        simplices += level
         level = [
             t + (j,)
             for t in level
             for j in range(t[-1] + 1, n)
-            if (link[j].issuperset(t) if ra else _is_spherical_idx(sys, t + (j,)))
+            if _is_spherical_idx(sys, t + (j,))
         ]
-    return out
-
-
-def nerve(sys: CoxeterSystem) -> SimplicialComplex:
-    """Complex on the generators whose simplices are the spherical subsets."""
-    return SimplicialComplex(sys.generators, _spherical_subsets(sys))
+    return SimplicialComplex(sys.generators, simplices)
 
 
 # -- hyperbolicity -----------------------------------------------------------

@@ -3,15 +3,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Optional
 
-from .coxeter import CoxeterSystem, Word, _check_ra, _spherical_subsets, ball
+from .coxeter import CoxeterSystem, Word, _check_ra, ball, nerve
 from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex
-from .subdivide import order_complex
+from .simplicial import SimplicialComplex, cliques
+from .subdivide import face_poset, order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
-from .coxeter import in_special_subgroup, min_coset_rep, nerve, reduce  # noqa: F401
+from .coxeter import in_special_subgroup, min_coset_rep, reduce  # noqa: F401
 from .simplicial import square_report  # noqa: F401
 from .subdivide import barycentric_subdivision  # noqa: F401
 
@@ -47,21 +46,16 @@ class DavisBall:
             raise ValueError("radius must be >= 0")
         self.system = system
         self.radius = radius
-        n = system.matrix.rank
-        # _link[s]: the generators that commute with s
-        self._link = [
-            frozenset(j for j in range(n) if system.commutes(i, j)) for i in range(n)
-        ]
         # the empty type, then the cliques of the nerve in (size, lex) order
-        self._sphericals: list[Subset] = [()] + _spherical_subsets(system)
-        # strict superset lists drive the up-lists
-        self._supersets: dict[Subset, list[Subset]] = {t: [] for t in self._sphericals}
-        for t in self._sphericals:
-            if t:
-                self._supersets[()].append(t)
-                for r in range(1, len(t)):
-                    for sub in combinations(t, r):
-                        self._supersets[sub].append(t)
+        self._sphericals: list[Subset] = [()] + list(cliques(system.link))
+
+    @cached_property
+    def _supersets(self) -> dict[Subset, list[Subset]]:
+        """Strict supersets of each type, for the up-lists; built on first use."""
+        faces, _, up = face_poset(nerve(self.system))
+        supersets = {t: [faces[j] for j in above] for t, above in zip(faces, up)}
+        supersets[()] = faces
+        return supersets
 
     @cached_property
     def cosets(self) -> tuple[SphericalCoset, ...]:
@@ -79,7 +73,7 @@ class DavisBall:
 
     def _descents(self, w: Word) -> set[int]:
         """Right-descent set of a normal form w."""
-        link = self._link
+        link = self.system.link
         return {x for i, x in enumerate(w) if link[x].issuperset(w[i + 1 :])}
 
     def _normalize(self, w: Word, t: Subset) -> Word:
@@ -90,7 +84,7 @@ class DavisBall:
         """
         if not t:
             return w
-        link = self._link
+        link = self.system.link
         return tuple(
             x for i, x in enumerate(w) if x not in t or not link[x].issuperset(w[i + 1 :])
         )
@@ -103,7 +97,7 @@ class DavisBall:
 
     def fixes(self, s: int, c: SphericalCoset) -> bool:
         """Whether generator s fixes the coset c."""
-        return s in c.gens and self._link[s].issuperset(c.rep)
+        return s in c.gens and self.system.link[s].issuperset(c.rep)
 
     @cached_property
     def _coset_index(self) -> dict[tuple[Word, Subset], int]:

@@ -29,19 +29,8 @@ def wedge_model(l: SimplicialComplex, k: int) -> SimplicialComplex:
         raise ValueError("wedge model needs a non-empty complex")
     if k < 0:
         raise ValueError("circle count must be >= 0")
-    if k == 0:
-        return l
-    complexes = [l]
-    basepoints = [l.vertices[0]]
-    for i in range(k):
-        verts = [f"s1_{i}_{j}" for j in range(3)]
-        circle = faces_closure(
-            [(verts[0], verts[1]), (verts[1], verts[2]), (verts[2], verts[0])],
-            vertices=verts,
-        )
-        complexes.append(circle)
-        basepoints.append(verts[0])
-    return wedge(complexes, basepoints)
+    circles = [_circle(f"s1_{i}_", 3) for i in range(k)]
+    return wedge([l, *circles], [l.vertices[0]] + [c.vertices[0] for c in circles])
 
 
 # -- main theorem report --------------------------------------------------------
@@ -238,7 +227,7 @@ def poset_mapping_cylinder(
 
 
 def _circle(tag: str, m: int) -> SimplicialComplex:
-    verts = [f"{tag}v{j}" for j in range(m)]
+    verts = [f"{tag}{j}" for j in range(m)]
     edges = [(verts[j], verts[(j + 1) % m]) for j in range(m)]
     return faces_closure(edges, vertices=verts)
 
@@ -248,7 +237,7 @@ def _filling(i: int, p: int, q: int, n: int) -> tuple[list[int], SimplicialCompl
     m = 3  # target circle size; edge spans stay within one third of the grid
     # torus vertex t{x}_{y} sits at position x*n + y, circle vertex v{j} at j
     vmap = [((p * y - q * x) % n) * m // n for x in range(n) for y in range(n)]
-    return vmap, _circle(f"c{i}", m)
+    return vmap, _circle(f"c{i}v", m)
 
 
 def farrell_quotient(slopes: Iterable[Sequence[int]]) -> SimplicialComplex:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class SimplicialComplex:
@@ -108,12 +108,21 @@ def faces_closure(
             v = next(v for m in sets for v in m if v in outside)
             raise ValueError(f"vertex {v!r} outside declared universe")
     pos = {v: i for i, v in enumerate(universe)}
-    simplices = {(i,) for i in range(len(universe))}
-    for m in sets:
-        face = sorted({pos[v] for v in m})
+    return closure(universe, ({pos[v] for v in m} for m in sets))
+
+
+def closure(vertices: Sequence[str], cells: Iterable[Iterable[int]]) -> SimplicialComplex:
+    """Complex on `vertices` whose simplices are the faces of the cells.
+
+    Each cell is a collection of distinct vertex positions.  Every vertex is
+    a singleton simplex, whether or not a cell holds it.
+    """
+    simplices = {(i,) for i in range(len(vertices))}
+    for cell in cells:
+        face = sorted(cell)
         for k in range(2, len(face) + 1):
             simplices.update(combinations(face, k))
-    return SimplicialComplex(universe, simplices)
+    return SimplicialComplex(vertices, simplices)
 
 
 def wedge(
@@ -198,24 +207,31 @@ def _empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
     return [(names[a], names[b], names[c], names[d]) for a, b, c, d in sorted(squares)]
 
 
+def cliques(adj: Sequence[AbstractSet[int]]) -> Iterator[tuple[int, ...]]:
+    """Cliques of the graph on 0..n-1 with neighbour sets `adj`.
+
+    Each clique is an increasing tuple, and they come in (size, lex) order.
+    Each level is built in full from the one before, and then yielded: each
+    clique is held with its common neighbours beyond its last vertex, in
+    increasing order, and grows by each of them.
+    """
+    level = [((v,), sorted(w for w in adj[v] if w > v)) for v in range(len(adj))]
+    while level:
+        yield from (clique for clique, _ in level)
+        level = [
+            (clique + (v,), [w for w in later[i + 1 :] if w in adj[v]])
+            for clique, later in level
+            for i, v in enumerate(later)
+        ]
+
+
 def _flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:
     """An inclusion-minimal clique of the 1-skeleton that spans no simplex.
 
-    Cliques are grown in size order; None when k is flag.
+    The first such clique in (size, lex) order; None when k is flag.
     """
-    adj = k.adjacency()
-    frontier: list[tuple[int, ...]] = [(v,) for v in range(len(adj))]
-    while frontier:
-        nxt = []
-        for clique in frontier:
-            cands = adj[clique[0]].intersection(*(adj[v] for v in clique[1:]))
-            for v in sorted(v for v in cands if v > clique[-1]):
-                bigger = clique + (v,)
-                if bigger not in k.simplices:
-                    return tuple(k.vertices[i] for i in bigger)
-                nxt.append(bigger)
-        frontier = nxt
-    return None
+    missing = next((c for c in cliques(k.adjacency()) if c not in k.simplices), None)
+    return None if missing is None else tuple(k.vertices[i] for i in missing)
 
 
 def square_report(k: SimplicialComplex) -> SquareReport:

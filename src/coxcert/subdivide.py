@@ -5,7 +5,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex, _flag_witness, square_report
+from .simplicial import SimplicialComplex, _flag_witness, cliques, closure, square_report
 
 
 def order_complex(
@@ -106,12 +106,7 @@ def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
                 (z, q[u], m),
                 (z, m, q[w]),
             ]
-    simplices = {(i,) for i in range(count)}
-    for cell in cells:
-        face = sorted(cell)
-        for r in range(2, len(face) + 1):
-            simplices.update(combinations(face, r))
-    return SimplicialComplex([f"q{i}" for i in range(count)], simplices)
+    return closure([f"q{i}" for i in range(count)], cells)
 
 
 # -- flag-no-square preserving compaction ----------------------------------
@@ -186,19 +181,13 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
         if not merged:
             break
 
-    # the survivors in name order, and the new position of each; the
-    # triangles are the 3-cliques of the final graph
+    # the survivors in name order; the output is the clique complex of the
+    # final graph, so a 4-clique would be a 3-simplex, not a flag failure
     keep = sorted(set(range(n)) - gone, key=k.vertices.__getitem__)
     new = {i: p for p, i in enumerate(keep)}
-    simplices = {(new[i],) for i in keep}
-    for i in keep:
-        for j in adj[i]:
-            if i < j:
-                simplices.add(tuple(sorted((new[i], new[j]))))
-                simplices.update(
-                    tuple(sorted((new[i], new[j], new[m]))) for m in adj[i] & adj[j] if j < m
-                )
-    out = SimplicialComplex([k.vertices[i] for i in keep], simplices)
-    if not square_report(out).flag_no_squares:
+    out = SimplicialComplex(
+        [k.vertices[i] for i in keep], cliques([{new[j] for j in adj[i]} for i in keep])
+    )
+    if out.dim() > 2 or not square_report(out).flag_no_squares:
         raise RuntimeError("contraction pass broke the flag-no-square property")
     return out

@@ -249,6 +249,19 @@ def test_closure_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, command)
     assert "cell limit" in report["error"]
 
 
+@pytest.mark.parametrize("command", ["racg", "hyperbolic", "davis"])
+def test_implied_matrix_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, command):
+    """n isolated vertices imply an n x n Coxeter matrix, counted against the cell cap."""
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "100")
+    for n, expected in ((10, 0), (11, 2)):
+        verts = [f"v{i}" for i in range(n)]
+        path = tmp_path / f"points{n}.json"
+        path.write_text(json.dumps({"vertices": verts, "maximal_simplices": [[v] for v in verts]}))
+        code, report = run_cli(capsys, command, str(path))
+        assert code == expected
+    assert "cell limit" in report["error"]
+
+
 def test_davis_negative_radius_exits_2(tmp_path, capsys):
     path = write_complex(tmp_path, cycle_complex(4))
     for flag, value in [("--radius", "-1"), ("--max-cells", "-3"), ("--max-homology-cells", "-1")]:

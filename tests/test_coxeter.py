@@ -114,14 +114,16 @@ def test_nerve_examples():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0))
 def test_nerve_matches_is_spherical_on_general_matrices(seed):
-    """Level-by-level growth finds exactly the subsets is_spherical accepts."""
+    """Level-by-level growth, and on right-angled matrices the cliques of the
+    commuting graph, find exactly the subsets is_spherical accepts."""
     rng = random.Random(seed)
     n = rng.randint(1, 5)
+    orders = rng.choice(((INF, 2), (INF, 2, 3, 4, 5, 6)))
     gens = [f"g{i}" for i in range(n)]
     entries = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            entries[i][j] = entries[j][i] = rng.choice((INF, 2, 3, 4, 5, 6))
+            entries[i][j] = entries[j][i] = rng.choice(orders)
     sys = system_from_matrix(gens, entries)
     expected = {
         t

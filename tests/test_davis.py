@@ -226,3 +226,18 @@ def test_dimensions_do_not_enumerate_cosets():
     assert (b.realization_dim(), b.singular_dim()) == (2, 1)
     assert "cosets" not in b.__dict__
     assert b.realization().dim() == 2
+
+
+def test_cosets_and_dimensions_build_no_up_lists(monkeypatch):
+    """The up-lists cost 2^|T| entries per clique T; only the order complexes read them."""
+    import coxcert.davis as davis
+
+    def refuse(k, start=0):
+        raise AssertionError("face poset built")
+
+    monkeypatch.setattr(davis, "face_poset", refuse)
+    n = 12
+    entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    b = davis.DavisBall(system_from_matrix([f"g{i}" for i in range(n)], entries), 0)
+    assert len(b.cosets) == 4096
+    assert (b.realization_dim(), b.singular_dim()) == (12, 11)

@@ -1,11 +1,13 @@
 """Core complex construction, flag/square reports and wedges."""
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcert.simplicial import (
     SimplicialComplex,
+    cliques,
     complex_from_json,
     complex_to_json,
     faces_closure,
@@ -141,3 +143,26 @@ def test_cone_is_always_acyclic(seed):
     rng = random.Random(seed)
     k = random_complex(rng)
     assert homology(cone(k, "zz:apex"), reduced=True).is_trivial()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0))
+def test_cliques_match_brute_force(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 8)
+    p = rng.random()
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        if rng.random() < p:
+            adj[a].add(b)
+            adj[b].add(a)
+    expected = sorted(
+        (
+            t
+            for r in range(1, n + 1)
+            for t in combinations(range(n), r)
+            if all(b in adj[a] for a, b in combinations(t, 2))
+        ),
+        key=lambda t: (len(t), t),
+    )
+    assert list(cliques(adj)) == expected

@@ -157,6 +157,22 @@ def test_contraction_rejects_non_flag_input():
         contract_flag_no_squares(hollow_triangle())
 
 
+def test_contraction_refuses_a_four_clique(monkeypatch):
+    """The output is the clique complex of the final graph, so a 4-clique would
+    be a 3-simplex, not a flag failure: the postcondition checks the dimension."""
+    import coxcert.subdivide as subdivide
+
+    real = subdivide.cliques
+
+    def with_four_clique(adj):
+        yield from real(adj)
+        yield (0, 1, 2, 3)
+
+    monkeypatch.setattr(subdivide, "cliques", with_four_clique)
+    with pytest.raises(RuntimeError):
+        contract_flag_no_squares(no_square_subdivision(cycle_complex(4)))
+
+
 def _assert_contraction_matches_reference(k):
     fast = contract_flag_no_squares(k)
     check_invariants(fast)
