@@ -208,21 +208,22 @@ def _empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
 
 
 def cliques(adj: Sequence[AbstractSet[int]]) -> Iterator[tuple[int, ...]]:
-    """Cliques of the graph on 0..n-1 with neighbour sets `adj`.
-
-    Each clique is an increasing tuple, and they come in (size, lex) order.
-    Each level is built in full from the one before, and then yielded: each
-    clique is held with its common neighbours beyond its last vertex, in
-    increasing order, and grows by each of them.
+    """Cliques of the graph on 0..n-1 with neighbour sets `adj`, as increasing
+    tuples in (size, lex) order.  Each level grows from the one before by the
+    common neighbours beyond a clique's last vertex, and each clique is
+    yielded as soon as it is built, so a caller that stops early builds no more.
     """
-    level = [((v,), sorted(w for w in adj[v] if w > v)) for v in range(len(adj))]
+    level = [(v,) for v in range(len(adj))]
+    yield from level
     while level:
-        yield from (clique for clique, _ in level)
-        level = [
-            (clique + (v,), [w for w in later[i + 1 :] if w in adj[v]])
-            for clique, later in level
-            for i, v in enumerate(later)
-        ]
+        nxt = []
+        for clique in level:
+            common = adj[clique[0]].intersection(*(adj[v] for v in clique[1:]))
+            for v in sorted(w for w in common if w > clique[-1]):
+                bigger = clique + (v,)
+                yield bigger
+                nxt.append(bigger)
+        level = nxt
 
 
 def _flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:

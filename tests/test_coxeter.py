@@ -111,7 +111,7 @@ def test_nerve_examples():
     assert n2.dim() == 1 and len(n2.simplices) == 3  # an edge
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0))
 def test_nerve_matches_is_spherical_on_general_matrices(seed):
     """Level-by-level growth, and on right-angled matrices the cliques of the

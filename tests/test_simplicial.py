@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxcert.simplicial import (
     SimplicialComplex,
+    _flag_witness,
     cliques,
     complex_from_json,
     complex_to_json,
@@ -166,3 +167,30 @@ def test_cliques_match_brute_force(seed):
         key=lambda t: (len(t), t),
     )
     assert list(cliques(adj)) == expected
+
+
+class _BudgetedAdjacency(list):
+    """Neighbour sets that refuse to be read more than `budget` times."""
+
+    def __init__(self, sets, budget):
+        super().__init__(sets)
+        self.reads = 0
+        self.budget = budget
+
+    def __getitem__(self, i):
+        self.reads += 1
+        if self.reads > self.budget:
+            raise AssertionError(f"adjacency read more than {self.budget} times")
+        return super().__getitem__(i)
+
+
+def test_flag_witness_stops_at_the_first_missing_clique():
+    """On the 1-skeleton of K_n the witness is its first triangle, found
+    before the other C(n, 3) - 1 triangles are built."""
+    n = 200
+    edges = list(combinations(range(n), 2))
+    k = SimplicialComplex([f"v{i}" for i in range(n)], [(i,) for i in range(n)] + edges)
+    assert _flag_witness(k) == ("v0", "v1", "v2")
+    adj = _BudgetedAdjacency(k.adjacency(), budget=n * n)
+    first_triangle = next(c for c in cliques(adj) if len(c) == 3)
+    assert first_triangle == (0, 1, 2)
