@@ -123,6 +123,15 @@ def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str
     return sys_, digest, refusal
 
 
+def _nerve_capped(build, *args):
+    """Call `build`, which lists the simplices of a nerve, with the cell cap
+    on them; over it is an input error."""
+    try:
+        return build(*args, max_cells=_cell_limit())
+    except ValueError as exc:
+        raise InputError(f"nerve: {exc}") from exc
+
+
 def _check_cell_limit() -> None:
     """A malformed SNF cell cap is an input error, found before any work."""
     try:
@@ -158,7 +167,7 @@ def cmd_hyperbolic(args) -> RunReport:
     if refusal is not None:
         report.add("flag-input", "fail", reason=refusal)
         return report
-    hyp = hyperbolicity(sys_)
+    hyp = _nerve_capped(hyperbolicity, sys_)
     status = "pass" if hyp.hyperbolic is not None else "indeterminate"
     report.add(
         "hyperbolicity",
@@ -179,7 +188,7 @@ def cmd_nerve(args) -> RunReport:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = RunReport("nerve", digest)
-    report.add("nerve", "pass", complex=complex_to_json(nerve_of(sys_)))
+    report.add("nerve", "pass", complex=complex_to_json(_nerve_capped(nerve_of, sys_)))
     return report
 
 
@@ -211,7 +220,7 @@ def cmd_davis(args) -> RunReport:
     if not sys_.right_angled:
         report.add("right-angled", "fail", reason="davis balls require a right-angled system")
         return report
-    ball = davis_ball(sys_, args.radius)
+    ball = _nerve_capped(davis_ball, sys_, args.radius)
     report.add(
         "ball",
         "pass",
@@ -233,8 +242,7 @@ def cmd_davis(args) -> RunReport:
     else:
         extracted = None
     if extracted is not None:
-        cells = sum(extracted.counts())
-        report.add("extract", "pass", kind=kind, dim=extracted_dim, cells=cells)
+        report.add("extract", "pass", kind=kind, dim=extracted_dim, cells=len(extracted.simplices))
         try:
             result = homology(extracted, reduced=True, max_cells=args.max_homology_cells)
             report.add("homology", "pass", table=result.to_json(max_degree=max(extracted.dim(), 0)))

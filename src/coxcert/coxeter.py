@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplicialComplex, _flag_witness, cliques, square_report
+from .simplicial import SimplicialComplex, _flag_witness, capped, cliques, square_report
 
 INF = 0  # Coxeter matrix entries use 0 to encode infinity (as in the JSON format)
 
@@ -224,27 +224,32 @@ def _is_spherical_idx(sys: CoxeterSystem, idx: tuple[int, ...]) -> bool:
     return True
 
 
-def nerve(sys: CoxeterSystem) -> SimplicialComplex:
+def nerve(sys: CoxeterSystem, *, max_cells: Optional[int] = None) -> SimplicialComplex:
     """Complex on the generators whose simplices are the spherical subsets.
 
     In a right-angled system they are the cliques of the commuting graph.
     Otherwise each level grows from the one before by larger indices (they
-    are closed under subsets) through the finiteness classification.
+    are closed under subsets) through the finiteness classification.  More
+    than `max_cells` simplices raise `ValueError` while they are listed.
     """
+    return SimplicialComplex(sys.generators, capped(_spherical_subsets(sys), max_cells))
+
+
+def _spherical_subsets(sys: CoxeterSystem) -> Iterable[tuple[int, ...]]:
+    """The simplices of the nerve, a level at a time."""
     if sys.right_angled:
-        return SimplicialComplex(sys.generators, cliques(sys.link))
+        yield from cliques(sys.link)
+        return
     n = sys.matrix.rank
     level = [(i,) for i in range(n)]
-    simplices: list[tuple[int, ...]] = []
     while level:
-        simplices += level
+        yield from level
         level = [
             t + (j,)
             for t in level
             for j in range(t[-1] + 1, n)
             if _is_spherical_idx(sys, t + (j,))
         ]
-    return SimplicialComplex(sys.generators, simplices)
 
 
 # -- hyperbolicity -----------------------------------------------------------
@@ -259,14 +264,14 @@ class HyperbolicityReport:
     z2_witness: Optional[tuple[str, str, str, str]]
 
 
-def hyperbolicity(sys: CoxeterSystem) -> HyperbolicityReport:
+def hyperbolicity(sys: CoxeterSystem, *, max_cells: Optional[int] = None) -> HyperbolicityReport:
     """Flag-no-squares test on the nerve; decides word hyperbolicity for RA systems.
 
     An empty square (a, b, c, d) of the nerve yields the witness (a, c, b, d):
     the two diagonal pairs generate commuting infinite dihedral subgroups,
-    hence a Z x Z subgroup.
+    hence a Z x Z subgroup.  `max_cells` caps the nerve, as in `nerve`.
     """
-    l = nerve(sys)
+    l = nerve(sys, max_cells=max_cells)
     report = square_report(l)
     if not sys.right_angled:
         return HyperbolicityReport(False, report.is_flag, report.empty_squares, None, None)

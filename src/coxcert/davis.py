@@ -7,7 +7,7 @@ from typing import Optional
 
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, nerve
 from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex, cliques
+from .simplicial import SimplicialComplex, capped, cliques
 from .subdivide import face_poset, order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .coxeter import in_special_subgroup, min_coset_rep, reduce  # noqa: F401
@@ -40,14 +40,15 @@ class DavisBall:
     letter of w (Davis, walls of the Davis complex).
     """
 
-    def __init__(self, system: CoxeterSystem, radius: int):
+    def __init__(self, system: CoxeterSystem, radius: int, *, max_cells: Optional[int] = None):
         _check_ra(system)
         if radius < 0:
             raise ValueError("radius must be >= 0")
         self.system = system
         self.radius = radius
-        # the empty type, then the cliques of the nerve in (size, lex) order
-        self._sphericals: list[Subset] = [()] + list(cliques(system.link))
+        # the empty type, then the cliques of the nerve in (size, lex) order,
+        # at most max_cells of them (ValueError past that)
+        self._sphericals: list[Subset] = [()] + list(capped(cliques(system.link), max_cells))
 
     @cached_property
     def _supersets(self) -> dict[Subset, list[Subset]]:
@@ -167,8 +168,8 @@ class DavisBall:
         }
 
 
-def davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
-    return DavisBall(sys, radius)
+def davis_ball(sys: CoxeterSystem, radius: int, *, max_cells: Optional[int] = None) -> DavisBall:
+    return DavisBall(sys, radius, max_cells=max_cells)
 
 
 # -- distinguished subcomplexes ---------------------------------------------

@@ -5,9 +5,8 @@ from __future__ import annotations
 import gc
 import math
 import os
-from collections import deque
-from contextlib import contextmanager
-from itertools import combinations
+from collections import defaultdict, deque
+from itertools import chain, combinations, repeat
 from typing import Iterable, Optional
 
 from .simplicial import SimplicialComplex
@@ -26,23 +25,6 @@ def _cell_limit() -> int:
     if limit < 0:
         raise ValueError(f"COXCERT_SNF_CELL_LIMIT must be a non-negative integer, got {raw!r}")
     return limit
-
-
-@contextmanager
-def _collector_paused():
-    """Pause the process-wide cyclic garbage collector, then restore it.
-
-    For building many small lists of integers: they form no cycles, and
-    every collection would rescan them (about 1 s of coreductions on a
-    complex of 854,641 cells)."""
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -137,79 +119,77 @@ def rank_and_torsion(columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int,
 
 
 class ChainComplex:
-    """Boundary matrices of a complex with the sorted-vertex orientation.
+    """Boundary maps of a complex with the sorted-vertex orientation.
 
-    The cells are the complex's position tuples, grouped by degree in one
-    pass and sorted within each degree.  Degree-k boundary columns are
-    indexed by k-simplices, rows by (k-1)-simplices, with alternating signs
-    over omitted vertices.  `combinations` lists the faces of a cell with
-    its last vertex omitted first, so the signs run from (-1)^k to +1.
+    The cells are the complex's position tuples, grouped by degree and sorted
+    within each degree.  `faces[d]` is one flat list of (d-1)-cell indices:
+    cell i of degree d >= 1 owns slots i*(d+1) ... i*(d+1)+d, its faces in
+    `combinations` order, which omits its last vertex first.  So the sign of
+    slot j is (-1)^(d-j), read off its position.  The boundary entries count
+    against the cell limit before any face is listed.
     """
 
     def __init__(self, k: SimplicialComplex):
-        self.basis: list[list[tuple[int, ...]]] = [[] for _ in range(k.dim() + 1)]
+        groups: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
         for s in k.simplices:
-            self.basis[len(s) - 1].append(s)
+            groups[len(s)].append(s)
+        self.basis = [groups[n] for n in range(1, max(groups, default=0) + 1)]
+        nnz = sum((d + 1) * len(cells) for d, cells in enumerate(self.basis) if d)
+        if nnz > _cell_limit():
+            raise MatrixSizeError(f"chain complex with {nnz} boundary entries exceeds cell limit")
         for cells in self.basis:
             cells.sort()
-        self.boundaries: list[list[dict[int, int]]] = []
+        self.faces: list[list[int]] = [[]]
         for d in range(1, len(self.basis)):
             face_index = {s: i for i, s in enumerate(self.basis[d - 1])}.__getitem__
-            signs = [(-1) ** (d - j) for j in range(d + 1)]
-            self.boundaries.append(
-                [dict(zip(map(face_index, combinations(s, d)), signs)) for s in self.basis[d]]
-            )
+            slots = chain.from_iterable(combinations(s, d) for s in self.basis[d])
+            self.faces.append(list(map(face_index, slots)))
 
-    def coreduce(self) -> list[list[int]]:
-        """Reduce the complex in place to its critical cells, listed by degree.
+    def coreduce(self) -> tuple[list[list[int]], list[list[dict[int, int]]]]:
+        """Critical cells by degree, and the boundary of each in the critical
+        cells of the degree below (no columns in degree 0).
 
         Coreductions (Mrozek-Batko, DCG 2009): an active cell b whose only
         active face is a is paired with a; when no such b is left, the
         lowest-degree active cell becomes critical.  The incidence of a pair
-        is +-1, so removing it is an exact change of basis over Z
-        (Kaczynski-Mrozek-Slusarek 1998): each coface c of a gets
-        d(c) -= <d(c), a> <d(b), a> d(b).  The other faces of b are critical,
-        so the fill lands only on critical cells.  Entries on removed cells go
-        stale and are skipped; at the end the column of each critical cell
-        holds just its boundary in the critical cells of the degree below.
-        Run once, on a freshly built complex.
+        is +-1, so the pairs are a discrete Morse matching over Z, and the
+        boundary of a critical cell follows the pairing (Forman; Harker,
+        Mischaikow, Mrozek and Nanda, FoCM 2014): a critical face stays, a
+        face removed as the upper cell of a pair vanishes, and a face a
+        removed as the lower cell of the pair (a, b) becomes
+        -<d(b), a> (d(b) - <d(b), a> a), its faces resolved the same way.
         """
         top = len(self.basis)
-        cols = self.boundaries
-        # per cell: 0 active, 1 critical, 2 removed; and its number of active faces
+        # per cell: 0 active, 1 critical, 2 removed as the lower cell of a
+        # pair, 3 removed as the upper cell; and its number of active faces
         state = [bytearray(len(cells)) for cells in self.basis]
         live = [bytearray([d + 1 if d else 0]) * len(cells) for d, cells in enumerate(self.basis)]
+        partner = [[0] * len(cells) for cells in self.basis[:-1]]  # b of each lower cell a
         critical: list[list[int]] = [[] for _ in self.basis]
         queue: deque[tuple[int, int]] = deque()
-        with _collector_paused():
+        faces = self.faces
+        # the lists built here form no cycles, and every collection would
+        # rescan them (about 1 s of 4 s on a complex of 854,641 cells)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
             cofaces = []
             for d in range(top - 1):
                 up: list[list[int]] = [[] for _ in self.basis[d]]
-                for i, col in enumerate(cols[d]):
-                    for r in col:
-                        up[r].append(i)
+                # one int object per coface, repeated for each of its faces
+                n_above = len(self.basis[d + 1])
+                owners = chain.from_iterable(map(repeat, range(n_above), repeat(d + 2)))
+                for c, r in zip(owners, faces[d + 1]):
+                    up[r].append(c)
                 cofaces.append(up)
 
-            def release(d: int, i: int, fill=(), pivot: int = 0) -> None:
-                # cell i of degree d stops being active; a removed face hands
-                # its pair's fill on to its cofaces
+            def release(d: int, i: int) -> None:
+                # cell i of degree d stops being active
                 if d + 1 == top:
                     return
-                above, count, col_above = state[d + 1], live[d + 1], cols[d]
+                above, count = state[d + 1], live[d + 1]
                 for c in cofaces[d][i]:
-                    s = above[c]
-                    if s == 2:
-                        continue
-                    if fill:
-                        target = col_above[c]
-                        factor = target[i] * pivot
-                        for r, v in fill:
-                            nv = target.get(r, 0) - factor * v
-                            if nv:
-                                target[r] = nv
-                            else:
-                                del target[r]
-                    if s == 0:
+                    if above[c] == 0:
                         count[c] -= 1
                         if count[c] == 1:
                             queue.append((d + 1, c))
@@ -221,14 +201,12 @@ class ChainComplex:
                     if state[d][b] or live[d][b] != 1:
                         continue
                     below = state[d - 1]
-                    fill = []
-                    for r, v in cols[d - 1][b].items():
-                        if below[r] == 0:
-                            a, pivot = r, v
-                        elif below[r] == 1:
-                            fill.append((r, v))
-                    below[a] = state[d][b] = 2
-                    release(d - 1, a, fill, pivot)
+                    for a in faces[d][b * (d + 1) : (b + 1) * (d + 1)]:
+                        if not below[a]:
+                            break
+                    below[a], state[d][b] = 2, 3
+                    partner[d - 1][a] = b
+                    release(d - 1, a)
                     release(d, b)
                 # no pair left: the lowest-degree active cell becomes critical
                 for d in range(top):
@@ -243,19 +221,55 @@ class ChainComplex:
                 cells[i] = 1
                 critical[d].append(i)
                 release(d, i)
-        for d in range(1, top):
-            below = state[d - 1]
-            for i in critical[d]:
-                col = cols[d - 1][i]
-                for r in [r for r in col if below[r] != 1]:
-                    del col[r]
-        return critical
+            del cofaces
+            columns = [
+                self._follow(d, state[d - 1], partner[d - 1], critical[d]) for d in range(1, top)
+            ]
+        finally:
+            if collecting:
+                gc.enable()
+        return critical, [[]] + columns
 
-    def boundary_columns(self, d: int) -> list[dict[int, int]]:
-        """Columns of the degree-d boundary map (d >= 1)."""
-        if 1 <= d < len(self.basis):
-            return self.boundaries[d - 1]
-        return []
+    def _follow(self, d: int, below: bytearray, partner: list[int], cells: list[int]) -> list:
+        """Boundaries of the given d-cells in the critical (d-1)-cells.  The
+        image of each lower face reached is computed once, after the images
+        it is made of: faces removed before it, so the search ends."""
+        faces, width = self.faces[d], d + 1
+        signs = [(-1) ** (d - j) for j in range(width)]
+        images: list[Optional[dict[int, int]]] = [None] * len(below)
+        empty: dict[int, int] = {}  # shared by every image that vanishes
+
+        def combine(b: int, skip: int = -1) -> dict[int, int]:
+            # d(b) in the critical cells or, for the pair (skip, b), the image
+            # of skip: -<d(b), skip> (d(b) - <d(b), skip> skip)
+            acc: dict[int, int] = {}
+            factor = 1
+            for r, sign in zip(faces[b * width : (b + 1) * width], signs):
+                if r == skip:
+                    factor = -sign
+                elif below[r] == 1:
+                    acc[r] = acc.get(r, 0) + sign
+                elif below[r] == 2:
+                    for rr, v in images[r].items():
+                        acc[rr] = acc.get(rr, 0) + sign * v
+            return {r: factor * v for r, v in acc.items() if v} if acc else acc
+
+        def pending(b: int, skip: int = -1) -> list[int]:
+            # the lower faces of b, other than skip, with no image yet
+            slots = faces[b * width : (b + 1) * width]
+            return [r for r in slots if below[r] == 2 and r != skip and images[r] is None]
+
+        columns = []
+        for b in cells:
+            stack = pending(b)
+            while stack:
+                a = stack.pop()
+                if a >= 0 and images[a] is None:  # first visit: its faces go above it
+                    stack += [~a] + pending(partner[a], a)
+                elif a < 0 and images[~a] is None:
+                    images[~a] = combine(partner[~a], ~a) or empty
+            columns.append(combine(b))
+        return columns
 
 
 class HomologyResult:
@@ -315,8 +329,8 @@ def homology(
 ) -> HomologyResult:
     """Integral homology: coreductions, then Smith normal form over exact integers.
 
-    The boundary entries count against the cell limit before the chain
-    complex is built; more than `max_cells` critical cells raise
+    The boundary entries count against the cell limit before any face is
+    listed; more than `max_cells` critical cells raise
     `MatrixSizeError` before any SNF.  The empty complex in reduced mode
     reports the augmentation kernel as a single Z in degree -1.
     """
@@ -324,29 +338,16 @@ def homology(
         if reduced:
             return HomologyResult({-1: 1}, {}, reduced=True)
         return HomologyResult({}, {}, reduced=False)
-    nnz = sum(map(len, k.simplices)) - len(k.vertices)  # a vertex has no boundary
-    if nnz > _cell_limit():
-        raise MatrixSizeError(f"chain complex with {nnz} boundary entries exceeds cell limit")
     cc = ChainComplex(k)
-    critical = cc.coreduce()
+    critical, boundaries = cc.coreduce()
     n_critical = sum(map(len, critical))
     if max_cells is not None and n_critical > max_cells:
         raise MatrixSizeError(f"{n_critical} critical cells exceed the homology cap {max_cells}")
-    dim = k.dim()
-    ranks = {}
-    torsions = {}
+    dim = len(cc.basis) - 1
+    # the augmentation onto Z is onto for a non-empty complex
+    ranks = {0: 1 if reduced else 0, dim + 1: 0}
+    torsions = {dim + 1: ()}
     for d in range(1, dim + 1):
-        cols = cc.boundary_columns(d)
-        ranks[d], torsions[d] = rank_and_torsion([cols[i] for i in critical[d]])
-    if reduced:
-        ranks[0] = 1  # augmentation onto Z is onto for a non-empty complex
-        torsions[0] = ()
-    else:
-        ranks[0], torsions[0] = 0, ()
-    ranks[dim + 1], torsions[dim + 1] = 0, ()
-    betti = {}
-    torsion = {}
-    for d in range(dim + 1):
-        betti[d] = len(critical[d]) - ranks[d] - ranks[d + 1]
-        torsion[d] = torsions[d + 1]
-    return HomologyResult(betti, torsion, reduced=reduced)
+        ranks[d], torsions[d] = rank_and_torsion(boundaries[d])
+    betti = {d: len(critical[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
+    return HomologyResult(betti, {d: torsions[d + 1] for d in range(dim + 1)}, reduced=reduced)

@@ -1,6 +1,7 @@
 """Finite abstract simplicial complexes and their basic constructions."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
@@ -33,19 +34,16 @@ class SimplicialComplex:
 
     def dim(self) -> int:
         """Max simplex cardinality minus one; -1 for the empty complex."""
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return max(map(len, self.simplices), default=0) - 1
 
     def k_simplices(self, k: int) -> list[tuple[int, ...]]:
         """All k-dimensional simplices in lexicographic order."""
         return sorted(s for s in self.simplices if len(s) == k + 1)
 
     def counts(self) -> list[int]:
-        out = [0] * (self.dim() + 1 if self.simplices else 0)
-        for s in self.simplices:
-            out[len(s) - 1] += 1
-        return out
+        """Number of simplices in each degree, from one pass over them."""
+        sizes = Counter(map(len, self.simplices))
+        return [sizes[n] for n in range(1, max(sizes, default=0) + 1)]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.counts()))
@@ -224,6 +222,15 @@ def cliques(adj: Sequence[AbstractSet[int]]) -> Iterator[tuple[int, ...]]:
                 yield bigger
                 nxt.append(bigger)
         level = nxt
+
+
+def capped(cells: Iterable[tuple[int, ...]], max_cells: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """The cells as they come, raising `ValueError` as soon as one more than
+    `max_cells` comes, so that nothing past the cap is built."""
+    for n, cell in enumerate(cells, 1):
+        if max_cells is not None and n > max_cells:
+            raise ValueError(f"more than {max_cells} simplices, over the cell limit")
+        yield cell
 
 
 def _flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import heapq
+from collections import deque
 from itertools import combinations
 import random
 
@@ -223,34 +224,136 @@ def reference_snf_divisors(columns: list[dict[int, int]]) -> list[int]:
     return [1] * unit_rank + snf_divisors(list(cols.values()))
 
 
+# -- full boundary matrices and eager coreductions ---------------------------
+
+
+def boundary_columns(k: SimplicialComplex, d: int) -> list[dict[int, int]]:
+    """Columns of the degree-d boundary map of k, one dict per d-cell.
+
+    Columns and rows are the d- and (d-1)-cells in sorted order, and the
+    faces carry the sorted-vertex orientation: omitting vertex m of a
+    d-cell has sign (-1)^m.  Empty for d < 1.
+    """
+    if d < 1:
+        return []
+    rows = {s: i for i, s in enumerate(k.k_simplices(d - 1))}
+    signs = [(-1) ** (d - j) for j in range(d + 1)]  # combinations omit the last vertex first
+    return [dict(zip(map(rows.__getitem__, combinations(s, d)), signs)) for s in k.k_simplices(d)]
+
+
+def reference_coreduce(k: SimplicialComplex) -> tuple[list[list[int]], list[list[dict[int, int]]]]:
+    """Coreductions with an eager change of basis: the oracle for
+    `ChainComplex.coreduce`, with the same pairing order and the same result.
+
+    When a pair (a, b) is removed, every coface c of a that is not removed
+    gets d(c) -= <d(c), a> <d(b), a> d(b) (Kaczynski-Mrozek-Slusarek 1998),
+    restricted to the faces of b that are critical by then; entries on
+    removed cells go stale and are skipped.  At the end the column of each
+    critical cell is trimmed to its critical entries.
+    """
+    basis = [k.k_simplices(d) for d in range(k.dim() + 1)]
+    top = len(basis)
+    cols = [boundary_columns(k, d) for d in range(1, top)]
+    # per cell: 0 active, 1 critical, 2 removed; and its number of active faces
+    state = [bytearray(len(cells)) for cells in basis]
+    live = [bytearray([d + 1 if d else 0]) * len(cells) for d, cells in enumerate(basis)]
+    critical: list[list[int]] = [[] for _ in basis]
+    queue: deque[tuple[int, int]] = deque()
+    cofaces = []
+    for d in range(top - 1):
+        up: list[list[int]] = [[] for _ in basis[d]]
+        for i, col in enumerate(cols[d]):
+            for r in col:
+                up[r].append(i)
+        cofaces.append(up)
+
+    def release(d: int, i: int, fill=(), pivot: int = 0) -> None:
+        # cell i of degree d stops being active; a removed face hands its
+        # pair's fill on to its cofaces
+        if d + 1 == top:
+            return
+        above, count, col_above = state[d + 1], live[d + 1], cols[d]
+        for c in cofaces[d][i]:
+            s = above[c]
+            if s == 2:
+                continue
+            if fill:
+                target = col_above[c]
+                factor = target[i] * pivot
+                for r, v in fill:
+                    nv = target.get(r, 0) - factor * v
+                    if nv:
+                        target[r] = nv
+                    else:
+                        del target[r]
+            if s == 0:
+                count[c] -= 1
+                if count[c] == 1:
+                    queue.append((d + 1, c))
+
+    start = [0] * top
+    while True:
+        while queue:
+            d, b = queue.popleft()
+            if state[d][b] or live[d][b] != 1:
+                continue
+            below = state[d - 1]
+            fill = []
+            for r, v in cols[d - 1][b].items():
+                if below[r] == 0:
+                    a, pivot = r, v
+                elif below[r] == 1:
+                    fill.append((r, v))
+            below[a] = state[d][b] = 2
+            release(d - 1, a, fill, pivot)
+            release(d, b)
+        for d in range(top):
+            cells, i = state[d], start[d]
+            while i < len(cells) and cells[i]:
+                i += 1
+            start[d] = i
+            if i < len(cells):
+                break
+        else:
+            break
+        cells[i] = 1
+        critical[d].append(i)
+        release(d, i)
+    boundaries: list[list[dict[int, int]]] = [[]]
+    for d in range(1, top):
+        below = state[d - 1]
+        boundaries.append(
+            [{r: v for r, v in cols[d - 1][i].items() if below[r] == 1} for i in critical[d]]
+        )
+    return critical, boundaries
+
+
 def reference_homology(k: SimplicialComplex, reduced: bool = False):
     """Integral homology from the SNF of every full boundary matrix, with no
     reduction before it: the oracle for the coreduced path of `homology`."""
-    from coxcert.homology import ChainComplex, HomologyResult
+    from coxcert.homology import HomologyResult
 
     if not k.simplices:
         return HomologyResult({-1: 1} if reduced else {}, {}, reduced=reduced)
-    cc = ChainComplex(k)
-    dim = k.dim()
+    counts = k.counts()
+    dim = len(counts) - 1
     ranks = {0: 1 if reduced else 0, dim + 1: 0}
     torsions = {dim + 1: ()}
     for d in range(1, dim + 1):
-        divisors = reference_snf_divisors(cc.boundary_columns(d))
+        divisors = reference_snf_divisors(boundary_columns(k, d))
         ranks[d], torsions[d] = len(divisors), tuple(sorted(x for x in divisors if x > 1))
-    betti = {d: len(cc.basis[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
+    betti = {d: counts[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
     return HomologyResult(betti, {d: torsions[d + 1] for d in range(dim + 1)}, reduced=reduced)
 
 
 def rational_betti(k: SimplicialComplex) -> dict[int, int]:
     """Unreduced Betti numbers over Q, computed independently of the SNF path."""
-    from coxcert.homology import ChainComplex
-
-    cc = ChainComplex(k)
-    dim = k.dim()
+    counts = k.counts()
+    dim = len(counts) - 1
     ranks = {0: 0, dim + 1: 0}
     for d in range(1, dim + 1):
-        ranks[d] = rational_rank(cc.boundary_columns(d), len(cc.basis[d - 1]))
-    return {d: len(cc.basis[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
+        ranks[d] = rational_rank(boundary_columns(k, d), counts[d - 1])
+    return {d: counts[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
 
 
 # -- contraction with explicit triangle sets ---------------------------------

@@ -5,6 +5,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tracing  # noqa: E402
+from coxcert import cli, homology  # noqa: E402
+from helpers import projective_plane  # noqa: E402
 
 
 def test_tracing_install_and_uninstall_restore_every_name():
@@ -16,3 +18,32 @@ def test_tracing_install_and_uninstall_restore_every_name():
     for owner, leaf, original in saved:
         current = owner.__dict__[leaf] if isinstance(owner, type) else getattr(owner, leaf)
         assert current is original, (owner, leaf)
+
+
+def test_homology_goes_through_the_traced_chain_build_and_snf(monkeypatch):
+    """One `homology` call passes the two names whose spans and counters the
+    benchmark reads: `ChainComplex.__init__` (homology.chain_build_s) and
+    `rank_and_torsion` on lists of dict columns (homology.boundary_nnz)."""
+    seen = []
+    rank_and_torsion = homology.rank_and_torsion
+
+    def spy(columns):
+        seen.append(columns)
+        return rank_and_torsion(columns)
+
+    monkeypatch.setattr(homology, "rank_and_torsion", spy)
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        cli.homology(projective_plane())
+    finally:
+        tracing.uninstall(saved)
+    calls, total, _ = tracer.totals()
+    assert calls["homology.homology"] == 1
+    assert calls["homology.ChainComplex"] == 1 and total["homology.ChainComplex"] > 0
+    assert calls["homology.rank_and_torsion"] == len(seen) == 2
+    for columns in seen:
+        assert isinstance(columns, list)
+        assert all(isinstance(col, dict) for col in columns)
+    nnz = sum(len(col) for columns in seen for col in columns)
+    assert tracer.counts["homology.boundary_nnz"] == nnz > 0

@@ -262,6 +262,25 @@ def test_implied_matrix_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, c
     assert "cell limit" in report["error"]
 
 
+@pytest.mark.parametrize("command", ["nerve", "hyperbolic", "davis"])
+def test_nerve_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, command):
+    """n pairwise-commuting generators span 2^n - 1 nerve simplices, counted
+    against the cell cap while they are listed; so do n generators with one
+    relation of order 3 (every subset is spherical), which davis refuses."""
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "1000")
+    for order in (2, 3) if command != "davis" else (2,):
+        for n, expected in ((9, 0), (10, 2)):  # 511 and 1023 simplices
+            gens = [f"s{i}" for i in range(n)]
+            matrix = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+            matrix[0][1] = matrix[1][0] = order
+            path = tmp_path / f"spherical{n}.json"
+            path.write_text(json.dumps({"generators": gens, "matrix": matrix}))
+            extra = ["--radius", "0"] if command == "davis" else []
+            code, report = run_cli(capsys, command, str(path), *extra)
+            assert code == expected
+        assert report["error"] == "nerve: more than 1000 simplices, over the cell limit"
+
+
 def test_davis_negative_radius_exits_2(tmp_path, capsys):
     path = write_complex(tmp_path, cycle_complex(4))
     for flag, value in [("--radius", "-1"), ("--max-cells", "-3"), ("--max-homology-cells", "-1")]:

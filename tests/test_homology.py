@@ -17,6 +17,7 @@ from coxcert.models import farrell_quotient
 from coxcert.simplicial import SimplicialComplex, faces_closure
 
 from helpers import (
+    boundary_columns,
     cone,
     cycle_complex,
     full_triangle,
@@ -26,6 +27,7 @@ from helpers import (
     random_flag_complex,
     rational_betti,
     rational_rank,
+    reference_coreduce,
     reference_homology,
     reference_snf_divisors,
     torus_grid,
@@ -103,17 +105,32 @@ def test_dense_residual_is_capped_before_allocation(monkeypatch):
     assert snf_divisors([{i: 2} for i in range(10)]) == [2] * 10
 
 
+def _compose(upper, lower):
+    """Nonzero entries of the product of two boundary maps, one column each."""
+    out = []
+    for col in upper:
+        acc: dict = {}
+        for r, v in col.items():
+            for rr, vv in lower[r].items():
+                acc[rr] = acc.get(rr, 0) + v * vv
+        out.append({r: v for r, v in acc.items() if v})
+    return out
+
+
 def test_boundary_squares_to_zero():
+    """The flat face lists, signed by slot, are the full boundary columns,
+    and the boundary squares to zero."""
     for k in (full_triangle(), projective_plane(), cone(cycle_complex(4), "z")):
         cc = ChainComplex(k)
+        for d in range(1, k.dim() + 1):
+            faces, width = cc.faces[d], d + 1
+            signed = [
+                {faces[i * width + j]: (-1) ** (d - j) for j in range(width)}
+                for i in range(len(cc.basis[d]))
+            ]
+            assert signed == boundary_columns(k, d)
         for d in range(2, k.dim() + 1):
-            lower = cc.boundary_columns(d - 1)
-            for col in cc.boundary_columns(d):
-                acc: dict = {}
-                for r, v in col.items():
-                    for rr, vv in lower[r].items():
-                        acc[rr] = acc.get(rr, 0) + v * vv
-                assert all(x == 0 for x in acc.values())
+            assert not any(_compose(boundary_columns(k, d), boundary_columns(k, d - 1)))
 
 
 def test_hollow_triangle_homology():
@@ -167,19 +184,14 @@ def test_homology_result_equality_and_json():
 
 def _check_against_reference(k):
     """Homology equals the oracle without coreductions, reduced and unreduced,
-    and the critical cells form a chain complex: the boundary squares to 0."""
+    and the critical cells form a chain complex: the boundaries found by
+    following the pairing square to 0."""
     for reduced in (False, True):
         assert homology(k, reduced=reduced) == reference_homology(k, reduced=reduced)
-    cc = ChainComplex(k)
-    critical = cc.coreduce()
+    critical, columns = ChainComplex(k).coreduce()
     for d in range(2, len(critical)):
-        lower = cc.boundary_columns(d - 1)
-        for i in critical[d]:
-            acc: dict = {}
-            for r, v in cc.boundary_columns(d)[i].items():
-                for rr, vv in lower[r].items():
-                    acc[rr] = acc.get(rr, 0) + v * vv
-            assert not any(acc.values())
+        lower = dict(zip(critical[d - 1], columns[d - 1]))
+        assert not any(_compose(columns[d], lower))
     return critical
 
 
@@ -190,21 +202,28 @@ def test_coreduced_homology_matches_reference_on_random_complexes(seed):
     _check_against_reference(random_complex(rng, rng.randint(3, 9), rng.randint(1, 12)))
 
 
+def _davis_set(seed, radius, sharp):
+    rng = random.Random(seed)
+    ball = davis_ball(racg_from_flag(random_flag_complex(rng, rng.randint(2, 7))), radius)
+    return (hash_union_sharp if sharp else singular_subcomplex)(ball)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(min_value=0), st.integers(1, 2), st.booleans())
 def test_coreduced_homology_matches_reference_on_davis_sets(seed, radius, sharp):
-    rng = random.Random(seed)
-    ball = davis_ball(racg_from_flag(random_flag_complex(rng, rng.randint(2, 7))), radius)
-    _check_against_reference((hash_union_sharp if sharp else singular_subcomplex)(ball))
+    _check_against_reference(_davis_set(seed, radius, sharp))
+
+
+FIXED = {
+    "rp2": projective_plane,
+    "farrell-z14": lambda: farrell_quotient([(2, 5), (4, 3)]),
+    "farrell-z7": lambda: farrell_quotient([(3, -2), (3, 5), (2, 1)]),
+}
 
 
 @pytest.mark.parametrize(
     "k, h1_torsion",
-    [
-        (projective_plane, (2,)),
-        (lambda: farrell_quotient([(2, 5), (4, 3)]), (14,)),
-        (lambda: farrell_quotient([(3, -2), (3, 5), (2, 1)]), (7,)),
-    ],
+    [(FIXED["rp2"], (2,)), (FIXED["farrell-z14"], (14,)), (FIXED["farrell-z7"], (7,))],
     ids=["rp2", "farrell-z14", "farrell-z7"],
 )
 def test_coreduced_homology_keeps_torsion(k, h1_torsion):
@@ -214,3 +233,23 @@ def test_coreduced_homology_keeps_torsion(k, h1_torsion):
     assert h.torsion(1) == h1_torsion
     assert sum(map(len, critical)) < len(k.simplices)
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(min_value=0)),
+        st.tuples(st.just("davis"), st.integers(min_value=0), st.integers(0, 2), st.booleans()),
+        st.tuples(st.sampled_from(sorted(FIXED))),
+    )
+)
+def test_coreduce_matches_eager_reference(case):
+    """Pairing, then following the pairing, gives the critical cells and the
+    critical boundary columns of the eager change of basis, dict for dict."""
+    if case[0] == "random":
+        rng = random.Random(case[1])
+        k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
+    elif case[0] == "davis":
+        k = _davis_set(*case[1:])
+    else:
+        k = FIXED[case[0]]()
+    assert ChainComplex(k).coreduce() == reference_coreduce(k)
