@@ -245,7 +245,7 @@ def cmd_davis(args) -> RunReport:
         report.add("extract", "pass", kind=kind, dim=extracted_dim, cells=len(extracted.simplices))
         try:
             result = homology(extracted, reduced=True, max_cells=args.max_homology_cells)
-            report.add("homology", "pass", table=result.to_json(max_degree=max(extracted.dim(), 0)))
+            report.add("homology", "pass", table=result.to_json(max_degree=max(extracted_dim, 0)))
         except MatrixSizeError as exc:
             report.add("homology", "skipped", reason=str(exc))
     if args.dump:

@@ -300,40 +300,34 @@ def _check_word(sys: CoxeterSystem, w: Iterable[int]) -> Word:
     return word
 
 
-def reduce(sys: CoxeterSystem, w: Iterable[int]) -> Word:
-    """ShortLex-canonical normal form of a word in a right-angled system.
+def _append(sys: CoxeterSystem, w: Word, g: int) -> Word:
+    """Normal form of w*g for a normal form w.
 
-    A stack pass deletes pairs of equal letters separated only by commuting
-    letters (yielding a geodesic word), then commuting swaps sort the result
-    to its lexicographically least representative.
+    A word is its ShortLex normal form exactly when it is geodesic and has no
+    factor b.u.a with a < b where a commutes with b and with every letter of u
+    (Anisimov-Knuth, lex-least trace representatives).  Scan back over the
+    letters of w that commute with g: if the scan stops at g, g is a right
+    descent and that letter cancels; otherwise g goes in before the first
+    scanned letter larger than g, or at the end.
     """
+    link = sys.link[g]
+    i = len(w)
+    while i and w[i - 1] in link:
+        i -= 1
+    if i and w[i - 1] == g:
+        return w[: i - 1] + w[i:]
+    while i < len(w) and w[i] < g:
+        i += 1
+    return w[:i] + (g,) + w[i:]
+
+
+def reduce(sys: CoxeterSystem, w: Iterable[int]) -> Word:
+    """ShortLex-canonical normal form of a word in a right-angled system."""
     _check_ra(sys)
-    word = _check_word(sys, w)
-    out: list[int] = []
-    for g in word:
-        cancelled = False
-        for j in range(len(out) - 1, -1, -1):
-            if out[j] == g:
-                del out[j]
-                cancelled = True
-                break
-            if not sys.commutes(out[j], g):
-                break
-        if not cancelled:
-            out.append(g)
-    # ShortLex canonical order: repeatedly emit the least letter that can
-    # commute to the front of what remains
-    result: list[int] = []
-    remaining = out
-    while remaining:
-        best = None
-        for i, g in enumerate(remaining):
-            if all(sys.commutes(remaining[j], g) for j in range(i)):
-                if best is None or g < remaining[best]:
-                    best = i
-        result.append(remaining[best])
-        del remaining[best]
-    return tuple(result)
+    out: Word = ()
+    for g in _check_word(sys, w):
+        out = _append(sys, out, g)
+    return out
 
 
 def multiply(sys: CoxeterSystem, w: Word, g: int) -> Word:
@@ -342,45 +336,55 @@ def multiply(sys: CoxeterSystem, w: Word, g: int) -> Word:
 
 
 def ball(sys: CoxeterSystem, radius: int) -> list[Word]:
-    """All canonical normal forms of length <= radius, BFS order then sorted.
+    """All canonical normal forms of length <= radius, sorted by (length, lex).
 
-    The returned list is closed under taking prefixes of normal forms and is
-    sorted by (length, lex).
+    A normal form of length k + 1 is a normal form w of length k followed by
+    a letter g that `_append` puts at the end; growing each level in lex
+    order by increasing g yields every normal form once, already sorted.
     """
     _check_ra(sys)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    seen: set[Word] = {()}
-    frontier: list[Word] = [()]
+    words: list[Word] = [()]
+    level = [()]
     for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for g in range(sys.matrix.rank):
-                nf = multiply(sys, w, g)
-                if len(nf) == len(w) + 1 and nf not in seen:
-                    seen.add(nf)
-                    nxt.append(nf)
-        frontier = nxt
-    return sorted(seen, key=lambda w: (len(w), w))
+        level = [
+            w + (g,)
+            for w in level
+            for g in range(sys.matrix.rank)
+            if _append(sys, w, g) == w + (g,)
+        ]
+        words += level
+    return words
+
+
+def right_descents(sys: CoxeterSystem, w: Word) -> set[int]:
+    """Right-descent set of a normal form w: the letters that commute with
+    every letter after them."""
+    link = sys.link
+    return {x for i, x in enumerate(w) if link[x].issuperset(w[i + 1 :])}
+
+
+def coset_rep(sys: CoxeterSystem, w: Word, t: tuple[int, ...]) -> Word:
+    """Minimal representative of w*W_T for a normal form w and a clique T:
+    w without its right descents in T (Bjorner-Brenti, Prop. 2.4.4).
+
+    T is a clique, so deleting one such descent leaves the others descents;
+    the result is again a normal form.
+    """
+    if not t:
+        return w
+    link = sys.link
+    return tuple(x for i, x in enumerate(w) if x not in t or not link[x].issuperset(w[i + 1 :]))
 
 
 def min_coset_rep(sys: CoxeterSystem, w: Iterable[int], subset: Iterable[str]) -> Word:
-    """Unique shortest element of w*W_T for spherical T, by greedy descent."""
+    """Unique shortest element of w*W_T for spherical T."""
     _check_ra(sys)
     t_idx = _subset_indices(sys, subset)
     if not _is_spherical_idx(sys, t_idx):
         raise ValueError("subset is not spherical")
-    cur = reduce(sys, w)
-    changed = True
-    while changed:
-        changed = False
-        for t in t_idx:
-            nxt = multiply(sys, cur, t)
-            if len(nxt) < len(cur):
-                cur = nxt
-                changed = True
-                break
-    return cur
+    return coset_rep(sys, reduce(sys, w), t_idx)
 
 
 def in_special_subgroup(sys: CoxeterSystem, w: Iterable[int], subset: Iterable[str]) -> bool:

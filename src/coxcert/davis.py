@@ -5,12 +5,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .coxeter import CoxeterSystem, Word, _check_ra, ball, nerve
+from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
 from .homology import MatrixSizeError
 from .simplicial import SimplicialComplex, capped, cliques
 from .subdivide import face_poset, order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
-from .coxeter import in_special_subgroup, min_coset_rep, reduce  # noqa: F401
+from .coxeter import in_special_subgroup, min_coset_rep, nerve, reduce  # noqa: F401
 from .simplicial import square_report  # noqa: F401
 from .subdivide import barycentric_subdivision  # noqa: F401
 
@@ -53,7 +53,7 @@ class DavisBall:
     @cached_property
     def _supersets(self) -> dict[Subset, list[Subset]]:
         """Strict supersets of each type, for the up-lists; built on first use."""
-        faces, _, up = face_poset(nerve(self.system))
+        faces, _, up = face_poset(SimplicialComplex(self.system.generators, self._sphericals[1:]))
         supersets = {t: [faces[j] for j in above] for t, above in zip(faces, up)}
         supersets[()] = faces
         return supersets
@@ -66,29 +66,15 @@ class DavisBall:
         """
         cosets: list[SphericalCoset] = []
         for w in ball(self.system, self.radius):
-            descents = self._descents(w)
+            descents = right_descents(self.system, w)
             cosets += [SphericalCoset(w, t) for t in self._sphericals if descents.isdisjoint(t)]
         return tuple(cosets)
 
     # -- coset arithmetic --------------------------------------------------
 
-    def _descents(self, w: Word) -> set[int]:
-        """Right-descent set of a normal form w."""
-        link = self.system.link
-        return {x for i, x in enumerate(w) if link[x].issuperset(w[i + 1 :])}
-
     def _normalize(self, w: Word, t: Subset) -> Word:
-        """Minimal representative of w*W_T: w without its right descents in T.
-
-        T is a clique, so deleting one such descent leaves the others
-        descents; the result is again a normal form.
-        """
-        if not t:
-            return w
-        link = self.system.link
-        return tuple(
-            x for i, x in enumerate(w) if x not in t or not link[x].issuperset(w[i + 1 :])
-        )
+        """Minimal representative of w*W_T."""
+        return coset_rep(self.system, w, t)
 
     def leq(self, a: SphericalCoset, b: SphericalCoset) -> bool:
         """Coset containment: types nest and a's representative lies in b."""

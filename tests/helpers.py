@@ -7,13 +7,7 @@ from collections import deque
 from itertools import combinations
 import random
 
-from coxcert.coxeter import (
-    _is_spherical_idx,
-    _subset_indices,
-    ball,
-    in_special_subgroup,
-    min_coset_rep,
-)
+from coxcert.coxeter import _is_spherical_idx, _subset_indices
 from coxcert.davis import DavisBall, SphericalCoset
 from coxcert.simplicial import SimplicialComplex, faces_closure
 
@@ -449,22 +443,89 @@ def reference_contraction(k: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex([k.vertices[i] for i in keep], simplices)
 
 
+# -- the right-angled word problem, without the insertion rule ---------------
+
+
+def reference_reduce(sys, w) -> tuple[int, ...]:
+    """ShortLex normal form in a right-angled system, in two passes.
+
+    A stack pass deletes pairs of equal letters separated only by commuting
+    letters (yielding a geodesic word), then commuting swaps sort the result
+    to its lexicographically least representative.
+    """
+    out: list[int] = []
+    for g in w:
+        cancelled = False
+        for j in range(len(out) - 1, -1, -1):
+            if out[j] == g:
+                del out[j]
+                cancelled = True
+                break
+            if not sys.commutes(out[j], g):
+                break
+        if not cancelled:
+            out.append(g)
+    # repeatedly emit the least letter that can commute to the front of what remains
+    result: list[int] = []
+    while out:
+        best = None
+        for i, g in enumerate(out):
+            if all(sys.commutes(out[j], g) for j in range(i)):
+                if best is None or g < out[best]:
+                    best = i
+        result.append(out.pop(best))
+    return tuple(result)
+
+
+def reference_ball(sys, radius: int) -> list[tuple[int, ...]]:
+    """Normal forms of length <= radius: BFS over `reference_reduce`, then sorted."""
+    seen = {()}
+    frontier = [()]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for g in range(sys.matrix.rank):
+                nf = reference_reduce(sys, w + (g,))
+                if len(nf) == len(w) + 1 and nf not in seen:
+                    seen.add(nf)
+                    nxt.append(nf)
+        frontier = nxt
+    return sorted(seen, key=lambda w: (len(w), w))
+
+
+def reference_min_coset_rep(sys, w, t) -> tuple[int, ...]:
+    """Shortest element of w*W_T, T given by generator indices, by greedy
+    descent: multiply by a letter of T while that shortens the normal form."""
+    cur = reference_reduce(sys, w)
+    changed = True
+    while changed:
+        changed = False
+        for s in t:
+            nxt = reference_reduce(sys, cur + (s,))
+            if len(nxt) < len(cur):
+                cur = nxt
+                changed = True
+                break
+    return cur
+
+
 # -- Davis-ball coset arithmetic through the general word problem -----------
 
 
 class ReferenceBall(DavisBall):
     """DavisBall whose cosets and containments come from the word problem.
 
-    Every (w, T) with w in the ball is normalized by greedy descent
-    (`min_coset_rep`) and the cosets are sorted; `to_json` tests containment
-    on all pairs.  An oracle for the right-angled fast paths of DavisBall.
+    Every (w, T) with w in `reference_ball` is normalized by greedy descent
+    (`reference_min_coset_rep`) and the cosets are sorted; `to_json` tests
+    containment on all pairs.  An oracle for the right-angled fast paths of
+    DavisBall.
     """
 
     def __init__(self, system, radius: int):
         super().__init__(system, radius)
         cosets = {
             SphericalCoset(self._normalize(w, t), t)
-            for w in ball(system, radius)
+            for w in reference_ball(system, radius)
             for t in self._sphericals
         }
         self.cosets = tuple(
@@ -472,9 +533,7 @@ class ReferenceBall(DavisBall):
         )
 
     def _normalize(self, w, t):
-        if not t:
-            return w
-        return min_coset_rep(self.system, w, [self.system.generators[i] for i in t])
+        return reference_min_coset_rep(self.system, w, t)
 
     def to_json(self) -> dict:
         data = super().to_json()
@@ -488,14 +547,12 @@ class ReferenceBall(DavisBall):
 
 
 def reference_fixed_cosets(ball_: DavisBall, g) -> set:
-    """Cosets w*W_T with g.w*W_T = w*W_T, i.e. w^-1 g w in W_T."""
-    sys = ball_.system
+    """Cosets w*W_T with g.w*W_T = w*W_T, i.e. w^-1 g w in W_T: its normal
+    form uses only letters of T."""
     return {
         c
         for c in ball_.cosets
-        if in_special_subgroup(
-            sys, tuple(reversed(c.rep)) + tuple(g) + c.rep, [sys.generators[i] for i in c.gens]
-        )
+        if set(reference_reduce(ball_.system, c.rep[::-1] + tuple(g) + c.rep)) <= set(c.gens)
     }
 
 

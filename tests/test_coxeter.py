@@ -1,6 +1,8 @@
 """Coxeter systems: classification, nerves, hyperbolicity, word problem."""
 import random
+import sys as _sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,12 @@ from coxcert.coxeter import (
     nerve,
     racg_from_flag,
     reduce,
+    right_descents,
     system_from_json,
     system_from_matrix,
     system_to_json,
 )
-from coxcert.simplicial import faces_closure
+from coxcert.simplicial import cliques, faces_closure
 
 from helpers import (
     check_invariants,
@@ -28,8 +31,15 @@ from helpers import (
     is_spherical,
     named_simplices,
     random_flag_complex,
+    reference_ball,
+    reference_min_coset_rep,
+    reference_reduce,
     two_points,
 )
+
+_sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from inputs import ball_elements, random_graph  # noqa: E402  (the benchmark's own oracle)
 
 
 def dihedral_infinite():
@@ -269,6 +279,47 @@ def test_words_reduce_to_bfs_distance_small():
         w = tuple(rng.randrange(4) for _ in range(rng.randint(0, radius)))
         nf = reduce(sys, w)
         assert dist[nf] == len(nf)
+
+
+def test_insertion_rule_matches_two_pass_oracles():
+    """reduce, ball and min_coset_rep agree with the stack-and-sort reduction,
+    the BFS ball and greedy descent on random flag nerves."""
+    rng = random.Random(1474)
+    for _ in range(40):
+        l = random_flag_complex(rng, rng.randint(1, 7), rng.choice((0.3, 0.6, 0.9)))
+        sys = racg_from_flag(l)
+        n = sys.matrix.rank
+        words = [tuple(rng.randrange(n) for _ in range(rng.randint(0, 14))) for _ in range(30)]
+        for w in words:
+            assert reduce(sys, w) == reference_reduce(sys, w), w
+        for radius in range(4):
+            assert ball(sys, radius) == reference_ball(sys, radius)
+        for t in cliques(sys.link):
+            labels = [sys.generators[i] for i in t]
+            for w in words:
+                assert min_coset_rep(sys, w, labels) == reference_min_coset_rep(sys, w, t), (w, t)
+
+
+def test_ball_lengths_and_descents_match_benchmark_table():
+    """Length, right descents and commuting generators of each ball element,
+    against the closed-form table the benchmark checks its reports with."""
+    rng = random.Random(20)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        adj = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        entries = [[1 if i == j else 2 if j in adj[i] else INF for j in range(n)] for i in range(n)]
+        sys = system_from_matrix([f"v{i}" for i in range(n)], entries)
+        every = frozenset(range(n))
+        for radius in range(3):
+            got = [
+                (
+                    len(w),
+                    sum(1 << x for x in right_descents(sys, w)),
+                    sum(1 << x for x in every.intersection(*(sys.link[x] for x in w))),
+                )
+                for w in ball(sys, radius)
+            ]
+            assert got == ball_elements(adj, radius)
 
 
 def test_system_json_round_trip():
