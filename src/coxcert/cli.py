@@ -221,11 +221,17 @@ def cmd_davis(args) -> RunReport:
         report.add("right-angled", "fail", reason="davis balls require a right-angled system")
         return report
     ball = _nerve_capped(davis_ball, sys_, args.radius)
+    try:
+        counts = ball.coset_counts(_cell_limit())
+    except MatrixSizeError as exc:
+        report.add("ball", "skipped", radius=args.radius, reason=str(exc))
+        return report
+    total = sum(counts)
     report.add(
         "ball",
         "pass",
         radius=args.radius,
-        cosets=len(ball.cosets),
+        cosets=total,
         realization_dim=ball.realization_dim(),
     )
     if args.sharp or args.singular:
@@ -234,7 +240,12 @@ def cmd_davis(args) -> RunReport:
         # every wall holds the cosets e*W_T with T containing its generator, so
         # the sharp set has the dimension of the singular set
         extracted_dim = ball.singular_dim()
+        # the singular set lists the cosets of non-empty type; the sharp set
+        # lists every coset before it keeps those some generator fixes
+        listed = total - counts[0] if args.singular else total
         try:
+            if listed > args.max_cells:
+                raise MatrixSizeError(f"{listed} cosets exceed the materialization cap")
             extracted = extract(ball, max_cells=args.max_cells)
         except MatrixSizeError as exc:
             extracted = None
@@ -249,7 +260,10 @@ def cmd_davis(args) -> RunReport:
         except MatrixSizeError as exc:
             report.add("homology", "skipped", reason=str(exc))
     if args.dump:
-        _write_json(args.dump, ball.to_json())
+        if total > args.max_cells:
+            report.add("dump", "skipped", reason=f"{total} cosets exceed the materialization cap")
+        else:
+            _write_json(args.dump, ball.to_json())
     return report
 
 

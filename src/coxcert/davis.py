@@ -1,8 +1,10 @@
 """Finite-radius Davis-complex balls as posets of spherical cosets."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Optional
 
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
@@ -58,11 +60,53 @@ class DavisBall:
         supersets[()] = faces
         return supersets
 
+    def coset_counts(self, limit: Optional[int] = None) -> list[int]:
+        """Number of cosets of each type size 0..dim L + 1, without listing them.
+
+        Entry 0 is N_r, the number of elements of length <= r.  With f_k the
+        number of types of size k and d = dim L + 1, the growth series of W is
+        W(t) = (1+t)^d / sum_k f_k (-t)^k (1+t)^(d-k) (Davis, The Geometry and
+        Topology of Coxeter Groups, ch. 17).  The w with w*W_T in the ball are
+        the minimal representatives of W^T, counted by W(t) / (1+t)^|T|
+        (Bjorner-Brenti, Prop. 2.4.4).  The series is summed one length at a
+        time; once the running total passes `limit`, MatrixSizeError.
+        """
+        d = len(self._sphericals[-1])
+        f = [0] * (d + 1)
+        for t in self._sphericals:
+            f[len(t)] += 1
+        # [t^j] of the denominator for j >= 1; its constant term is f_0 = 1
+        denom = [
+            sum((-1) ** k * f[k] * comb(d - k, j - k) for k in range(j + 1)) for j in range(1, d + 1)
+        ]
+        recent = deque([0] * d, maxlen=d)  # [t^(n-1)], ..., [t^(n-d)] of W(t)
+        # c[k] = [t^n] W(t) / (1+t)^k; as (1+t) c_k = c_(k-1), each follows from the one before
+        c = [0] * (d + 1)
+        counts = [0] * (d + 1)
+        infinite = d < len(self.system.generators)  # some two generators do not commute
+        for n in range(self.radius + 1):
+            c[0] = comb(d, n) - sum(a * b for a, b in zip(denom, recent))
+            if not c[0]:
+                break  # no element of length n, so none longer
+            recent.appendleft(c[0])
+            for k in range(1, d + 1):
+                c[k] = c[k - 1] - c[k]
+            for k in range(d + 1):
+                counts[k] += f[k] * c[k]
+            # an infinite W has an element of every length, a chamber for each length to come
+            if limit is not None and sum(counts) + infinite * (self.radius - n) > limit:
+                raise MatrixSizeError(
+                    f"radius-{self.radius} ball: more than {limit} cosets, over the cell limit"
+                )
+        return counts
+
     @cached_property
     def cosets(self) -> tuple[SphericalCoset, ...]:
         """Every coset, ordered by (length, word) of the representative, then (size, T).
 
-        Enumerated on first use: the dimensions do not need the cosets.
+        Enumerated on first use, and only the order complexes and the dump
+        need it: `coset_counts` gives the counts and the dimensions come in
+        closed form.  Callers with a cap check `coset_counts` against it first.
         """
         cosets: list[SphericalCoset] = []
         for w in ball(self.system, self.radius):

@@ -1,19 +1,24 @@
 """CLI harness: exit codes, report shapes, determinism."""
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from coxcert.cli import main
+from coxcert.davis import DavisBall
 from coxcert.simplicial import complex_to_json, faces_closure
 from coxcert.coxeter import racg_from_flag, system_from_matrix, system_to_json
 from coxcert.presentations import spine_complex
 
-from helpers import cone, cycle_complex, hollow_triangle, projective_plane
+from helpers import cone, cycle_complex, hollow_triangle, projective_plane, two_points
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+
+sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import report_digest  # noqa: E402  (sha256 without timing_seconds)
 
@@ -28,6 +33,37 @@ def write_complex(tmp_path, k, name="complex.json"):
     path = tmp_path / name
     path.write_text(json.dumps(complex_to_json(k)))
     return str(path)
+
+
+def run_child(*argv):
+    """Run the CLI in a child process with the default cell limit.  A run
+    that falls back to listing a huge ball fails on the timeout instead of
+    stalling the suite; a traceback fails on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COXCERT_SNF_CELL_LIMIT="50000000")
+    out = subprocess.run(
+        [sys.executable, "-m", "coxcert.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert out.stderr == ""
+    return out.returncode, json.loads(out.stdout)
+
+
+@pytest.fixture
+def no_coset_list(monkeypatch):
+    """Fail the test as soon as any Davis ball lists its cosets."""
+
+    def refuse(ball):
+        raise AssertionError("DavisBall.cosets enumerated")
+
+    monkeypatch.setattr(DavisBall, "cosets", property(refuse))
+
+
+@pytest.fixture(scope="module")
+def spine_path(tmp_path_factory, spine_bundle):
+    return write_complex(tmp_path_factory.mktemp("spine"), spine_bundle["complex"], "spine.json")
 
 
 def test_homology_command(tmp_path, capsys):
@@ -178,7 +214,8 @@ def test_davis_command_sharp_and_dump(tmp_path, capsys):
     assert data["cosets"]
 
 
-def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys):
+def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys, no_coset_list):
+    """The sharp set tests all 73 cosets of the ball: over the cap, none is listed."""
     path = write_complex(tmp_path, cycle_complex(4))
     code, report = run_cli(
         capsys, "davis", path, "--radius", "2", "--sharp", "--max-cells", "10"
@@ -189,7 +226,60 @@ def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys):
     assert steps["extract"]["status"] == "skipped"
     assert steps["extract"]["data"]["kind"] == "sharp"
     assert steps["extract"]["data"]["dim"] == 1
+    assert steps["extract"]["data"]["reason"] == "73 cosets exceed the materialization cap"
     assert "homology" not in steps
+
+
+def test_davis_dump_over_cap_is_skipped(tmp_path, capsys, no_coset_list):
+    path = write_complex(tmp_path, cycle_complex(4))
+    dump = tmp_path / "ball.json"
+    argv = ("davis", path, "--radius", "2", "--dump", str(dump), "--max-cells", "72")
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["overall"] == "indeterminate"
+    assert report["steps"][-1] == {
+        "name": "dump",
+        "status": "skipped",
+        "data": {"reason": "73 cosets exceed the materialization cap"},
+    }
+    assert not dump.exists()
+
+
+def test_plain_davis_lists_no_cosets(spine_path, capsys, no_coset_list):
+    code, report = run_cli(capsys, "davis", spine_path, "--radius", "2")
+    assert code == 0
+    assert report["overall"] == "pass"
+    assert report["steps"][0]["data"]["cosets"] == 17559543
+
+
+@pytest.mark.parametrize(
+    "radius, extra, step, status, data",
+    [
+        ("2", (), "ball", "pass", {"radius": 2, "cosets": 17559543, "realization_dim": 3}),
+        ("2", ("--singular",), "extract", "skipped",
+         {"kind": "singular", "dim": 2, "reason": "17541541 cosets exceed the materialization cap"}),
+        ("3", (), "ball", "skipped",
+         {"radius": 3, "reason": "radius-3 ball: more than 50000000 cosets, over the cell limit"}),
+        ("1000000000", (), "ball", "skipped",
+         {"radius": 1000000000,
+          "reason": "radius-1000000000 ball: more than 50000000 cosets, over the cell limit"}),
+    ],
+    ids=["radius-2", "radius-2-singular", "radius-3", "radius-1e9"],
+)
+def test_spine_large_radius_ends_at_once(spine_path, radius, extra, step, status, data):
+    code, report = run_child("davis", spine_path, "--radius", radius, *extra)
+    assert code == 0
+    assert report["steps"][-1] == {"name": step, "status": status, "data": data}
+    assert report["overall"] == ("pass" if status == "pass" else "indeterminate")
+
+
+def test_huge_radius_of_a_line_is_skipped_at_once(tmp_path):
+    """The infinite dihedral group grows linearly: the ball's count passes the
+    limit only near radius 10^7, but it has an element of every length."""
+    path = write_complex(tmp_path, two_points())
+    code, report = run_child("davis", path, "--radius", "1000000000")
+    assert code == 0
+    assert [(s["name"], s["status"]) for s in report["steps"]] == [("ball", "skipped")]
 
 
 def test_davis_homology_cap_counts_critical_cells(tmp_path, capsys):

@@ -1,16 +1,20 @@
 """Davis-complex balls: cosets, realizations, walls and singular sets."""
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcert.coxeter import INF, racg_from_flag, system_from_matrix
 from coxcert.davis import (
+    DavisBall,
     davis_ball,
     hash_union_sharp,
     singular_subcomplex,
 )
-from coxcert.homology import homology
+from coxcert.homology import MatrixSizeError, homology
 from coxcert.simplicial import faces_closure, square_report
 
 from helpers import (
@@ -22,6 +26,10 @@ from helpers import (
     reference_sharp,
     two_points,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from inputs import davis_expectations  # noqa: E402  (counts from explicit elements, r <= 2)
 
 
 def edge_nerve_system():
@@ -241,3 +249,39 @@ def test_cosets_and_dimensions_build_no_up_lists(monkeypatch):
     b = davis.DavisBall(system_from_matrix([f"g{i}" for i in range(n)], entries), 0)
     assert len(b.cosets) == 4096
     assert (b.realization_dim(), b.singular_dim()) == (12, 11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0))
+def test_coset_counts_match_enumeration(seed):
+    """The growth-series counts equal the enumerated cosets of each type size,
+    and, for r <= 2, the independent counts of the benchmark's expectations."""
+    rng = random.Random(seed)
+    l = random_flag_complex(rng, rng.randint(5, 9), rng.choice((0.2, 0.5, 0.8)))
+    radius = rng.randint(0, 3)
+    b = davis_ball(racg_from_flag(l), radius)
+    counts = b.coset_counts()
+    by_size = Counter(len(c.gens) for c in b.cosets)
+    assert counts == [by_size[k] for k in range(b.realization_dim() + 1)]
+    if radius <= 2:
+        adj = dict(enumerate(map(frozenset, l.adjacency())))
+        assert sum(counts) == davis_expectations(adj, radius)["cosets"]
+
+
+def test_spine_coset_counts(spine_ball):
+    assert spine_ball.coset_counts() == [137, 18496, 66825, 48240]
+    assert sum(DavisBall(spine_ball.system, 2).coset_counts()) == 17559543
+    assert sum(DavisBall(spine_ball.system, 3).coset_counts()) == 2305205373
+
+
+def test_coset_counts_stop_at_the_limit():
+    """A total over the limit raises while summing; a finite group stops at
+    its longest element; an infinite group has an element of every length,
+    so a radius past the limit raises at once."""
+    b = davis_ball(edge_nerve_system(), 2)
+    assert b.coset_counts(9) == [4, 4, 1]
+    with pytest.raises(MatrixSizeError, match="radius-2 ball: more than 8 cosets"):
+        b.coset_counts(8)
+    assert davis_ball(triangle_nerve_system(), 10**9).coset_counts() == [8, 12, 6, 1]
+    with pytest.raises(MatrixSizeError):
+        davis_ball(dihedral_system(), 10**9).coset_counts(10**6)
