@@ -1,16 +1,19 @@
 """Finite-radius Davis-complex balls as posets of spherical cosets."""
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import comb
-from typing import Optional
+from operator import add
+from typing import Iterator, Optional
 
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
-from .homology import MatrixSizeError
+from .homology import ChainComplex, MatrixSizeError, check_boundary_entries
 from .simplicial import SimplicialComplex, capped, cliques
-from .subdivide import face_poset, order_complex
+from .subdivide import face_poset
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .coxeter import in_special_subgroup, min_coset_rep, nerve, reduce  # noqa: F401
 from .simplicial import square_report  # noqa: F401
@@ -65,36 +68,28 @@ class DavisBall:
 
         Entry 0 is N_r, the number of elements of length <= r.  With f_k the
         number of types of size k and d = dim L + 1, the growth series of W is
-        W(t) = (1+t)^d / sum_k f_k (-t)^k (1+t)^(d-k) (Davis, The Geometry and
-        Topology of Coxeter Groups, ch. 17).  The w with w*W_T in the ball are
-        the minimal representatives of W^T, counted by W(t) / (1+t)^|T|
-        (Bjorner-Brenti, Prop. 2.4.4).  The series is summed one length at a
-        time; once the running total passes `limit`, MatrixSizeError.
+        W(t) = (1+t)^d / D(t), D(t) = sum_k f_k (-t)^k (1+t)^(d-k) (Davis, The
+        Geometry and Topology of Coxeter Groups, ch. 17).  The w with w*W_T in
+        the ball are the minimal representatives of W^T, counted by
+        W(t) / (1+t)^|T| (Bjorner-Brenti, Prop. 2.4.4).  Summing up to t^r is
+        taking [t^r] of (1+t)^(d-|T|) / ((1-t) D(t)), read off by halving r
+        (`_coefficients`).  Past `limit` cosets, MatrixSizeError: the ball
+        grows with the radius, so the total is first checked at the radii
+        1, 2, 4, ... below r, and a ball far over the limit stops early.
         """
         d = len(self._sphericals[-1])
         f = [0] * (d + 1)
         for t in self._sphericals:
             f[len(t)] += 1
-        # [t^j] of the denominator for j >= 1; its constant term is f_0 = 1
         denom = [
-            sum((-1) ** k * f[k] * comb(d - k, j - k) for k in range(j + 1)) for j in range(1, d + 1)
+            sum((-1) ** k * f[k] * comb(d - k, j - k) for k in range(j + 1)) for j in range(d + 1)
         ]
-        recent = deque([0] * d, maxlen=d)  # [t^(n-1)], ..., [t^(n-d)] of W(t)
-        # c[k] = [t^n] W(t) / (1+t)^k; as (1+t) c_k = c_(k-1), each follows from the one before
-        c = [0] * (d + 1)
-        counts = [0] * (d + 1)
-        infinite = d < len(self.system.generators)  # some two generators do not commute
-        for n in range(self.radius + 1):
-            c[0] = comb(d, n) - sum(a * b for a, b in zip(denom, recent))
-            if not c[0]:
-                break  # no element of length n, so none longer
-            recent.appendleft(c[0])
-            for k in range(1, d + 1):
-                c[k] = c[k - 1] - c[k]
-            for k in range(d + 1):
-                counts[k] += f[k] * c[k]
-            # an infinite W has an element of every length, a chamber for each length to come
-            if limit is not None and sum(counts) + infinite * (self.radius - n) > limit:
+        q = _poly_mul(denom, [1, -1])
+        nums = [[comb(d - k, j) for j in range(d - k + 1)] for k in range(d + 1)]
+        radii = [1 << n for n in range(self.radius.bit_length()) if 1 << n < self.radius]
+        for n in radii + [self.radius]:
+            counts = [fk * c for fk, c in zip(f, _coefficients(nums, q, n))]
+            if limit is not None and sum(counts) > limit:
                 raise MatrixSizeError(
                     f"radius-{self.radius} ball: more than {limit} cosets, over the cell limit"
                 )
@@ -104,15 +99,19 @@ class DavisBall:
     def cosets(self) -> tuple[SphericalCoset, ...]:
         """Every coset, ordered by (length, word) of the representative, then (size, T).
 
-        Enumerated on first use, and only the order complexes and the dump
-        need it: `coset_counts` gives the counts and the dimensions come in
-        closed form.  Callers with a cap check `coset_counts` against it first.
+        Enumerated on first use, and only the dump needs it: `coset_counts`
+        gives the counts, the dimensions come in closed form, and `CellIndex`
+        reads the types of each element.  Callers with a cap check
+        `coset_counts` against it first.
         """
-        cosets: list[SphericalCoset] = []
+        return tuple(SphericalCoset(w, t) for w, types in self._elements() for t in types)
+
+    def _elements(self) -> Iterator[tuple[Word, list[Subset]]]:
+        """Each w of length <= r in (length, word) order, with the types T of
+        its cosets w*W_T in (size, T) order: those missing its right descents."""
         for w in ball(self.system, self.radius):
             descents = right_descents(self.system, w)
-            cosets += [SphericalCoset(w, t) for t in self._sphericals if descents.isdisjoint(t)]
-        return tuple(cosets)
+            yield w, [t for t in self._sphericals if descents.isdisjoint(t)]
 
     # -- coset arithmetic --------------------------------------------------
 
@@ -126,9 +125,10 @@ class DavisBall:
             return False
         return self._normalize(a.rep, b.gens) == b.rep
 
-    def fixes(self, s: int, c: SphericalCoset) -> bool:
-        """Whether generator s fixes the coset c."""
-        return s in c.gens and self.system.link[s].issuperset(c.rep)
+    def walls(self, w: Word) -> frozenset[int]:
+        """The generators that commute with every letter of w: generator s
+        fixes the coset w*W_T exactly when s is in T and in walls(w)."""
+        return frozenset(s for s, link in enumerate(self.system.link) if link.issuperset(w))
 
     @cached_property
     def _coset_index(self) -> dict[tuple[Word, Subset], int]:
@@ -145,26 +145,6 @@ class DavisBall:
         Digits and separators only, so distinct cosets get distinct names
         whatever the generators are called."""
         return f"{'.'.join(map(str, c.rep))}|{','.join(map(str, c.gens))}"
-
-    # -- order complex -----------------------------------------------------
-
-    def _order_complex(self, keep, max_cells: Optional[int] = None) -> SimplicialComplex:
-        """Order complex of the kept cosets: a full subcomplex of the realization."""
-        kept = [i for i, c in enumerate(self.cosets) if keep(c)]
-        # each coset is a chain: check the cap before building the up-lists
-        if max_cells is not None and len(kept) > max_cells:
-            raise MatrixSizeError(f"{len(kept)} cosets exceed the materialization cap")
-        ids = [-1] * len(self.cosets)
-        for n, i in enumerate(kept):
-            ids[i] = n
-        up = []
-        for i in kept:
-            above = [ids[j] for j in self._above(self.cosets[i]).values()]
-            up.append([j for j in above if j >= 0])
-        return order_complex([self.coset_id(self.cosets[i]) for i in kept], up, max_cells)
-
-    def realization(self, max_cells: Optional[int] = None) -> SimplicialComplex:
-        return self._order_complex(lambda c: True, max_cells)
 
     # -- dimensions (closed form) ------------------------------------------
 
@@ -198,6 +178,30 @@ class DavisBall:
         }
 
 
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _coefficients(nums: list[list[int]], q: list[int], n: int) -> list[int]:
+    """[t^n] p(t) / q(t) for each p in `nums`, with q(0) = 1.
+
+    Bostan-Mori halving: p(t)/q(t) = p(t)q(-t) / (q(t)q(-t)), whose
+    denominator is even, so [t^n] keeps the terms of the numerator with the
+    parity of n and halves every exponent.  O(log n) products of polynomials
+    of degree deg q.
+    """
+    while n:
+        q_neg = [-c if i % 2 else c for i, c in enumerate(q)]
+        nums = [_poly_mul(p, q_neg)[n % 2 :: 2] for p in nums]
+        q = _poly_mul(q, q_neg)[::2]
+        n //= 2
+    return [p[0] if p else 0 for p in nums]
+
+
 def davis_ball(sys: CoxeterSystem, radius: int, *, max_cells: Optional[int] = None) -> DavisBall:
     return DavisBall(sys, radius, max_cells=max_cells)
 
@@ -205,16 +209,194 @@ def davis_ball(sys: CoxeterSystem, radius: int, *, max_cells: Optional[int] = No
 # -- distinguished subcomplexes ---------------------------------------------
 
 
-def hash_union_sharp(ball_: DavisBall, max_cells: Optional[int] = None) -> SimplicialComplex:
-    """Union over the fundamental generators of their fixed subcomplexes.
+class CellIndex:
+    """The order complex of the singular or the sharp set of a ball, as an
+    index of its cells, with no simplex listed.
 
-    A coset fixed by s lies only below cosets fixed by s, so every chain of
-    the union lies in one wall: the union is the order complex of the cosets
-    fixed by some generator.
+    The singular set keeps the cosets of non-empty type.  The sharp set, the
+    union over the generators of their fixed subcomplexes, keeps the cosets
+    some generator fixes: a coset fixed by s lies only below cosets fixed by
+    s, so every chain of the union lies in one wall.  Both sets are closed
+    upwards, so their cells are all the chains whose bottom coset is kept.
+
+    The cosets above c = w*W_T0 are the cosets coset_rep(w, T)*W_T, one for
+    each clique T containing T0 strictly, so a chain c0 < ... < cj is its
+    bottom c0 and a chain of cliques T0 < ... < Tj.  The kept cosets are
+    numbered in ball order, and the j-cell of bottom b and clique chain k is
+    numbered offset_j[b] + k, k its place in the table of j-chains from T0.
+    Deleting Ti with i >= 1 keeps the bottom and picks another chain from the
+    same table; deleting T0 moves the bottom to the coset of type T1 above
+    it.  So the cells per degree are known before any is built: the kept
+    cosets of each type times the chains from that type.
     """
-    return ball_._order_complex(lambda c: any(ball_.fixes(s, c) for s in c.gens), max_cells)
+
+    def __init__(self, ball_: DavisBall, sharp: bool):
+        self.ball, self.sharp = ball_, sharp
+        # the number of chains of types from each non-empty type, by length
+        # 0..dim L; larger types first, so each sums over its supersets
+        self._width = ball_.singular_dim() + 1
+        self._lengths: dict[Subset, list[int]] = {}
+        for t in reversed(ball_._sphericals[1:]):
+            n = [1] + [0] * (self._width - 1)
+            for u in ball_._supersets[t]:
+                n[1:] = map(add, n[1:], self._lengths[u])
+            self._lengths[t] = n
+
+    @cached_property
+    def _chains(self) -> dict[Subset, list[list[tuple[Subset, ...]]]]:
+        """The chains of types from each non-empty type, by length: the
+        tables, built only once their cells are counted and let through."""
+        chains: dict[Subset, list[list[tuple[Subset, ...]]]] = {}
+        for t in reversed(self.ball._sphericals[1:]):
+            by_length = [[(t,)]] + [[] for _ in range(self._width - 1)]
+            for u in self.ball._supersets[t]:
+                for j, tails in enumerate(chains[u][:-1], 1):
+                    by_length[j] += [(t,) + tail for tail in tails]
+            chains[t] = by_length
+        return chains
+
+    @cached_property
+    def _kept(self) -> list[tuple[Word, dict[Subset, int]]]:
+        """Each element w of the ball with the kept types of its cosets
+        w*W_T, each mapped to its place among them.  Elements with equal
+        kept types share one dict."""
+        shared: dict[tuple[Subset, ...], dict[Subset, int]] = {}
+        kept = []
+        for w, types in self.ball._elements():
+            if self.sharp:
+                walls = self.ball.walls(w)
+                mine = tuple(t for t in types if not walls.isdisjoint(t))
+            else:
+                mine = tuple(t for t in types if t)
+            if mine not in shared:
+                shared[mine] = {t: k for k, t in enumerate(mine)}
+            kept.append((w, shared[mine]))
+        return kept
+
+    @cached_property
+    def counts(self) -> list[int]:
+        """Cells per degree, from the kept cosets of each type.  The singular
+        set keeps every coset of non-empty type, counted without listing:
+        `coset_counts` gives them per type size, the same for each type."""
+        if self.sharp:
+            per_type = Counter(t for _, types in self._kept for t in types)
+        else:
+            sphericals = self.ball._sphericals
+            sizes = Counter(map(len, sphericals))
+            by_size = self.ball.coset_counts()
+            per_type = {t: by_size[len(t)] // sizes[len(t)] for t in sphericals if t}
+        counts = [0] * self._width
+        for t, n in per_type.items():
+            for j, m in enumerate(self._lengths[t]):
+                counts[j] += n * m
+        while counts and not counts[-1]:
+            counts.pop()
+        return counts
+
+    def cells(self, max_cells: Optional[int] = None) -> int:
+        """Number of cells; over `max_cells`, MatrixSizeError."""
+        total = sum(self.counts)
+        if max_cells is not None and total > max_cells:
+            raise MatrixSizeError(f"{total} cells exceed the materialization cap")
+        return total
+
+    def _bottoms(self) -> Iterator[tuple[int, Subset, list[int]]]:
+        """Each kept coset w*W_T in ball order: its number, T, and the
+        numbers of the cosets above it, one per strict superset of T."""
+        supersets, normalize = self.ball._supersets, self.ball._normalize
+        where: dict[Word, tuple[int, dict[Subset, int]]] = {}
+        b = 0
+        for w, places in self._kept:
+            where[w] = (b, places)
+            b += len(places)
+        b = 0
+        for w, places in self._kept:
+            # the coset of type u above w*W_T is w*W_u, whatever T is; it is
+            # kept, and w is its representative when u misses the descents of w
+            number = {}
+            for u in set().union(*map(supersets.__getitem__, places)):
+                if u in places:
+                    number[u] = b + places[u]
+                else:
+                    start, there = where[normalize(w, u)]
+                    number[u] = start + there[u]
+            for t in places:
+                yield b, t, list(map(number.__getitem__, supersets[t]))
+                b += 1
+
+    @cached_property
+    def _places(self) -> dict[Subset, list[dict[tuple[Subset, ...], int]]]:
+        """The place of each chain in its table."""
+        return {
+            t: [{chain: k for k, chain in enumerate(chains)} for chains in by_length]
+            for t, by_length in self._chains.items()
+        }
+
+    def _slots(self, t: Subset, d: int) -> tuple[list[int], list[int]]:
+        """The face slots of the d-cells from type t.  Slot j of a cell is
+        base[src] + val, where base[0] is the offset of its bottom in degree
+        d-1 and base[n] that of the coset above the bottom of the n-th strict
+        superset of t.  Slot j deletes the type at place d-j of the chain."""
+        up = {u: n for n, u in enumerate(self.ball._supersets[t], 1)}
+        same = self._places[t][d - 1]
+        src, val = [], []
+        for chain in self._chains[t][d]:
+            for m in range(d, 0, -1):
+                src.append(0)
+                val.append(same[chain[:m] + chain[m + 1 :]])
+            src.append(up[chain[1]])
+            val.append(self._places[chain[1]][d - 1][chain[1:]])
+        return src, val
+
+    def chain_complex(self) -> ChainComplex:
+        """The boundary maps, in the slot layout of `ChainComplex`.  The
+        boundary entries count against the cell limit before any is listed;
+        the offsets built from the kept cosets must give the counted cells."""
+        counts = self.counts
+        check_boundary_entries(counts)
+        types = [t for _, places in self._kept for t in places]
+        lengths = [{t: n[j] for t, n in self._lengths.items()} for j in range(len(counts))]
+        offsets = [array("q", accumulate(map(n.__getitem__, types), initial=0)) for n in lengths]
+        assert [off[-1] for off in offsets] == counts, "built cells differ from the count"
+        faces: list = [array("q") for _ in counts]
+        slots: dict[Subset, list[tuple[int, list[int], list[int]]]] = {}
+        for b, t, above in self._bottoms():
+            if t not in slots:
+                slots[t] = [
+                    (d, *self._slots(t, d)) for d in range(1, len(counts)) if self._lengths[t][d]
+                ]
+            for d, src, val in slots[t]:
+                lower = offsets[d - 1]
+                base = [lower[b], *map(lower.__getitem__, above)]
+                faces[d].extend(map(add, map(base.__getitem__, src), val))
+        return ChainComplex.from_faces(counts, faces)
+
+    def chains(self) -> Iterator[tuple[int, ...]]:
+        """Each cell as its chain of kept cosets c0 < ... < cj, by number,
+        bottom by bottom: the j-cells come in the order of their numbers."""
+        supersets = self.ball._supersets
+        for b, t, above in self._bottoms():
+            number = dict(zip(supersets[t], above))
+            number[t] = b
+            for chains in self._chains[t]:
+                for chain in chains:
+                    yield tuple(map(number.__getitem__, chain))
+
+    def complex(self, max_cells: Optional[int] = None) -> SimplicialComplex:
+        """The extract as a simplicial complex on the kept cosets, named by
+        `coset_id`, after the cells are checked against `max_cells`."""
+        self.cells(max_cells)
+        names = [
+            self.ball.coset_id(SphericalCoset(w, t)) for w, places in self._kept for t in places
+        ]
+        return SimplicialComplex(names, (tuple(sorted(chain)) for chain in self.chains()))
+
+
+def hash_union_sharp(ball_: DavisBall, max_cells: Optional[int] = None) -> SimplicialComplex:
+    """Union over the fundamental generators of their fixed subcomplexes."""
+    return CellIndex(ball_, sharp=True).complex(max_cells)
 
 
 def singular_subcomplex(ball_: DavisBall, max_cells: Optional[int] = None) -> SimplicialComplex:
     """Full subcomplex on the cosets with non-trivial type (stabilised points)."""
-    return ball_._order_complex(lambda c: bool(c.gens), max_cells)
+    return CellIndex(ball_, sharp=False).complex(max_cells)

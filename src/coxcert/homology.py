@@ -118,32 +118,49 @@ def rank_and_torsion(columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int,
 # -- chain complexes -------------------------------------------------------
 
 
-class ChainComplex:
-    """Boundary maps of a complex with the sorted-vertex orientation.
+def check_boundary_entries(sizes: list[int]) -> None:
+    """The boundary entries of a complex with `sizes[d]` cells of each degree
+    d count against the cell limit: `MatrixSizeError` past it."""
+    nnz = sum((d + 1) * n for d, n in enumerate(sizes) if d)
+    if nnz > _cell_limit():
+        raise MatrixSizeError(f"chain complex with {nnz} boundary entries exceeds cell limit")
 
-    The cells are the complex's position tuples, grouped by degree and sorted
-    within each degree.  `faces[d]` is one flat list of (d-1)-cell indices:
-    cell i of degree d >= 1 owns slots i*(d+1) ... i*(d+1)+d, its faces in
-    `combinations` order, which omits its last vertex first.  So the sign of
-    slot j is (-1)^(d-j), read off its position.  The boundary entries count
-    against the cell limit before any face is listed.
+
+class ChainComplex:
+    """Boundary maps of a complex, as cells per degree and flat face lists.
+
+    `sizes[d]` is the number of d-cells.  `faces[d]` is one flat list of
+    (d-1)-cell indices: cell i of degree d >= 1 owns slots i*(d+1) ...
+    i*(d+1)+d, and slot j, which omits the vertex at place d-j, has sign
+    (-1)^(d-j), read off its position.  Built from a simplicial complex, the
+    cells are its position tuples, grouped by degree and sorted within each
+    degree, and the slots come in `combinations` order, which omits the last
+    vertex first.  The boundary entries count against the cell limit before
+    any face is listed.
     """
 
     def __init__(self, k: SimplicialComplex):
         groups: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
         for s in k.simplices:
             groups[len(s)].append(s)
-        self.basis = [groups[n] for n in range(1, max(groups, default=0) + 1)]
-        nnz = sum((d + 1) * len(cells) for d, cells in enumerate(self.basis) if d)
-        if nnz > _cell_limit():
-            raise MatrixSizeError(f"chain complex with {nnz} boundary entries exceeds cell limit")
-        for cells in self.basis:
+        basis = [groups[n] for n in range(1, max(groups, default=0) + 1)]
+        self.sizes = [len(cells) for cells in basis]
+        check_boundary_entries(self.sizes)
+        for cells in basis:
             cells.sort()
-        self.faces: list[list[int]] = [[]]
-        for d in range(1, len(self.basis)):
-            face_index = {s: i for i, s in enumerate(self.basis[d - 1])}.__getitem__
-            slots = chain.from_iterable(combinations(s, d) for s in self.basis[d])
+        self.faces: list = [[]]
+        for d in range(1, len(basis)):
+            face_index = {s: i for i, s in enumerate(basis[d - 1])}.__getitem__
+            slots = chain.from_iterable(combinations(s, d) for s in basis[d])
             self.faces.append(list(map(face_index, slots)))
+
+    @classmethod
+    def from_faces(cls, sizes: list[int], faces: list) -> ChainComplex:
+        """A complex given by its cells per degree and its face lists, laid
+        out as above; the caller has checked `sizes` against the cell limit."""
+        cc = cls.__new__(cls)
+        cc.sizes, cc.faces = sizes, faces
+        return cc
 
     def coreduce(self) -> tuple[list[list[int]], list[list[dict[int, int]]]]:
         """Critical cells by degree, and the boundary of each in the critical
@@ -159,13 +176,14 @@ class ChainComplex:
         removed as the lower cell of the pair (a, b) becomes
         -<d(b), a> (d(b) - <d(b), a> a), its faces resolved the same way.
         """
-        top = len(self.basis)
+        sizes = self.sizes
+        top = len(sizes)
         # per cell: 0 active, 1 critical, 2 removed as the lower cell of a
         # pair, 3 removed as the upper cell; and its number of active faces
-        state = [bytearray(len(cells)) for cells in self.basis]
-        live = [bytearray([d + 1 if d else 0]) * len(cells) for d, cells in enumerate(self.basis)]
-        partner = [[0] * len(cells) for cells in self.basis[:-1]]  # b of each lower cell a
-        critical: list[list[int]] = [[] for _ in self.basis]
+        state = [bytearray(n) for n in sizes]
+        live = [bytearray([d + 1 if d else 0]) * n for d, n in enumerate(sizes)]
+        partner = [[0] * n for n in sizes[:-1]]  # b of each lower cell a
+        critical: list[list[int]] = [[] for _ in sizes]
         queue: deque[tuple[int, int]] = deque()
         faces = self.faces
         # the lists built here form no cycles, and every collection would
@@ -175,10 +193,9 @@ class ChainComplex:
         try:
             cofaces = []
             for d in range(top - 1):
-                up: list[list[int]] = [[] for _ in self.basis[d]]
+                up: list[list[int]] = [[] for _ in range(sizes[d])]
                 # one int object per coface, repeated for each of its faces
-                n_above = len(self.basis[d + 1])
-                owners = chain.from_iterable(map(repeat, range(n_above), repeat(d + 2)))
+                owners = chain.from_iterable(map(repeat, range(sizes[d + 1]), repeat(d + 2)))
                 for c, r in zip(owners, faces[d + 1]):
                     up[r].append(c)
                 cofaces.append(up)
@@ -327,23 +344,28 @@ class HomologyResult:
 def homology(
     k: SimplicialComplex, reduced: bool = False, *, max_cells: Optional[int] = None
 ) -> HomologyResult:
+    """Integral homology of a simplicial complex: `chain_homology` of its chain complex."""
+    return chain_homology(ChainComplex(k), reduced, max_cells=max_cells)
+
+
+def chain_homology(
+    cc: ChainComplex, reduced: bool = False, *, max_cells: Optional[int] = None
+) -> HomologyResult:
     """Integral homology: coreductions, then Smith normal form over exact integers.
 
-    The boundary entries count against the cell limit before any face is
-    listed; more than `max_cells` critical cells raise
-    `MatrixSizeError` before any SNF.  The empty complex in reduced mode
-    reports the augmentation kernel as a single Z in degree -1.
+    More than `max_cells` critical cells raise `MatrixSizeError` before any
+    SNF.  The empty complex in reduced mode reports the augmentation kernel
+    as a single Z in degree -1.
     """
-    if not k.simplices:
+    if not any(cc.sizes):
         if reduced:
             return HomologyResult({-1: 1}, {}, reduced=True)
         return HomologyResult({}, {}, reduced=False)
-    cc = ChainComplex(k)
     critical, boundaries = cc.coreduce()
     n_critical = sum(map(len, critical))
     if max_cells is not None and n_critical > max_cells:
         raise MatrixSizeError(f"{n_critical} critical cells exceed the homology cap {max_cells}")
-    dim = len(cc.basis) - 1
+    dim = len(cc.sizes) - 1
     # the augmentation onto Z is onto for a non-empty complex
     ranks = {0: 1 if reduced else 0, dim + 1: 0}
     torsions = {dim + 1: ()}

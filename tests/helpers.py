@@ -5,11 +5,14 @@ from fractions import Fraction
 import heapq
 from collections import deque
 from itertools import combinations
+from math import comb
 import random
 
 from coxcert.coxeter import _is_spherical_idx, _subset_indices
 from coxcert.davis import DavisBall, SphericalCoset
+from coxcert.homology import MatrixSizeError
 from coxcert.simplicial import SimplicialComplex, faces_closure
+from coxcert.subdivide import order_complex
 
 
 def is_spherical(sys, subset) -> bool:
@@ -556,14 +559,68 @@ def reference_fixed_cosets(ball_: DavisBall, g) -> set:
     }
 
 
+def reference_extract(ball_: DavisBall, keep, max_cells=None) -> SimplicialComplex:
+    """Order complex of the cosets `keep` accepts, listed chain by chain: the
+    oracle for `CellIndex`.  Each kept coset is a chain, so past `max_cells`
+    kept cosets MatrixSizeError comes before any up-list; past `max_cells`
+    chains, from the depth-first search of `order_complex`."""
+    kept = [i for i, c in enumerate(ball_.cosets) if keep(c)]
+    if max_cells is not None and len(kept) > max_cells:
+        raise MatrixSizeError(f"{len(kept)} cosets exceed the materialization cap")
+    ids = [-1] * len(ball_.cosets)
+    for n, i in enumerate(kept):
+        ids[i] = n
+    up = []
+    for i in kept:
+        above = [ids[j] for j in ball_._above(ball_.cosets[i]).values()]
+        up.append([j for j in above if j >= 0])
+    return order_complex([ball_.coset_id(ball_.cosets[i]) for i in kept], up, max_cells)
+
+
+def reference_realization(ball_: DavisBall, max_cells=None) -> SimplicialComplex:
+    """The whole ball as an order complex."""
+    return reference_extract(ball_, lambda c: True, max_cells)
+
+
+def reference_singular(ball_: DavisBall, max_cells=None) -> SimplicialComplex:
+    """Order complex of the cosets of non-empty type."""
+    return reference_extract(ball_, lambda c: bool(c.gens), max_cells)
+
+
 def reference_sharp(ball_: DavisBall) -> SimplicialComplex:
     """Union of the generators' fixed subcomplexes, built one wall at a time."""
     verts: set[str] = set()
     simplices: set[tuple[str, ...]] = set()
     for s in range(ball_.system.matrix.rank):
         fixed = reference_fixed_cosets(ball_, (s,))
-        part = ball_._order_complex(lambda c: c in fixed)
+        part = reference_extract(ball_, lambda c: c in fixed)
         verts.update(part.vertices)
         simplices |= named_simplices(part)
     order = {ball_.coset_id(c): i for i, c in enumerate(ball_.cosets)}
     return faces_closure(simplices, vertices=sorted(verts, key=order.__getitem__))
+
+
+def reference_coset_counts(ball_: DavisBall) -> list[int]:
+    """`DavisBall.coset_counts` summed one length at a time: the coefficients
+    of W(t) by their linear recurrence, and those of W(t) / (1+t)^k each from
+    the one before, as (1+t) c_k = c_(k-1)."""
+    sizes = [len(t) for t in ball_._sphericals]
+    d = max(sizes)
+    f = [sizes.count(k) for k in range(d + 1)]
+    # [t^j] of the denominator for j >= 1; its constant term is f_0 = 1
+    denom = [
+        sum((-1) ** k * f[k] * comb(d - k, j - k) for k in range(j + 1)) for j in range(1, d + 1)
+    ]
+    recent = deque([0] * d, maxlen=d)  # [t^(n-1)], ..., [t^(n-d)] of W(t)
+    c = [0] * (d + 1)
+    counts = [0] * (d + 1)
+    for n in range(ball_.radius + 1):
+        c[0] = comb(d, n) - sum(a * b for a, b in zip(denom, recent))
+        if not c[0]:
+            break  # no element of length n, so none longer
+        recent.appendleft(c[0])
+        for k in range(1, d + 1):
+            c[k] = c[k - 1] - c[k]
+        for k in range(d + 1):
+            counts[k] += f[k] * c[k]
+    return counts

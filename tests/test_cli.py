@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,39 @@ def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys, no_coset_list
     assert "homology" not in steps
 
 
+def test_davis_command_exact_cells_over_cap_are_skipped(tmp_path, capsys, no_coset_list):
+    """The 60 singular cosets fit under the cap, their 132 chains do
+    not: the cells are counted from the growth series, and none is built."""
+    path = write_complex(tmp_path, cycle_complex(4))
+    argv = ("davis", path, "--radius", "2", "--singular", "--max-cells")
+    code, report = run_cli(capsys, *argv, "131")
+    assert code == 0
+    assert report["overall"] == "indeterminate"
+    assert report["steps"][-1] == {
+        "name": "extract",
+        "status": "skipped",
+        "data": {"kind": "singular", "dim": 1, "reason": "132 cells exceed the materialization cap"},
+    }
+
+
+@pytest.mark.parametrize("extract", ["--singular", "--sharp"])
+def test_dense_nerve_extract_is_skipped_before_any_chain(tmp_path, extract):
+    """Twelve commuting generators: 4,096 cosets at radius 0 fit under the
+    cap, but their chains are the 2 * Fubini(12) - 1 chains of non-empty
+    subsets of 12 letters, counted without listing one."""
+    n = 12
+    path = tmp_path / "k12.json"
+    path.write_text(json.dumps({
+        "generators": [f"g{i}" for i in range(n)],
+        "matrix": [[1 if i == j else 2 for j in range(n)] for i in range(n)],
+    }))
+    code, report = run_child("davis", str(path), "--radius", "0", extract)
+    assert code == 0
+    assert report["steps"][-1]["data"]["reason"] == (
+        "56183135189 cells exceed the materialization cap"
+    )
+
+
 def test_davis_dump_over_cap_is_skipped(tmp_path, capsys, no_coset_list):
     path = write_complex(tmp_path, cycle_complex(4))
     dump = tmp_path / "ball.json"
@@ -282,6 +316,21 @@ def test_huge_radius_of_a_line_is_skipped_at_once(tmp_path):
     assert [(s["name"], s["status"]) for s in report["steps"]] == [("ball", "skipped")]
 
 
+def test_linear_growth_is_counted_at_once(tmp_path):
+    """Two points at radius 12,000,000, just under the cell limit: the
+    growth series is summed by halving the radius, not length by length."""
+    path = write_complex(tmp_path, two_points())
+    start = time.monotonic()
+    code, report = run_child("davis", path, "--radius", "12000000")
+    assert time.monotonic() - start < 2
+    assert code == 0
+    assert report["steps"] == [{
+        "name": "ball",
+        "status": "pass",
+        "data": {"radius": 12000000, "cosets": 48000003, "realization_dim": 1},
+    }]
+
+
 def test_davis_homology_cap_counts_critical_cells(tmp_path, capsys):
     path = write_complex(tmp_path, cycle_complex(4))
     argv = ("davis", path, "--radius", "2", "--singular", "--max-homology-cells")
@@ -297,7 +346,7 @@ def test_davis_homology_cap_counts_critical_cells(tmp_path, capsys):
 
 
 def test_spine_singular_set_is_acyclic(tmp_path, capsys):
-    """The paper's example in full: 854,641 materialized cells reduce to few enough for SNF."""
+    """The paper's example in full: 854,641 indexed cells reduce to few enough for SNF."""
     path = write_complex(tmp_path, spine_complex())
     code, report = run_cli(capsys, "davis", path, "--radius", "1", "--singular")
     assert code == 0

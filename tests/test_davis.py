@@ -5,25 +5,34 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coxcert.coxeter import INF, racg_from_flag, system_from_matrix
 from coxcert.davis import (
+    CellIndex,
     DavisBall,
     davis_ball,
     hash_union_sharp,
     singular_subcomplex,
 )
-from coxcert.homology import MatrixSizeError, homology
+from coxcert.homology import MatrixSizeError, chain_homology, homology
 from coxcert.simplicial import faces_closure, square_report
+from coxcert.subdivide import barycentric_subdivision
 
 from helpers import (
     ReferenceBall,
     cycle_complex,
     full_triangle,
+    named_simplices,
+    projective_plane,
     random_flag_complex,
+    reference_coset_counts,
+    reference_extract,
     reference_fixed_cosets,
+    reference_homology,
+    reference_realization,
     reference_sharp,
+    reference_singular,
     two_points,
 )
 
@@ -51,7 +60,7 @@ def test_klein_four_ball_counts_and_realization():
     assert len(b.cosets) == 9
     kinds = sorted(len(c.gens) for c in b.cosets)
     assert kinds == [0, 0, 0, 0, 1, 1, 1, 1, 2]
-    real = b.realization()
+    real = reference_realization(b)
     counts = real.counts()
     assert counts == [9, 16, 8]  # barycentric subdivision of a square
     assert square_report(real).is_flag
@@ -62,7 +71,7 @@ def test_dihedral_ball_is_a_path():
     b = davis_ball(dihedral_system(), 2)
     chambers = [c for c in b.cosets if not c.gens]
     assert sorted(c.rep for c in chambers) == [(), (0,), (0, 1), (1,), (1, 0)]
-    real = b.realization()
+    real = reference_realization(b)
     assert real.dim() == 1
     h = homology(real, reduced=True)
     assert h.is_trivial()  # a segment of the line
@@ -122,7 +131,7 @@ def test_singular_dims_match_nerve_dims():
         assert sing.dim() == nerve_dim
         assert b.singular_dim() == nerve_dim
         assert b.realization_dim() == nerve_dim + 1
-        assert b.realization().dim() == nerve_dim + 1
+        assert reference_realization(b).dim() == nerve_dim + 1
 
 
 def test_finite_group_singular_acyclic():
@@ -139,18 +148,22 @@ def test_triangle_nerve_full_ball_size():
 
 
 def test_materialization_cap_counts_cosets_then_chains():
-    from coxcert.homology import MatrixSizeError
-
+    """The oracle checks its cosets, then its chains as it lists them; the
+    index checks its exact cells before it builds any."""
     b = davis_ball(edge_nerve_system(), 2)  # singular set: 5 cosets, 9 chains
-    assert sum(singular_subcomplex(b, max_cells=9).counts()) == 9
+    assert sum(reference_singular(b, max_cells=9).counts()) == 9
     for cap in (4, 8):
         with pytest.raises(MatrixSizeError):
+            reference_singular(b, max_cells=cap)
+    assert sum(singular_subcomplex(b, max_cells=9).counts()) == 9
+    for cap in (4, 8):
+        with pytest.raises(MatrixSizeError, match="^9 cells exceed the materialization cap$"):
             singular_subcomplex(b, max_cells=cap)
 
 
 def test_realization_is_flag():
     for sys in (edge_nerve_system(), racg_from_flag(cycle_complex(4))):
-        real = davis_ball(sys, 1).realization()
+        real = reference_realization(davis_ball(sys, 1))
         assert square_report(real).is_flag
 
 
@@ -183,7 +196,7 @@ def test_fixed_membership_agrees_with_orbit_oracle():
                 continue
             fixed = reference_fixed_cosets(b, g_nf)
             if len(g_nf) == 1:
-                assert fixed == {c for c in b.cosets if b.fixes(g_nf[0], c)}
+                assert fixed == {c for c in b.cosets if g_nf[0] in set(c.gens) & b.walls(c.rep)}
             for c in b.cosets:
                 # enumerate the coset elements through words over T
                 t = c.gens
@@ -214,10 +227,10 @@ def test_fast_coset_paths_match_word_problem_oracle(seed):
     ref = ReferenceBall(sys, radius)
     assert fast.cosets == ref.cosets
     assert fast.to_json() == ref.to_json()
-    real = fast.realization()
-    assert real.simplices == ref.realization().simplices
+    real = reference_realization(fast)
+    assert real.simplices == reference_realization(ref).simplices
     assert fast.realization_dim() == real.dim()
-    sing, ref_sing = singular_subcomplex(fast), singular_subcomplex(ref)
+    sing, ref_sing = singular_subcomplex(fast), reference_singular(ref)
     assert (sing.vertices, sing.simplices) == (ref_sing.vertices, ref_sing.simplices)
     assert fast.singular_dim() == sing.dim()
     sharp, ref_sharp = hash_union_sharp(fast), reference_sharp(ref)
@@ -225,7 +238,7 @@ def test_fast_coset_paths_match_word_problem_oracle(seed):
     assert sharp.dim() == fast.singular_dim()
     n = sys.matrix.rank
     for s in range(n):
-        wall = {c for c in fast.cosets if fast.fixes(s, c)}
+        wall = {c for c in fast.cosets if s in set(c.gens) & fast.walls(c.rep)}
         assert wall == reference_fixed_cosets(ref, (s,))
 
 
@@ -233,7 +246,7 @@ def test_dimensions_do_not_enumerate_cosets():
     b = davis_ball(racg_from_flag(cycle_complex(5)), 2)
     assert (b.realization_dim(), b.singular_dim()) == (2, 1)
     assert "cosets" not in b.__dict__
-    assert b.realization().dim() == 2
+    assert reference_realization(b).dim() == 2
 
 
 def test_cosets_and_dimensions_build_no_up_lists(monkeypatch):
@@ -285,3 +298,72 @@ def test_coset_counts_stop_at_the_limit():
     assert davis_ball(triangle_nerve_system(), 10**9).coset_counts() == [8, 12, 6, 1]
     with pytest.raises(MatrixSizeError):
         davis_ball(dihedral_system(), 10**9).coset_counts(10**6)
+
+
+def _check_index(ball_, sharp):
+    """The cell index of an extract against the oracle that lists its chains:
+    the cells counted before any is built, the cells built, the oracle's
+    cells, the face slots and the homology must all agree."""
+    index = CellIndex(ball_, sharp)
+    oracle = reference_sharp(ball_) if sharp else reference_singular(ball_)
+    counts = index.counts
+    assert counts == oracle.counts()
+    assert named_simplices(index.complex()) == named_simplices(oracle)
+    cc = index.chain_complex()  # asserts that the built offsets give `counts`
+    chains = [[] for _ in counts]
+    for chain in index.chains():
+        chains[len(chain) - 1].append(chain)
+    assert list(map(len, chains)) == cc.sizes == counts
+    for d in range(1, len(counts)):
+        faces, width = cc.faces[d], d + 1
+        assert len(faces) == width * counts[d]
+        for i, chain in enumerate(chains[d]):
+            # slot j omits the coset at chain place d - j, with sign (-1)^(d-j)
+            got = [chains[d - 1][faces[i * width + j]] for j in range(width)]
+            assert got == [chain[: d - j] + chain[d - j + 1 :] for j in range(width)]
+    result = chain_homology(cc, reduced=True)
+    assert result == reference_homology(oracle, reduced=True)
+    return result
+
+
+ORACLE_MAX_CELLS = 4000  # keeps the full-SNF oracle fast
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0), st.booleans())
+def test_cell_index_matches_the_listed_extract(seed, sharp):
+    rng = random.Random(seed)
+    sys = racg_from_flag(random_flag_complex(rng, rng.randint(5, 9), rng.choice((0.2, 0.5, 0.8))))
+    radius = rng.randint(0, 2)
+    while radius and CellIndex(DavisBall(sys, radius), sharp).cells() > ORACLE_MAX_CELLS:
+        radius -= 1
+    ball_ = DavisBall(sys, radius)
+    assume(CellIndex(ball_, sharp).cells() <= ORACLE_MAX_CELLS)  # large cliques: large at r = 0
+    _check_index(ball_, sharp)
+
+
+def test_cell_index_keeps_the_torsion_of_flag_rp2():
+    """The flag RP^2 at radius 1: the singular set is a wedge of N_1 = 32
+    copies of RP^2 up to homotopy, the sharp set one copy."""
+    ball_ = davis_ball(racg_from_flag(barycentric_subdivision(projective_plane())), 1)
+    assert ball_.coset_counts()[0] == 32
+    singular = _check_index(ball_, sharp=False)
+    assert singular.torsion(1) == (2,) * 32 and singular.betti(1) == 0
+    sharp = _check_index(ball_, sharp=True)
+    assert sharp.torsion(1) == (2,) and sharp.degrees() == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0))
+def test_coset_counts_match_the_per_length_sum(seed):
+    """Halving the radius gives the counts of summing one length at a time:
+    complete graphs give finite groups, two points or a square polynomial
+    growth, sparse graphs exponential growth."""
+    rng = random.Random(seed)
+    l = rng.choice([
+        lambda: random_flag_complex(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8, 1.0))),
+        two_points,
+        lambda: cycle_complex(4),
+    ])()
+    b = davis_ball(racg_from_flag(l), rng.randint(0, 300))
+    assert b.coset_counts() == reference_coset_counts(b)

@@ -126,7 +126,7 @@ def test_boundary_squares_to_zero():
             faces, width = cc.faces[d], d + 1
             signed = [
                 {faces[i * width + j]: (-1) ** (d - j) for j in range(width)}
-                for i in range(len(cc.basis[d]))
+                for i in range(cc.sizes[d])
             ]
             assert signed == boundary_columns(k, d)
         for d in range(2, k.dim() + 1):
