@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+from array import array
 from collections import defaultdict, deque
 from itertools import chain, combinations, repeat
 from typing import Iterable, Optional
@@ -129,30 +130,38 @@ def check_boundary_entries(sizes: list[int]) -> None:
 class ChainComplex:
     """Boundary maps of a complex, as cells per degree and flat face lists.
 
-    `sizes[d]` is the number of d-cells.  `faces[d]` is one flat list of
-    (d-1)-cell indices: cell i of degree d >= 1 owns slots i*(d+1) ...
+    `sizes[d]` is the number of d-cells.  `faces[d]` is one flat `array('q')`
+    of (d-1)-cell indices: cell i of degree d >= 1 owns slots i*(d+1) ...
     i*(d+1)+d, and slot j, which omits the vertex at place d-j, has sign
-    (-1)^(d-j), read off its position.  Built from a simplicial complex, the
-    cells are its position tuples, grouped by degree and sorted within each
-    degree, and the slots come in `combinations` order, which omits the last
-    vertex first.  The boundary entries count against the cell limit before
-    any face is listed.
+    (-1)^(d-j), read off its position.
+
+    Built from simplices: `cells` are strictly increasing tuples of vertex
+    positions below `vertex_count` that generate the complex, every simplex
+    or only the maximal ones, in any order and with repeats.  They are
+    closed under faces one degree at a time, from the top down, and every
+    position is a vertex.  The boundary entries count against the cell
+    limit once the closure is counted, before any face slot is written.
+    Then each degree is numbered in sorted order and its slots come in
+    `combinations` order, which omits the last vertex first; the tuples of
+    a degree are freed once the degree above is written.
     """
 
-    def __init__(self, k: SimplicialComplex):
-        groups: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
-        for s in k.simplices:
-            groups[len(s)].append(s)
-        basis = [groups[n] for n in range(1, max(groups, default=0) + 1)]
-        self.sizes = [len(cells) for cells in basis]
+    def __init__(self, vertex_count: int, cells: Iterable[tuple[int, ...]]):
+        levels: defaultdict[int, set[tuple[int, ...]]] = defaultdict(set)
+        for s in cells:
+            levels[len(s)].add(s)
+        top = max(levels, default=1) if vertex_count else 0
+        for n in range(top, 2, -1):
+            levels[n - 1].update(chain.from_iterable(map(combinations, levels[n], repeat(n - 1))))
+        self.sizes = [vertex_count] + [len(levels[n]) for n in range(2, top + 1)] if top else []
         check_boundary_entries(self.sizes)
-        for cells in basis:
-            cells.sort()
-        self.faces: list = [[]]
-        for d in range(1, len(basis)):
-            face_index = {s: i for i, s in enumerate(basis[d - 1])}.__getitem__
-            slots = chain.from_iterable(combinations(s, d) for s in basis[d])
-            self.faces.append(list(map(face_index, slots)))
+        self.faces: list = [array("q")]
+        below: list[tuple[int, ...]] = [(v,) for v in range(vertex_count)]
+        for d in range(1, len(self.sizes)):
+            face_index = {s: i for i, s in enumerate(below)}.__getitem__
+            below = sorted(levels.pop(d + 1))
+            slots = chain.from_iterable(map(combinations, below, repeat(d)))
+            self.faces.append(array("q", map(face_index, slots)))
 
     @classmethod
     def from_faces(cls, sizes: list[int], faces: list) -> ChainComplex:
@@ -345,7 +354,8 @@ def homology(
     k: SimplicialComplex, reduced: bool = False, *, max_cells: Optional[int] = None
 ) -> HomologyResult:
     """Integral homology of a simplicial complex: `chain_homology` of its chain complex."""
-    return chain_homology(ChainComplex(k), reduced, max_cells=max_cells)
+    cc = ChainComplex(len(k.vertices), k.simplices)
+    return chain_homology(cc, reduced, max_cells=max_cells)
 
 
 def chain_homology(

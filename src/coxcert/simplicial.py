@@ -80,14 +80,26 @@ def faces_closure(
     vertices: Optional[Sequence[str]] = None,
     max_cells: Optional[int] = None,
 ) -> SimplicialComplex:
-    """Smallest simplicial complex containing the given vertex sets.
+    """Smallest simplicial complex containing the given vertex sets: the
+    `closure` of their `facet_positions`."""
+    return closure(*facet_positions(maximal, vertices, max_cells))
 
-    The vertex universe defaults to the sorted union of the given sets; an
-    explicit `vertices` sequence fixes both universe and order, and with no
-    sets gives the complex of those vertices alone.  Here vertex names
-    become positions.  A set of n vertices has 2^n - 1 - n faces with two
-    or more vertices; when their sum over the sets exceeds `max_cells`,
-    `ValueError` is raised before any face is listed.
+
+def facet_positions(
+    maximal: Sequence[Iterable[str]],
+    vertices: Optional[Sequence[str]] = None,
+    max_cells: Optional[int] = None,
+) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The vertex universe, and each given vertex set as a sorted tuple of
+    positions in it; no face is listed.
+
+    The universe defaults to the sorted union of the given sets; an explicit
+    `vertices` sequence fixes both universe and order, and with no sets
+    gives the complex of those vertices alone.  Here vertex names become
+    positions.  `ValueError` is raised, in this order, for an empty set;
+    for more than `max_cells` faces with two or more vertices over the sets
+    (2^n - 1 - n for a set of n vertices), counted before any is listed;
+    for a vertex outside the universe; and for a name repeated in it.
     """
     sets = [tuple(m) for m in maximal]
     if not all(sets):
@@ -106,21 +118,21 @@ def faces_closure(
             v = next(v for m in sets for v in m if v in outside)
             raise ValueError(f"vertex {v!r} outside declared universe")
     pos = {v: i for i, v in enumerate(universe)}
-    return closure(universe, ({pos[v] for v in m} for m in sets))
+    if len(pos) != len(universe):
+        raise ValueError("duplicate vertex ids")
+    return universe, [tuple(sorted({pos[v] for v in m})) for m in sets]
 
 
 def closure(vertices: Sequence[str], cells: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Complex on `vertices` whose simplices are the faces of the cells.
 
     Each cell is a collection of distinct vertex positions.  Every vertex is
-    a singleton simplex, whether or not a cell holds it.
+    a singleton simplex, whether or not a cell holds it.  The simplices go
+    straight into one frozenset, which the constructor keeps as it is.
     """
-    simplices = {(i,) for i in range(len(vertices))}
-    for cell in cells:
-        face = sorted(cell)
-        for k in range(2, len(face) + 1):
-            simplices.update(combinations(face, k))
-    return SimplicialComplex(vertices, simplices)
+    faces = (combinations(face, k) for face in map(sorted, cells) for k in range(2, len(face) + 1))
+    singletons = ((i,) for i in range(len(vertices)))
+    return SimplicialComplex(vertices, frozenset(chain(singletons, chain.from_iterable(faces))))
 
 
 def wedge(
@@ -265,7 +277,16 @@ def complex_to_json(k: SimplicialComplex) -> dict:
 
 def complex_from_json(data: Mapping, max_cells: Optional[int] = None) -> SimplicialComplex:
     """Complex of a JSON object; `max_cells` caps the faces to enumerate (see
-    `faces_closure`)."""
+    `facet_positions`)."""
+    return closure(*facets_from_json(data, max_cells))
+
+
+def facets_from_json(
+    data: Mapping, max_cells: Optional[int] = None
+) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The vertex universe and the facets, as sorted position tuples, of a
+    complex JSON object, with every check of `complex_from_json` and no face
+    listed."""
     if not isinstance(data, Mapping):
         raise ValueError("complex JSON must be an object")
     try:
@@ -279,4 +300,4 @@ def complex_from_json(data: Mapping, max_cells: Optional[int] = None) -> Simplic
         isinstance(m, list) and all(isinstance(v, str) for v in m) for m in maximal
     ):
         raise ValueError("'maximal_simplices' must be a list of vertex lists")
-    return faces_closure(maximal, vertices=vertices, max_cells=max_cells)
+    return facet_positions(maximal, vertices, max_cells)

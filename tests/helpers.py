@@ -10,7 +10,7 @@ import random
 
 from coxcert.coxeter import _is_spherical_idx, _subset_indices
 from coxcert.davis import DavisBall, SphericalCoset
-from coxcert.homology import MatrixSizeError
+from coxcert.homology import ChainComplex, MatrixSizeError
 from coxcert.simplicial import SimplicialComplex, faces_closure
 from coxcert.subdivide import order_complex
 
@@ -236,6 +236,18 @@ def boundary_columns(k: SimplicialComplex, d: int) -> list[dict[int, int]]:
     rows = {s: i for i, s in enumerate(k.k_simplices(d - 1))}
     signs = [(-1) ** (d - j) for j in range(d + 1)]  # combinations omit the last vertex first
     return [dict(zip(map(rows.__getitem__, combinations(s, d)), signs)) for s in k.k_simplices(d)]
+
+
+def reference_chain_complex(k: SimplicialComplex) -> ChainComplex:
+    """Every simplex of k, grouped by degree and sorted within each, and the
+    faces of each listed in `combinations` order: the oracle for the
+    degree-by-degree build of `ChainComplex` from generating simplices."""
+    basis = [k.k_simplices(d) for d in range(k.dim() + 1)]
+    faces: list = [[]]
+    for d in range(1, len(basis)):
+        face_index = {s: i for i, s in enumerate(basis[d - 1])}
+        faces.append([face_index[f] for s in basis[d] for f in combinations(s, d)])
+    return ChainComplex.from_faces([len(cells) for cells in basis], faces)
 
 
 def reference_coreduce(k: SimplicialComplex) -> tuple[list[list[int]], list[list[dict[int, int]]]]:

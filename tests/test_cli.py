@@ -1,5 +1,7 @@
 """CLI harness: exit codes, report shapes, determinism."""
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coxcert import simplicial
 from coxcert.cli import main
 from coxcert.davis import DavisBall
-from coxcert.simplicial import complex_to_json, faces_closure
+from coxcert.homology import _cell_limit, homology
+from coxcert.simplicial import SimplicialComplex, complex_from_json, complex_to_json, faces_closure
 from coxcert.coxeter import racg_from_flag, system_from_matrix, system_to_json
 from coxcert.presentations import spine_complex
 
@@ -106,6 +111,87 @@ def test_homology_over_cell_limit_is_skipped(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert report["overall"] == "indeterminate"
     assert report["steps"][0]["status"] == "skipped"
+
+
+@pytest.mark.parametrize(
+    "data, limit",
+    [
+        ({"vertices": ["a", "b", "a"], "maximal_simplices": [["a", "b"]]}, None),
+        ({"vertices": ["a"], "maximal_simplices": [["a", "b"]]}, None),
+        ({"vertices": ["a", "b"], "maximal_simplices": [["a"], []]}, None),
+        ({"vertices": ["a", "b", "c"], "maximal_simplices": [["a", "b", "c"]]}, "3"),
+        ({"vertices": ["a", "a"], "maximal_simplices": [[], ["b"]]}, None),
+        ({"vertices": ["a", "a"], "maximal_simplices": [["a", "b"]]}, None),
+    ],
+    ids=["duplicate-ids", "outside-universe", "empty-member", "face-cap", "empty-first",
+         "outside-before-duplicates"],
+)
+def test_homology_input_errors_match_complex_from_json(tmp_path, capsys, monkeypatch, data, limit):
+    """`homology` refuses what `complex_from_json` refuses, with its message,
+    the first failed check winning as there."""
+    if limit is not None:
+        monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", limit)
+    with pytest.raises(ValueError) as refused:
+        complex_from_json(data, max_cells=_cell_limit())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, report = run_cli(capsys, "homology", str(path))
+    assert code == 2
+    assert report == {"error": str(refused.value)}
+
+
+NAMES = ["a", "b", "c", "d", "e", "f"]
+
+
+@st.composite
+def complex_files(draw):
+    """Valid complex JSON on at most 6 vertices: facets may repeat, nest and
+    repeat a vertex; the vertex and facet lists may be empty."""
+    verts = draw(st.lists(st.sampled_from(NAMES), max_size=6, unique=True))
+    if not verts:
+        return {"vertices": [], "maximal_simplices": []}
+    facet = st.lists(st.sampled_from(verts), min_size=1, max_size=5)
+    facets = draw(st.lists(facet, max_size=6))
+    facets += [draw(st.sampled_from(facets))[: draw(st.integers(1, 5))] for _ in facets[:2]]
+    return {"vertices": verts, "maximal_simplices": facets}
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_files(), st.booleans())
+def test_homology_report_matches_the_loaded_complex(tmp_path_factory, data, reduced):
+    """The `homology` report, built from the facets alone, is the one that
+    `homology(complex_from_json(data))` gives."""
+    path = tmp_path_factory.mktemp("homology") / "complex.json"
+    path.write_text(json.dumps(data))
+    argv = ["homology", str(path)] + (["--reduced"] if reduced else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    report = json.loads(out.getvalue())
+    k = complex_from_json(data)
+    table = homology(k, reduced=reduced).to_json(max_degree=max(k.dim(), 0))
+    assert report["steps"] == [{
+        "name": "homology",
+        "status": "pass",
+        "data": {"reduced": reduced, "table": table,
+                 "euler_characteristic": k.euler_characteristic()},
+    }]
+
+
+def test_homology_command_builds_no_simplicial_complex(tmp_path, capsys, monkeypatch):
+    """`homology` builds its chain complex from the facets of the file: no
+    closure set and no `SimplicialComplex`."""
+    path = write_complex(tmp_path, projective_plane())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SimplicialComplex was built")
+
+    monkeypatch.setattr(simplicial, "closure", refuse)
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    code, report = run_cli(capsys, "homology", path)
+    assert code == 0
+    assert report["steps"][0]["data"]["table"][1]["torsion"] == [2]
+    assert report["steps"][0]["data"]["euler_characteristic"] == 1
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from helpers import (
     random_flag_complex,
     rational_betti,
     rational_rank,
+    reference_chain_complex,
     reference_coreduce,
     reference_homology,
     reference_snf_divisors,
@@ -121,7 +122,7 @@ def test_boundary_squares_to_zero():
     """The flat face lists, signed by slot, are the full boundary columns,
     and the boundary squares to zero."""
     for k in (full_triangle(), projective_plane(), cone(cycle_complex(4), "z")):
-        cc = ChainComplex(k)
+        cc = ChainComplex(len(k.vertices), k.simplices)
         for d in range(1, k.dim() + 1):
             faces, width = cc.faces[d], d + 1
             signed = [
@@ -188,7 +189,7 @@ def _check_against_reference(k):
     following the pairing square to 0."""
     for reduced in (False, True):
         assert homology(k, reduced=reduced) == reference_homology(k, reduced=reduced)
-    critical, columns = ChainComplex(k).coreduce()
+    critical, columns = ChainComplex(len(k.vertices), k.simplices).coreduce()
     for d in range(2, len(critical)):
         lower = dict(zip(critical[d - 1], columns[d - 1]))
         assert not any(_compose(columns[d], lower))
@@ -252,4 +253,42 @@ def test_coreduce_matches_eager_reference(case):
         k = _davis_set(*case[1:])
     else:
         k = FIXED[case[0]]()
-    assert ChainComplex(k).coreduce() == reference_coreduce(k)
+    assert ChainComplex(len(k.vertices), k.simplices).coreduce() == reference_coreduce(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(min_value=0)),
+        st.tuples(st.just("davis"), st.integers(min_value=0), st.integers(0, 2), st.booleans()),
+        st.tuples(st.sampled_from(sorted(FIXED))),
+        st.tuples(st.just("points"), st.integers(0, 4)),
+    ),
+    st.integers(min_value=0),
+)
+def test_chain_complex_build_matches_grouped_reference(case, seed):
+    """Built from every simplex, from the maximal ones, or from shuffled
+    maximal simplices with repeats and nested faces added and no vertex
+    named, the chain complex has the cells and every face slot of the
+    simplices grouped by degree and sorted; points and the empty complex
+    included."""
+    if case[0] == "random":
+        rng = random.Random(case[1])
+        k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
+    elif case[0] == "davis":
+        k = _davis_set(*case[1:])
+    elif case[0] == "points":
+        k = SimplicialComplex([f"p{i}" for i in range(case[1])], [(i,) for i in range(case[1])])
+    else:
+        k = FIXED[case[0]]()
+    want = reference_chain_complex(k)
+    maximal = k.maximal_simplices()
+    rng = random.Random(seed)
+    mixed = maximal + rng.choices(maximal, k=len(maximal) // 2)
+    mixed += rng.sample(sorted(k.simplices), len(k.simplices) // 4)
+    rng.shuffle(mixed)
+    mixed = [s for s in mixed if len(s) > 1]
+    for cells in (k.simplices, maximal, mixed):
+        cc = ChainComplex(len(k.vertices), cells)
+        assert cc.sizes == want.sizes
+        assert [list(f) for f in cc.faces] == want.faces

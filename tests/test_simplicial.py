@@ -34,6 +34,23 @@ def test_faces_closure_full_triangle():
     assert k.dim() == 2
 
 
+def test_closure_hands_over_one_frozenset(monkeypatch):
+    """`closure` builds the frozenset itself, so the constructor keeps that
+    object rather than copying a set."""
+    seen = []
+    init = SimplicialComplex.__init__
+
+    def spy(self, vertices, simplices):
+        seen.append(simplices)
+        init(self, vertices, simplices)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", spy)
+    k = faces_closure([("a", "b", "c"), ("c", "d")], vertices=["a", "b", "c", "d", "e"])
+    assert type(seen[0]) is frozenset
+    assert k.simplices is seen[0]
+    assert len(k.simplices) == 10
+
+
 def test_faces_closure_hollow_triangle():
     k = hollow_triangle()
     assert len(k.simplices) == 6
