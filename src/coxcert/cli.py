@@ -6,7 +6,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .coxeter import hyperbolicity, racg_from_flag, nerve as nerve_of
@@ -32,14 +31,14 @@ from .subdivide import barycentric_subdivision
 from .davis import hash_union_sharp, singular_subcomplex  # noqa: F401
 
 
-@dataclass
 class RunReport:
     """Stepwise result of one CLI command."""
 
-    command: str
-    input_digest: str
-    steps: list[dict] = field(default_factory=list)
-    timing_seconds: Optional[float] = None
+    def __init__(self, command: str, input_digest: str):
+        self.command = command
+        self.input_digest = input_digest
+        self.steps: list[dict] = []
+        self.timing_seconds: Optional[float] = None
 
     def add(self, name: str, status: str, **data) -> None:
         self.steps.append({"name": name, "status": status, "data": data})
@@ -80,9 +79,11 @@ def _load_json(path: str):
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    # Python's digit limit; RecursionError is JSON nested past the stack
     try:
         return json.loads(raw), _digest_bytes(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 

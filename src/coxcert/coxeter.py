@@ -1,8 +1,7 @@
 """Coxeter matrices, nerves, finiteness classification and the RA word problem."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .simplicial import SimplicialComplex, _flag_witness, capped, cliques, square_report
 
@@ -11,28 +10,42 @@ INF = 0  # Coxeter matrix entries use 0 to encode infinity (as in the JSON forma
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class CoxeterMatrix:
     """Symmetric matrix of relation orders; diagonal 1, off-diagonal >= 2 or 0(=inf)."""
 
-    generators: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("generators", "entries")
 
-    def __post_init__(self):
-        n = len(self.generators)
-        if len(set(self.generators)) != n:
+    def __init__(self, generators: tuple[str, ...], entries: tuple[tuple[int, ...], ...]):
+        n = len(generators)
+        if len(set(generators)) != n:
             raise ValueError("duplicate generator labels")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("matrix shape does not match generators")
         for i in range(n):
-            if self.entries[i][i] != 1:
+            if entries[i][i] != 1:
                 raise ValueError("diagonal entries must be 1")
             for j in range(i + 1, n):
-                m = self.entries[i][j]
-                if m != self.entries[j][i]:
+                m = entries[i][j]
+                if m != entries[j][i]:
                     raise ValueError("matrix must be symmetric")
                 if m != INF and m < 2:
                     raise ValueError("off-diagonal entries must be >= 2 or infinity")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoxeterMatrix is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoxeterMatrix):
+            return NotImplemented
+        return self.generators == other.generators and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.entries))
+
+    def __repr__(self) -> str:
+        return f"CoxeterMatrix(generators={self.generators!r}, entries={self.entries!r})"
 
     def order(self, i: int, j: int) -> int:
         return self.entries[i][j]
@@ -42,27 +55,40 @@ class CoxeterMatrix:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
 class CoxeterSystem:
     """A Coxeter matrix, whether it is right-angled, and in `link[i]` the
-    generators that commute with generator i."""
+    generators that commute with generator i.  The matrix alone decides
+    equality."""
 
-    matrix: CoxeterMatrix
-    right_angled: bool = field(init=False)
-    link: tuple[frozenset[int], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("matrix", "right_angled", "link")
 
-    def __post_init__(self):
+    def __init__(self, matrix: CoxeterMatrix):
         ra = all(
             m in (2, INF)
-            for i, row in enumerate(self.matrix.entries)
+            for i, row in enumerate(matrix.entries)
             for j, m in enumerate(row)
             if i != j
         )
-        object.__setattr__(self, "right_angled", ra)
         link = tuple(
-            frozenset(j for j, m in enumerate(row) if m == 2) for row in self.matrix.entries
+            frozenset(j for j, m in enumerate(row) if m == 2) for row in matrix.entries
         )
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "right_angled", ra)
         object.__setattr__(self, "link", link)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoxeterSystem is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoxeterSystem):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
+
+    def __repr__(self) -> str:
+        return f"CoxeterSystem({self.matrix!r})"
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -255,8 +281,7 @@ def _spherical_subsets(sys: CoxeterSystem) -> Iterable[tuple[int, ...]]:
 # -- hyperbolicity -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperbolicityReport:
+class HyperbolicityReport(NamedTuple):
     right_angled: bool
     flag: bool
     empty_squares: tuple[tuple[str, str, str, str], ...]

@@ -3,12 +3,11 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
 from .homology import ChainComplex, MatrixSizeError, check_boundary_entries
@@ -22,8 +21,7 @@ from .subdivide import barycentric_subdivision  # noqa: F401
 Subset = tuple[int, ...]  # sorted generator indices
 
 
-@dataclass(frozen=True, slots=True)
-class SphericalCoset:
+class SphericalCoset(NamedTuple):
     """A coset w*W_T named by its minimal representative and type T."""
 
     rep: Word

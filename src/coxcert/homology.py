@@ -7,8 +7,8 @@ import math
 import os
 from array import array
 from collections import defaultdict, deque
-from itertools import chain, combinations, repeat
-from typing import Iterable, Optional
+from itertools import chain, combinations, compress, repeat
+from typing import Iterable, Iterator, Optional
 
 from .simplicial import SimplicialComplex
 
@@ -191,7 +191,11 @@ class ChainComplex:
         # pair, 3 removed as the upper cell; and its number of active faces
         state = [bytearray(n) for n in sizes]
         live = [bytearray([d + 1 if d else 0]) * n for d, n in enumerate(sizes)]
-        partner = [[0] * n for n in sizes[:-1]]  # b of each lower cell a
+        # per degree, the upper cell b of each pair (a, b) in the order the
+        # pairs are made, and the place of each lower cell a in that order
+        # (4-byte entries: no complex that fits in memory has 2^31 cells)
+        upper = [array("i") for _ in sizes[:-1]]
+        place = [array("i", [0]) * n for n in sizes[:-1]]
         critical: list[list[int]] = [[] for _ in sizes]
         queue: deque[tuple[int, int]] = deque()
         faces = self.faces
@@ -231,7 +235,8 @@ class ChainComplex:
                         if not below[a]:
                             break
                     below[a], state[d][b] = 2, 3
-                    partner[d - 1][a] = b
+                    place[d - 1][a] = len(upper[d - 1])
+                    upper[d - 1].append(b)
                     release(d - 1, a)
                     release(d, b)
                 # no pair left: the lowest-degree active cell becomes critical
@@ -249,53 +254,67 @@ class ChainComplex:
                 release(d, i)
             del cofaces
             columns = [
-                self._follow(d, state[d - 1], partner[d - 1], critical[d]) for d in range(1, top)
+                self._follow(d, state[d - 1], place[d - 1], upper[d - 1], critical[d])
+                for d in range(1, top)
             ]
         finally:
             if collecting:
                 gc.enable()
         return critical, [[]] + columns
 
-    def _follow(self, d: int, below: bytearray, partner: list[int], cells: list[int]) -> list:
-        """Boundaries of the given d-cells in the critical (d-1)-cells.  The
-        image of each lower face reached is computed once, after the images
-        it is made of: faces removed before it, so the search ends."""
+    def _follow(
+        self, d: int, below: bytearray, place: array, upper: array, cells: list[int]
+    ) -> list:
+        """Boundaries of the given d-cells in the critical (d-1)-cells.
+
+        `upper[k]` is the cell b of the k-th pair (a, b), and `place[a]` is
+        k.  The image of a is made of the other faces of b, all removed
+        before a was paired: critical cells, and lower cells of earlier
+        pairs.  So one backward pass over the pairs marks those whose image
+        some given cell reaches, skipping to the next mark, and one forward
+        pass computes the marked images, each after those it is made of.
+        Only the images that do not vanish are kept."""
         faces, width = self.faces[d], d + 1
         signs = [(-1) ** (d - j) for j in range(width)]
-        images: list[Optional[dict[int, int]]] = [None] * len(below)
-        empty: dict[int, int] = {}  # shared by every image that vanishes
+        reached = bytearray(len(upper))  # by the place of the pair
 
-        def combine(b: int, skip: int = -1) -> dict[int, int]:
-            # d(b) in the critical cells or, for the pair (skip, b), the image
-            # of skip: -<d(b), skip> (d(b) - <d(b), skip> skip)
+        def marked() -> Iterator[int]:
+            # the given cells, then the b of each marked pair, last first
+            yield from cells
+            k = len(upper)
+            while (k := reached.rfind(1, 0, k)) >= 0:
+                yield upper[k]
+
+        for b in marked():
+            for r in faces[b * width : (b + 1) * width]:
+                if below[r] == 2:
+                    reached[place[r]] = 1
+
+        images: dict[int, dict[int, int]] = {}  # by the place of the pair; none is empty
+
+        def combine(b: int, k: int = -1) -> dict[int, int]:
+            # d(b) in the critical cells or, for the k-th pair (a, b), the
+            # image of a: -<d(b), a> (d(b) - <d(b), a> a)
             acc: dict[int, int] = {}
             factor = 1
             for r, sign in zip(faces[b * width : (b + 1) * width], signs):
-                if r == skip:
-                    factor = -sign
-                elif below[r] == 1:
+                kind = below[r]
+                if kind == 2:
+                    j = place[r]
+                    if j in images:  # never j == k: a's image is not made yet
+                        for rr, v in images[j].items():
+                            acc[rr] = acc.get(rr, 0) + sign * v
+                    elif j == k:
+                        factor = -sign
+                elif kind == 1:
                     acc[r] = acc.get(r, 0) + sign
-                elif below[r] == 2:
-                    for rr, v in images[r].items():
-                        acc[rr] = acc.get(rr, 0) + sign * v
             return {r: factor * v for r, v in acc.items() if v} if acc else acc
 
-        def pending(b: int, skip: int = -1) -> list[int]:
-            # the lower faces of b, other than skip, with no image yet
-            slots = faces[b * width : (b + 1) * width]
-            return [r for r in slots if below[r] == 2 and r != skip and images[r] is None]
-
-        columns = []
-        for b in cells:
-            stack = pending(b)
-            while stack:
-                a = stack.pop()
-                if a >= 0 and images[a] is None:  # first visit: its faces go above it
-                    stack += [~a] + pending(partner[a], a)
-                elif a < 0 and images[~a] is None:
-                    images[~a] = combine(partner[~a], ~a) or empty
-            columns.append(combine(b))
-        return columns
+        for k in compress(range(len(upper)), reached):
+            image = combine(upper[k], k)
+            if image:
+                images[k] = image
+        return [combine(b) for b in cells]
 
 
 class HomologyResult:

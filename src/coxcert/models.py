@@ -1,10 +1,9 @@
 """Wedge and Farrell classifying-space models and the main dimension report."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .homology import homology
 from .presentations import Pi1Certificate
@@ -36,8 +35,7 @@ def wedge_model(l: SimplicialComplex, k: int) -> SimplicialComplex:
 # -- main theorem report --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MainTheoremReport:
+class MainTheoremReport(NamedTuple):
     """Dimension predictions for the virtually-cyclic classifying space.
 
     Hyperbolic branch: cohomological dimension 2 and geometric dimension 3,

@@ -1,9 +1,8 @@
 """Presentation 2-complexes, permutation certificates and the spine example."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .simplicial import SimplicialComplex, faces_closure
 from .subdivide import contract_flag_no_squares, no_square_subdivision
@@ -24,7 +23,6 @@ def free_reduce(word: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Group presentation; relators are stored freely reduced.
 
@@ -32,8 +30,7 @@ class Presentation:
     denotes the inverse of the corresponding generator.
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[str, ...]
+    __slots__ = ("generators", "relators")
 
     def __init__(self, generators: Sequence[str], relators: Sequence[str]):
         gens = tuple(generators)
@@ -54,6 +51,20 @@ class Presentation:
             reduced.append(rr)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(reduced))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Presentation is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return self.generators == other.generators and self.relators == other.relators
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.relators))
+
+    def __repr__(self) -> str:
+        return f"Presentation(generators={self.generators!r}, relators={self.relators!r})"
 
     def to_json(self) -> dict:
         return {"generators": list(self.generators), "relators": list(self.relators)}
@@ -139,8 +150,7 @@ def _closure_order(gens: Sequence[Perm], degree: int, cap: int = 100000) -> int:
     return len(seen)
 
 
-@dataclass(frozen=True)
-class Pi1Certificate:
+class Pi1Certificate(NamedTuple):
     """Nontriviality certificate: a permutation image killing every relator.
 
     All three checks (relators die, the image subgroup's order, nontriviality)

@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class SimplicialComplex:
@@ -172,8 +171,7 @@ def wedge(
     return SimplicialComplex(verts, simplices)
 
 
-@dataclass(frozen=True)
-class SquareReport:
+class SquareReport(NamedTuple):
     """Flag status and induced-4-cycle census of a complex's 1-skeleton."""
 
     is_flag: bool

@@ -89,6 +89,28 @@ def test_homology_malformed_input_exits_2(tmp_path, capsys):
     assert "error" in report
 
 
+@pytest.mark.parametrize("command", ["homology", "hyperbolic", "davis"])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xff\xff\xff",
+        '{"vertices": ["\xe9"], "maximal_simplices": [["\xe9"]]}'.encode("latin-1"),
+        b"[" * 200_000 + b"]" * 200_000,
+        b"[" + b"1" * 5000 + b"]",
+    ],
+    ids=["not-utf8", "latin1-vertex", "nested-200000", "int-5000-digits"],
+)
+def test_undecodable_input_exits_2(tmp_path, capsys, command, raw):
+    """Bytes that are not UTF-8, JSON nested past the interpreter's stack,
+    and an integer past Python's digit limit are input errors, not a
+    traceback."""
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    code, report = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert report["error"].startswith(f"malformed JSON in {path}")
+
+
 def test_homology_missing_file_exits_2(tmp_path, capsys):
     code, report = run_cli(capsys, "homology", str(tmp_path / "nope.json"))
     assert code == 2

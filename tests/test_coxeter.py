@@ -328,3 +328,15 @@ def test_system_json_round_trip():
     assert again.matrix == sys.matrix
     with pytest.raises(ValueError):
         system_from_json({"generators": ["a"]})
+
+
+def test_systems_are_frozen_and_equal_ones_hash_equal():
+    sys = racg_from_flag(cycle_complex(5))
+    again = system_from_json(system_to_json(sys))
+    assert again == sys and hash(again) == hash(sys) and len({sys, again}) == 1
+    assert sys != racg_from_flag(cycle_complex(4))
+    report = hyperbolicity(sys)
+    for record, field in [(sys, "matrix"), (sys, "link"), (sys.matrix, "entries"),
+                          (report, "hyperbolic")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

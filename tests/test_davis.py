@@ -11,6 +11,7 @@ from coxcert.coxeter import INF, racg_from_flag, system_from_matrix
 from coxcert.davis import (
     CellIndex,
     DavisBall,
+    SphericalCoset,
     davis_ball,
     hash_union_sharp,
     singular_subcomplex,
@@ -173,6 +174,16 @@ def test_ball_json_dump():
     assert data["radius"] == 1
     assert any(c["T"] for c in data["cosets"])
     assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["order"])
+
+
+def test_cosets_are_frozen_dict_keys():
+    b = davis_ball(edge_nerve_system(), 1)
+    ids = {c: b.coset_id(c) for c in b.cosets}
+    assert len(set(ids.values())) == len(ids) == len(b.cosets)
+    for c in b.cosets:
+        assert ids[SphericalCoset(tuple(list(c.rep)), tuple(list(c.gens)))] == b.coset_id(c)
+    with pytest.raises(AttributeError):
+        b.cosets[0].rep = (0,)
 
 
 def _element_set(sys, words):

@@ -9,10 +9,14 @@ a private attribute of another object only when it defines that attribute
 itself, so no module depends on another's internals.  Every function, class
 and method the package defines is named in code (not in a comment or a
 docstring) somewhere in the package, its scripts, the benchmark or the
-acceptance tests; a definition only unit tests reach is dead code.
+acceptance tests; a definition only unit tests reach is dead code.  Every
+command is a fresh process, so `import coxcert.cli` loads nothing that costs
+start-up time without use: no `dataclasses`, no `inspect`.
 """
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -151,3 +155,24 @@ def unreached_definitions() -> list[str]:
 
 def test_every_definition_is_reached():
     assert unreached_definitions() == []
+
+
+def modules_after(statement: str) -> set[str]:
+    """`sys.modules` of a fresh interpreter once it has run `statement`."""
+    probe = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_cli_import_adds_no_dataclasses_or_inspect():
+    # the bare interpreter's modules, site hooks' included, do not count
+    added = modules_after("import coxcert.cli") - modules_after("pass")
+    assert "coxcert.cli" in added
+    assert not {"dataclasses", "inspect"} & added

@@ -217,6 +217,9 @@ def test_main_theorem_report_invalid_certificate():
     bad = Pi1Certificate(p, 3, ((0, 1, 2),))  # identity image: not nontrivial
     report = main_theorem_report(l, bad)
     assert "certificate" in report.hypothesis_failures
+    for record, field in [(report, "hypothesis_failures"), (report.squares, "is_flag")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
 
 
 def test_report_branch_mirrors_square_test():

@@ -114,6 +114,16 @@ def test_certificate_invalid_not_exception():
     assert not identity_cert.valid  # trivial image
 
 
+def test_presentations_and_certificates_are_frozen():
+    p = Presentation(("x", "y"), ("yyyYXYX",))
+    same = Presentation(["x", "y"], ["yyXYX"])  # stored freely reduced, as tuples
+    assert p == same and hash(p) == hash(same) and len({p, same}) == 1
+    assert p != Presentation(("x", "y"), ("yyXY",))
+    for record, field in [(p, "relators"), (spine_certificate(), "images")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+
+
 def test_no_certificate_for_trivial_group():
     p = Presentation(("x",), ("x",))
     assert find_pi1_certificate(p, 3) is None
