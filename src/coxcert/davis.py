@@ -7,7 +7,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
 from .homology import ChainComplex, MatrixSizeError, check_boundary_entries
@@ -97,10 +97,10 @@ class DavisBall:
     def cosets(self) -> tuple[SphericalCoset, ...]:
         """Every coset, ordered by (length, word) of the representative, then (size, T).
 
-        Enumerated on first use, and only the dump needs it: `coset_counts`
-        gives the counts, the dimensions come in closed form, and `CellIndex`
-        reads the types of each element.  Callers with a cap check
-        `coset_counts` against it first.
+        Enumerated on first use, and no command reads it: `coset_counts`
+        gives the counts, the dimensions come in closed form, and the dump
+        and `CellIndex` number the cosets by `_numbered`.  It stays for the
+        tests and the benchmark's coset census.
         """
         return tuple(SphericalCoset(w, t) for w, types in self._elements() for t in types)
 
@@ -110,6 +110,48 @@ class DavisBall:
         for w in ball(self.system, self.radius):
             descents = right_descents(self.system, w)
             yield w, [t for t in self._sphericals if descents.isdisjoint(t)]
+
+    def _kept(
+        self, keep: Callable[[Word, list[Subset]], Iterable[Subset]]
+    ) -> list[tuple[Word, dict[Subset, int]]]:
+        """Each element w of the ball with the types `keep(w, types)` picks
+        among those of its cosets w*W_T, each mapped to its place among
+        them.  Elements with equal kept types share one dict."""
+        shared: dict[tuple[Subset, ...], dict[Subset, int]] = {}
+        kept = []
+        for w, types in self._elements():
+            mine = tuple(keep(w, types))
+            if mine not in shared:
+                shared[mine] = {t: k for k, t in enumerate(mine)}
+            kept.append((w, shared[mine]))
+        return kept
+
+    def _numbered(
+        self, kept: list[tuple[Word, dict[Subset, int]]]
+    ) -> Iterator[tuple[int, Word, Subset, list[int]]]:
+        """Each coset w*W_T of `kept`, a set closed upwards, in ball order:
+        its number, w, T, and the numbers of the cosets above it, one per
+        strict superset of T."""
+        supersets = self._supersets
+        where: dict[Word, tuple[int, dict[Subset, int]]] = {}
+        b = 0
+        for w, places in kept:
+            where[w] = (b, places)
+            b += len(places)
+        b = 0
+        for w, places in kept:
+            # the coset of type u above w*W_T is w*W_u, whatever T is; it is
+            # kept, and w is its representative when u misses the descents of w
+            number = {}
+            for u in set().union(*map(supersets.__getitem__, places)):
+                if u in places:
+                    number[u] = b + places[u]
+                else:
+                    start, there = where[self._normalize(w, u)]
+                    number[u] = start + there[u]
+            for t in places:
+                yield b, w, t, list(map(number.__getitem__, supersets[t]))
+                b += 1
 
     # -- coset arithmetic --------------------------------------------------
 
@@ -127,15 +169,6 @@ class DavisBall:
         """The generators that commute with every letter of w: generator s
         fixes the coset w*W_T exactly when s is in T and in walls(w)."""
         return frozenset(s for s, link in enumerate(self.system.link) if link.issuperset(w))
-
-    @cached_property
-    def _coset_index(self) -> dict[tuple[Word, Subset], int]:
-        return {(c.rep, c.gens): i for i, c in enumerate(self.cosets)}
-
-    def _above(self, c: SphericalCoset) -> dict[Subset, int]:
-        """Index of the coset of each strictly larger type that contains c."""
-        idx = self._coset_index
-        return {t: idx[(self._normalize(c.rep, t), t)] for t in self._supersets[c.gens]}
 
     def coset_id(self, c: SphericalCoset) -> str:
         """Vertex name of c in its order complexes, from generator indices:
@@ -160,20 +193,13 @@ class DavisBall:
         return len(self._sphericals[-1]) - 1
 
     def to_json(self) -> dict:
+        """Every coset, and each pair [b, j] of a coset and one above it."""
         gens = self.system.generators
-        return {
-            "radius": self.radius,
-            "cosets": [
-                {
-                    "rep": "".join(gens[i] for i in c.rep),
-                    "T": [gens[i] for i in c.gens],
-                }
-                for c in self.cosets
-            ],
-            "order": [
-                [i, j] for i, c in enumerate(self.cosets) for j in sorted(self._above(c).values())
-            ],
-        }
+        cosets, order = [], []
+        for b, w, t, above in self._numbered(self._kept(lambda w, types: types)):
+            cosets.append({"rep": "".join(gens[i] for i in w), "T": [gens[i] for i in t]})
+            order += ([b, j] for j in sorted(above))
+        return {"radius": self.radius, "cosets": cosets, "order": order}
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -253,23 +279,17 @@ class CellIndex:
             chains[t] = by_length
         return chains
 
+    def _keep(self, w: Word, types: list[Subset]) -> Iterator[Subset]:
+        """The kept types of the cosets w*W_T: those that meet walls(w) in
+        the sharp set, the non-empty ones in the singular set."""
+        if self.sharp:
+            walls = self.ball.walls(w)
+            return (t for t in types if not walls.isdisjoint(t))
+        return (t for t in types if t)
+
     @cached_property
     def _kept(self) -> list[tuple[Word, dict[Subset, int]]]:
-        """Each element w of the ball with the kept types of its cosets
-        w*W_T, each mapped to its place among them.  Elements with equal
-        kept types share one dict."""
-        shared: dict[tuple[Subset, ...], dict[Subset, int]] = {}
-        kept = []
-        for w, types in self.ball._elements():
-            if self.sharp:
-                walls = self.ball.walls(w)
-                mine = tuple(t for t in types if not walls.isdisjoint(t))
-            else:
-                mine = tuple(t for t in types if t)
-            if mine not in shared:
-                shared[mine] = {t: k for k, t in enumerate(mine)}
-            kept.append((w, shared[mine]))
-        return kept
+        return self.ball._kept(self._keep)
 
     @cached_property
     def counts(self) -> list[int]:
@@ -297,30 +317,6 @@ class CellIndex:
         if max_cells is not None and total > max_cells:
             raise MatrixSizeError(f"{total} cells exceed the materialization cap")
         return total
-
-    def _bottoms(self) -> Iterator[tuple[int, Subset, list[int]]]:
-        """Each kept coset w*W_T in ball order: its number, T, and the
-        numbers of the cosets above it, one per strict superset of T."""
-        supersets, normalize = self.ball._supersets, self.ball._normalize
-        where: dict[Word, tuple[int, dict[Subset, int]]] = {}
-        b = 0
-        for w, places in self._kept:
-            where[w] = (b, places)
-            b += len(places)
-        b = 0
-        for w, places in self._kept:
-            # the coset of type u above w*W_T is w*W_u, whatever T is; it is
-            # kept, and w is its representative when u misses the descents of w
-            number = {}
-            for u in set().union(*map(supersets.__getitem__, places)):
-                if u in places:
-                    number[u] = b + places[u]
-                else:
-                    start, there = where[normalize(w, u)]
-                    number[u] = start + there[u]
-            for t in places:
-                yield b, t, list(map(number.__getitem__, supersets[t]))
-                b += 1
 
     @cached_property
     def _places(self) -> dict[Subset, list[dict[tuple[Subset, ...], int]]]:
@@ -358,7 +354,7 @@ class CellIndex:
         assert [off[-1] for off in offsets] == counts, "built cells differ from the count"
         faces: list = [array("q") for _ in counts]
         slots: dict[Subset, list[tuple[int, list[int], list[int]]]] = {}
-        for b, t, above in self._bottoms():
+        for b, _, t, above in self.ball._numbered(self._kept):
             if t not in slots:
                 slots[t] = [
                     (d, *self._slots(t, d)) for d in range(1, len(counts)) if self._lengths[t][d]
@@ -373,7 +369,7 @@ class CellIndex:
         """Each cell as its chain of kept cosets c0 < ... < cj, by number,
         bottom by bottom: the j-cells come in the order of their numbers."""
         supersets = self.ball._supersets
-        for b, t, above in self._bottoms():
+        for b, _, t, above in self.ball._numbered(self._kept):
             number = dict(zip(supersets[t], above))
             number[t] = b
             for chains in self._chains[t]:

@@ -531,9 +531,9 @@ class ReferenceBall(DavisBall):
     """DavisBall whose cosets and containments come from the word problem.
 
     Every (w, T) with w in `reference_ball` is normalized by greedy descent
-    (`reference_min_coset_rep`) and the cosets are sorted; `to_json` tests
-    containment on all pairs.  An oracle for the right-angled fast paths of
-    DavisBall.
+    (`reference_min_coset_rep`) and the cosets are sorted; `to_json` lists
+    them and tests containment on all pairs.  An oracle for the right-angled
+    fast paths of DavisBall, its up-neighbour walk included.
     """
 
     def __init__(self, system, radius: int):
@@ -551,14 +551,20 @@ class ReferenceBall(DavisBall):
         return reference_min_coset_rep(self.system, w, t)
 
     def to_json(self) -> dict:
-        data = super().to_json()
-        data["order"] = [
-            [i, j]
-            for i, a in enumerate(self.cosets)
-            for j, b in enumerate(self.cosets)
-            if i != j and self.leq(a, b)
-        ]
-        return data
+        gens = self.system.generators
+        return {
+            "radius": self.radius,
+            "cosets": [
+                {"rep": "".join(gens[i] for i in c.rep), "T": [gens[i] for i in c.gens]}
+                for c in self.cosets
+            ],
+            "order": [
+                [i, j]
+                for i, a in enumerate(self.cosets)
+                for j, b in enumerate(self.cosets)
+                if i != j and self.leq(a, b)
+            ],
+        }
 
 
 def reference_fixed_cosets(ball_: DavisBall, g) -> set:
@@ -582,10 +588,14 @@ def reference_extract(ball_: DavisBall, keep, max_cells=None) -> SimplicialCompl
     ids = [-1] * len(ball_.cosets)
     for n, i in enumerate(kept):
         ids[i] = n
+    # the coset above c of each strict superset T of its type: c's
+    # representative normalized to T, looked up among the listed cosets
+    index = {c: i for i, c in enumerate(ball_.cosets)}
     up = []
     for i in kept:
-        above = [ids[j] for j in ball_._above(ball_.cosets[i]).values()]
-        up.append([j for j in above if j >= 0])
+        c = ball_.cosets[i]
+        above = [index[(ball_._normalize(c.rep, t), t)] for t in ball_._supersets[c.gens]]
+        up.append([ids[j] for j in above if ids[j] >= 0])
     return order_complex([ball_.coset_id(ball_.cosets[i]) for i in kept], up, max_cells)
 
 

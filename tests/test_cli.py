@@ -313,7 +313,7 @@ def test_davis_command_singular(tmp_path, capsys):
     assert steps["homology"]["status"] == "pass"
 
 
-def test_davis_command_sharp_and_dump(tmp_path, capsys):
+def test_davis_command_sharp_and_dump(tmp_path, capsys, no_coset_list):
     path = write_complex(tmp_path, cycle_complex(4))
     dump = tmp_path / "ball.json"
     code, report = run_cli(capsys, "davis", path, "--radius", "1", "--sharp", "--dump", str(dump))
@@ -612,6 +612,19 @@ def test_certify_main_theorem_default(capsys):
     assert report_digest(report) == (
         "0ce36a520156a8323014ddec6108104cd7d3a5f312977afa201aee59bea9fae7"
     )
+
+
+def test_certify_main_theorem_builds_no_davis_ball(capsys, monkeypatch):
+    """The Davis dimensions come from the report on L, with no system built."""
+    def refuse(*args, **kwargs):
+        pytest.fail("built a system or a Davis ball")
+
+    for name in ("davis_ball", "racg_from_flag"):
+        monkeypatch.setattr(f"coxcert.cli.{name}", refuse)
+    code, report = run_cli(capsys, "certify-main-theorem")
+    assert (code, report["overall"]) == (0, "pass")
+    steps = {s["name"]: s for s in report["steps"]}
+    assert steps["singular-dimension"]["data"] == {"radius": 1, "singular_dim": 2, "ball_dim": 3}
 
 
 def test_certify_main_theorem_skip_subdivision(capsys):

@@ -176,6 +176,26 @@ def test_ball_json_dump():
     assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["order"])
 
 
+def test_ball_json_dump_lists_no_cosets_tuple():
+    """The dump numbers the cosets by the up-neighbour walk, not by `cosets`."""
+    b = davis_ball(racg_from_flag(cycle_complex(5)), 2)
+    b.to_json()
+    assert "cosets" not in vars(b)
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+@pytest.mark.parametrize(
+    "nerve",
+    [lambda: faces_closure([]), lambda: faces_closure([("a",)])],
+    ids=["empty", "one-vertex"],
+)
+def test_small_ball_dump_matches_oracle(nerve, radius):
+    """Nerves the random oracle test never draws: with no generator only the
+    empty type is walked, with one the walk has a single superset."""
+    sys = racg_from_flag(nerve())
+    assert davis_ball(sys, radius).to_json() == ReferenceBall(sys, radius).to_json()
+
+
 def test_cosets_are_frozen_dict_keys():
     b = davis_ball(edge_nerve_system(), 1)
     ids = {c: b.coset_id(c) for c in b.cosets}
