@@ -96,22 +96,24 @@ def _write_json(path: str, data) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
-    data, digest = _load_json(path)
+def _checked(build, *args, **kwargs):
+    """Call `build`; a `ValueError` from it is an input error."""
     try:
-        return complex_from_json(data, max_cells=_cell_limit()), digest
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
+    data, digest = _load_json(path)
+    return _checked(complex_from_json, data, max_cells=_cell_limit()), digest
 
 
 def _load_facets(path: str) -> tuple[int, list[tuple[int, ...]], str]:
     """The vertex count and the facets of a complex file, checked as
     `_load_complex` checks it; the JSON object is gone once this returns."""
     data, digest = _load_json(path)
-    try:
-        vertices, facets = facets_from_json(data, max_cells=_cell_limit())
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    vertices, facets = _checked(facets_from_json, data, max_cells=_cell_limit())
     return len(vertices), facets, digest
 
 
@@ -131,15 +133,8 @@ def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str
     """Accept a Coxeter system or a flag complex (implying racg_from_flag)."""
     data, digest = _load_json(path)
     if isinstance(data, dict) and "matrix" in data:
-        try:
-            return system_from_json(data), digest, None
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    try:
-        complex_ = complex_from_json(data, max_cells=_cell_limit())
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    sys_, refusal = _racg_of(complex_)
+        return _checked(system_from_json, data), digest, None
+    sys_, refusal = _racg_of(_checked(complex_from_json, data, max_cells=_cell_limit()))
     return sys_, digest, refusal
 
 
@@ -150,14 +145,6 @@ def _nerve_capped(build, *args):
         return build(*args, max_cells=_cell_limit())
     except ValueError as exc:
         raise InputError(f"nerve: {exc}") from exc
-
-
-def _check_cell_limit() -> None:
-    """A malformed SNF cell cap is an input error, found before any work."""
-    try:
-        _cell_limit()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 # -- commands -----------------------------------------------------------------
@@ -205,10 +192,7 @@ def cmd_hyperbolic(args) -> RunReport:
 
 def cmd_nerve(args) -> RunReport:
     data, digest = _load_json(args.path)
-    try:
-        sys_ = system_from_json(data)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    sys_ = _checked(system_from_json, data)
     report = RunReport("nerve", digest)
     report.add("nerve", "pass", complex=complex_to_json(_nerve_capped(nerve_of, sys_)))
     return report
@@ -461,7 +445,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        _check_cell_limit()
+        _checked(_cell_limit)  # a malformed cell cap is an input error, before any work
         report: RunReport = args.func(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

@@ -127,127 +127,66 @@ def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
 # -- finiteness classification ----------------------------------------------
 
 
-def _is_finite_component(vertices: list[int], edges: dict[tuple[int, int], int]) -> bool:
-    """Match one connected Coxeter diagram against the finite catalogue.
-
-    Diagram edges are the pairs with order >= 3 (order 2 means no edge);
-    entry 0 encodes infinity.  Components not isomorphic to one of
-    A_n, B_n, D_n, E6-E8, F4, H3, H4 or I2(m) are infinite.
-    """
-    n = len(vertices)
-    if n == 1:
-        return True
-    if any(m == INF for m in edges.values()):
-        return False
-    if len(edges) != n - 1:
-        return False  # a connected diagram with a cycle is never finite
-    if n == 2:
-        return True  # I2(m), any finite m
-    deg: dict[int, int] = {v: 0 for v in vertices}
-    for u, w in edges:
-        deg[u] += 1
-        deg[w] += 1
-    labels = sorted(edges.values())
-    heavy = [m for m in labels if m >= 4]
-    branch = [v for v in vertices if deg[v] >= 3]
-    if any(deg[v] >= 4 for v in vertices) or len(branch) > 1:
-        return False
-    if not branch:
-        # a path; read the edge labels along it
-        ends = [v for v in vertices if deg[v] == 1]
-        order = [ends[0]]
-        prev = None
-        while len(order) < n:
-            nxt = next(
-                w
-                for (u, w), _ in _path_steps(edges, order[-1])
-                if w != prev
-            )
-            prev = order[-1]
-            order.append(nxt)
-        path_labels = [
-            edges.get((min(a, b), max(a, b))) for a, b in zip(order, order[1:])
-        ]
-        if all(m == 3 for m in path_labels):
-            return True  # A_n
-        if len(heavy) != 1:
-            return False
-        m = heavy[0]
-        pos = path_labels.index(m)
-        at_end = pos in (0, len(path_labels) - 1)
-        if m == 4:
-            return at_end or (n == 4 and pos == 1)  # B_n or F4
-        if m == 5:
-            return at_end and n in (3, 4)  # H3, H4
-        return False
-    # exactly one degree-3 branch vertex: D_n or E6/E7/E8, all labels 3
-    if heavy:
-        return False
-    b = branch[0]
-    legs = []
-    for (u, w) in edges:
-        start = w if u == b else (u if w == b else None)
-        if start is None:
-            continue
-        length = 1
-        prev, cur = b, start
-        while deg[cur] == 2:
-            nxt = next(
-                x
-                for (p, q) in edges
-                if (p == cur or q == cur)
-                for x in (p, q)
-                if x != cur and x != prev
-            )
-            prev, cur = cur, nxt
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if len(legs) != 3:
-        return False
-    if legs[0] == legs[1] == 1:
-        return True  # D_n
-    return legs[0] == 1 and legs[1] == 2 and legs[2] in (2, 3, 4)  # E6, E7, E8
-
-
-def _path_steps(edges: dict[tuple[int, int], int], v: int):
-    for (u, w), m in edges.items():
-        if u == v:
-            yield (u, w), m
-        elif w == v:
-            yield (w, u), m
-
-
 def _is_spherical_idx(sys: CoxeterSystem, idx: tuple[int, ...]) -> bool:
-    if not idx:
-        return True
-    if sys.right_angled:
-        return all(sys.commutes(a, b) for i, a in enumerate(idx) for b in idx[i + 1 :])
-    present = set(idx)
+    """Whether W_T is finite for T = idx: every component of T's Coxeter
+    diagram (the pairs with order other than 2) must be of finite type."""
+    order = sys.matrix.order
+    nbrs = {u: {w: order(u, w) for w in idx if w != u and order(u, w) != 2} for u in idx}
     seen: set[int] = set()
     for start in idx:
         if start in seen:
             continue
-        comp = [start]
         seen.add(start)
-        stack = [start]
-        comp_edges: dict[tuple[int, int], int] = {}
+        stack, comp = [start], {}
         while stack:
             u = stack.pop()
-            for w in present:
-                if w == u:
-                    continue
-                m = sys.matrix.order(u, w)
-                if m == 2:
-                    continue
-                comp_edges[(min(u, w), max(u, w))] = m
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        if not _is_finite_component(comp, comp_edges):
+            comp[u] = nbrs[u]
+            fresh = nbrs[u].keys() - seen
+            seen |= fresh
+            stack += fresh
+        if not _is_finite_diagram(comp):
             return False
     return True
+
+
+def _is_finite_diagram(nbrs: dict[int, dict[int, int]]) -> bool:
+    """Whether one connected Coxeter diagram, `nbrs[u]` mapping each neighbour
+    of u to its label, is A_n, B_n, D_n, E6-E8, F4, H3, H4 or I2(m)
+    (Humphreys, Reflection Groups and Coxeter Groups, 2.7)."""
+    n = len(nbrs)
+    labels = [m for u, ws in nbrs.items() for w, m in ws.items() if u < w]
+    if len(labels) != n - 1 or INF in labels:
+        return False  # a cycle, or an infinite dihedral subgroup
+    if n <= 2:
+        return True  # A1 or I2(m)
+    degrees = sorted(len(ws) for ws in nbrs.values())
+    if degrees[-1] > 3 or degrees[-2] == 3:
+        return False
+    if degrees[-1] == 3:
+        hub = next(u for u, ws in nbrs.items() if len(ws) == 3)
+        a, b, c = sorted(1 + len(_walk(nbrs, hub, v)) for v in nbrs[hub])
+        # arms of a <= b <= c vertices: D_n, then E6, E7, E8
+        return all(m == 3 for m in labels) and a == 1 and (b == 1 or (b == 2 and c <= 4))
+    path = _walk(nbrs, None, next(u for u, ws in nbrs.items() if len(ws) == 1))
+    heavy = [i for i, m in enumerate(path) if m > 3]
+    if not heavy:
+        return True  # A_n
+    if len(heavy) > 1:
+        return False
+    i = heavy[0]
+    at_end = i in (0, n - 2)
+    if path[i] == 4:
+        return at_end or (n == 4 and i == 1)  # B_n or F4
+    return path[i] == 5 and at_end and n <= 4  # H3, H4
+
+
+def _walk(nbrs: dict[int, dict[int, int]], prev: Optional[int], v: int) -> list[int]:
+    """The labels met walking on from v, away from prev, while the way on is unique."""
+    labels = []
+    while len(way_on := [w for w in nbrs[v] if w != prev]) == 1:
+        prev, v = v, way_on[0]
+        labels.append(nbrs[prev][v])
+    return labels
 
 
 def nerve(sys: CoxeterSystem, *, max_cells: Optional[int] = None) -> SimplicialComplex:
@@ -255,27 +194,31 @@ def nerve(sys: CoxeterSystem, *, max_cells: Optional[int] = None) -> SimplicialC
 
     In a right-angled system they are the cliques of the commuting graph.
     Otherwise each level grows from the one before by larger indices (they
-    are closed under subsets) through the finiteness classification.  More
-    than `max_cells` simplices raise `ValueError` while they are listed.
+    are closed under subsets), a candidate passing when each component of
+    its diagram is a finite-type tree (`_is_finite_diagram`).  More than
+    `max_cells` simplices raise `ValueError` as soon as they are listed.
     """
     return SimplicialComplex(sys.generators, capped(_spherical_subsets(sys), max_cells))
 
 
 def _spherical_subsets(sys: CoxeterSystem) -> Iterable[tuple[int, ...]]:
-    """The simplices of the nerve, a level at a time."""
+    """The simplices of the nerve in (size, lex) order, each yielded as
+    soon as it passes, so a caller that stops early tests no more."""
     if sys.right_angled:
         yield from cliques(sys.link)
         return
     n = sys.matrix.rank
     level = [(i,) for i in range(n)]
+    yield from level
     while level:
-        yield from level
-        level = [
-            t + (j,)
-            for t in level
-            for j in range(t[-1] + 1, n)
-            if _is_spherical_idx(sys, t + (j,))
-        ]
+        nxt = []
+        for t in level:
+            for j in range(t[-1] + 1, n):
+                bigger = t + (j,)
+                if _is_spherical_idx(sys, bigger):
+                    yield bigger
+                    nxt.append(bigger)
+        level = nxt
 
 
 # -- hyperbolicity -----------------------------------------------------------

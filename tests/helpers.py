@@ -8,7 +8,7 @@ from itertools import combinations
 from math import comb
 import random
 
-from coxcert.coxeter import _is_spherical_idx, _subset_indices
+from coxcert.coxeter import INF, _is_spherical_idx, _subset_indices, system_from_matrix
 from coxcert.davis import DavisBall, SphericalCoset
 from coxcert.homology import ChainComplex, MatrixSizeError
 from coxcert.simplicial import SimplicialComplex, faces_closure
@@ -18,6 +18,15 @@ from coxcert.subdivide import order_complex
 def is_spherical(sys, subset) -> bool:
     """True iff the special subgroup on the named generators is finite."""
     return _is_spherical_idx(sys, _subset_indices(sys, subset))
+
+
+def diagram_system(n: int, labels: dict[tuple[int, int], int], gens=()):
+    """The Coxeter system on n generators with order `labels[i, j]` on the
+    diagram's edges and 2 on every other pair; named g0, g1, ... by default."""
+    entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for (i, j), m in labels.items():
+        entries[i][j] = entries[j][i] = m
+    return system_from_matrix(gens or [f"g{i}" for i in range(n)], entries)
 
 
 def check_invariants(k: SimplicialComplex) -> None:
@@ -456,6 +465,134 @@ def reference_contraction(k: SimplicialComplex) -> SimplicialComplex:
     simplices.update(tuple(sorted((new[i], new[j]))) for i in keep for j in adj[i] if i < j)
     simplices.update(tuple(sorted(new[i] for i in t)) for t in triangles)
     return SimplicialComplex([k.vertices[i] for i in keep], simplices)
+
+
+# -- finiteness by catalogue match, without the arm and path test -------------
+
+
+def _is_finite_component(vertices: list[int], edges: dict[tuple[int, int], int]) -> bool:
+    """Match one connected Coxeter diagram against the finite catalogue.
+
+    Diagram edges are the pairs with order >= 3 (order 2 means no edge);
+    entry 0 encodes infinity.  Components not isomorphic to one of
+    A_n, B_n, D_n, E6-E8, F4, H3, H4 or I2(m) are infinite.
+    """
+    n = len(vertices)
+    if n == 1:
+        return True
+    if any(m == INF for m in edges.values()):
+        return False
+    if len(edges) != n - 1:
+        return False  # a connected diagram with a cycle is never finite
+    if n == 2:
+        return True  # I2(m), any finite m
+    deg: dict[int, int] = {v: 0 for v in vertices}
+    for u, w in edges:
+        deg[u] += 1
+        deg[w] += 1
+    labels = sorted(edges.values())
+    heavy = [m for m in labels if m >= 4]
+    branch = [v for v in vertices if deg[v] >= 3]
+    if any(deg[v] >= 4 for v in vertices) or len(branch) > 1:
+        return False
+    if not branch:
+        # a path; read the edge labels along it
+        ends = [v for v in vertices if deg[v] == 1]
+        order = [ends[0]]
+        prev = None
+        while len(order) < n:
+            nxt = next(
+                w
+                for (u, w), _ in _path_steps(edges, order[-1])
+                if w != prev
+            )
+            prev = order[-1]
+            order.append(nxt)
+        path_labels = [
+            edges.get((min(a, b), max(a, b))) for a, b in zip(order, order[1:])
+        ]
+        if all(m == 3 for m in path_labels):
+            return True  # A_n
+        if len(heavy) != 1:
+            return False
+        m = heavy[0]
+        pos = path_labels.index(m)
+        at_end = pos in (0, len(path_labels) - 1)
+        if m == 4:
+            return at_end or (n == 4 and pos == 1)  # B_n or F4
+        if m == 5:
+            return at_end and n in (3, 4)  # H3, H4
+        return False
+    # exactly one degree-3 branch vertex: D_n or E6/E7/E8, all labels 3
+    if heavy:
+        return False
+    b = branch[0]
+    legs = []
+    for (u, w) in edges:
+        start = w if u == b else (u if w == b else None)
+        if start is None:
+            continue
+        length = 1
+        prev, cur = b, start
+        while deg[cur] == 2:
+            nxt = next(
+                x
+                for (p, q) in edges
+                if (p == cur or q == cur)
+                for x in (p, q)
+                if x != cur and x != prev
+            )
+            prev, cur = cur, nxt
+            length += 1
+        legs.append(length)
+    legs.sort()
+    if len(legs) != 3:
+        return False
+    if legs[0] == legs[1] == 1:
+        return True  # D_n
+    return legs[0] == 1 and legs[1] == 2 and legs[2] in (2, 3, 4)  # E6, E7, E8
+
+
+def _path_steps(edges: dict[tuple[int, int], int], v: int):
+    for (u, w), m in edges.items():
+        if u == v:
+            yield (u, w), m
+        elif w == v:
+            yield (w, u), m
+
+
+def reference_is_spherical(sys, idx: tuple[int, ...]) -> bool:
+    """Whether W_T is finite, by matching each component of the Coxeter
+    diagram of `idx` against the finite catalogue (Humphreys, §2.7)."""
+    if not idx:
+        return True
+    if sys.right_angled:
+        return all(sys.commutes(a, b) for i, a in enumerate(idx) for b in idx[i + 1 :])
+    present = set(idx)
+    seen: set[int] = set()
+    for start in idx:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        stack = [start]
+        comp_edges: dict[tuple[int, int], int] = {}
+        while stack:
+            u = stack.pop()
+            for w in present:
+                if w == u:
+                    continue
+                m = sys.matrix.order(u, w)
+                if m == 2:
+                    continue
+                comp_edges[(min(u, w), max(u, w))] = m
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        if not _is_finite_component(comp, comp_edges):
+            return False
+    return True
 
 
 # -- the right-angled word problem, without the insertion rule ---------------

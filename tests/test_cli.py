@@ -20,7 +20,14 @@ from coxcert.simplicial import SimplicialComplex, complex_from_json, complex_to_
 from coxcert.coxeter import racg_from_flag, system_from_matrix, system_to_json
 from coxcert.presentations import spine_complex
 
-from helpers import cone, cycle_complex, hollow_triangle, projective_plane, two_points
+from helpers import (
+    cone,
+    cycle_complex,
+    diagram_system,
+    hollow_triangle,
+    projective_plane,
+    two_points,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -680,12 +687,21 @@ _MIXED_SYSTEM = system_from_matrix(
     [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 0], [2, 2, 0, 1]],
 )
 
+# D4 on a-d (branch vertex b), H3 on e-g and the affine triangle A~2 on h-j,
+# commuting with each other
+_BRANCHED_SYSTEM = diagram_system(
+    10,
+    {(0, 1): 3, (1, 2): 3, (1, 3): 3, (4, 5): 5, (5, 6): 3, (7, 8): 3, (8, 9): 3, (7, 9): 3},
+    "abcdefghij",
+)
+
 PIN_INPUTS = {
     "k33": lambda: complex_to_json(_bipartite_k33()),
     "c5": lambda: complex_to_json(cycle_complex(5)),
     "cone-c5": lambda: complex_to_json(cone(cycle_complex(5), "z")),
     "rp2": lambda: complex_to_json(projective_plane()),
     "mixed": lambda: system_to_json(_MIXED_SYSTEM),
+    "branched": lambda: system_to_json(_BRANCHED_SYSTEM),
 }
 
 
@@ -696,6 +712,10 @@ PIN_INPUTS = {
          "fbc0d2938ecd837f25203a317cd8b1c3e182cf65f8132bf543cfed6b42aa7ce8"),
         ("mixed", ("nerve",),
          "97aaa61e10c82bba0a81548aeb6d0739563da70b50255ea835ef469914e6943d"),
+        ("branched", ("nerve",),
+         "8ff333fd104f035a52b7793db3a3d61a4da9802c50f26c339d3458c3e0ece730"),
+        ("branched", ("hyperbolic",),
+         "6af159053dc77ecc52e30be16ee93c9b46068853f5ff67093e5c08e1507d8b06"),
         ("cone-c5", ("racg",),
          "ae7db0ae0aa18b37c6e295e41e6518b8c180ce0489ba06323e19dc0270c81eb6"),
         ("c5", ("davis", "--radius", "2", "--singular"),
@@ -705,7 +725,8 @@ PIN_INPUTS = {
         ("rp2", ("homology",),
          "b128b19d3884497c69ea23f534ef90310d9cc2c0acf489ae962d1f16cd07a242"),
     ],
-    ids=["hyperbolic-squares", "nerve", "racg", "davis-singular", "farrell", "homology-rp2"],
+    ids=["hyperbolic-squares", "nerve", "nerve-branched", "hyperbolic-branched", "racg",
+         "davis-singular", "farrell", "homology-rp2"],
 )
 def test_report_is_pinned(tmp_path, capsys, source, argv, digest):
     if source is not None:

@@ -1,14 +1,16 @@
 """Coxeter systems: classification, nerves, hyperbolicity, word problem."""
 import random
 import sys as _sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxcert import coxeter
 from coxcert.coxeter import (
     INF,
+    _is_spherical_idx,
     ball,
     hyperbolicity,
     in_special_subgroup,
@@ -27,11 +29,13 @@ from coxcert.simplicial import cliques, faces_closure
 from helpers import (
     check_invariants,
     cycle_complex,
+    diagram_system,
     full_triangle,
     is_spherical,
     named_simplices,
     random_flag_complex,
     reference_ball,
+    reference_is_spherical,
     reference_min_coset_rep,
     reference_reduce,
     two_points,
@@ -89,29 +93,72 @@ def test_is_spherical_basics():
         is_spherical(tri, ["zz"])
 
 
+def _path(labels):
+    """Diagram of a path whose edges carry `labels` in order."""
+    return len(labels) + 1, {(i, i + 1): m for i, m in enumerate(labels)}
+
+
+def _branch(*arms):
+    """Diagram of a vertex 0 with arms of the given numbers of vertices,
+    every label 3."""
+    labels, v = {}, 1
+    for arm in arms:
+        prev = 0
+        for _ in range(arm):
+            labels[prev, v] = 3
+            prev, v = v, v + 1
+    return v, labels
+
+
+def _cycle(n):
+    return n, {(i, (i + 1) % n): 3 for i in range(n)}
+
+
+FINITE_TYPES = {
+    **{f"A{n}": _path([3] * (n - 1)) for n in range(1, 9)},
+    **{f"B{n}": _path([4] + [3] * (n - 2)) for n in range(2, 9)},
+    **{f"D{n}": _branch(1, 1, n - 3) for n in range(4, 9)},
+    "E6": _branch(1, 2, 2),
+    "E7": _branch(1, 2, 3),
+    "E8": _branch(1, 2, 4),
+    "F4": _path([3, 4, 3]),
+    "H3": _path([5, 3]),
+    "H4": _path([5, 3, 3]),
+    **{f"I2({m})": _path([m]) for m in (5, 6, 7)},
+}
+
+INFINITE_TYPES = {
+    **{f"A~{n}": _cycle(n + 1) for n in range(2, 8)},
+    "B~3": (4, {(0, 2): 3, (1, 2): 3, (2, 3): 4}),
+    **{f"C~{n}": _path([4] + [3] * (n - 2) + [4]) for n in range(2, 5)},
+    **{
+        f"D~{n}": (
+            n + 1,
+            {(0, 2): 3, (1, 2): 3, **{(i, i + 1): 3 for i in range(2, n - 2)},
+             (n - 2, n - 1): 3, (n - 2, n): 3},
+        )
+        for n in range(4, 7)
+    },
+    "E~6": _branch(2, 2, 2),
+    "E~7": _branch(1, 3, 3),
+    "E~8": _branch(1, 2, 5),
+    "F~4": _path([3, 3, 4, 3]),
+    "G~2": _path([3, 6]),
+    "T(1,2,6)": _branch(1, 2, 6),
+    "H5": _path([5, 3, 3, 3]),
+}
+
+
 def test_is_spherical_classification_table():
-    a3 = system_from_matrix(["a", "b", "c"], [[1, 3, 2], [3, 1, 3], [2, 3, 1]])
-    assert is_spherical(a3, ["a", "b", "c"])  # type A3, Sym(4)
-    b3 = system_from_matrix(["a", "b", "c"], [[1, 4, 2], [4, 1, 3], [2, 3, 1]])
-    assert is_spherical(b3, ["a", "b", "c"])
-    h3 = system_from_matrix(["a", "b", "c"], [[1, 5, 2], [5, 1, 3], [2, 3, 1]])
-    assert is_spherical(h3, ["a", "b", "c"])
-    affine_triangle = system_from_matrix(
-        ["a", "b", "c"], [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
-    )
-    assert not is_spherical(affine_triangle, ["a", "b", "c"])
-    g2_affine = system_from_matrix(["a", "b", "c"], [[1, 6, 2], [6, 1, 3], [2, 3, 1]])
-    assert not is_spherical(g2_affine, ["a", "b", "c"])
-    f4 = system_from_matrix(
-        ["a", "b", "c", "d"],
-        [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]],
-    )
-    assert is_spherical(f4, ["a", "b", "c", "d"])
-    d4 = system_from_matrix(
-        ["a", "b", "c", "d"],
-        [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
-    )
-    assert is_spherical(d4, ["a", "b", "c", "d"])
+    """Every connected finite type up to rank 8 is spherical; the affine
+    types and the near misses T(1,2,6) and H5 are not.  Each diagram is also
+    read with its numbering reversed, so a path is walked from either end."""
+    for expected, catalogue in ((True, FINITE_TYPES), (False, INFINITE_TYPES)):
+        for name, (n, labels) in catalogue.items():
+            flipped = {(n - 1 - i, n - 1 - j): m for (i, j), m in labels.items()}
+            for edges in (labels, flipped):
+                sys = diagram_system(n, edges)
+                assert is_spherical(sys, sys.generators) == expected, name
 
 
 def test_nerve_examples():
@@ -125,7 +172,7 @@ def test_nerve_examples():
 @given(st.integers(min_value=0))
 def test_nerve_matches_is_spherical_on_general_matrices(seed):
     """Level-by-level growth, and on right-angled matrices the cliques of the
-    commuting graph, find exactly the subsets is_spherical accepts."""
+    commuting graph, find exactly the subsets the catalogue match accepts."""
     rng = random.Random(seed)
     n = rng.randint(1, 5)
     orders = rng.choice(((INF, 2), (INF, 2, 3, 4, 5, 6)))
@@ -136,13 +183,65 @@ def test_nerve_matches_is_spherical_on_general_matrices(seed):
             entries[i][j] = entries[j][i] = rng.choice(orders)
     sys = system_from_matrix(gens, entries)
     expected = {
-        t
+        tuple(gens[i] for i in t)
         for r in range(1, n + 1)
-        for t in combinations(gens, r)
-        if is_spherical(sys, t)
+        for t in combinations(range(n), r)
+        if reference_is_spherical(sys, t)
     }
     check_invariants(nerve(sys))
     assert named_simplices(nerve(sys)) == expected
+
+
+def test_is_spherical_matches_reference_on_every_small_matrix():
+    """Every Coxeter matrix of rank <= 4 over the orders 2, 3, 4, 5, 6 and
+    infinity, with the whole generator set."""
+    seen = 0
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        idx = tuple(range(n))
+        for orders in product((2, 3, 4, 5, 6, INF), repeat=len(pairs)):
+            sys = diagram_system(n, dict(zip(pairs, orders)))
+            assert _is_spherical_idx(sys, idx) == reference_is_spherical(sys, idx), orders
+            seen += 1
+    assert seen == 46_879
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0))
+def test_is_spherical_matches_reference_on_random_trees(seed):
+    """Random labelled trees of up to 10 vertices, numbered in shuffled order:
+    half of them labelled 3 throughout, so the D and E arms come up."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    orders = (3,) if rng.random() < 0.5 else (3, 3, 3, 4, 5, 6)
+    place = list(range(n))
+    rng.shuffle(place)
+    labels = {
+        tuple(sorted((place[rng.randrange(v)], place[v]))): rng.choice(orders)
+        for v in range(1, n)
+    }
+    sys = diagram_system(n, labels)
+    idx = tuple(range(n))
+    assert _is_spherical_idx(sys, idx) == reference_is_spherical(sys, idx)
+
+
+def test_general_nerve_stops_at_its_cap(monkeypatch):
+    """The general nerve yields each subset as soon as it passes, so a cap of
+    1,000 cells stops it within 1,000 finiteness tests, not at the end of a
+    level: here all 4,060 triples pass."""
+    sys = diagram_system(30, {(0, 1): 3})
+    calls = 0
+    is_spherical_idx = coxeter._is_spherical_idx
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return is_spherical_idx(*args)
+
+    monkeypatch.setattr(coxeter, "_is_spherical_idx", counted)
+    with pytest.raises(ValueError, match="more than 1000 simplices"):
+        nerve(sys, max_cells=1000)
+    assert calls <= 1000
 
 
 def test_nerve_racg_round_trip():
