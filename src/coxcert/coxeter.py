@@ -1,4 +1,4 @@
-"""Coxeter matrices, nerves, finiteness classification and the RA word problem."""
+"""Coxeter systems, nerves, finiteness classification and the RA word problem."""
 from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -10,12 +10,17 @@ INF = 0  # Coxeter matrix entries use 0 to encode infinity (as in the JSON forma
 Word = tuple[int, ...]
 
 
-class CoxeterMatrix:
-    """Symmetric matrix of relation orders; diagonal 1, off-diagonal >= 2 or 0(=inf)."""
+class CoxeterSystem:
+    """A Coxeter system: generator labels and the symmetric matrix of relation
+    orders (diagonal 1, off-diagonal >= 2 or 0 for infinity), whether it is
+    right-angled, and in `link[i]` the generators that commute with generator
+    i.  The generators and entries alone decide equality."""
 
-    __slots__ = ("generators", "entries")
+    __slots__ = ("generators", "entries", "right_angled", "link")
 
-    def __init__(self, generators: tuple[str, ...], entries: tuple[tuple[int, ...], ...]):
+    def __init__(self, generators: Sequence[str], entries: Sequence[Sequence[int]]):
+        generators = tuple(generators)
+        entries = tuple(tuple(row) for row in entries)
         n = len(generators)
         if len(set(generators)) != n:
             raise ValueError("duplicate generator labels")
@@ -30,49 +35,10 @@ class CoxeterMatrix:
                     raise ValueError("matrix must be symmetric")
                 if m != INF and m < 2:
                     raise ValueError("off-diagonal entries must be >= 2 or infinity")
+        ra = all(m in (2, INF) for row in entries for m in row if m != 1)
+        link = tuple(frozenset(j for j, m in enumerate(row) if m == 2) for row in entries)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoxeterMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoxeterMatrix):
-            return NotImplemented
-        return self.generators == other.generators and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.generators, self.entries))
-
-    def __repr__(self) -> str:
-        return f"CoxeterMatrix(generators={self.generators!r}, entries={self.entries!r})"
-
-    def order(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-
-class CoxeterSystem:
-    """A Coxeter matrix, whether it is right-angled, and in `link[i]` the
-    generators that commute with generator i.  The matrix alone decides
-    equality."""
-
-    __slots__ = ("matrix", "right_angled", "link")
-
-    def __init__(self, matrix: CoxeterMatrix):
-        ra = all(
-            m in (2, INF)
-            for i, row in enumerate(matrix.entries)
-            for j, m in enumerate(row)
-            if i != j
-        )
-        link = tuple(
-            frozenset(j for j, m in enumerate(row) if m == 2) for row in matrix.entries
-        )
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "right_angled", ra)
         object.__setattr__(self, "link", link)
 
@@ -82,24 +48,23 @@ class CoxeterSystem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoxeterSystem):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.generators == other.generators and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return hash((self.generators, self.entries))
 
     def __repr__(self) -> str:
-        return f"CoxeterSystem({self.matrix!r})"
+        return f"CoxeterSystem(generators={self.generators!r}, entries={self.entries!r})"
+
+    def order(self, i: int, j: int) -> int:
+        return self.entries[i][j]
 
     @property
-    def generators(self) -> tuple[str, ...]:
-        return self.matrix.generators
+    def rank(self) -> int:
+        return len(self.generators)
 
     def commutes(self, i: int, j: int) -> bool:
         return j in self.link[i]
-
-
-def system_from_matrix(generators: Sequence[str], entries: Sequence[Sequence[int]]) -> CoxeterSystem:
-    return CoxeterSystem(CoxeterMatrix(tuple(generators), tuple(tuple(r) for r in entries)))
 
 
 def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
@@ -111,17 +76,10 @@ def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
     witness = _flag_witness(l)
     if witness is not None:
         raise ValueError(f"input is not flag; witness clique {witness}")
-    gens = tuple(l.vertices)
-    n = len(gens)
+    n = len(l.vertices)
     adj = l.adjacency()
-    entries = [
-        [
-            1 if i == j else (2 if j in adj[i] else INF)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return CoxeterSystem(CoxeterMatrix(gens, tuple(tuple(r) for r in entries)))
+    entries = [[1 if i == j else (2 if j in adj[i] else INF) for j in range(n)] for i in range(n)]
+    return CoxeterSystem(l.vertices, entries)
 
 
 # -- finiteness classification ----------------------------------------------
@@ -130,7 +88,7 @@ def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
 def _is_spherical_idx(sys: CoxeterSystem, idx: tuple[int, ...]) -> bool:
     """Whether W_T is finite for T = idx: every component of T's Coxeter
     diagram (the pairs with order other than 2) must be of finite type."""
-    order = sys.matrix.order
+    order = sys.order
     nbrs = {u: {w: order(u, w) for w in idx if w != u and order(u, w) != 2} for u in idx}
     seen: set[int] = set()
     for start in idx:
@@ -207,7 +165,7 @@ def _spherical_subsets(sys: CoxeterSystem) -> Iterable[tuple[int, ...]]:
     if sys.right_angled:
         yield from cliques(sys.link)
         return
-    n = sys.matrix.rank
+    n = sys.rank
     level = [(i,) for i in range(n)]
     yield from level
     while level:
@@ -261,7 +219,7 @@ def _check_ra(sys: CoxeterSystem) -> None:
 
 def _check_word(sys: CoxeterSystem, w: Iterable[int]) -> Word:
     word = tuple(w)
-    n = sys.matrix.rank
+    n = sys.rank
     for x in word:
         if not 0 <= x < n:
             raise ValueError(f"letter {x} out of range")
@@ -319,7 +277,7 @@ def ball(sys: CoxeterSystem, radius: int) -> list[Word]:
         level = [
             w + (g,)
             for w in level
-            for g in range(sys.matrix.rank)
+            for g in range(sys.rank)
             if _append(sys, w, g) == w + (g,)
         ]
         words += level
@@ -376,7 +334,7 @@ def _subset_indices(sys: CoxeterSystem, subset: Iterable[str]) -> tuple[int, ...
 def system_to_json(sys: CoxeterSystem) -> dict:
     return {
         "generators": list(sys.generators),
-        "matrix": [list(row) for row in sys.matrix.entries],
+        "matrix": [list(row) for row in sys.entries],
     }
 
 
@@ -396,6 +354,6 @@ def system_from_json(data: Mapping) -> CoxeterSystem:
     ):
         raise ValueError("'matrix' must be a list of integer rows")
     try:
-        return system_from_matrix(gens, matrix)
+        return CoxeterSystem(gens, matrix)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid Coxeter matrix: {exc}") from exc

@@ -369,12 +369,10 @@ class HomologyResult:
         ]
 
 
-def homology(
-    k: SimplicialComplex, reduced: bool = False, *, max_cells: Optional[int] = None
-) -> HomologyResult:
-    """Integral homology of a simplicial complex: `chain_homology` of its chain complex."""
-    cc = ChainComplex(len(k.vertices), k.simplices)
-    return chain_homology(cc, reduced, max_cells=max_cells)
+def homology(k: SimplicialComplex, reduced: bool = False) -> HomologyResult:
+    """Integral homology of a simplicial complex: `chain_homology` of its
+    chain complex, with no cap on the critical cells."""
+    return chain_homology(ChainComplex(len(k.vertices), k.simplices), reduced)
 
 
 def chain_homology(

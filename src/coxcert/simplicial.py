@@ -75,13 +75,11 @@ class SimplicialComplex:
 
 
 def faces_closure(
-    maximal: Sequence[Iterable[str]],
-    vertices: Optional[Sequence[str]] = None,
-    max_cells: Optional[int] = None,
+    maximal: Sequence[Iterable[str]], vertices: Optional[Sequence[str]] = None
 ) -> SimplicialComplex:
     """Smallest simplicial complex containing the given vertex sets: the
-    `closure` of their `facet_positions`."""
-    return closure(*facet_positions(maximal, vertices, max_cells))
+    `closure` of their `facet_positions`, with no cap on the faces."""
+    return closure(*facet_positions(maximal, vertices))
 
 
 def facet_positions(
@@ -184,33 +182,25 @@ class SquareReport(NamedTuple):
 
 
 def _empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
-    """All induced 4-cycles: 4 vertices, cyclically adjacent, no diagonal edge."""
+    """All induced 4-cycles: 4 vertices, cyclically adjacent, no diagonal edge.
+
+    Each is listed once, as (a, b, c, d) from its least vertex a: c is
+    opposite a, and b < d are common neighbours of a and c with no edge
+    between them.  One walk over the neighbours v > a of a, in increasing
+    order, and over their neighbours c > a not adjacent to a collects each
+    such c's common neighbours with a, already sorted.
+    """
     adj = k.adjacency()
-    # middles[(x, y)] = vertices adjacent to both x and y, for non-adjacent x < y
-    middles: dict[tuple[int, int], list[int]] = {}
-    for u, nbrs_u in enumerate(adj):
-        nbrs = sorted(nbrs_u)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                x, y = nbrs[i], nbrs[j]
-                if y not in adj[x]:
-                    middles.setdefault((x, y), []).append(u)
-    squares = set()
-    for (x, y), mids in middles.items():
-        for i in range(len(mids)):
-            for j in range(i + 1, len(mids)):
-                u, w = mids[i], mids[j]
-                if w in adj[u]:
-                    continue
-                # cycle x-u-y-w with non-edges (x,y) and (u,w)
-                a = min(x, u, y, w)
-                if a in (x, y):
-                    b, d = sorted((u, w))
-                    c = y if a == x else x
-                else:
-                    b, d = x, y
-                    c = w if a == u else u
-                squares.add((a, b, c, d))
+    squares = []
+    for a, nbrs_a in enumerate(adj):
+        middles: dict[int, list[int]] = {}
+        for v in sorted(w for w in nbrs_a if w > a):
+            for c in adj[v]:
+                if c > a and c not in nbrs_a:
+                    middles.setdefault(c, []).append(v)
+        for c, mids in middles.items():
+            for i, b in enumerate(mids):
+                squares.extend((a, b, c, d) for d in mids[i + 1 :] if d not in adj[b])
     names = k.vertices
     return [(names[a], names[b], names[c], names[d]) for a, b, c, d in sorted(squares)]
 

@@ -8,7 +8,7 @@ from itertools import combinations
 from math import comb
 import random
 
-from coxcert.coxeter import INF, _is_spherical_idx, _subset_indices, system_from_matrix
+from coxcert.coxeter import INF, CoxeterSystem, _is_spherical_idx, _subset_indices
 from coxcert.davis import DavisBall, SphericalCoset
 from coxcert.homology import ChainComplex, MatrixSizeError
 from coxcert.simplicial import SimplicialComplex, faces_closure
@@ -26,7 +26,7 @@ def diagram_system(n: int, labels: dict[tuple[int, int], int], gens=()):
     entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     for (i, j), m in labels.items():
         entries[i][j] = entries[j][i] = m
-    return system_from_matrix(gens or [f"g{i}" for i in range(n)], entries)
+    return CoxeterSystem(gens or [f"g{i}" for i in range(n)], entries)
 
 
 def check_invariants(k: SimplicialComplex) -> None:
@@ -374,6 +374,43 @@ def rational_betti(k: SimplicialComplex) -> dict[int, int]:
     return {d: counts[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
 
 
+# -- square census by non-adjacent pairs -------------------------------------
+
+
+def reference_empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
+    """Induced 4-cycles found from the common neighbours of every non-adjacent
+    pair, each put in canonical order (least vertex first, its neighbours in
+    increasing order) afterwards: the oracle for `square_report`'s census."""
+    adj = k.adjacency()
+    # middles[(x, y)] = vertices adjacent to both x and y, for non-adjacent x < y
+    middles: dict[tuple[int, int], list[int]] = {}
+    for u, nbrs_u in enumerate(adj):
+        nbrs = sorted(nbrs_u)
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                x, y = nbrs[i], nbrs[j]
+                if y not in adj[x]:
+                    middles.setdefault((x, y), []).append(u)
+    squares = set()
+    for (x, y), mids in middles.items():
+        for i in range(len(mids)):
+            for j in range(i + 1, len(mids)):
+                u, w = mids[i], mids[j]
+                if w in adj[u]:
+                    continue
+                # cycle x-u-y-w with non-edges (x,y) and (u,w)
+                a = min(x, u, y, w)
+                if a in (x, y):
+                    b, d = sorted((u, w))
+                    c = y if a == x else x
+                else:
+                    b, d = x, y
+                    c = w if a == u else u
+                squares.add((a, b, c, d))
+    names = k.vertices
+    return [(names[a], names[b], names[c], names[d]) for a, b, c, d in sorted(squares)]
+
+
 # -- contraction with explicit triangle sets ---------------------------------
 
 
@@ -582,7 +619,7 @@ def reference_is_spherical(sys, idx: tuple[int, ...]) -> bool:
             for w in present:
                 if w == u:
                     continue
-                m = sys.matrix.order(u, w)
+                m = sys.order(u, w)
                 if m == 2:
                     continue
                 comp_edges[(min(u, w), max(u, w))] = m
@@ -636,7 +673,7 @@ def reference_ball(sys, radius: int) -> list[tuple[int, ...]]:
     for _ in range(radius):
         nxt = []
         for w in frontier:
-            for g in range(sys.matrix.rank):
+            for g in range(sys.rank):
                 nf = reference_reduce(sys, w + (g,))
                 if len(nf) == len(w) + 1 and nf not in seen:
                     seen.add(nf)
@@ -750,7 +787,7 @@ def reference_sharp(ball_: DavisBall) -> SimplicialComplex:
     """Union of the generators' fixed subcomplexes, built one wall at a time."""
     verts: set[str] = set()
     simplices: set[tuple[str, ...]] = set()
-    for s in range(ball_.system.matrix.rank):
+    for s in range(ball_.system.rank):
         fixed = reference_fixed_cosets(ball_, (s,))
         part = reference_extract(ball_, lambda c: c in fixed)
         verts.update(part.vertices)

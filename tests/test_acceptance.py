@@ -137,7 +137,7 @@ def test_criterion_5_word_problem_oracle():
         systems.append(racg_from_flag(l))
     total_words = 0
     for sys_ in systems:
-        n = sys_.matrix.rank
+        n = sys_.rank
         dist = {(): 0}
         frontier = [()]
         for d in range(1, 13):

@@ -17,7 +17,7 @@ from coxcert.cli import main
 from coxcert.davis import DavisBall
 from coxcert.homology import _cell_limit, homology
 from coxcert.simplicial import SimplicialComplex, complex_from_json, complex_to_json, faces_closure
-from coxcert.coxeter import racg_from_flag, system_from_matrix, system_to_json
+from coxcert.coxeter import CoxeterSystem, racg_from_flag, system_to_json
 from coxcert.presentations import spine_complex
 
 from helpers import (
@@ -682,7 +682,7 @@ def _bipartite_k33():
 
 
 # A3 on a-b-c, with d commuting with a and b and free against c
-_MIXED_SYSTEM = system_from_matrix(
+_MIXED_SYSTEM = CoxeterSystem(
     ["a", "b", "c", "d"],
     [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 0], [2, 2, 0, 1]],
 )

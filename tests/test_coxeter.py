@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from coxcert import coxeter
 from coxcert.coxeter import (
     INF,
+    CoxeterSystem,
     _is_spherical_idx,
     ball,
     hyperbolicity,
@@ -21,7 +22,6 @@ from coxcert.coxeter import (
     reduce,
     right_descents,
     system_from_json,
-    system_from_matrix,
     system_to_json,
 )
 from coxcert.simplicial import cliques, faces_closure
@@ -47,32 +47,32 @@ from inputs import ball_elements, random_graph  # noqa: E402  (the benchmark's o
 
 
 def dihedral_infinite():
-    return system_from_matrix(["s", "t"], [[1, INF], [INF, 1]])
+    return CoxeterSystem(["s", "t"], [[1, INF], [INF, 1]])
 
 
 def klein_four():
-    return system_from_matrix(["s", "t"], [[1, 2], [2, 1]])
+    return CoxeterSystem(["s", "t"], [[1, 2], [2, 1]])
 
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
-        system_from_matrix(["s"], [[2]])
+        CoxeterSystem(["s"], [[2]])
     with pytest.raises(ValueError):
-        system_from_matrix(["s", "t"], [[1, 3], [2, 1]])
+        CoxeterSystem(["s", "t"], [[1, 3], [2, 1]])
     with pytest.raises(ValueError):
-        system_from_matrix(["s", "t"], [[1, 1], [1, 1]])
+        CoxeterSystem(["s", "t"], [[1, 1], [1, 1]])
 
 
 def test_racg_from_flag_examples():
     single = racg_from_flag(faces_closure([("v",)]))
-    assert single.matrix.rank == 1
+    assert single.rank == 1
 
     two = racg_from_flag(two_points())
-    assert two.matrix.order(0, 1) == INF
+    assert two.order(0, 1) == INF
     assert two.right_angled
 
     pent = racg_from_flag(cycle_complex(5))
-    entries = [pent.matrix.order(i, j) for i in range(5) for j in range(i + 1, 5)]
+    entries = [pent.order(i, j) for i in range(5) for j in range(i + 1, 5)]
     assert entries.count(2) == 5 and entries.count(INF) == 5
 
 
@@ -163,7 +163,7 @@ def test_is_spherical_classification_table():
 
 def test_nerve_examples():
     assert named_simplices(nerve(dihedral_infinite())) == {("s",), ("t",)}
-    a2 = system_from_matrix(["s", "t"], [[1, 3], [3, 1]])
+    a2 = CoxeterSystem(["s", "t"], [[1, 3], [3, 1]])
     n2 = nerve(a2)
     assert n2.dim() == 1 and len(n2.simplices) == 3  # an edge
 
@@ -181,7 +181,7 @@ def test_nerve_matches_is_spherical_on_general_matrices(seed):
     for i in range(n):
         for j in range(i + 1, n):
             entries[i][j] = entries[j][i] = rng.choice(orders)
-    sys = system_from_matrix(gens, entries)
+    sys = CoxeterSystem(gens, entries)
     expected = {
         tuple(gens[i] for i in t)
         for r in range(1, n + 1)
@@ -258,10 +258,10 @@ def test_hyperbolicity_four_cycle():
     assert rep.hyperbolic is False
     a, c, b, d = rep.z2_witness
     ia, ic, ib, id_ = (sys.generators.index(x) for x in (a, c, b, d))
-    assert sys.matrix.order(ia, ic) == INF and sys.matrix.order(ib, id_) == INF
+    assert sys.order(ia, ic) == INF and sys.order(ib, id_) == INF
     for x in (ia, ic):
         for y in (ib, id_):
-            assert sys.matrix.order(x, y) == 2
+            assert sys.order(x, y) == 2
 
 
 def test_hyperbolicity_five_cycle():
@@ -271,7 +271,7 @@ def test_hyperbolicity_five_cycle():
 
 
 def test_hyperbolicity_non_right_angled():
-    rep = hyperbolicity(system_from_matrix(["s", "t"], [[1, 3], [3, 1]]))
+    rep = hyperbolicity(CoxeterSystem(["s", "t"], [[1, 3], [3, 1]]))
     assert rep.hyperbolic is None
 
 
@@ -353,8 +353,8 @@ def test_spherical_iff_subsystem_ball_stabilises():
             size = rng.randint(1, 3)
             subset = rng.sample(gens, size)
             idx = sorted(sys.generators.index(g) for g in subset)
-            sub_entries = [[sys.matrix.order(i, j) for j in idx] for i in idx]
-            sub = system_from_matrix([gens[i] for i in idx], sub_entries)
+            sub_entries = [[sys.order(i, j) for j in idx] for i in idx]
+            sub = CoxeterSystem([gens[i] for i in idx], sub_entries)
             stabilises = len(ball(sub, 3)) == len(ball(sub, 4))
             assert is_spherical(sys, subset) == stabilises
 
@@ -387,7 +387,7 @@ def test_insertion_rule_matches_two_pass_oracles():
     for _ in range(40):
         l = random_flag_complex(rng, rng.randint(1, 7), rng.choice((0.3, 0.6, 0.9)))
         sys = racg_from_flag(l)
-        n = sys.matrix.rank
+        n = sys.rank
         words = [tuple(rng.randrange(n) for _ in range(rng.randint(0, 14))) for _ in range(30)]
         for w in words:
             assert reduce(sys, w) == reference_reduce(sys, w), w
@@ -407,7 +407,7 @@ def test_ball_lengths_and_descents_match_benchmark_table():
         n = rng.randint(1, 8)
         adj = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
         entries = [[1 if i == j else 2 if j in adj[i] else INF for j in range(n)] for i in range(n)]
-        sys = system_from_matrix([f"v{i}" for i in range(n)], entries)
+        sys = CoxeterSystem([f"v{i}" for i in range(n)], entries)
         every = frozenset(range(n))
         for radius in range(3):
             got = [
@@ -424,7 +424,7 @@ def test_ball_lengths_and_descents_match_benchmark_table():
 def test_system_json_round_trip():
     sys = racg_from_flag(cycle_complex(5))
     again = system_from_json(system_to_json(sys))
-    assert again.matrix == sys.matrix
+    assert again == sys
     with pytest.raises(ValueError):
         system_from_json({"generators": ["a"]})
 
@@ -435,7 +435,6 @@ def test_systems_are_frozen_and_equal_ones_hash_equal():
     assert again == sys and hash(again) == hash(sys) and len({sys, again}) == 1
     assert sys != racg_from_flag(cycle_complex(4))
     report = hyperbolicity(sys)
-    for record, field in [(sys, "matrix"), (sys, "link"), (sys.matrix, "entries"),
-                          (report, "hyperbolic")]:
+    for record, field in [(sys, "entries"), (sys, "link"), (report, "hyperbolic")]:
         with pytest.raises(AttributeError):
             setattr(record, field, None)

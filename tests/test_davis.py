@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxcert.coxeter import INF, racg_from_flag, system_from_matrix
+from coxcert.coxeter import INF, CoxeterSystem, racg_from_flag
 from coxcert.davis import (
     CellIndex,
     DavisBall,
@@ -267,7 +267,7 @@ def test_fast_coset_paths_match_word_problem_oracle(seed):
     sharp, ref_sharp = hash_union_sharp(fast), reference_sharp(ref)
     assert (sharp.vertices, sharp.simplices) == (ref_sharp.vertices, ref_sharp.simplices)
     assert sharp.dim() == fast.singular_dim()
-    n = sys.matrix.rank
+    n = sys.rank
     for s in range(n):
         wall = {c for c in fast.cosets if s in set(c.gens) & fast.walls(c.rep)}
         assert wall == reference_fixed_cosets(ref, (s,))
@@ -290,7 +290,7 @@ def test_cosets_and_dimensions_build_no_up_lists(monkeypatch):
     monkeypatch.setattr(davis, "face_poset", refuse)
     n = 12
     entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    b = davis.DavisBall(system_from_matrix([f"g{i}" for i in range(n)], entries), 0)
+    b = davis.DavisBall(CoxeterSystem([f"g{i}" for i in range(n)], entries), 0)
     assert len(b.cosets) == 4096
     assert (b.realization_dim(), b.singular_dim()) == (12, 11)
 

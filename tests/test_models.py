@@ -245,7 +245,7 @@ def test_report_branch_and_pairs_match_the_coxeter_system(spine_bundle):
         assert report.ok
         sys_ = racg_from_flag(l)
         assert report.hyperbolic == hyperbolicity(sys_).hyperbolic
-        rows = sys_.matrix.entries
+        rows = sys_.entries
         infinite = sum(row[j] == INF for i, row in enumerate(rows) for j in range(i + 1, len(row)))
         assert report.dihedral_pair_count == infinite
         branches.add(report.hyperbolic)

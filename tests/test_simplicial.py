@@ -16,6 +16,8 @@ from coxcert.simplicial import (
     wedge,
 )
 from coxcert.homology import homology
+from coxcert.presentations import presentation_complex, spine_presentation
+from coxcert.subdivide import barycentric_subdivision
 
 from helpers import (
     check_invariants,
@@ -24,6 +26,7 @@ from helpers import (
     full_triangle,
     hollow_triangle,
     random_complex,
+    reference_empty_squares,
     two_points,
 )
 
@@ -123,6 +126,37 @@ def test_square_report_five_cycle():
     rep = square_report(cycle_complex(5))
     assert rep.is_flag
     assert rep.empty_squares == ()
+
+
+def _graph(n: int, edges) -> SimplicialComplex:
+    return SimplicialComplex([f"v{i}" for i in range(n)], [(i,) for i in range(n)] + list(edges))
+
+
+@pytest.mark.parametrize(
+    "k, count",
+    [
+        (cycle_complex(4), 1),
+        (_graph(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)]), 3),  # K_{2,3}
+        (faces_closure([(x, y, z) for x in "aA" for y in "bB" for z in "cC"]), 3),  # octahedron
+        (barycentric_subdivision(presentation_complex(spine_presentation())), 306),
+    ],
+    ids=["c4", "k23", "octahedron", "flagified-spine"],
+)
+def test_square_census_matches_oracle_on_named_complexes(k, count):
+    squares = square_report(k).empty_squares
+    assert len(squares) == count
+    assert list(squares) == reference_empty_squares(k)
+
+
+def test_square_census_matches_oracle_on_random_graphs():
+    """Each induced 4-cycle once, in the oracle's order, on seeded random
+    graphs of up to 14 vertices, from sparse to dense."""
+    rng = random.Random(21)
+    for _ in range(500):
+        n = rng.randint(0, 14)
+        p = rng.random()
+        k = _graph(n, [s for s in combinations(range(n), 2) if rng.random() < p])
+        assert list(square_report(k).empty_squares) == reference_empty_squares(k)
 
 
 def test_dim_of():
