@@ -24,11 +24,11 @@ from .simplicial import (
     complex_from_json,
     complex_to_json,
     facets_from_json,
-    square_report,
 )
 from .subdivide import barycentric_subdivision
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .davis import hash_union_sharp, singular_subcomplex  # noqa: F401
+from .simplicial import square_report  # noqa: F401
 
 
 class RunReport:
@@ -299,14 +299,13 @@ def cmd_farrell(args) -> RunReport:
 
 def cmd_spine(args) -> RunReport:
     report = RunReport("spine", _digest_bytes(b"spine"))
-    l = spine_complex()
+    l, sq = spine_complex()
     report.add("build", "pass", counts=l.counts())
     try:
         h = homology(l, reduced=True)
         report.add("acyclicity", "pass" if h.is_trivial() else "fail", homology=repr(h))
     except MatrixSizeError as exc:
         report.add("acyclicity", "skipped", reason=str(exc))
-    sq = square_report(l)
     report.add("flag", "pass" if sq.is_flag else "fail", witness=sq.flag_witness)
     report.add(
         "no-squares",
@@ -333,14 +332,14 @@ def cmd_certify_main_theorem(args) -> RunReport:
     _check_count("--radius", args.radius)
     report = RunReport("certify-main-theorem", _digest_bytes(b"certify-main-theorem"))
     if args.skip_nsq_subdivision:
-        l = barycentric_subdivision(presentation_complex(spine_presentation()))
+        l, squares = barycentric_subdivision(presentation_complex(spine_presentation())), None
         report.add("build", "pass", variant="flagified-only", counts=l.counts())
     else:
-        l = spine_complex()
+        l, squares = spine_complex()
         report.add("build", "pass", variant="spine", counts=l.counts())
     cert = spine_certificate()
     try:
-        mt = main_theorem_report(l, cert)
+        mt = main_theorem_report(l, cert, squares)
     except MatrixSizeError as exc:
         report.add("acyclicity", "skipped", reason=str(exc))
         return report

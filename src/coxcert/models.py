@@ -78,14 +78,17 @@ class MainTheoremReport(NamedTuple):
         }
 
 
-def main_theorem_report(l: SimplicialComplex, cert: Pi1Certificate) -> MainTheoremReport:
+def main_theorem_report(
+    l: SimplicialComplex, cert: Pi1Certificate, squares: Optional[SquareReport] = None
+) -> MainTheoremReport:
     """Check the hypothesis bundle on L and emit the dimension predictions.
 
     One square census of L decides both flagness and the branch: a flag L
     is the nerve of W_L, so W_L is hyperbolic exactly when L has no empty
-    square, and its infinite dihedral pairs are the non-edges of L.
+    square, and its infinite dihedral pairs are the non-edges of L.  A
+    caller that already holds the census of L passes it as `squares`.
     """
-    sq = square_report(l)
+    sq = square_report(l) if squares is None else squares
     dim = l.dim()
     acyclic = homology(l, reduced=True).is_trivial()
     order = cert.subgroup_order() if cert.valid else None

@@ -1,7 +1,9 @@
 """Order complexes of posets, and the subdivisions built from them."""
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Optional, Sequence
 
 from .homology import MatrixSizeError
@@ -112,6 +114,30 @@ def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # -- flag-no-square preserving compaction ----------------------------------
 
 
+def _contraction_ok(adj: list[set[int]], u: int, v: int) -> bool:
+    """Whether merging v into u keeps the graph flag with no empty square."""
+    au, av = adj[u], adj[v]
+    inner = au | av
+    nbrs = inner - {u, v}
+    # no empty square through the merged vertex: the neighbours in nbrs
+    # of any vertex d beyond it are pairwise adjacent
+    seen: dict[int, set[int]] = {}
+    for x in nbrs:
+        ax = adj[x]
+        for d in ax - inner:
+            before = seen.get(d)
+            if before is None:
+                seen[d] = {x}
+            elif before <= ax:
+                before.add(x)
+            else:
+                return False
+    # flag after the move: an edge from a neighbour of u alone to one of v
+    # alone would span no triangle; it is also the only way to a 4-clique
+    only_v = av - au - {u}
+    return all(adj[x].isdisjoint(only_v) for x in au - av - {v})
+
+
 def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
     """Shrink a flag-no-square 2-complex by edge contractions.
 
@@ -123,6 +149,16 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
     preserves homotopy type, hence homology and the fundamental group, but
     generally not PL type.  A move is taken only if the complex stays flag
     and gains no empty square.
+
+    The full test `_contraction_ok` has a flag clause, no edge from A =
+    N(u) - N[v] to B = N(v) - N[u], and a square clause, no vertex beyond
+    N(u) | N(v) seeing two non-adjacent neighbours x, y of the merged
+    vertex.  Its pairs are one-side (x, y both in N(u) or both in N(v)) or
+    crossing (x in A, y in B).  On a graph with no empty square only a
+    crossing pair can fail: a failing one-side pair is an empty square
+    through u or v already, as is an A-B edge x-y (u-x-y-v).  So a bitset
+    test of the crossing clauses, implied by the full test, runs first, and
+    the full test decides only the moves that pass it.
     """
     if k.dim() > 2:
         raise ValueError("contraction pass requires dim <= 2")
@@ -131,39 +167,28 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
         raise ValueError(f"contraction pass requires a flag complex; {witness} spans no simplex")
     n = len(k.vertices)
     adj = k.adjacency()  # a vertex merged away keeps no neighbours
+    bits = [sum(1 << w for w in nbrs) for nbrs in adj]  # adj as int bitsets
     gone: set[int] = set()
 
-    def contraction_ok(u: int, v: int) -> bool:
-        au, av = adj[u], adj[v]
-        inner = au | av
-        nbrs = inner - {u, v}
-        # no empty square through the merged vertex: the neighbours in nbrs
-        # of any vertex d beyond it are pairwise adjacent
-        seen: dict[int, set[int]] = {}
-        for x in nbrs:
-            ax = adj[x]
-            for d in ax - inner:
-                before = seen.get(d)
-                if before is None:
-                    seen[d] = {x}
-                elif before <= ax:
-                    before.add(x)
-                else:
-                    return False
-        # flag after the move: an edge from a neighbour of u alone to one of v
-        # alone would span no triangle; it is also the only way to a 4-clique
-        only_v = av - au - {u}
-        return all(adj[x].isdisjoint(only_v) for x in au - av - {v})
+    def crossing_ok(u: int, v: int) -> bool:
+        # near_a, near_b: every neighbour of A = N(u) - N[v], of B = N(v) - N[u]
+        near_a = reduce(or_, map(bits.__getitem__, adj[u] - adj[v] - {v}), 0)
+        near_b = reduce(or_, map(bits.__getitem__, adj[v] - adj[u] - {u}), 0)
+        b = bits[v] & ~bits[u] & ~(1 << u)
+        return not (near_a & b or near_a & near_b & ~(bits[u] | bits[v]))
 
     def contract(u: int, v: int) -> None:
         # merge v into u
+        ub, vb = 1 << u, 1 << v
         for w in adj[v]:
             adj[w].discard(v)
             if w != u:
                 adj[w].add(u)
                 adj[u].add(w)
+                bits[w] = bits[w] & ~vb | ub
         adj[u].discard(v)
         adj[v].clear()
+        bits[u], bits[v] = (bits[u] | bits[v]) & ~(ub | vb), 0
         gone.add(v)
 
     while True:
@@ -175,7 +200,7 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
             if u < v
         )
         for _, u, v in edges:
-            if v in adj[u] and contraction_ok(u, v):
+            if v in adj[u] and crossing_ok(u, v) and _contraction_ok(adj, u, v):
                 contract(u, v)
                 merged += 1
         if not merged:

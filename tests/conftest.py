@@ -11,7 +11,7 @@ def spine_bundle():
     """Spine complex, presentation and certificate, built once per session."""
     from coxcert.presentations import spine_certificate, spine_complex, spine_presentation
 
-    complex_ = spine_complex()
+    complex_, _ = spine_complex()
     return {
         "complex": complex_,
         "presentation": spine_presentation(),

@@ -4,13 +4,15 @@ from __future__ import annotations
 from fractions import Fraction
 import heapq
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 import random
+from typing import Optional
 
 from coxcert.coxeter import INF, CoxeterSystem, _is_spherical_idx, _subset_indices
 from coxcert.davis import DavisBall, SphericalCoset
 from coxcert.homology import ChainComplex, MatrixSizeError
+from coxcert.presentations import Presentation, _evaluate, _perm_inv
 from coxcert.simplicial import SimplicialComplex, faces_closure
 from coxcert.subdivide import order_complex
 
@@ -502,6 +504,37 @@ def reference_contraction(k: SimplicialComplex) -> SimplicialComplex:
     simplices.update(tuple(sorted((new[i], new[j]))) for i in keep for j in adj[i] if i < j)
     simplices.update(tuple(sorted(new[i] for i in t)) for t in triangles)
     return SimplicialComplex([k.vertices[i] for i in keep], simplices)
+
+
+# -- certificate search, one full evaluation per candidate tuple ------------
+
+
+def reference_find_pi1_certificate(p: Presentation, degree: int):
+    """Images of the lexicographically least tuple of permutations of
+    0..degree-1, one per generator, that kills every relator and is not all
+    identities; None when there is none.  Each tuple is built whole and
+    every relator evaluated in full: the oracle of `find_pi1_certificate`.
+    """
+    identity = tuple(range(degree))
+    perms = list(permutations(range(degree)))
+    inverse = {perm: _perm_inv(perm) for perm in perms}
+    capitals = [g.upper() for g in p.generators]
+
+    def search(prefix: list) -> Optional[tuple]:
+        if len(prefix) == len(p.generators):
+            imap = dict(zip(p.generators, prefix))
+            imap.update(zip(capitals, map(inverse.__getitem__, prefix)))
+            ok = all(_evaluate(r, imap, degree) == identity for r in p.relators)
+            if ok and any(x != identity for x in prefix):
+                return tuple(prefix)
+            return None
+        for cand in perms:
+            found = search(prefix + [cand])
+            if found is not None:
+                return found
+        return None
+
+    return search([])
 
 
 # -- finiteness by catalogue match, without the arm and path test -------------

@@ -43,7 +43,7 @@ def test_criterion_1_hypothesis_bundle():
     from coxcert.presentations import spine_certificate, spine_complex
 
     start = time.monotonic()
-    l = spine_complex()
+    l, _ = spine_complex()
     cert = spine_certificate()
     h = homology(l, reduced=True)
     acyclic = h.is_trivial()

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -462,7 +463,7 @@ def test_davis_homology_cap_counts_critical_cells(tmp_path, capsys):
 
 def test_spine_singular_set_is_acyclic(tmp_path, capsys):
     """The paper's example in full: 854,641 indexed cells reduce to few enough for SNF."""
-    path = write_complex(tmp_path, spine_complex())
+    path = write_complex(tmp_path, spine_complex()[0])
     code, report = run_cli(capsys, "davis", path, "--radius", "1", "--singular")
     assert code == 0
     assert report["overall"] == "pass"
@@ -619,6 +620,23 @@ def test_certify_main_theorem_default(capsys):
     assert report_digest(report) == (
         "0ce36a520156a8323014ddec6108104cd7d3a5f312977afa201aee59bea9fae7"
     )
+
+
+@pytest.mark.parametrize("command", ["spine", "certify-main-theorem"])
+def test_spine_commands_take_one_square_census(capsys, monkeypatch, command):
+    """The contraction's postcondition censuses the 136-vertex spine, and the
+    command reads that census instead of taking its own."""
+    calls = Counter()
+    census = simplicial._empty_squares
+
+    def counted(k):
+        calls["squares", len(k.vertices)] += 1
+        return census(k)
+
+    monkeypatch.setattr(simplicial, "_empty_squares", counted)
+    code, report = run_cli(capsys, command)
+    assert (code, report["overall"]) == (0, "pass")
+    assert calls == {("squares", 136): 1}
 
 
 def test_certify_main_theorem_builds_no_davis_ball(capsys, monkeypatch):

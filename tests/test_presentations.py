@@ -2,6 +2,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxcert.homology import homology, snf_divisors
 from coxcert.presentations import (
@@ -15,6 +16,8 @@ from coxcert.presentations import (
     spine_presentation,
 )
 from coxcert.simplicial import square_report
+
+from helpers import reference_find_pi1_certificate
 
 
 def exponent_sums(p: Presentation) -> list[list[int]]:
@@ -127,6 +130,22 @@ def test_presentations_and_certificates_are_frozen():
 def test_no_certificate_for_trivial_group():
     p = Presentation(("x",), ("x",))
     assert find_pi1_certificate(p, 3) is None
+
+
+@st.composite
+def small_presentations(draw) -> Presentation:
+    """One to three generators and up to three relators of length at most 8."""
+    gens = "xyz"[: draw(st.integers(1, 3))]
+    word = st.text(alphabet=gens + gens.upper(), min_size=1, max_size=8)
+    relators = draw(st.lists(word.filter(free_reduce), max_size=3))
+    return Presentation(tuple(gens), relators)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_presentations(), st.sampled_from([3, 4]))
+def test_certificate_search_matches_exhaustive_oracle(p, degree):
+    cert = find_pi1_certificate(p, degree)
+    assert (None if cert is None else cert.images) == reference_find_pi1_certificate(p, degree)
 
 
 def test_spine_build_checks_the_subdivision_once(monkeypatch):

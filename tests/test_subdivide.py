@@ -211,3 +211,37 @@ def test_contraction_matches_triangle_set_reference_with_squares(seed):
     else:
         with pytest.raises(RuntimeError):
             contract_flag_no_squares(k)
+
+
+
+def _count_full_move_tests(monkeypatch) -> list[bool]:
+    """Verdicts of every call of the contraction's full move test, in order."""
+    import coxcert.subdivide as subdivide
+
+    verdicts: list[bool] = []
+    full = subdivide._contraction_ok
+
+    def counted(*args):
+        verdicts.append(full(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(subdivide, "_contraction_ok", counted)
+    return verdicts
+
+
+def test_contraction_runs_the_full_move_test_once_per_move_taken(monkeypatch):
+    """On the spine the bitset crossing test rejects every move that fails, so
+    the full test runs once per contraction taken: 1279 - 136 = 1143 times."""
+    verdicts = _count_full_move_tests(monkeypatch)
+    out = contract_flag_no_squares(no_square_subdivision(presentation_complex(spine_presentation())))
+    assert (len(out.vertices), len(verdicts), all(verdicts)) == (136, 1143, True)
+
+
+def test_crossing_test_rejects_each_edge_of_an_empty_square(monkeypatch):
+    """Each edge of a 4-cycle joins a neighbour of one end alone to one of the
+    other alone: the crossing test's flag clause rejects all four moves before
+    the full test runs, and the postcondition finds the square."""
+    verdicts = _count_full_move_tests(monkeypatch)
+    with pytest.raises(RuntimeError):
+        contract_flag_no_squares(cycle_complex(4))
+    assert verdicts == []
