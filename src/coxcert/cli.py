@@ -331,8 +331,9 @@ def cmd_spine(args) -> RunReport:
 def cmd_certify_main_theorem(args) -> RunReport:
     _check_count("--radius", args.radius)
     report = RunReport("certify-main-theorem", _digest_bytes(b"certify-main-theorem"))
+    squares = None
     if args.skip_nsq_subdivision:
-        l, squares = barycentric_subdivision(presentation_complex(spine_presentation())), None
+        l = barycentric_subdivision(presentation_complex(spine_presentation()))
         report.add("build", "pass", variant="flagified-only", counts=l.counts())
     else:
         l, squares = spine_complex()

@@ -130,6 +130,7 @@ def test_presentations_and_certificates_are_frozen():
 def test_no_certificate_for_trivial_group():
     p = Presentation(("x",), ("x",))
     assert find_pi1_certificate(p, 3) is None
+    assert find_pi1_certificate(Presentation((), ()), 3) is None
 
 
 @st.composite
