@@ -26,21 +26,21 @@ class CoxeterSystem:
             raise ValueError("duplicate generator labels")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("matrix shape does not match generators")
-        for i in range(n):
-            if entries[i][i] != 1:
-                raise ValueError("diagonal entries must be 1")
-            for j in range(i + 1, n):
-                m = entries[i][j]
-                if m != entries[j][i]:
-                    raise ValueError("matrix must be symmetric")
-                if m != INF and m < 2:
-                    raise ValueError("off-diagonal entries must be >= 2 or infinity")
-        ra = all(m in (2, INF) for row in entries for m in row if m != 1)
-        link = tuple(frozenset(j for j, m in enumerate(row) if m == 2) for row in entries)
+        # one pass over the rows, each checked against its column of the
+        # transpose by whole-row calls; a checked row is right-angled when no
+        # entry exceeds 2, and its commuting generators are found by `index`
+        ra, link = True, []
+        for i, (row, column) in enumerate(zip(entries, zip(*entries))):
+            upper = row[i + 1 :]
+            if row[i] != 1 or upper != column[i + 1 :] or min(filter(None, upper), default=2) < 2:
+                _check_row(entries, i)
+            ra = ra and max(row) <= 2
+            j = -1
+            link.append(frozenset([j := row.index(2, j + 1) for _ in range(row.count(2))]))
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "right_angled", ra)
-        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "link", tuple(link))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoxeterSystem is immutable")
@@ -67,6 +67,20 @@ class CoxeterSystem:
         return j in self.link[i]
 
 
+def _check_row(entries: tuple[tuple[int, ...], ...], i: int) -> None:
+    """Raise the `ValueError` for the first fault of row i of a Coxeter matrix:
+    its diagonal entry, then each entry to its right, for symmetry and then
+    for its range (>= 2, or 0 for infinity)."""
+    if entries[i][i] != 1:
+        raise ValueError("diagonal entries must be 1")
+    for j in range(i + 1, len(entries)):
+        m = entries[i][j]
+        if m != entries[j][i]:
+            raise ValueError("matrix must be symmetric")
+        if m != INF and m < 2:
+            raise ValueError("off-diagonal entries must be >= 2 or infinity")
+
+
 def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
     """Right-angled system on the vertices of a flag complex L.
 
@@ -77,8 +91,13 @@ def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
     if witness is not None:
         raise ValueError(f"input is not flag; witness clique {witness}")
     n = len(l.vertices)
-    adj = l.adjacency()
-    entries = [[1 if i == j else (2 if j in adj[i] else INF) for j in range(n)] for i in range(n)]
+    entries = []
+    for i, nbrs in enumerate(l.adjacency()):
+        row = [INF] * n
+        for j in nbrs:
+            row[j] = 2
+        row[i] = 1
+        entries.append(row)
     return CoxeterSystem(l.vertices, entries)
 
 

@@ -13,26 +13,62 @@ class SimplicialComplex:
     `vertices`, in strictly increasing order.  The simplex set is closed
     under taking non-empty faces, and every vertex occurs as a singleton
     simplex.  Constructions hand their simplices over in this form and the
-    constructor takes them as given.  Vertex names are looked up only where
-    a simplex leaves the program: JSON and reports.
+    constructor takes them as given.  A complex may instead be built from
+    its facets alone (`from_facets`): it returns them from
+    `maximal_simplices()` and closes them into `simplices` only when those
+    are first read.  Vertex names are looked up only where a simplex leaves
+    the program: JSON and reports.
     """
 
-    __slots__ = ("vertices", "simplices")
+    __slots__ = ("vertices", "_simplices", "_facets")
 
     def __init__(self, vertices: Sequence[str], simplices: Iterable[tuple[int, ...]]):
+        self._start(vertices, frozenset(simplices), None)
+
+    @classmethod
+    def from_facets(
+        cls, vertices: Sequence[str], facets: Iterable[tuple[int, ...]]
+    ) -> SimplicialComplex:
+        """Complex on `vertices` whose maximal simplices are `facets`.
+
+        The facets are taken as given: strictly increasing position tuples,
+        none a face of another, every vertex in one.  They are kept in
+        (size, lex) order, and no other simplex is listed until `simplices`
+        is read.
+        """
+        k = cls.__new__(cls)
+        k._start(vertices, None, tuple(sorted(facets, key=lambda s: (len(s), s))))
+        return k
+
+    def _start(self, vertices, simplices, facets) -> None:
         verts = tuple(vertices)
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertex ids")
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "simplices", frozenset(simplices))
+        object.__setattr__(self, "_simplices", simplices)
+        object.__setattr__(self, "_facets", facets)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("SimplicialComplex is immutable")
+
+    @property
+    def simplices(self) -> frozenset[tuple[int, ...]]:
+        """Every simplex; a complex built from facets closes them on first read."""
+        if self._simplices is None:
+            object.__setattr__(self, "_simplices", _faces(len(self.vertices), self._facets))
+        return self._simplices
+
+    def generating_cells(self) -> Iterable[tuple[int, ...]]:
+        """The simplices the complex was built from, which generate it under
+        faces: its facets if it was built from them, else every simplex."""
+        return self.simplices if self._facets is None else self._facets
 
     # -- basic queries ---------------------------------------------------
 
     def dim(self) -> int:
         """Max simplex cardinality minus one; -1 for the empty complex."""
+        if self._facets is not None:
+            return len(self._facets[-1]) - 1 if self._facets else -1
         return max(map(len, self.simplices), default=0) - 1
 
     def k_simplices(self, k: int) -> list[tuple[int, ...]]:
@@ -49,6 +85,8 @@ class SimplicialComplex:
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
         """Simplices that are a facet of no simplex, in (size, lex) order."""
+        if self._facets is not None:
+            return list(self._facets)
         facets = {f for s in self.simplices if len(s) > 1 for f in combinations(s, len(s) - 1)}
         return sorted(self.simplices - facets, key=lambda s: (len(s), s))
 
@@ -63,12 +101,18 @@ class SimplicialComplex:
         return adj
 
     def __eq__(self, other) -> bool:
+        """Equal vertices and simplices; compared by facets, so that a
+        complex built from them is not closed, unless both hold every simplex."""
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.vertices == other.vertices and self.simplices == other.simplices
+        if self.vertices != other.vertices:
+            return False
+        if self._simplices is not None and other._simplices is not None:
+            return self._simplices == other._simplices
+        return self.maximal_simplices() == other.maximal_simplices()
 
     def __hash__(self) -> int:
-        return hash(self.simplices)
+        return hash(self.vertices)
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.simplices)} simplices)"
@@ -127,9 +171,14 @@ def closure(vertices: Sequence[str], cells: Iterable[Iterable[int]]) -> Simplici
     a singleton simplex, whether or not a cell holds it.  The simplices go
     straight into one frozenset, which the constructor keeps as it is.
     """
-    faces = (combinations(face, k) for face in map(sorted, cells) for k in range(2, len(face) + 1))
-    singletons = ((i,) for i in range(len(vertices)))
-    return SimplicialComplex(vertices, frozenset(chain(singletons, chain.from_iterable(faces))))
+    return SimplicialComplex(vertices, _faces(len(vertices), map(sorted, cells)))
+
+
+def _faces(n: int, cells: Iterable[Sequence[int]]) -> frozenset[tuple[int, ...]]:
+    """The singletons of 0..n-1 and every face with two or more vertices of
+    the cells, each a sorted sequence of positions."""
+    faces = (combinations(face, k) for face in cells for k in range(2, len(face) + 1))
+    return frozenset(chain(((i,) for i in range(n)), chain.from_iterable(faces)))
 
 
 def wedge(

@@ -785,10 +785,10 @@ def reference_fixed_cosets(ball_: DavisBall, g) -> set:
 
 
 def reference_extract(ball_: DavisBall, keep, max_cells=None) -> SimplicialComplex:
-    """Order complex of the cosets `keep` accepts, listed chain by chain: the
+    """Order complex of the cosets `keep` accepts, built by `order_complex`: the
     oracle for `CellIndex`.  Each kept coset is a chain, so past `max_cells`
     kept cosets MatrixSizeError comes before any up-list; past `max_cells`
-    chains, from the depth-first search of `order_complex`."""
+    chains, from the count `order_complex` makes before listing any."""
     kept = [i for i, c in enumerate(ball_.cosets) if keep(c)]
     if max_cells is not None and len(kept) > max_cells:
         raise MatrixSizeError(f"{len(kept)} cosets exceed the materialization cap")

@@ -1,5 +1,6 @@
 """Coxeter systems: classification, nerves, hyperbolicity, word problem."""
 import random
+import re
 import sys as _sys
 from itertools import combinations, product
 from pathlib import Path
@@ -61,6 +62,50 @@ def test_matrix_validation():
         CoxeterSystem(["s", "t"], [[1, 3], [2, 1]])
     with pytest.raises(ValueError):
         CoxeterSystem(["s", "t"], [[1, 1], [1, 1]])
+
+
+def _first_matrix_fault(entries):
+    """The message of the first fault of a square matrix, scanning row by
+    row: the diagonal entry, then each entry to its right for symmetry and
+    range; None for a Coxeter matrix."""
+    n = len(entries)
+    for i in range(n):
+        if entries[i][i] != 1:
+            return "diagonal entries must be 1"
+        for j in range(i + 1, n):
+            if entries[i][j] != entries[j][i]:
+                return "matrix must be symmetric"
+            if entries[i][j] != INF and entries[i][j] < 2:
+                return "off-diagonal entries must be >= 2 or infinity"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.sampled_from((INF, 2, 3, 4)), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+                           st.sampled_from((-1, 0, 1, 2, 5))), max_size=2 if n else 0),
+    )
+))
+def test_system_link_and_right_angled_match_their_definitions(case):
+    """On random symmetric matrices, some with faults written in, the
+    constructor raises the first fault of a row-by-row scan, or derives
+    `link` and `right_angled` as defined."""
+    upper, faults = case
+    n = len(upper)
+    entries = [[1 if i == j else upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    for i, j, m in faults:
+        entries[i][j] = m
+    fault = _first_matrix_fault(entries)
+    if fault is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            CoxeterSystem([f"g{i}" for i in range(n)], entries)
+        return
+    sys = CoxeterSystem([f"g{i}" for i in range(n)], entries)
+    assert sys.link == tuple(frozenset(j for j in range(n) if entries[i][j] == 2) for i in range(n))
+    assert sys.right_angled == all(entries[i][j] in (2, INF) for i in range(n) for j in range(n) if i != j)
 
 
 def test_racg_from_flag_examples():

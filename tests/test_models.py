@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coxcert import homology as homology_module
 from coxcert.coxeter import INF, hyperbolicity, racg_from_flag
 from coxcert.homology import homology
 from coxcert.models import (
@@ -159,6 +160,23 @@ def test_farrell_h1_is_cokernel_of_slope_matrix():
 
 def test_farrell_growth_small():
     assert farrell_h3_growth(3) == [0, 1, 2]
+
+
+def test_farrell_growth_builds_each_chain_complex_from_facets(monkeypatch):
+    """Each prefix's chain complex gets the model's facets, so the model is
+    closed once, by `ChainComplex`, not also into a simplex set."""
+    received = []
+    build = homology_module.ChainComplex
+
+    def spy(vertex_count, cells):
+        cells = list(cells)
+        received.append(len(cells))
+        return build(vertex_count, cells)
+
+    monkeypatch.setattr(homology_module, "ChainComplex", spy)
+    assert farrell_h3_growth(3) == [0, 1, 2]
+    slopes = farey_slopes(3)
+    assert received == [len(farrell_quotient(slopes[:k]).maximal_simplices()) for k in (1, 2, 3)]
 
 
 def test_farrell_rejects_bad_slopes():

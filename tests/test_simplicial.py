@@ -189,6 +189,28 @@ def test_random_complexes_are_closed_and_euler_consistent(seed):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0))
+def test_complex_from_facets_matches_its_closure(seed):
+    """A complex built from its facets answers as the closed complex does,
+    and hands `homology` its facets."""
+    k = random_complex(random.Random(seed))
+    f = SimplicialComplex.from_facets(k.vertices, reversed(k.maximal_simplices()))
+    assert f.maximal_simplices() == k.maximal_simplices() == list(f.generating_cells())
+    assert f == k and k == f and hash(f) == hash(k)
+    assert f.dim() == k.dim()
+    assert complex_to_json(f) == complex_to_json(k)
+    assert homology(f) == homology(k)
+    check_invariants(f)
+    assert f.simplices == k.simplices and f.counts() == k.counts()
+
+
+def test_empty_complex_from_facets():
+    empty = SimplicialComplex.from_facets((), [])
+    assert empty == SimplicialComplex((), []) and empty.dim() == -1
+    assert homology(empty, reduced=True).betti(-1) == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0))
 def test_cone_is_always_acyclic(seed):

@@ -62,9 +62,17 @@ def test_order_complex_matches_brute_force_chains(seed):
     ]
     brute = SimplicialComplex(names, chains)
     fast = order_complex(names, up)
+    # facets, equality and hash hold before the facets are closed
+    assert fast.maximal_simplices() == brute.maximal_simplices()
+    assert fast == brute and hash(fast) == hash(brute)
+    assert fast.dim() == brute.dim()
     check_invariants(fast)
-    assert fast == brute
+    assert fast.simplices == brute.simplices
     assert fast.vertices == tuple(names)
+    # the exact count that the cap is checked on
+    order_complex(names, up, max_cells=len(chains))
+    with pytest.raises(MatrixSizeError, match=f"^{len(chains)} chains exceed"):
+        order_complex(names, up, max_cells=len(chains) - 1)
 
 
 def test_order_complex_cap():
@@ -72,7 +80,7 @@ def test_order_complex_cap():
     up = [[1, 2], [2], []]  # a < b < c: 7 chains
     assert len(order_complex(names, up, max_cells=7).simplices) == 7
     for cap in (2, 6):
-        with pytest.raises(MatrixSizeError):
+        with pytest.raises(MatrixSizeError, match="^7 chains exceed the materialization cap$"):
             order_complex(names, up, max_cells=cap)
 
 
