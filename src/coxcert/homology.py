@@ -370,10 +370,9 @@ class HomologyResult:
 
 
 def homology(k: SimplicialComplex, reduced: bool = False) -> HomologyResult:
-    """Integral homology of a simplicial complex: `chain_homology` of its
-    chain complex, built from the cells the complex was built from (its
-    facets or its simplices), with no cap on the critical cells."""
-    return chain_homology(ChainComplex(len(k.vertices), k.generating_cells()), reduced)
+    """Integral homology of a simplicial complex: `chain_homology` of the
+    chain complex built from its facets, with no cap on the critical cells."""
+    return chain_homology(ChainComplex(len(k.vertices), k.maximal_simplices()), reduced)
 
 
 def chain_homology(

@@ -1,8 +1,8 @@
 """Finite abstract simplicial complexes and their basic constructions."""
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, combinations
+from collections import Counter, defaultdict
+from itertools import chain, combinations, repeat
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
@@ -10,66 +10,43 @@ class SimplicialComplex:
     """Immutable abstract simplicial complex on opaque string vertex ids.
 
     A simplex is a non-empty tuple of vertex positions, indices into
-    `vertices`, in strictly increasing order.  The simplex set is closed
-    under taking non-empty faces, and every vertex occurs as a singleton
-    simplex.  Constructions hand their simplices over in this form and the
-    constructor takes them as given.  A complex may instead be built from
-    its facets alone (`from_facets`): it returns them from
-    `maximal_simplices()` and closes them into `simplices` only when those
-    are first read.  Vertex names are looked up only where a simplex leaves
-    the program: JSON and reports.
+    `vertices`, in strictly increasing order.  The constructor takes any
+    set of simplices that generates the complex under faces, in any order,
+    with repeats and with cells that are faces of others; every vertex is a
+    simplex whether or not a cell holds it.  It keeps the vertices and the
+    maximal simplices, the facets, in (size, lex) order, and closes the
+    facets into every simplex only when `simplices` is first read.  Vertex
+    names are looked up only where a simplex leaves the program: JSON and
+    reports.
     """
 
     __slots__ = ("vertices", "_simplices", "_facets")
 
-    def __init__(self, vertices: Sequence[str], simplices: Iterable[tuple[int, ...]]):
-        self._start(vertices, frozenset(simplices), None)
-
-    @classmethod
-    def from_facets(
-        cls, vertices: Sequence[str], facets: Iterable[tuple[int, ...]]
-    ) -> SimplicialComplex:
-        """Complex on `vertices` whose maximal simplices are `facets`.
-
-        The facets are taken as given: strictly increasing position tuples,
-        none a face of another, every vertex in one.  They are kept in
-        (size, lex) order, and no other simplex is listed until `simplices`
-        is read.
-        """
-        k = cls.__new__(cls)
-        k._start(vertices, None, tuple(sorted(facets, key=lambda s: (len(s), s))))
-        return k
-
-    def _start(self, vertices, simplices, facets) -> None:
+    def __init__(self, vertices: Sequence[str], cells: Iterable[tuple[int, ...]]):
         verts = tuple(vertices)
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertex ids")
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_simplices", simplices)
-        object.__setattr__(self, "_facets", facets)
+        object.__setattr__(self, "_facets", _maximal(len(verts), cells))
+        object.__setattr__(self, "_simplices", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("SimplicialComplex is immutable")
 
     @property
     def simplices(self) -> frozenset[tuple[int, ...]]:
-        """Every simplex; a complex built from facets closes them on first read."""
+        """Every simplex: the facets are closed under faces on first read."""
         if self._simplices is None:
-            object.__setattr__(self, "_simplices", _faces(len(self.vertices), self._facets))
+            faces = (combinations(f, k) for f in self._facets for k in range(2, len(f) + 1))
+            closed = frozenset(chain(zip(range(len(self.vertices))), chain.from_iterable(faces)))
+            object.__setattr__(self, "_simplices", closed)
         return self._simplices
-
-    def generating_cells(self) -> Iterable[tuple[int, ...]]:
-        """The simplices the complex was built from, which generate it under
-        faces: its facets if it was built from them, else every simplex."""
-        return self.simplices if self._facets is None else self._facets
 
     # -- basic queries ---------------------------------------------------
 
     def dim(self) -> int:
         """Max simplex cardinality minus one; -1 for the empty complex."""
-        if self._facets is not None:
-            return len(self._facets[-1]) - 1 if self._facets else -1
-        return max(map(len, self.simplices), default=0) - 1
+        return len(self._facets[-1]) - 1 if self._facets else -1
 
     def k_simplices(self, k: int) -> list[tuple[int, ...]]:
         """All k-dimensional simplices in lexicographic order."""
@@ -84,11 +61,8 @@ class SimplicialComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.counts()))
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
-        """Simplices that are a facet of no simplex, in (size, lex) order."""
-        if self._facets is not None:
-            return list(self._facets)
-        facets = {f for s in self.simplices if len(s) > 1 for f in combinations(s, len(s) - 1)}
-        return sorted(self.simplices - facets, key=lambda s: (len(s), s))
+        """Simplices that are a face of no other simplex, in (size, lex) order."""
+        return list(self._facets)
 
     def adjacency(self) -> list[set[int]]:
         """Neighbours of each vertex in the 1-skeleton, by position."""
@@ -101,15 +75,10 @@ class SimplicialComplex:
         return adj
 
     def __eq__(self, other) -> bool:
-        """Equal vertices and simplices; compared by facets, so that a
-        complex built from them is not closed, unless both hold every simplex."""
+        """Equal vertices and facets, so that neither complex is closed."""
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        if self.vertices != other.vertices:
-            return False
-        if self._simplices is not None and other._simplices is not None:
-            return self._simplices == other._simplices
-        return self.maximal_simplices() == other.maximal_simplices()
+        return self.vertices == other.vertices and self._facets == other._facets
 
     def __hash__(self) -> int:
         return hash(self.vertices)
@@ -118,12 +87,33 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.simplices)} simplices)"
 
 
+def _maximal(n: int, cells: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The maximal ones among the cells and the singletons of 0..n-1, in
+    (size, lex) order.  The cells are grouped by size, largest first, and a
+    cell is dropped only if it is a face of a larger facet; only faces of
+    the sizes among the cells are listed, so cells of one size cost a sort.
+    Then every vertex in no facet is one."""
+    groups: defaultdict[int, set[tuple[int, ...]]] = defaultdict(set)
+    for s in cells:
+        groups[len(s)].add(s)
+    facets: list[tuple[int, ...]] = []
+    for size in sorted(groups, reverse=True):
+        group = groups[size]
+        group.difference_update(chain.from_iterable(map(combinations, facets, repeat(size))))
+        facets += group
+    covered = set(chain.from_iterable(facets))
+    facets += [(v,) for v in range(n) if v not in covered]
+    facets.sort()
+    facets.sort(key=len)
+    return tuple(facets)
+
+
 def faces_closure(
     maximal: Sequence[Iterable[str]], vertices: Optional[Sequence[str]] = None
 ) -> SimplicialComplex:
-    """Smallest simplicial complex containing the given vertex sets: the
-    `closure` of their `facet_positions`, with no cap on the faces."""
-    return closure(*facet_positions(maximal, vertices))
+    """Smallest simplicial complex containing the given vertex sets, which
+    `facet_positions` maps to positions; no face is listed."""
+    return SimplicialComplex(*facet_positions(maximal, vertices))
 
 
 def facet_positions(
@@ -164,23 +154,6 @@ def facet_positions(
     return universe, [tuple(sorted({pos[v] for v in m})) for m in sets]
 
 
-def closure(vertices: Sequence[str], cells: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Complex on `vertices` whose simplices are the faces of the cells.
-
-    Each cell is a collection of distinct vertex positions.  Every vertex is
-    a singleton simplex, whether or not a cell holds it.  The simplices go
-    straight into one frozenset, which the constructor keeps as it is.
-    """
-    return SimplicialComplex(vertices, _faces(len(vertices), map(sorted, cells)))
-
-
-def _faces(n: int, cells: Iterable[Sequence[int]]) -> frozenset[tuple[int, ...]]:
-    """The singletons of 0..n-1 and every face with two or more vertices of
-    the cells, each a sorted sequence of positions."""
-    faces = (combinations(face, k) for face in cells for k in range(2, len(face) + 1))
-    return frozenset(chain(((i,) for i in range(n)), chain.from_iterable(faces)))
-
-
 def wedge(
     complexes: Sequence[SimplicialComplex],
     basepoints: Sequence[str],
@@ -202,7 +175,7 @@ def wedge(
         return complexes[0]
     base = complexes[0].vertices.index(basepoints[0])
     verts: list[str] = list(complexes[0].vertices)
-    simplices: set[tuple[int, ...]] = set(complexes[0].simplices)
+    facets = complexes[0].maximal_simplices()
     for i in range(1, len(complexes)):
         k, b = complexes[i], complexes[i].vertices.index(basepoints[i])
         moved = []  # new position of each vertex of k
@@ -212,10 +185,10 @@ def wedge(
             else:
                 moved.append(len(verts))
                 verts.append(f"{i}:{v}")
-        simplices.update(tuple(sorted(moved[j] for j in s)) for s in k.simplices)
+        facets += [tuple(sorted(moved[j] for j in s)) for s in k.maximal_simplices()]
     if len(set(verts)) != len(verts):
         raise ValueError("vertex name collision while wedging")
-    return SimplicialComplex(verts, simplices)
+    return SimplicialComplex(verts, facets)
 
 
 class SquareReport(NamedTuple):
@@ -313,17 +286,17 @@ def complex_to_json(k: SimplicialComplex) -> dict:
 
 
 def complex_from_json(data: Mapping, max_cells: Optional[int] = None) -> SimplicialComplex:
-    """Complex of a JSON object; `max_cells` caps the faces to enumerate (see
-    `facet_positions`)."""
-    return closure(*facets_from_json(data, max_cells))
+    """Complex of a JSON object, built from its listed sets; `max_cells`
+    caps the faces they span (see `facet_positions`)."""
+    return SimplicialComplex(*facets_from_json(data, max_cells))
 
 
 def facets_from_json(
     data: Mapping, max_cells: Optional[int] = None
 ) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The vertex universe and the facets, as sorted position tuples, of a
-    complex JSON object, with every check of `complex_from_json` and no face
-    listed."""
+    """The vertex universe and the listed sets, as sorted position tuples,
+    of a complex JSON object, with every check of `complex_from_json` and no
+    face listed."""
     if not isinstance(data, Mapping):
         raise ValueError("complex JSON must be an object")
     try:

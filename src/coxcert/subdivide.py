@@ -7,7 +7,7 @@ from operator import or_
 from typing import Optional, Sequence
 
 from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex, _flag_witness, cliques, closure, square_report
+from .simplicial import SimplicialComplex, _flag_witness, cliques, square_report
 
 
 def order_complex(
@@ -24,8 +24,7 @@ def order_complex(
     they are the facets of the order complex (Wachs, Poset Topology, 2007):
     each once, by a depth-first search along the covers of each element
     (up[i] less everything above an element of up[i]) from each minimal
-    element.  The complex is built from them and closes them into every
-    simplex only when its simplices are read.
+    element.  The complex keeps them as its facets.
     """
     n = len(names)
     if max_cells is not None:
@@ -49,7 +48,7 @@ def order_complex(
             stack.extend([path + (j,) for j in nxt])
         else:
             facets.append(tuple(sorted(path)))
-    return SimplicialComplex.from_facets(names, facets)
+    return SimplicialComplex(names, facets)
 
 
 def _chain_id(k: SimplicialComplex, simplex: tuple[int, ...]) -> str:
@@ -103,12 +102,12 @@ def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
         raise ValueError("no_square_subdivision requires dim <= 2")
     count = len(k.vertices)
     point: dict[tuple[int, int], int] = {}  # (a, b): the point of edge ab next to a
-    cells: list[tuple[int, ...]] = []
+    cells: list[tuple[int, ...]] = []  # each in increasing order
     for a, b in k.k_simplices(1):
         pa, pb = count, count + 1
         point[(a, b)], point[(b, a)] = pa, pb
         count += 2
-        cells += [(a, pa), (pa, pb), (pb, b)]
+        cells += [(a, pa), (pa, pb), (b, pb)]
     for t in k.k_simplices(2):
         q = dict(zip(t, range(count, count + 3)))
         sides = list(combinations(t, 2))
@@ -122,13 +121,13 @@ def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
                 (u, pu, q[u]),
                 (w, pw, q[w]),
                 (pu, pw, m),
-                (pu, m, q[u]),
-                (pw, m, q[w]),
+                (pu, q[u], m),
+                (pw, q[w], m),
                 # center fan over the interior hexagon
-                (z, q[u], m),
-                (z, m, q[w]),
+                (q[u], m, z),
+                (q[w], m, z),
             ]
-    return closure([f"q{i}" for i in range(count)], cells)
+    return SimplicialComplex([f"q{i}" for i in range(count)], cells)
 
 
 # -- flag-no-square preserving compaction ----------------------------------

@@ -52,6 +52,19 @@ def check_invariants(k: SimplicialComplex) -> None:
             raise ValueError(f"missing singleton for vertex {k.vertices[v]!r}")
 
 
+def reference_closure(n: int, cells) -> frozenset[tuple[int, ...]]:
+    """Every singleton of 0..n-1 and every non-empty subset of every cell."""
+    faces = {f for c in cells for r in range(1, len(c) + 1) for f in combinations(c, r)}
+    return frozenset(faces | {(v,) for v in range(n)})
+
+
+def reference_facets(simplices) -> list[tuple[int, ...]]:
+    """Oracle for the facets of a closed simplex set: the simplices that are
+    a codimension-1 face of no simplex, in (size, lex) order."""
+    faces = {f for s in simplices if len(s) > 1 for f in combinations(s, len(s) - 1)}
+    return sorted(set(simplices) - faces, key=lambda s: (len(s), s))
+
+
 def named_simplices(k: SimplicialComplex) -> set[tuple[str, ...]]:
     """The simplices of k as tuples of vertex names."""
     return {tuple(k.vertices[i] for i in s) for s in k.simplices}

@@ -209,14 +209,13 @@ def test_homology_report_matches_the_loaded_complex(tmp_path_factory, data, redu
 
 
 def test_homology_command_builds_no_simplicial_complex(tmp_path, capsys, monkeypatch):
-    """`homology` builds its chain complex from the facets of the file: no
-    closure set and no `SimplicialComplex`."""
+    """`homology` builds its chain complex from the sets of the file: no
+    `SimplicialComplex`."""
     path = write_complex(tmp_path, projective_plane())
 
     def refuse(*args, **kwargs):
         raise AssertionError("a SimplicialComplex was built")
 
-    monkeypatch.setattr(simplicial, "closure", refuse)
     monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
     code, report = run_cli(capsys, "homology", path)
     assert code == 0

@@ -179,6 +179,15 @@ def test_farrell_growth_builds_each_chain_complex_from_facets(monkeypatch):
     assert received == [len(farrell_quotient(slopes[:k]).maximal_simplices()) for k in (1, 2, 3)]
 
 
+def test_farrell_json_leaves_the_order_complex_unclosed():
+    """The JSON of a Farrell model lists the facets the order complex was
+    built from, and no simplex set is made for it."""
+    x = farrell_quotient(farey_slopes(2))
+    listed = complex_to_json(x)["maximal_simplices"]
+    assert x._simplices is None
+    assert len(listed) == len(x.maximal_simplices()) > 0
+
+
 def test_farrell_rejects_bad_slopes():
     with pytest.raises(ValueError):
         farrell_quotient([(2, 2)])

@@ -26,7 +26,10 @@ from helpers import (
     full_triangle,
     hollow_triangle,
     random_complex,
+    reference_closure,
     reference_empty_squares,
+    reference_facets,
+    reference_homology,
     two_points,
 )
 
@@ -35,23 +38,6 @@ def test_faces_closure_full_triangle():
     k = full_triangle()
     assert len(k.simplices) == 7
     assert k.dim() == 2
-
-
-def test_closure_hands_over_one_frozenset(monkeypatch):
-    """`closure` builds the frozenset itself, so the constructor keeps that
-    object rather than copying a set."""
-    seen = []
-    init = SimplicialComplex.__init__
-
-    def spy(self, vertices, simplices):
-        seen.append(simplices)
-        init(self, vertices, simplices)
-
-    monkeypatch.setattr(SimplicialComplex, "__init__", spy)
-    k = faces_closure([("a", "b", "c"), ("c", "d")], vertices=["a", "b", "c", "d", "e"])
-    assert type(seen[0]) is frozenset
-    assert k.simplices is seen[0]
-    assert len(k.simplices) == 10
 
 
 def test_faces_closure_hollow_triangle():
@@ -75,15 +61,22 @@ def test_faces_closure_rejects_bad_input():
 
 
 def test_closure_invariant_enforced():
-    """The constructor checks the vertex ids; the oracle checks the simplices."""
+    """The constructor checks the vertex ids; the oracle checks the simplices.
+    Cells not closed under faces, or missing a vertex, generate their closure."""
     with pytest.raises(ValueError, match="duplicate vertex ids"):
         SimplicialComplex(("a", "a"), [(0,)])
     check_invariants(full_triangle())
-    for bad in (
+    for cells in (
         [(0,), (1,), (2,), (0, 1, 2)],  # not closed under faces
+        [(0,), (1,)],  # no singleton for c
+    ):
+        k = SimplicialComplex(("a", "b", "c"), cells)
+        check_invariants(k)
+        assert k.simplices == reference_closure(3, cells)
+        assert k == SimplicialComplex(("a", "b", "c"), reference_closure(3, cells))
+    for bad in (
         [(0,), (1,), (2,), (1, 0)],  # not increasing
         [(0,), (1,), (2,), (0, 3)],  # undeclared position
-        [(0,), (1,)],  # no singleton for c
     ):
         with pytest.raises(ValueError):
             check_invariants(SimplicialComplex(("a", "b", "c"), bad))
@@ -189,26 +182,57 @@ def test_random_complexes_are_closed_and_euler_consistent(seed):
     )
 
 
-@settings(max_examples=40, deadline=None)
+def _check_generated(n: int, cells: list[tuple[int, ...]]) -> None:
+    """The complex of `cells` on n vertices against the closure and facet
+    oracles, in every query and in a JSON round trip of the cells."""
+    names = [f"v{i}" for i in range(n)]
+    k = SimplicialComplex(names, cells)
+    closed = reference_closure(n, cells)
+    facets = reference_facets(closed)
+    assert k.maximal_simplices() == facets
+    assert k.dim() == max(map(len, closed), default=0) - 1
+    assert k.simplices == closed
+    check_invariants(k)
+    assert k.counts() == [sum(len(s) == d for s in closed) for d in range(1, k.dim() + 2)]
+    for other in (SimplicialComplex(names, closed), SimplicialComplex(names, reversed(facets))):
+        assert k == other and other == k and hash(k) == hash(other)
+    for reduced in (False, True):
+        assert homology(k, reduced) == reference_homology(k, reduced)
+    data = {"vertices": names, "maximal_simplices": [[names[i] for i in c] for c in cells]}
+    listed = complex_to_json(complex_from_json(data))["maximal_simplices"]
+    assert listed == [[names[i] for i in f] for f in facets]
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0))
-def test_complex_from_facets_matches_its_closure(seed):
-    """A complex built from its facets answers as the closed complex does,
-    and hands `homology` its facets."""
-    k = random_complex(random.Random(seed))
-    f = SimplicialComplex.from_facets(k.vertices, reversed(k.maximal_simplices()))
-    assert f.maximal_simplices() == k.maximal_simplices() == list(f.generating_cells())
-    assert f == k and k == f and hash(f) == hash(k)
-    assert f.dim() == k.dim()
-    assert complex_to_json(f) == complex_to_json(k)
-    assert homology(f) == homology(k)
-    check_invariants(f)
-    assert f.simplices == k.simplices and f.counts() == k.counts()
+def test_constructor_keeps_the_facets_of_any_generating_set(seed):
+    """Shuffled cells with repeats, faces of other cells and uncovered
+    vertices generate the complex of their closure, which keeps their
+    maximal cells as its facets."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    sizes = [rng.randint(1, min(n, 4)) for _ in range(rng.randint(0, 5))]
+    cells = [tuple(sorted(rng.sample(range(n), size))) for size in sizes]
+    faces = [tuple(sorted(rng.sample(c, rng.randint(1, len(c))))) for c in cells]
+    mixed = cells + faces + rng.choices(cells, k=len(cells) // 2)
+    rng.shuffle(mixed)
+    _check_generated(n, mixed)
 
 
-def test_empty_complex_from_facets():
-    empty = SimplicialComplex.from_facets((), [])
-    assert empty == SimplicialComplex((), []) and empty.dim() == -1
-    assert homology(empty, reduced=True).betti(-1) == 1
+@pytest.mark.parametrize(
+    "n, cells",
+    [
+        (0, []),
+        (3, []),
+        (4, [(1,), (0, 1, 2)]),  # a vertex inside a triangle
+        (3, [(0,), (0, 1), (0, 1, 2)]),  # a vertex inside an edge inside a triangle
+        (4, [(0, 3), (0, 1, 2, 3), (1, 2)]),  # edges inside a tetrahedron
+        (5, [(0, 1, 2), (2, 3), (0, 1, 2), (1, 2)]),  # a repeat, an uncovered vertex
+    ],
+    ids=["empty", "points", "vertex-in-triangle", "nested", "edges-in-tetrahedron", "repeats"],
+)
+def test_constructor_keeps_the_facets_of_fixed_generating_sets(n, cells):
+    _check_generated(n, cells)
 
 
 @settings(max_examples=25, deadline=None)
