@@ -19,12 +19,7 @@ from .presentations import (
     spine_complex,
     spine_presentation,
 )
-from .simplicial import (
-    SimplicialComplex,
-    complex_from_json,
-    complex_to_json,
-    facets_from_json,
-)
+from .simplicial import SimplicialComplex, complex_from_json, complex_to_json
 from .subdivide import barycentric_subdivision
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .davis import hash_union_sharp, singular_subcomplex  # noqa: F401
@@ -109,14 +104,6 @@ def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
     return _checked(complex_from_json, data, max_cells=_cell_limit()), digest
 
 
-def _load_facets(path: str) -> tuple[int, list[tuple[int, ...]], str]:
-    """The vertex count and the facets of a complex file, checked as
-    `_load_complex` checks it; the JSON object is gone once this returns."""
-    data, digest = _load_json(path)
-    vertices, facets = _checked(facets_from_json, data, max_cells=_cell_limit())
-    return len(vertices), facets, digest
-
-
 def _racg_of(k: SimplicialComplex) -> tuple[Optional[CoxeterSystem], Optional[str]]:
     """Right-angled system of a flag complex, or why it is not flag.  The n x n
     matrix of n vertices counts against the cell cap; over it is an input error."""
@@ -138,24 +125,15 @@ def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str
     return sys_, digest, refusal
 
 
-def _nerve_capped(build, *args):
-    """Call `build`, which lists the simplices of a nerve, with the cell cap
-    on them; over it is an input error."""
-    try:
-        return build(*args, max_cells=_cell_limit())
-    except ValueError as exc:
-        raise InputError(f"nerve: {exc}") from exc
-
-
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_homology(args) -> RunReport:
-    vertex_count, facets, digest = _load_facets(args.path)
+    k, digest = _load_complex(args.path)
     report = RunReport("homology", digest)
     try:
-        cc = ChainComplex(vertex_count, facets)
-        del facets  # the top cells' tuples: free them before the coreductions
+        cc = ChainComplex(len(k.vertices), k.maximal_simplices())
+        del k  # the complex's facets: free them before the coreductions
         result = chain_homology(cc, reduced=args.reduced)
     except MatrixSizeError as exc:
         report.add("homology", "skipped", reduced=args.reduced, reason=str(exc))
@@ -176,7 +154,7 @@ def cmd_hyperbolic(args) -> RunReport:
     if refusal is not None:
         report.add("flag-input", "fail", reason=refusal)
         return report
-    hyp = _nerve_capped(hyperbolicity, sys_)
+    hyp = _checked(hyperbolicity, sys_, max_cells=_cell_limit())
     status = "pass" if hyp.hyperbolic is not None else "indeterminate"
     report.add(
         "hyperbolicity",
@@ -194,7 +172,8 @@ def cmd_nerve(args) -> RunReport:
     data, digest = _load_json(args.path)
     sys_ = _checked(system_from_json, data)
     report = RunReport("nerve", digest)
-    report.add("nerve", "pass", complex=complex_to_json(_nerve_capped(nerve_of, sys_)))
+    nerve = _checked(nerve_of, sys_, max_cells=_cell_limit())
+    report.add("nerve", "pass", complex=complex_to_json(nerve))
     return report
 
 
@@ -226,7 +205,7 @@ def cmd_davis(args) -> RunReport:
     if not sys_.right_angled:
         report.add("right-angled", "fail", reason="davis balls require a right-angled system")
         return report
-    ball = _nerve_capped(davis_ball, sys_, args.radius)
+    ball = _checked(davis_ball, sys_, args.radius, max_cells=_cell_limit())
     try:
         counts = ball.coset_counts(_cell_limit())
     except MatrixSizeError as exc:

@@ -147,7 +147,7 @@ class DavisBall:
                 if u in places:
                     number[u] = b + places[u]
                 else:
-                    start, there = where[self._normalize(w, u)]
+                    start, there = where[coset_rep(self.system, w, u)]
                     number[u] = start + there[u]
             for t in places:
                 yield b, w, t, list(map(number.__getitem__, supersets[t]))
@@ -155,15 +155,11 @@ class DavisBall:
 
     # -- coset arithmetic --------------------------------------------------
 
-    def _normalize(self, w: Word, t: Subset) -> Word:
-        """Minimal representative of w*W_T."""
-        return coset_rep(self.system, w, t)
-
     def leq(self, a: SphericalCoset, b: SphericalCoset) -> bool:
         """Coset containment: types nest and a's representative lies in b."""
         if not set(a.gens) <= set(b.gens):
             return False
-        return self._normalize(a.rep, b.gens) == b.rep
+        return coset_rep(self.system, a.rep, b.gens) == b.rep
 
     def walls(self, w: Word) -> frozenset[int]:
         """The generators that commute with every letter of w: generator s

@@ -135,7 +135,8 @@ def _evaluate(
     return acc
 
 
-def _closure_order(gens: Sequence[Perm], degree: int, cap: int = 100000) -> int:
+def _closure_order(gens: Sequence[Perm], degree: int) -> int:
+    cap = 100000
     identity = tuple(range(degree))
     seen = {identity}
     frontier = [identity]

@@ -65,11 +65,11 @@ class SimplicialComplex:
         return list(self._facets)
 
     def adjacency(self) -> list[set[int]]:
-        """Neighbours of each vertex in the 1-skeleton, by position."""
+        """Neighbours of each vertex in the 1-skeleton, by position: the edges
+        are the 2-subsets of the facets, so the complex is not closed."""
         adj: list[set[int]] = [set() for _ in self.vertices]
-        for s in self.simplices:
-            if len(s) == 2:
-                a, b = s
+        for f in self._facets:
+            for a, b in combinations(f, 2):
                 adj[a].add(b)
                 adj[b].add(a)
         return adj
@@ -109,30 +109,22 @@ def _maximal(n: int, cells: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...],
 
 
 def faces_closure(
-    maximal: Sequence[Iterable[str]], vertices: Optional[Sequence[str]] = None
-) -> SimplicialComplex:
-    """Smallest simplicial complex containing the given vertex sets, which
-    `facet_positions` maps to positions; no face is listed."""
-    return SimplicialComplex(*facet_positions(maximal, vertices))
-
-
-def facet_positions(
-    maximal: Sequence[Iterable[str]],
+    sets: Sequence[Iterable[str]],
     vertices: Optional[Sequence[str]] = None,
     max_cells: Optional[int] = None,
-) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The vertex universe, and each given vertex set as a sorted tuple of
-    positions in it; no face is listed.
+) -> SimplicialComplex:
+    """Smallest simplicial complex containing the given vertex sets; here
+    vertex names become positions, and no face is listed.
 
-    The universe defaults to the sorted union of the given sets; an explicit
+    The universe defaults to the sorted union of the sets; an explicit
     `vertices` sequence fixes both universe and order, and with no sets
-    gives the complex of those vertices alone.  Here vertex names become
-    positions.  `ValueError` is raised, in this order, for an empty set;
-    for more than `max_cells` faces with two or more vertices over the sets
-    (2^n - 1 - n for a set of n vertices), counted before any is listed;
-    for a vertex outside the universe; and for a name repeated in it.
+    gives the complex of those vertices alone.  `ValueError` is raised, in
+    this order, for an empty set; for more than `max_cells` faces with two
+    or more vertices over the sets (2^n - 1 - n for a set of n vertices),
+    counted before any is listed; for a vertex outside the universe; and
+    for a name repeated in it.
     """
-    sets = [tuple(m) for m in maximal]
+    sets = [tuple(m) for m in sets]
     if not all(sets):
         raise ValueError("empty member set")
     if max_cells is not None:
@@ -151,7 +143,7 @@ def facet_positions(
     pos = {v: i for i, v in enumerate(universe)}
     if len(pos) != len(universe):
         raise ValueError("duplicate vertex ids")
-    return universe, [tuple(sorted({pos[v] for v in m})) for m in sets]
+    return SimplicialComplex(universe, [tuple(sorted({pos[v] for v in m})) for m in sets])
 
 
 def wedge(
@@ -247,11 +239,12 @@ def cliques(adj: Sequence[AbstractSet[int]]) -> Iterator[tuple[int, ...]]:
 
 
 def capped(cells: Iterable[tuple[int, ...]], max_cells: Optional[int]) -> Iterator[tuple[int, ...]]:
-    """The cells as they come, raising `ValueError` as soon as one more than
-    `max_cells` comes, so that nothing past the cap is built."""
+    """The simplices of a nerve as they come, raising `ValueError` ("nerve:
+    more than ...") as soon as one more than `max_cells` comes, so that
+    nothing past the cap is built."""
     for n, cell in enumerate(cells, 1):
         if max_cells is not None and n > max_cells:
-            raise ValueError(f"more than {max_cells} simplices, over the cell limit")
+            raise ValueError(f"nerve: more than {max_cells} simplices, over the cell limit")
         yield cell
 
 
@@ -286,17 +279,9 @@ def complex_to_json(k: SimplicialComplex) -> dict:
 
 
 def complex_from_json(data: Mapping, max_cells: Optional[int] = None) -> SimplicialComplex:
-    """Complex of a JSON object, built from its listed sets; `max_cells`
-    caps the faces they span (see `facet_positions`)."""
-    return SimplicialComplex(*facets_from_json(data, max_cells))
-
-
-def facets_from_json(
-    data: Mapping, max_cells: Optional[int] = None
-) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The vertex universe and the listed sets, as sorted position tuples,
-    of a complex JSON object, with every check of `complex_from_json` and no
-    face listed."""
+    """Complex of a JSON object, after checks on its shape, built from its
+    listed sets by `faces_closure` with its checks; `max_cells` caps the
+    faces they span."""
     if not isinstance(data, Mapping):
         raise ValueError("complex JSON must be an object")
     try:
@@ -310,4 +295,4 @@ def facets_from_json(
         isinstance(m, list) and all(isinstance(v, str) for v in m) for m in maximal
     ):
         raise ValueError("'maximal_simplices' must be a list of vertex lists")
-    return facet_positions(maximal, vertices, max_cells)
+    return faces_closure(maximal, vertices, max_cells)

@@ -759,7 +759,7 @@ class ReferenceBall(DavisBall):
     def __init__(self, system, radius: int):
         super().__init__(system, radius)
         cosets = {
-            SphericalCoset(self._normalize(w, t), t)
+            SphericalCoset(reference_min_coset_rep(system, w, t), t)
             for w in reference_ball(system, radius)
             for t in self._sphericals
         }
@@ -767,8 +767,10 @@ class ReferenceBall(DavisBall):
             sorted(cosets, key=lambda c: (len(c.rep), c.rep, len(c.gens), c.gens))
         )
 
-    def _normalize(self, w, t):
-        return reference_min_coset_rep(self.system, w, t)
+    def leq(self, a, b) -> bool:
+        return set(a.gens) <= set(b.gens) and (
+            reference_min_coset_rep(self.system, a.rep, b.gens) == b.rep
+        )
 
     def to_json(self) -> dict:
         gens = self.system.generators
@@ -809,12 +811,16 @@ def reference_extract(ball_: DavisBall, keep, max_cells=None) -> SimplicialCompl
     for n, i in enumerate(kept):
         ids[i] = n
     # the coset above c of each strict superset T of its type: c's
-    # representative normalized to T, looked up among the listed cosets
+    # representative normalized to T by greedy descent, looked up among the
+    # listed cosets
     index = {c: i for i, c in enumerate(ball_.cosets)}
     up = []
     for i in kept:
         c = ball_.cosets[i]
-        above = [index[(ball_._normalize(c.rep, t), t)] for t in ball_._supersets[c.gens]]
+        above = [
+            index[(reference_min_coset_rep(ball_.system, c.rep, t), t)]
+            for t in ball_._supersets[c.gens]
+        ]
         up.append([ids[j] for j in above if ids[j] >= 0])
     return order_complex([ball_.coset_id(ball_.cosets[i]) for i in kept], up, max_cells)
 

@@ -208,15 +208,15 @@ def test_homology_report_matches_the_loaded_complex(tmp_path_factory, data, redu
     }]
 
 
-def test_homology_command_builds_no_simplicial_complex(tmp_path, capsys, monkeypatch):
-    """`homology` builds its chain complex from the sets of the file: no
-    `SimplicialComplex`."""
+def test_homology_command_never_closes_the_complex(tmp_path, capsys, monkeypatch):
+    """`homology` hands the loaded complex's facets to `ChainComplex`, which
+    closes them itself: the complex's `simplices` is never read."""
     path = write_complex(tmp_path, projective_plane())
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a SimplicialComplex was built")
+    def refuse(self):
+        raise AssertionError("the complex was closed")
 
-    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    monkeypatch.setattr(SimplicialComplex, "simplices", property(refuse))
     code, report = run_cli(capsys, "homology", path)
     assert code == 0
     assert report["steps"][0]["data"]["table"][1]["torsion"] == [2]

@@ -184,10 +184,15 @@ def test_random_complexes_are_closed_and_euler_consistent(seed):
 
 def _check_generated(n: int, cells: list[tuple[int, ...]]) -> None:
     """The complex of `cells` on n vertices against the closure and facet
-    oracles, in every query and in a JSON round trip of the cells."""
+    oracles, in every query and in a JSON round trip of the cells.  The
+    1-skeleton is read from the facets, before the complex is closed."""
     names = [f"v{i}" for i in range(n)]
     k = SimplicialComplex(names, cells)
     closed = reference_closure(n, cells)
+    edges = {s for s in closed if len(s) == 2}
+    arcs = {(a, b) for a, nbrs in enumerate(k.adjacency()) for b in nbrs}
+    assert arcs == edges | {(b, a) for a, b in edges}
+    assert k._simplices is None
     facets = reference_facets(closed)
     assert k.maximal_simplices() == facets
     assert k.dim() == max(map(len, closed), default=0) - 1
