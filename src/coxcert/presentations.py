@@ -259,9 +259,10 @@ def spine_complex() -> tuple[SimplicialComplex, SquareReport]:
     then a homotopy-preserving contraction pass that keeps the flag-no-square
     property while shrinking the complex to a size where Davis-ball
     computations stay desk-scale.  The subdivision is checked once, by the
-    contraction's flag precondition; the contraction checks its own output
-    for flag-no-squares.  Either check raises if it fails, so the census
-    returned with the complex, flag with no empty square, is that check's.
+    contraction's precondition, flag with no empty square; the contraction
+    checks its own output likewise.  Either check raises if it fails, so
+    the census returned with the complex, flag with no empty square, is
+    that check's.
     """
     x = presentation_complex(spine_presentation())
     l = contract_flag_no_squares(no_square_subdivision(x))

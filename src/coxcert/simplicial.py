@@ -121,8 +121,8 @@ def faces_closure(
     gives the complex of those vertices alone.  `ValueError` is raised, in
     this order, for an empty set; for more than `max_cells` faces with two
     or more vertices over the sets (2^n - 1 - n for a set of n vertices),
-    counted before any is listed; for a vertex outside the universe; and
-    for a name repeated in it.
+    counted before any is listed; for a vertex outside the universe; and,
+    from the constructor, for a name repeated in it.
     """
     sets = [tuple(m) for m in sets]
     if not all(sets):
@@ -141,8 +141,6 @@ def faces_closure(
             v = next(v for m in sets for v in m if v in outside)
             raise ValueError(f"vertex {v!r} outside declared universe")
     pos = {v: i for i, v in enumerate(universe)}
-    if len(pos) != len(universe):
-        raise ValueError("duplicate vertex ids")
     return SimplicialComplex(universe, [tuple(sorted({pos[v] for v in m})) for m in sets])
 
 

@@ -7,7 +7,7 @@ from operator import or_
 from typing import Optional, Sequence
 
 from .homology import MatrixSizeError
-from .simplicial import SimplicialComplex, _flag_witness, cliques, square_report
+from .simplicial import SimplicialComplex, cliques, square_report
 
 
 def order_complex(
@@ -96,7 +96,8 @@ def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     vertices are named q0, q1, ... in the order they are made: the old
     vertices first, then two edge points per edge, then per triangle its
     three corner points, three mid points and center.  Nothing is checked
-    here; `contract_flag_no_squares` checks its input for flagness.
+    here; `contract_flag_no_squares` checks that its input is flag with no
+    empty square.
     """
     if k.dim() > 2:
         raise ValueError("no_square_subdivision requires dim <= 2")
@@ -133,57 +134,37 @@ def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # -- flag-no-square preserving compaction ----------------------------------
 
 
-def _contraction_ok(adj: list[set[int]], u: int, v: int) -> bool:
-    """Whether merging v into u keeps the graph flag with no empty square."""
-    au, av = adj[u], adj[v]
-    inner = au | av
-    nbrs = inner - {u, v}
-    # no empty square through the merged vertex: the neighbours in nbrs
-    # of any vertex d beyond it are pairwise adjacent
-    seen: dict[int, set[int]] = {}
-    for x in nbrs:
-        ax = adj[x]
-        for d in ax - inner:
-            before = seen.get(d)
-            if before is None:
-                seen[d] = {x}
-            elif before <= ax:
-                before.add(x)
-            else:
-                return False
-    # flag after the move: an edge from a neighbour of u alone to one of v
-    # alone would span no triangle; it is also the only way to a 4-clique
-    only_v = av - au - {u}
-    return all(adj[x].isdisjoint(only_v) for x in au - av - {v})
-
-
 def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
-    """Shrink a flag-no-square 2-complex by edge contractions.
+    """Shrink a flag 2-complex with no empty square by edge contractions.
 
-    The input must be flag, so its triangles are the 3-cliques of the
-    1-skeleton and every check is about the graph alone.  In a flag
-    2-complex each edge meets the link condition of Dey, Edelsbrunner, Guha
-    and Nekhayev ("Topology preserving edge contraction", 1999), since a
-    common link edge of u and v would be a 4-clique.  So every contraction
-    preserves homotopy type, hence homology and the fundamental group, but
-    generally not PL type.  A move is taken only if the complex stays flag
-    and gains no empty square.
+    One `square_report` checks the input: a clique that spans no simplex,
+    or an empty square, raises `ValueError` naming the first one.  As the
+    input is flag, its triangles are the 3-cliques of the 1-skeleton and
+    every move is decided on the graph alone.  In a flag 2-complex each
+    edge meets the link condition of Dey, Edelsbrunner, Guha and Nekhayev
+    ("Topology preserving edge contraction", 1999), since a common link
+    edge of u and v would be a 4-clique.  So every contraction preserves
+    homotopy type, hence homology and the fundamental group, but generally
+    not PL type.
 
-    The full test `_contraction_ok` has a flag clause, no edge from A =
-    N(u) - N[v] to B = N(v) - N[u], and a square clause, no vertex beyond
-    N(u) | N(v) seeing two non-adjacent neighbours x, y of the merged
-    vertex.  Its pairs are one-side (x, y both in N(u) or both in N(v)) or
-    crossing (x in A, y in B).  On a graph with no empty square only a
-    crossing pair can fail: a failing one-side pair is an empty square
-    through u or v already, as is an A-B edge x-y (u-x-y-v).  So a bitset
-    test of the crossing clauses, implied by the full test, runs first, and
-    the full test decides only the moves that pass it.
+    Merging v into u is refused when a vertex outside N(u) | N(v) is
+    adjacent to a vertex of A = N(u) - N[v] and to one of B = N(v) - N[u]:
+    one test on integer bitsets of the neighbour sets.  Every move taken
+    keeps the graph flag with no empty square, so the test is exact at
+    each move.  An edge x-y from A to B would close the empty square
+    u-x-y-v, so every triangle at the merged vertex comes from one at u or
+    v.  A new empty square d-x-w-y at the merged vertex w was the empty
+    square d-x-u-y (or d-x-v-y) already when x and y are both neighbours of
+    u (or both of v); otherwise one is in A and one in B, the refused case.
+    Squares away from w are unchanged.
     """
     if k.dim() > 2:
         raise ValueError("contraction pass requires dim <= 2")
-    witness = _flag_witness(k)
+    _, witness, squares = square_report(k)
     if witness is not None:
         raise ValueError(f"contraction pass requires a flag complex; {witness} spans no simplex")
+    if squares:
+        raise ValueError(f"contraction pass requires no empty square; {squares[0]} is one")
     n = len(k.vertices)
     adj = k.adjacency()  # a vertex merged away keeps no neighbours
     bits = [sum(1 << w for w in nbrs) for nbrs in adj]  # adj as int bitsets
@@ -193,8 +174,7 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
         # near_a, near_b: every neighbour of A = N(u) - N[v], of B = N(v) - N[u]
         near_a = reduce(or_, map(bits.__getitem__, adj[u] - adj[v] - {v}), 0)
         near_b = reduce(or_, map(bits.__getitem__, adj[v] - adj[u] - {u}), 0)
-        b = bits[v] & ~bits[u] & ~(1 << u)
-        return not (near_a & b or near_a & near_b & ~(bits[u] | bits[v]))
+        return not near_a & near_b & ~(bits[u] | bits[v])
 
     def contract(u: int, v: int) -> None:
         # merge v into u
@@ -219,7 +199,7 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
             if u < v
         )
         for _, u, v in edges:
-            if v in adj[u] and crossing_ok(u, v) and _contraction_ok(adj, u, v):
+            if v in adj[u] and crossing_ok(u, v):
                 contract(u, v)
                 merged += 1
         if not merged:

@@ -623,8 +623,9 @@ def test_certify_main_theorem_default(capsys):
 
 @pytest.mark.parametrize("command", ["spine", "certify-main-theorem"])
 def test_spine_commands_take_one_square_census(capsys, monkeypatch, command):
-    """The contraction's postcondition censuses the 136-vertex spine, and the
-    command reads that census instead of taking its own."""
+    """The contraction's precondition censuses the 1279-vertex subdivision and
+    its postcondition the 136-vertex spine; the command reads that census
+    instead of taking its own."""
     calls = Counter()
     census = simplicial._empty_squares
 
@@ -635,7 +636,7 @@ def test_spine_commands_take_one_square_census(capsys, monkeypatch, command):
     monkeypatch.setattr(simplicial, "_empty_squares", counted)
     code, report = run_cli(capsys, command)
     assert (code, report["overall"]) == (0, "pass")
-    assert calls == {("squares", 136): 1}
+    assert calls == {("squares", 1279): 1, ("squares", 136): 1}
 
 
 def test_certify_main_theorem_builds_no_davis_ball(capsys, monkeypatch):

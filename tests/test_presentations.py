@@ -150,10 +150,10 @@ def test_certificate_search_matches_exhaustive_oracle(p, degree):
 
 
 def test_spine_build_checks_the_subdivision_once(monkeypatch):
-    """The 1279-vertex subdivision gets one flag check and no square census;
-    the contraction's postcondition still checks the 136-vertex result."""
+    """The contraction's precondition checks the 1279-vertex subdivision once,
+    for flagness and empty squares, and its postcondition the 136-vertex
+    result."""
     import coxcert.simplicial as simplicial
-    import coxcert.subdivide as subdivide
 
     calls = Counter()
 
@@ -164,9 +164,9 @@ def test_spine_build_checks_the_subdivision_once(monkeypatch):
 
         return wrapper
 
-    flag = counted("flag", simplicial._flag_witness)
-    monkeypatch.setattr(simplicial, "_flag_witness", flag)
-    monkeypatch.setattr(subdivide, "_flag_witness", flag)
+    monkeypatch.setattr(simplicial, "_flag_witness", counted("flag", simplicial._flag_witness))
     monkeypatch.setattr(simplicial, "_empty_squares", counted("squares", simplicial._empty_squares))
     spine_complex()
-    assert calls == {("flag", 1279): 1, ("flag", 136): 1, ("squares", 136): 1}
+    assert calls == {
+        ("flag", 1279): 1, ("squares", 1279): 1, ("flag", 136): 1, ("squares", 136): 1
+    }

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -165,6 +166,15 @@ def test_contraction_rejects_non_flag_input():
         contract_flag_no_squares(hollow_triangle())
 
 
+def test_contraction_rejects_an_empty_square():
+    """The one move test is exact only on a graph with no empty square, so
+    the contraction refuses such an input at entry and names the square."""
+    k = cycle_complex(4)
+    square = square_report(k).empty_squares[0]
+    with pytest.raises(ValueError, match=re.escape(f"no empty square; {square} is one")):
+        contract_flag_no_squares(k)
+
+
 def test_contraction_refuses_a_four_clique(monkeypatch):
     """The output is the clique complex of the final graph, so a 4-clique would
     be a 3-simplex, not a flag failure: the postcondition checks the dimension."""
@@ -191,9 +201,8 @@ def _assert_contraction_matches_reference(k):
 @given(st.integers(min_value=0))
 def test_contraction_matches_triangle_set_reference_random_small(seed):
     rng = random.Random(seed)
-    _assert_contraction_matches_reference(
-        no_square_subdivision(random_complex(rng, n_vertices=5, n_faces=4))
-    )
+    k = random_complex(rng, n_vertices=rng.randint(3, 8), n_faces=rng.randint(1, 8))
+    _assert_contraction_matches_reference(no_square_subdivision(k))
 
 
 @pytest.mark.parametrize(
@@ -208,48 +217,14 @@ def test_contraction_matches_triangle_set_reference(build):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0))
 def test_contraction_matches_triangle_set_reference_with_squares(seed):
-    # flag 2-complexes with empty squares: the only inputs on which the
-    # spanning test can reject a move
+    # flag 2-complexes of random graphs, many with empty squares: those are
+    # refused at entry, naming the first square; the rest match the oracle
     rng = random.Random(seed)
     k = random_flag_complex(rng, rng.randint(4, 9), p=0.45)
     assume(k.dim() <= 2)
-    slow = reference_contraction(k)
-    if square_report(slow).flag_no_squares:
-        assert contract_flag_no_squares(k) == slow
-    else:
-        with pytest.raises(RuntimeError):
+    squares = square_report(k).empty_squares
+    if squares:
+        with pytest.raises(ValueError, match=re.escape(str(squares[0]))):
             contract_flag_no_squares(k)
-
-
-
-def _count_full_move_tests(monkeypatch) -> list[bool]:
-    """Verdicts of every call of the contraction's full move test, in order."""
-    import coxcert.subdivide as subdivide
-
-    verdicts: list[bool] = []
-    full = subdivide._contraction_ok
-
-    def counted(*args):
-        verdicts.append(full(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(subdivide, "_contraction_ok", counted)
-    return verdicts
-
-
-def test_contraction_runs_the_full_move_test_once_per_move_taken(monkeypatch):
-    """On the spine the bitset crossing test rejects every move that fails, so
-    the full test runs once per contraction taken: 1279 - 136 = 1143 times."""
-    verdicts = _count_full_move_tests(monkeypatch)
-    out = contract_flag_no_squares(no_square_subdivision(presentation_complex(spine_presentation())))
-    assert (len(out.vertices), len(verdicts), all(verdicts)) == (136, 1143, True)
-
-
-def test_crossing_test_rejects_each_edge_of_an_empty_square(monkeypatch):
-    """Each edge of a 4-cycle joins a neighbour of one end alone to one of the
-    other alone: the crossing test's flag clause rejects all four moves before
-    the full test runs, and the postcondition finds the square."""
-    verdicts = _count_full_move_tests(monkeypatch)
-    with pytest.raises(RuntimeError):
-        contract_flag_no_squares(cycle_complex(4))
-    assert verdicts == []
+    else:
+        assert contract_flag_no_squares(k) == reference_contraction(k)
