@@ -3,7 +3,6 @@ normal form on the critical cells they leave."""
 from __future__ import annotations
 
 import gc
-import math
 import os
 from array import array
 from collections import defaultdict, deque
@@ -32,11 +31,17 @@ def _cell_limit() -> int:
 
 
 def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of a sparse integer matrix.
+    """Nonzero diagonal of the Smith normal form of a sparse integer matrix,
+    in chain order d1 | d2 | ....
 
     `columns[j]` maps row index to entry.  Exact dense elimination with
     arbitrary-precision integers over the nonzero rows and columns; the
     m x n array counts against the cell limit before it is allocated.
+    One loop over the pivot position: an entry of least absolute value in
+    the remaining block moves there, and its column and row are reduced
+    modulo it.  A remainder left, or an entry of the block that the pivot
+    does not divide (its row is added to the pivot row), becomes a smaller
+    pivot; otherwise the pivot divides the whole block and is recorded.
     `homology` calls it only on the critical cells left by coreductions.
     """
     cols = [col for col in ({r: v for r, v in c.items() if v} for c in columns) if col]
@@ -50,70 +55,52 @@ def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
             a[rmap[r]][j] = v
     divisors = []
     top = 0
-    while True:
-        pivot = None
-        best = None
+    while top < m and top < n:
+        best = 0
         for i in range(top, m):
             row = a[i]
             for j in range(top, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+                    if v == 1:
                         break
             if best == 1:
                 break
-        if pivot is None:
+        if not best:
             break
-        i, j = pivot
-        a[top], a[i] = a[i], a[top]
+        a[top], a[pi] = a[pi], a[top]
         for row in a:
-            row[top], row[j] = row[j], row[top]
-        while True:
-            # clear column by row operations, reducing the pivot as needed
-            p = a[top][top]
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    q = a[i][top] // p
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        break
-            else:
-                p = a[top][top]
-                done = True
-                for j in range(top + 1, n):
-                    if a[top][j]:
-                        q = a[top][j] // p
-                        if q:
-                            for row in a:
-                                row[j] -= q * row[top]
-                        if a[top][j]:
-                            for row in a:
-                                row[top], row[j] = row[j], row[top]
-                            done = False
-                            break
-                if done:
-                    break
-        divisors.append(abs(a[top][top]))
+            row[top], row[pj] = row[pj], row[top]
+        pivot = a[top]
+        p = pivot[top]
+        for i in range(top + 1, m):
+            q = a[i][top] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], pivot)]
+        for j in range(top + 1, n):
+            q = pivot[j] // p
+            if q:
+                for row in a:
+                    row[j] -= q * row[top]
+        # a remainder left is a smaller pivot
+        if any(pivot[top + 1 :]) or any(a[i][top] for i in range(top + 1, m)):
+            continue
+        # so is an entry of the block the pivot does not divide: this keeps
+        # the chain d1 | d2 | ...
+        if best > 1:
+            i = next((i for i in range(top + 1, m) if any(x % p for x in a[i][top + 1 :])), None)
+            if i is not None:
+                a[top] = [x + y for x, y in zip(pivot, a[i])]
+                continue
+        divisors.append(best)
         top += 1
-        if top >= m or top >= n:
-            break
-    # enforce the divisibility chain d1 | d2 | ...
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            di, dj = divisors[i], divisors[j]
-            if dj % di:
-                g = math.gcd(di, dj)
-                divisors[i], divisors[j] = g, di * dj // g
     return divisors
 
 
 def rank_and_torsion(columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
     divisors = snf_divisors(columns)
-    return len(divisors), tuple(sorted(d for d in divisors if d > 1))
+    return len(divisors), tuple(d for d in divisors if d > 1)
 
 
 # -- chain complexes -------------------------------------------------------

@@ -4,42 +4,27 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, combinations
 from operator import or_
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .homology import MatrixSizeError
 from .simplicial import SimplicialComplex, cliques, square_report
 
 
-def order_complex(
-    names: Sequence[str], up: Sequence[Sequence[int]], max_cells: Optional[int] = None
-) -> SimplicialComplex:
+def order_complex(names: Sequence[str], up: Sequence[Sequence[int]]) -> SimplicialComplex:
     """Order complex of a finite poset on the element ids 0..n-1.
 
     `up[i]` lists every element strictly above i, and element i becomes the
-    vertex at position i, named `names[i]`.  With a cap, the chains are
-    counted before any is listed: f(i) = 1 + sum of f(j) over j in up[i]
-    counts those with least element i, taken in order of increasing
-    len(up[i]), so each after every element above it; more than `max_cells`
-    raise `MatrixSizeError`.  Only the maximal chains are listed, since
-    they are the facets of the order complex (Wachs, Poset Topology, 2007):
-    each once, by a depth-first search along the covers of each element
-    (up[i] less everything above an element of up[i]) from each minimal
-    element.  The complex keeps them as its facets.
+    vertex at position i, named `names[i]`.  Only the maximal chains are
+    listed, since they are the facets of the order complex (Wachs, Poset
+    Topology, 2007): each once, by a depth-first search along the covers of
+    each element (up[i] less everything above an element of up[i]) from
+    each minimal element.  The complex keeps them as its facets.
     """
-    n = len(names)
-    if max_cells is not None:
-        count = [0] * n
-        for i in sorted(range(n), key=lambda i: len(up[i])):
-            count[i] = 1 + sum(map(count.__getitem__, up[i]))
-        total = sum(count)
-        if total > max_cells:
-            raise MatrixSizeError(f"{total} chains exceed the materialization cap")
     covers = []
     for above in up:
         higher = set().union(*map(up.__getitem__, above))
         covers.append([j for j in above if j not in higher])
     has_below = set(chain.from_iterable(up))
-    stack = [(i,) for i in range(n) if i not in has_below]
+    stack = [(i,) for i in range(len(names)) if i not in has_below]
     facets = []
     while stack:
         path = stack.pop()

@@ -11,7 +11,7 @@ from typing import Optional
 
 from coxcert.coxeter import INF, CoxeterSystem, _is_spherical_idx, _subset_indices
 from coxcert.davis import DavisBall, SphericalCoset
-from coxcert.homology import ChainComplex, MatrixSizeError
+from coxcert.homology import ChainComplex
 from coxcert.presentations import Presentation, _evaluate, _perm_inv
 from coxcert.simplicial import SimplicialComplex, faces_closure
 from coxcert.subdivide import order_complex
@@ -799,14 +799,10 @@ def reference_fixed_cosets(ball_: DavisBall, g) -> set:
     }
 
 
-def reference_extract(ball_: DavisBall, keep, max_cells=None) -> SimplicialComplex:
+def reference_extract(ball_: DavisBall, keep) -> SimplicialComplex:
     """Order complex of the cosets `keep` accepts, built by `order_complex`: the
-    oracle for `CellIndex`.  Each kept coset is a chain, so past `max_cells`
-    kept cosets MatrixSizeError comes before any up-list; past `max_cells`
-    chains, from the count `order_complex` makes before listing any."""
+    oracle for `CellIndex`."""
     kept = [i for i, c in enumerate(ball_.cosets) if keep(c)]
-    if max_cells is not None and len(kept) > max_cells:
-        raise MatrixSizeError(f"{len(kept)} cosets exceed the materialization cap")
     ids = [-1] * len(ball_.cosets)
     for n, i in enumerate(kept):
         ids[i] = n
@@ -822,17 +818,17 @@ def reference_extract(ball_: DavisBall, keep, max_cells=None) -> SimplicialCompl
             for t in ball_._supersets[c.gens]
         ]
         up.append([ids[j] for j in above if ids[j] >= 0])
-    return order_complex([ball_.coset_id(ball_.cosets[i]) for i in kept], up, max_cells)
+    return order_complex([ball_.coset_id(ball_.cosets[i]) for i in kept], up)
 
 
-def reference_realization(ball_: DavisBall, max_cells=None) -> SimplicialComplex:
+def reference_realization(ball_: DavisBall) -> SimplicialComplex:
     """The whole ball as an order complex."""
-    return reference_extract(ball_, lambda c: True, max_cells)
+    return reference_extract(ball_, lambda c: True)
 
 
-def reference_singular(ball_: DavisBall, max_cells=None) -> SimplicialComplex:
+def reference_singular(ball_: DavisBall) -> SimplicialComplex:
     """Order complex of the cosets of non-empty type."""
-    return reference_extract(ball_, lambda c: bool(c.gens), max_cells)
+    return reference_extract(ball_, lambda c: bool(c.gens))
 
 
 def reference_sharp(ball_: DavisBall) -> SimplicialComplex:

@@ -1,5 +1,4 @@
 """The benchmark's tracing hooks must resolve every name they wrap."""
-import ast
 import sys
 from pathlib import Path
 
@@ -49,35 +48,3 @@ def test_homology_goes_through_the_traced_chain_build_and_snf(monkeypatch):
         assert all(isinstance(col, dict) for col in columns)
     nnz = sum(len(col) for columns in seen for col in columns)
     assert tracer.counts["homology.boundary_nnz"] == nnz > 0
-
-
-def _unread_imports(source: str) -> set[str]:
-    """Names a module binds by import (not from __future__) and never reads."""
-    tree = ast.parse(source)
-    bound = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound.update(a.asname or a.name for a in node.names)
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return bound - read
-
-
-def test_every_unread_import_is_wrapped_by_the_tracing_hooks():
-    """An import a module never reads is there only for `tracing.WRAPS` to
-    wrap; any other is dead and must go."""
-    for path in sorted((ROOT / "src" / "coxcert").glob("*.py")):
-        wrapped = {attr for module, attr, *_ in tracing.WRAPS if module == path.stem}
-        assert _unread_imports(path.read_text()) <= wrapped, path.name
-
-
-def test_unread_import_finder_sees_through_aliases_and_attributes():
-    source = (
-        "from __future__ import annotations\n"
-        "import os.path\n"
-        "import json as j\n"
-        "from a import b, c as d, e\n"
-        "x: e = os.path.join(j.dumps(b))\n"
-    )
-    assert _unread_imports(source) == {"d"}

@@ -29,6 +29,7 @@ MODULES = sorted((ROOT / "src" / "coxcert").glob("*.py"))
 
 
 def unused_imports(source: str) -> set[str]:
+    """Names a module binds by import (not from __future__) and never reads."""
     tree = ast.parse(source)
     bound = set()
     for node in ast.walk(tree):
@@ -36,8 +37,8 @@ def unused_imports(source: str) -> set[str]:
             bound |= {alias.asname or alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return bound - used
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bound - read
 
 
 def test_unused_imports_are_only_traced_names():
@@ -50,6 +51,17 @@ def test_unused_imports_are_only_traced_names():
         for path in MODULES
     }
     assert not {name: names for name, names in dead.items() if names}
+
+
+def test_unread_import_finder_sees_through_aliases_and_attributes():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from a import b, c as d, e\n"
+        "x: e = os.path.join(j.dumps(b))\n"
+    )
+    assert unused_imports(source) == {"d"}
 
 
 def private_attributes(source: str) -> tuple[set[str], list[tuple[int, str]]]:

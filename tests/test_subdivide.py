@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxcert.homology import MatrixSizeError, homology
+from coxcert.homology import homology
 from coxcert.presentations import presentation_complex, spine_presentation
 from coxcert.simplicial import (
     SimplicialComplex,
@@ -70,19 +70,6 @@ def test_order_complex_matches_brute_force_chains(seed):
     check_invariants(fast)
     assert fast.simplices == brute.simplices
     assert fast.vertices == tuple(names)
-    # the exact count that the cap is checked on
-    order_complex(names, up, max_cells=len(chains))
-    with pytest.raises(MatrixSizeError, match=f"^{len(chains)} chains exceed"):
-        order_complex(names, up, max_cells=len(chains) - 1)
-
-
-def test_order_complex_cap():
-    names = ["a", "b", "c"]
-    up = [[1, 2], [2], []]  # a < b < c: 7 chains
-    assert len(order_complex(names, up, max_cells=7).simplices) == 7
-    for cap in (2, 6):
-        with pytest.raises(MatrixSizeError, match="^7 chains exceed the materialization cap$"):
-            order_complex(names, up, max_cells=cap)
 
 
 def test_bary_output_is_pinned():
