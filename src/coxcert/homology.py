@@ -6,7 +6,7 @@ import gc
 import os
 from array import array
 from collections import defaultdict, deque
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, count, repeat
 from typing import Iterable, Iterator, Optional
 
 from .simplicial import SimplicialComplex
@@ -107,11 +107,11 @@ def rank_and_torsion(columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int,
 
 
 def check_boundary_entries(sizes: list[int]) -> None:
-    """The boundary entries of a complex with `sizes[d]` cells of each degree
-    d count against the cell limit: `MatrixSizeError` past it."""
+    """The boundary entries of `sizes[d]` cells of each degree d, or of those
+    counted so far, count against the cell limit: `MatrixSizeError` past it."""
     nnz = sum((d + 1) * n for d, n in enumerate(sizes) if d)
     if nnz > _cell_limit():
-        raise MatrixSizeError(f"chain complex with {nnz} boundary entries exceeds cell limit")
+        raise MatrixSizeError(f"chain complex with at least {nnz} boundary entries exceeds cell limit")
 
 
 class ChainComplex:
@@ -123,32 +123,34 @@ class ChainComplex:
     (-1)^(d-j), read off its position.
 
     Built from simplices: `cells` are strictly increasing tuples of vertex
-    positions below `vertex_count` that generate the complex, every simplex
-    or only the maximal ones, in any order and with repeats.  They are
-    closed under faces one degree at a time, from the top down, and every
-    position is a vertex.  The boundary entries count against the cell
-    limit once the closure is counted, before any face slot is written.
-    Then each degree is numbered in sorted order and its slots come in
-    `combinations` order, which omits the last vertex first; the tuples of
-    a degree are freed once the degree above is written.
+    positions below `vertex_count` that generate the complex, in any order
+    and with repeats; each position is a vertex.  From the top down, each
+    degree is numbered in the order its cells are first seen: the top cells
+    in the order given; below, the faces in slot order (`combinations`
+    order, last vertex omitted first), then the cells given there that are
+    not among them.  Its boundary entries count against the cell limit
+    before its slots are written; one dict closes, numbers and writes it.
     """
 
     def __init__(self, vertex_count: int, cells: Iterable[tuple[int, ...]]):
-        levels: defaultdict[int, set[tuple[int, ...]]] = defaultdict(set)
+        given: defaultdict[int, dict[tuple[int, ...], None]] = defaultdict(dict)
         for s in cells:
-            levels[len(s)].add(s)
-        top = max(levels, default=1) if vertex_count else 0
-        for n in range(top, 2, -1):
-            levels[n - 1].update(chain.from_iterable(map(combinations, levels[n], repeat(n - 1))))
-        self.sizes = [vertex_count] + [len(levels[n]) for n in range(2, top + 1)] if top else []
-        check_boundary_entries(self.sizes)
-        self.faces: list = [array("q")]
-        below: list[tuple[int, ...]] = [(v,) for v in range(vertex_count)]
-        for d in range(1, len(self.sizes)):
-            face_index = {s: i for i, s in enumerate(below)}.__getitem__
-            below = sorted(levels.pop(d + 1))
-            slots = chain.from_iterable(map(combinations, below, repeat(d)))
-            self.faces.append(array("q", map(face_index, slots)))
+            given[len(s)][s] = None
+        top = max(given, default=1) - 1 if vertex_count else 0
+        self.sizes = [vertex_count] + [0] * top if vertex_count else []
+        self.faces: list = [array("q") for _ in range(top + 1)]
+        upper: dict = given.pop(top + 1, {})
+        for d in range(top, 0, -1):
+            self.sizes[d] = len(upper)
+            check_boundary_entries(self.sizes)
+            if d == 1:
+                self.faces[1] = array("q", chain.from_iterable(upper))
+                break
+            seen = defaultdict(count().__next__)
+            slots = chain.from_iterable(map(combinations, upper, repeat(d)))
+            self.faces[d] = array("q", map(seen.__getitem__, slots))
+            deque(map(seen.__getitem__, given.pop(d, ())), maxlen=0)
+            upper = seen
 
     @classmethod
     def from_faces(cls, sizes: list[int], faces: list) -> ChainComplex:
@@ -196,8 +198,7 @@ class ChainComplex:
                 up: list[list[int]] = [[] for _ in range(sizes[d])]
                 # one int object per coface, repeated for each of its faces
                 owners = chain.from_iterable(map(repeat, range(sizes[d + 1]), repeat(d + 2)))
-                for c, r in zip(owners, faces[d + 1]):
-                    up[r].append(c)
+                deque(map(list.append, map(up.__getitem__, faces[d + 1]), owners), maxlen=0)
                 cofaces.append(up)
 
             def release(d: int, i: int) -> None:
@@ -228,15 +229,14 @@ class ChainComplex:
                     release(d, b)
                 # no pair left: the lowest-degree active cell becomes critical
                 for d in range(top):
-                    cells, i = state[d], start[d]
-                    while i < len(cells) and cells[i]:
-                        i += 1
-                    start[d] = i
-                    if i < len(cells):
+                    i = state[d].find(0, start[d])
+                    if i >= 0:
                         break
+                    start[d] = sizes[d]
                 else:
                     break
-                cells[i] = 1
+                start[d] = i + 1
+                state[d][i] = 1
                 critical[d].append(i)
                 release(d, i)
             del cofaces

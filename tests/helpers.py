@@ -248,24 +248,27 @@ def reference_snf_divisors(columns: list[dict[int, int]]) -> list[int]:
 # -- full boundary matrices and eager coreductions ---------------------------
 
 
-def boundary_columns(k: SimplicialComplex, d: int) -> list[dict[int, int]]:
+def boundary_columns(k: SimplicialComplex, d: int, basis=None) -> list[dict[int, int]]:
     """Columns of the degree-d boundary map of k, one dict per d-cell.
 
-    Columns and rows are the d- and (d-1)-cells in sorted order, and the
-    faces carry the sorted-vertex orientation: omitting vertex m of a
-    d-cell has sign (-1)^m.  Empty for d < 1.
+    Columns and rows are the d- and (d-1)-cells in sorted order, or in the
+    order of `basis[d]` and `basis[d - 1]`, and the faces carry the
+    sorted-vertex orientation: omitting vertex m of a d-cell has sign
+    (-1)^m.  Empty for d < 1.
     """
     if d < 1:
         return []
-    rows = {s: i for i, s in enumerate(k.k_simplices(d - 1))}
+    lower, cells = basis[d - 1 : d + 1] if basis else (k.k_simplices(d - 1), k.k_simplices(d))
+    rows = {s: i for i, s in enumerate(lower)}
     signs = [(-1) ** (d - j) for j in range(d + 1)]  # combinations omit the last vertex first
-    return [dict(zip(map(rows.__getitem__, combinations(s, d)), signs)) for s in k.k_simplices(d)]
+    return [dict(zip(map(rows.__getitem__, combinations(s, d)), signs)) for s in cells]
 
 
 def reference_chain_complex(k: SimplicialComplex) -> ChainComplex:
     """Every simplex of k, grouped by degree and sorted within each, and the
     faces of each listed in `combinations` order: the oracle for the
-    degree-by-degree build of `ChainComplex` from generating simplices."""
+    degree-by-degree build of `ChainComplex` from generating simplices, once
+    its cells are put in sorted order."""
     basis = [k.k_simplices(d) for d in range(k.dim() + 1)]
     faces: list = [[]]
     for d in range(1, len(basis)):
@@ -274,9 +277,31 @@ def reference_chain_complex(k: SimplicialComplex) -> ChainComplex:
     return ChainComplex.from_faces([len(cells) for cells in basis], faces)
 
 
-def reference_coreduce(k: SimplicialComplex) -> tuple[list[list[int]], list[list[dict[int, int]]]]:
+def chain_cells(cc: ChainComplex) -> list[list[tuple[int, ...]]]:
+    """The vertex tuple of every cell of `cc`, per degree in its numbering,
+    read off the face lists alone: a vertex is its number, an edge its two
+    slots in slot order, and any higher cell the union of its faces'
+    vertices."""
+    cells = [[(v,) for v in range(n)] for n in cc.sizes[:1]]
+    for d in range(1, len(cc.sizes)):
+        faces, width, below = cc.faces[d], d + 1, cells[d - 1]
+        if d == 1:
+            cells.append(list(zip(faces[::2], faces[1::2])))
+            continue
+        cells.append([
+            tuple(sorted(set().union(*map(below.__getitem__, faces[i * width : (i + 1) * width]))))
+            for i in range(cc.sizes[d])
+        ])
+    return cells
+
+
+def reference_coreduce(
+    k: SimplicialComplex, basis=None
+) -> tuple[list[list[int]], list[list[dict[int, int]]]]:
     """Coreductions with an eager change of basis: the oracle for
-    `ChainComplex.coreduce`, with the same pairing order and the same result.
+    `ChainComplex.coreduce`, with the same pairing order and the same result
+    when `basis` lists the cells of each degree in the order of the chain
+    complex (sorted order by default).
 
     When a pair (a, b) is removed, every coface c of a that is not removed
     gets d(c) -= <d(c), a> <d(b), a> d(b) (Kaczynski-Mrozek-Slusarek 1998),
@@ -284,9 +309,9 @@ def reference_coreduce(k: SimplicialComplex) -> tuple[list[list[int]], list[list
     removed cells go stale and are skipped.  At the end the column of each
     critical cell is trimmed to its critical entries.
     """
-    basis = [k.k_simplices(d) for d in range(k.dim() + 1)]
+    basis = basis or [k.k_simplices(d) for d in range(k.dim() + 1)]
     top = len(basis)
-    cols = [boundary_columns(k, d) for d in range(1, top)]
+    cols = [boundary_columns(k, d, basis) for d in range(1, top)]
     # per cell: 0 active, 1 critical, 2 removed; and its number of active faces
     state = [bytearray(len(cells)) for cells in basis]
     live = [bytearray([d + 1 if d else 0]) * len(cells) for d, cells in enumerate(basis)]

@@ -18,6 +18,7 @@ from coxcert.simplicial import SimplicialComplex, faces_closure
 
 from helpers import (
     boundary_columns,
+    chain_cells,
     cone,
     cycle_complex,
     full_triangle,
@@ -128,20 +129,55 @@ def _compose(upper, lower):
     return out
 
 
+def _chain_complexes(k, inputs):
+    """The chain complex built from each of `inputs`, cells that generate k.
+    Each degree is a permutation of the simplices of k of that degree, the
+    top one in the order of the top cells given, and slot j of each d-cell
+    omits the vertex at place d - j; put in sorted order, the complex is
+    `reference_chain_complex(k)`."""
+    basis = [k.k_simplices(d) for d in range(k.dim() + 1)]
+    rank = [{s: i for i, s in enumerate(cells)} for cells in basis]
+    want = reference_chain_complex(k)
+    built = []
+    for given in inputs:
+        cc = ChainComplex(len(k.vertices), given)
+        cells = chain_cells(cc)
+        assert [sorted(c) for c in cells] == basis
+        if len(cells) > 1:
+            assert cells[-1] == list(dict.fromkeys(s for s in given if len(s) == len(cells)))
+        # relabelled: each cell, and each slot, by its place in sorted order
+        faces = [[]]
+        for d in range(1, len(cells)):
+            width, slots = d + 1, list(map(cells[d - 1].__getitem__, cc.faces[d]))
+            assert slots == [s[: d - j] + s[d - j + 1 :] for s in cells[d] for j in range(width)]
+            order = sorted(range(len(cells[d])), key=cells[d].__getitem__)
+            faces.append([
+                rank[d - 1][f] for i in order for f in slots[i * width : (i + 1) * width]
+            ])
+        assert cc.sizes == want.sizes
+        assert faces == want.faces
+        built.append(cc)
+    return built
+
+
 def test_boundary_squares_to_zero():
-    """The flat face lists, signed by slot, are the full boundary columns,
-    and the boundary squares to zero."""
-    for k in (full_triangle(), projective_plane(), cone(cycle_complex(4), "z")):
-        cc = ChainComplex(len(k.vertices), k.simplices)
+    """The flat face lists, signed by slot, are the full boundary columns in
+    the complex's own numbering, and the boundary squares to zero; an edge
+    given next to a triangle is kept."""
+    flap = SimplicialComplex("abcd", [(0, 1, 2), (2, 3)])
+    for k in (full_triangle(), projective_plane(), cone(cycle_complex(4), "z"), flap):
+        (cc,) = _chain_complexes(k, [k.maximal_simplices()])
+        basis = chain_cells(cc)
+        columns = [[]]
         for d in range(1, k.dim() + 1):
             faces, width = cc.faces[d], d + 1
-            signed = [
+            columns.append([
                 {faces[i * width + j]: (-1) ** (d - j) for j in range(width)}
                 for i in range(cc.sizes[d])
-            ]
-            assert signed == boundary_columns(k, d)
+            ])
+            assert columns[d] == boundary_columns(k, d, basis)
         for d in range(2, k.dim() + 1):
-            assert not any(_compose(boundary_columns(k, d), boundary_columns(k, d - 1)))
+            assert not any(_compose(columns[d], columns[d - 1]))
 
 
 def test_hollow_triangle_homology():
@@ -255,7 +291,8 @@ def test_coreduced_homology_keeps_torsion(k, h1_torsion):
 )
 def test_coreduce_matches_eager_reference(case):
     """Pairing, then following the pairing, gives the critical cells and the
-    critical boundary columns of the eager change of basis, dict for dict."""
+    critical boundary columns of the eager change of basis in the same
+    numbering, dict for dict, built from every simplex or the maximal ones."""
     if case[0] == "random":
         rng = random.Random(case[1])
         k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
@@ -263,7 +300,9 @@ def test_coreduce_matches_eager_reference(case):
         k = _davis_set(*case[1:])
     else:
         k = FIXED[case[0]]()
-    assert ChainComplex(len(k.vertices), k.simplices).coreduce() == reference_coreduce(k)
+    for cells in (k.simplices, k.maximal_simplices()):
+        cc = ChainComplex(len(k.vertices), cells)
+        assert cc.coreduce() == reference_coreduce(k, chain_cells(cc))
 
 
 @settings(max_examples=40, deadline=None)
@@ -279,9 +318,10 @@ def test_coreduce_matches_eager_reference(case):
 def test_chain_complex_build_matches_grouped_reference(case, seed):
     """Built from every simplex, from the maximal ones, or from shuffled
     maximal simplices with repeats and nested faces added and no vertex
-    named, the chain complex has the cells and every face slot of the
-    simplices grouped by degree and sorted; points and the empty complex
-    included."""
+    named, the chain complex numbers each degree as a permutation of its
+    simplices, top cells in the order given, and in sorted order has the
+    cells and every face slot of the simplices grouped by degree and
+    sorted; points and the empty complex included."""
     if case[0] == "random":
         rng = random.Random(case[1])
         k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
@@ -291,14 +331,40 @@ def test_chain_complex_build_matches_grouped_reference(case, seed):
         k = SimplicialComplex([f"p{i}" for i in range(case[1])], [(i,) for i in range(case[1])])
     else:
         k = FIXED[case[0]]()
-    want = reference_chain_complex(k)
     maximal = k.maximal_simplices()
     rng = random.Random(seed)
     mixed = maximal + rng.choices(maximal, k=len(maximal) // 2)
     mixed += rng.sample(sorted(k.simplices), len(k.simplices) // 4)
     rng.shuffle(mixed)
     mixed = [s for s in mixed if len(s) > 1]
-    for cells in (k.simplices, maximal, mixed):
-        cc = ChainComplex(len(k.vertices), cells)
-        assert cc.sizes == want.sizes
-        assert [list(f) for f in cc.faces] == want.faces
+    _chain_complexes(k, [k.simplices, maximal, mixed])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(min_value=0)),
+        st.tuples(st.just("davis"), st.integers(min_value=0), st.integers(0, 2), st.booleans()),
+    )
+)
+def test_chain_complex_cap_is_exact(case):
+    """With the cell limit at the boundary entries, the sum of (d+1) sizes[d],
+    the build succeeds; one below, it raises.  A points-only complex and the
+    empty complex build under a limit of 0."""
+    if case[0] == "random":
+        rng = random.Random(case[1])
+        k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
+    else:
+        k = _davis_set(*case[1:])
+    n, facets, sizes = len(k.vertices), k.maximal_simplices(), k.counts()
+    entries = sum((d + 1) * c for d, c in enumerate(sizes) if d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COXCERT_SNF_CELL_LIMIT", str(entries))
+        assert ChainComplex(n, facets).sizes == sizes
+        if entries:
+            mp.setenv("COXCERT_SNF_CELL_LIMIT", str(entries - 1))
+            with pytest.raises(MatrixSizeError, match="exceeds cell limit"):
+                ChainComplex(n, facets)
+        mp.setenv("COXCERT_SNF_CELL_LIMIT", "0")
+        assert ChainComplex(n, [(v,) for v in range(n)]).sizes == [n]
+        assert ChainComplex(0, []).sizes == []
