@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -24,6 +23,16 @@ from .subdivide import barycentric_subdivision
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .davis import hash_union_sharp, singular_subcomplex  # noqa: F401
 from .simplicial import square_report  # noqa: F401
+
+# the interpreter's builtin SHA-256, as `random` imports SHA-512: `hashlib`
+# would load OpenSSL's libcrypto (3.6 MB of RSS) for one digest per command
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class RunReport:
@@ -65,7 +74,7 @@ class InputError(Exception):
 
 
 def _digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def _load_json(path: str):

@@ -348,7 +348,7 @@ class CellIndex:
         lengths = [{t: n[j] for t, n in self._lengths.items()} for j in range(len(counts))]
         offsets = [array("q", accumulate(map(n.__getitem__, types), initial=0)) for n in lengths]
         assert [off[-1] for off in offsets] == counts, "built cells differ from the count"
-        faces: list = [array("q") for _ in counts]
+        faces: list = [array("i") for _ in counts]
         slots: dict[Subset, list[tuple[int, list[int], list[int]]]] = {}
         for b, _, t, above in self.ball._numbered(self._kept):
             if t not in slots:

@@ -6,7 +6,7 @@ import gc
 import os
 from array import array
 from collections import defaultdict, deque
-from itertools import chain, combinations, compress, count, repeat
+from itertools import accumulate, chain, combinations, count, repeat
 from typing import Iterable, Iterator, Optional
 
 from .simplicial import SimplicialComplex
@@ -114,13 +114,36 @@ def check_boundary_entries(sizes: list[int]) -> None:
         raise MatrixSizeError(f"chain complex with at least {nnz} boundary entries exceeds cell limit")
 
 
+def coface_csr(n: int, faces, width: int) -> tuple[array, array]:
+    """The cofaces of n cells in CSR form, from the flat face lists of the
+    cells of the degree above, `width` slots each: the cofaces of cell i are
+    flat[offsets[i] : offsets[i + 1]], in increasing order.  Returns
+    (offsets, flat).  A counting sort: no list per cell is made."""
+    sizes = [0] * n
+    for f in faces:
+        sizes[f] += 1
+    offsets = array("i", accumulate(sizes, initial=0))
+    del sizes
+    free = offsets.tolist()  # the next free place of each cell's cofaces
+    flat = array("i", [0]) * len(faces)
+    # the cells of the degree above in increasing order, each once per slot
+    owners = chain.from_iterable(map(repeat, range(len(faces) // width), repeat(width)))
+    for f, c in zip(faces, owners):
+        p = free[f]
+        flat[p] = c
+        free[f] = p + 1
+    return offsets, flat
+
+
 class ChainComplex:
     """Boundary maps of a complex, as cells per degree and flat face lists.
 
-    `sizes[d]` is the number of d-cells.  `faces[d]` is one flat `array('q')`
-    of (d-1)-cell indices: cell i of degree d >= 1 owns slots i*(d+1) ...
+    `sizes[d]` is the number of d-cells.  `faces[d]` is one flat `array('i')`
+    of (d-1)-cell indices (4-byte entries: no complex that fits in memory
+    has 2^31 cells): cell i of degree d >= 1 owns slots i*(d+1) ...
     i*(d+1)+d, and slot j, which omits the vertex at place d-j, has sign
-    (-1)^(d-j), read off its position.
+    (-1)^(d-j), read off its position.  `coreduce` reads the cofaces of each
+    degree in the same flat form (`coface_csr`).
 
     Built from simplices: `cells` are strictly increasing tuples of vertex
     positions below `vertex_count` that generate the complex, in any order
@@ -138,17 +161,17 @@ class ChainComplex:
             given[len(s)][s] = None
         top = max(given, default=1) - 1 if vertex_count else 0
         self.sizes = [vertex_count] + [0] * top if vertex_count else []
-        self.faces: list = [array("q") for _ in range(top + 1)]
+        self.faces: list = [array("i") for _ in range(top + 1)]
         upper: dict = given.pop(top + 1, {})
         for d in range(top, 0, -1):
             self.sizes[d] = len(upper)
             check_boundary_entries(self.sizes)
             if d == 1:
-                self.faces[1] = array("q", chain.from_iterable(upper))
+                self.faces[1] = array("i", chain.from_iterable(upper))
                 break
             seen = defaultdict(count().__next__)
             slots = chain.from_iterable(map(combinations, upper, repeat(d)))
-            self.faces[d] = array("q", map(seen.__getitem__, slots))
+            self.faces[d] = array("i", map(seen.__getitem__, slots))
             deque(map(seen.__getitem__, given.pop(d, ())), maxlen=0)
             upper = seen
 
@@ -173,60 +196,71 @@ class ChainComplex:
         face removed as the upper cell of a pair vanishes, and a face a
         removed as the lower cell of the pair (a, b) becomes
         -<d(b), a> (d(b) - <d(b), a> a), its faces resolved the same way.
+
+        A cell that stops being active lowers the active-face count of each
+        active coface; the cofaces of each degree are one CSR pair of flat
+        arrays (`coface_csr`), built one degree at a time, each cell's in
+        increasing order: that order sets the order cells are queued in,
+        and so the pairing.
         """
-        sizes = self.sizes
+        sizes, faces = self.sizes, self.faces
         top = len(sizes)
         # per cell: 0 active, 1 critical, 2 removed as the lower cell of a
         # pair, 3 removed as the upper cell; and its number of active faces
         state = [bytearray(n) for n in sizes]
         live = [bytearray([d + 1 if d else 0]) * n for d, n in enumerate(sizes)]
         # per degree, the upper cell b of each pair (a, b) in the order the
-        # pairs are made, and the place of each lower cell a in that order
-        # (4-byte entries: no complex that fits in memory has 2^31 cells)
+        # pairs are made, and per cell removed, the place of its pair in that
+        # order (4-byte entries: no complex that fits in memory has 2^31 cells)
         upper = [array("i") for _ in sizes[:-1]]
-        place = [array("i", [0]) * n for n in sizes[:-1]]
+        place = [array("i", [0]) * n for n in sizes]
         critical: list[list[int]] = [[] for _ in sizes]
-        queue: deque[tuple[int, int]] = deque()
-        faces = self.faces
-        # the lists built here form no cycles, and every collection would
-        # rescan them (about 1 s of 4 s on a complex of 854,641 cells)
+        queue: deque[tuple[tuple, int]] = deque()
+        # the tuples and dicts built here form no cycles, and every
+        # collection would rescan them with the caller's objects
         collecting = gc.isenabled()
         gc.disable()
         try:
-            cofaces = []
-            for d in range(top - 1):
-                up: list[list[int]] = [[] for _ in range(sizes[d])]
-                # one int object per coface, repeated for each of its faces
-                owners = chain.from_iterable(map(repeat, range(sizes[d + 1]), repeat(d + 2)))
-                deque(map(list.append, map(up.__getitem__, faces[d + 1]), owners), maxlen=0)
-                cofaces.append(up)
-
-            def release(d: int, i: int) -> None:
-                # cell i of degree d stops being active
-                if d + 1 == top:
-                    return
-                above, count = state[d + 1], live[d + 1]
-                for c in cofaces[d][i]:
-                    if above[c] == 0:
-                        count[c] -= 1
-                        if count[c] == 1:
-                            queue.append((d + 1, c))
-
+            # per degree d >= 1, the d-cells that have each (d-1)-cell as a face
+            cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], d + 1) for d in range(1, top)]
+            # per degree d >= 1, from the top down: what a d-cell reads when
+            # one of its faces stops being active (its state, its count of
+            # active faces, the cofaces of each (d-1)-cell), the degree above,
+            # and what pairing a d-cell with a face reads and writes
+            levels: list = [None] * (top + 1)
+            for d in range(top - 1, 0, -1):
+                levels[d] = (
+                    (state[d], live[d], *cofaces[d]),
+                    levels[d + 1],
+                    faces[d], d + 1, state[d - 1], upper[d - 1], place[d - 1], place[d],
+                )
             start = [0] * top
             while True:
                 while queue:
-                    d, b = queue.popleft()
-                    if state[d][b] or live[d][b] != 1:
+                    level, b = queue.popleft()
+                    (here, count, off, flat), up, faces_d, width, below, pairs, place_a, place_b = level
+                    if here[b] or count[b] != 1:
                         continue
-                    below = state[d - 1]
-                    for a in faces[d][b * (d + 1) : (b + 1) * (d + 1)]:
+                    for a in faces_d[b * width : b * width + width]:
                         if not below[a]:
                             break
-                    below[a], state[d][b] = 2, 3
-                    place[d - 1][a] = len(upper[d - 1])
-                    upper[d - 1].append(b)
-                    release(d - 1, a)
-                    release(d, b)
+                    below[a], here[b] = 2, 3
+                    place_a[a] = place_b[b] = len(pairs)
+                    pairs.append(b)
+                    # a and b stop being active: each active coface of either
+                    # loses an active face, and with one left is queued
+                    for c in flat[off[a] : off[a + 1]]:
+                        if not here[c]:
+                            count[c] -= 1
+                            if count[c] == 1:
+                                queue.append((level, c))
+                    if up:
+                        above, count, off, flat = up[0]
+                        for c in flat[off[b] : off[b + 1]]:
+                            if not above[c]:
+                                count[c] -= 1
+                                if count[c] == 1:
+                                    queue.append((up, c))
                 # no pair left: the lowest-degree active cell becomes critical
                 for d in range(top):
                     i = state[d].find(0, start[d])
@@ -238,56 +272,81 @@ class ChainComplex:
                 start[d] = i + 1
                 state[d][i] = 1
                 critical[d].append(i)
-                release(d, i)
-            del cofaces
-            columns = [
-                self._follow(d, state[d - 1], place[d - 1], upper[d - 1], critical[d])
-                for d in range(1, top)
-            ]
+                up = levels[d + 1]
+                if up:
+                    above, count, off, flat = up[0]
+                    for c in flat[off[i] : off[i + 1]]:
+                        if not above[c]:
+                            count[c] -= 1
+                            if count[c] == 1:
+                                queue.append((up, c))
+            del levels
+            columns = [[]]
+            for d in range(1, top):
+                columns.append(self._follow(d, state, place, upper[d - 1], critical, cofaces[d]))
+                cofaces[d] = None
         finally:
             if collecting:
                 gc.enable()
-        return critical, [[]] + columns
+        return critical, columns
 
     def _follow(
-        self, d: int, below: bytearray, place: array, upper: array, cells: list[int]
+        self, d: int, state: list, place: list, pairs: array, critical: list, cofaces: tuple
     ) -> list:
-        """Boundaries of the given d-cells in the critical (d-1)-cells.
+        """Boundaries of the critical d-cells in the critical (d-1)-cells.
 
-        `upper[k]` is the cell b of the k-th pair (a, b), and `place[a]` is
-        k.  The image of a is made of the other faces of b, all removed
-        before a was paired: critical cells, and lower cells of earlier
-        pairs.  So one backward pass over the pairs marks those whose image
-        some given cell reaches, skipping to the next mark, and one forward
-        pass computes the marked images, each after those it is made of.
-        Only the images that do not vanish are kept."""
+        `pairs[k]` is the cell b of the k-th pair (a, b) of degrees d-1 and
+        d, and `place[d - 1][a]` and `place[d][b]` are k.  The image of a is
+        made of the other faces of b, all removed before a was paired:
+        critical cells, and lower cells of earlier pairs.  So one backward
+        pass over the pairs marks those whose image some critical d-cell
+        reaches, skipping to the next mark.  An image vanishes unless b has
+        a critical face or a face whose image does not vanish, so the
+        forward pass computes, in pairing order, only the marked images
+        that some such face pushes: first through the cofaces of the
+        critical (d-1)-cells, then through those of each lower cell whose
+        image is kept (`cofaces`, the CSR pair of `coface_csr`).  Only the
+        images that do not vanish are kept."""
+        below, above = state[d - 1], state[d]
+        place_a, place_b = place[d - 1], place[d]
+        cells = critical[d]
         faces, width = self.faces[d], d + 1
         signs = [(-1) ** (d - j) for j in range(width)]
-        reached = bytearray(len(upper))  # by the place of the pair
+        reached = bytearray(len(pairs))  # by the place of the pair
 
         def marked() -> Iterator[int]:
             # the given cells, then the b of each marked pair, last first
             yield from cells
-            k = len(upper)
+            k = len(pairs)
             while (k := reached.rfind(1, 0, k)) >= 0:
-                yield upper[k]
+                yield pairs[k]
 
         for b in marked():
             for r in faces[b * width : (b + 1) * width]:
                 if below[r] == 2:
-                    reached[place[r]] = 1
+                    reached[place_a[r]] = 1
 
         images: dict[int, dict[int, int]] = {}  # by the place of the pair; none is empty
+        pushed = bytearray(len(pairs))  # marked pairs whose b has a face that counts
+        off, flat = cofaces
 
-        def combine(b: int, k: int = -1) -> dict[int, int]:
-            # d(b) in the critical cells or, for the k-th pair (a, b), the
-            # image of a: -<d(b), a> (d(b) - <d(b), a> a)
+        def push(a: int, k: int) -> None:
+            # the marked pairs after the k-th whose b has the face a
+            for c in flat[off[a] : off[a + 1]]:
+                if above[c] == 3:
+                    j = place_b[c]
+                    if j > k and reached[j]:
+                        pushed[j] = 1
+
+        def combine(slots: array, k: int = -1) -> dict[int, int]:
+            # d(b) in the critical cells, b with these face slots or, for the
+            # k-th pair (a, b), the image of a: -<d(b), a> (d(b) - <d(b), a> a)
             acc: dict[int, int] = {}
             factor = 1
-            for r, sign in zip(faces[b * width : (b + 1) * width], signs):
+            for r, sign in zip(slots, signs):
                 kind = below[r]
                 if kind == 2:
-                    j = place[r]
+                    j = place_a[r]
                     if j in images:  # never j == k: a's image is not made yet
                         for rr, v in images[j].items():
                             acc[rr] = acc.get(rr, 0) + sign * v
@@ -297,11 +356,17 @@ class ChainComplex:
                     acc[r] = acc.get(r, 0) + sign
             return {r: factor * v for r, v in acc.items() if v} if acc else acc
 
-        for k in compress(range(len(upper)), reached):
-            image = combine(upper[k], k)
+        for r in critical[d - 1]:
+            push(r, -1)
+        k = -1
+        while (k := pushed.find(1, k + 1)) >= 0:
+            b = pairs[k]
+            slots = faces[b * width : (b + 1) * width]
+            image = combine(slots, k)
             if image:
                 images[k] = image
-        return [combine(b) for b in cells]
+                push(next(r for r in slots if below[r] == 2 and place_a[r] == k), k)
+        return [combine(faces[b * width : (b + 1) * width]) for b in cells]
 
 
 class HomologyResult:

@@ -295,6 +295,17 @@ def chain_cells(cc: ChainComplex) -> list[list[tuple[int, ...]]]:
     return cells
 
 
+def reference_cofaces(cc: ChainComplex, d: int) -> list[list[int]]:
+    """The d-cells of `cc` that have each (d-1)-cell as a face, one list per
+    (d-1)-cell in increasing order: the oracle for `coface_csr`."""
+    faces, width = cc.faces[d], d + 1
+    up: list[list[int]] = [[] for _ in range(cc.sizes[d - 1])]
+    for i in range(cc.sizes[d]):
+        for f in faces[i * width : (i + 1) * width]:
+            up[f].append(i)
+    return up
+
+
 def reference_coreduce(
     k: SimplicialComplex, basis=None
 ) -> tuple[list[list[int]], list[list[dict[int, int]]]]:

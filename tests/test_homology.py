@@ -10,6 +10,7 @@ from coxcert.homology import (
     ChainComplex,
     HomologyResult,
     MatrixSizeError,
+    coface_csr,
     homology,
     snf_divisors,
 )
@@ -29,6 +30,7 @@ from helpers import (
     rational_betti,
     rational_rank,
     reference_chain_complex,
+    reference_cofaces,
     reference_coreduce,
     reference_homology,
     reference_snf_divisors,
@@ -303,6 +305,34 @@ def test_coreduce_matches_eager_reference(case):
     for cells in (k.simplices, k.maximal_simplices()):
         cc = ChainComplex(len(k.vertices), cells)
         assert cc.coreduce() == reference_coreduce(k, chain_cells(cc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(min_value=0)),
+        st.tuples(st.just("davis"), st.integers(min_value=0), st.integers(0, 2), st.booleans()),
+    )
+)
+def test_coface_csr_matches_reference(case):
+    """The CSR cofaces of each degree list, per cell and in increasing order,
+    the cells of the degree above that have it as a face, whether the face
+    lists are the build's arrays or `from_faces` lists; and `coreduce` on
+    the list faces in sorted numbering is the eager reference."""
+    if case[0] == "random":
+        rng = random.Random(case[1])
+        k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
+    else:
+        k = _davis_set(*case[1:])
+    listed = reference_chain_complex(k)
+    assert all(isinstance(f, list) for f in listed.faces)
+    for cc in (ChainComplex(len(k.vertices), k.maximal_simplices()), listed):
+        for d in range(1, len(cc.sizes)):
+            offsets, flat = coface_csr(cc.sizes[d - 1], cc.faces[d], d + 1)
+            assert len(offsets) == cc.sizes[d - 1] + 1 and offsets[-1] == len(flat)
+            cofaces = [list(flat[offsets[i] : offsets[i + 1]]) for i in range(cc.sizes[d - 1])]
+            assert cofaces == reference_cofaces(cc, d)
+    assert listed.coreduce() == reference_coreduce(k)
 
 
 @settings(max_examples=40, deadline=None)

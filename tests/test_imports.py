@@ -11,14 +11,21 @@ and method the package defines is named in code (not in a comment or a
 docstring) somewhere in the package, its scripts, the benchmark or the
 acceptance tests; a definition only unit tests reach is dead code.  Every
 command is a fresh process, so `import coxcert.cli` loads nothing that costs
-start-up time without use: no `dataclasses`, no `inspect`.
+start-up time or memory without use: no `dataclasses`, no `inspect`, and no
+`hashlib`, which loads OpenSSL; the input digest comes from the interpreter's
+builtin SHA-256, with `hashlib` only where that module is not built.
 """
 import ast
+import hashlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from coxcert.cli import _digest_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -169,22 +176,37 @@ def test_every_definition_is_reached():
     assert unreached_definitions() == []
 
 
-def modules_after(statement: str) -> set[str]:
-    """`sys.modules` of a fresh interpreter once it has run `statement`."""
-    probe = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+def run_bare(probe: str) -> str:
+    """Standard output of `probe` in a fresh interpreter without `site`, so
+    no site hook loads a module, with the package's `src` on the path."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     ).stdout
-    return set(out.split())
 
 
-def test_cli_import_adds_no_dataclasses_or_inspect():
-    # the bare interpreter's modules, site hooks' included, do not count
-    added = modules_after("import coxcert.cli") - modules_after("pass")
-    assert "coxcert.cli" in added
-    assert not {"dataclasses", "inspect"} & added
+def test_cli_import_loads_no_hashlib_dataclasses_or_inspect():
+    loaded = set(run_bare("import sys, coxcert.cli\nprint('\\n'.join(sys.modules))").split())
+    assert "coxcert.cli" in loaded
+    assert not {"hashlib", "_hashlib", "dataclasses", "inspect"} & loaded
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(max_size=300))
+def test_digest_is_sha256(data):
+    assert _digest_bytes(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_digest_falls_back_to_hashlib_without_builtin_sha256():
+    # a None entry in sys.modules makes its import raise ImportError
+    probe = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from coxcert.cli import _digest_bytes\n"
+        "print(_digest_bytes(b'coxcert'), 'hashlib' in sys.modules)\n"
+    )
+    assert run_bare(probe).split() == [hashlib.sha256(b"coxcert").hexdigest(), "True"]
