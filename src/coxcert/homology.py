@@ -2,7 +2,6 @@
 normal form on the critical cells they leave."""
 from __future__ import annotations
 
-import gc
 import os
 from array import array
 from collections import defaultdict, deque
@@ -198,10 +197,11 @@ class ChainComplex:
         -<d(b), a> (d(b) - <d(b), a> a), its faces resolved the same way.
 
         A cell that stops being active lowers the active-face count of each
-        active coface; the cofaces of each degree are one CSR pair of flat
-        arrays (`coface_csr`), built one degree at a time, each cell's in
-        increasing order: that order sets the order cells are queued in,
-        and so the pairing.
+        active coface, and one left with a single active face is queued as
+        its (degree, cell) pair, first in, first out.  The cofaces of each
+        degree are one CSR pair of flat arrays (`coface_csr`), built one
+        degree at a time, each cell's in increasing order: that order sets
+        the order cells are queued in, and so the pairing.
         """
         sizes, faces = self.sizes, self.faces
         top = len(sizes)
@@ -215,79 +215,64 @@ class ChainComplex:
         upper = [array("i") for _ in sizes[:-1]]
         place = [array("i", [0]) * n for n in sizes]
         critical: list[list[int]] = [[] for _ in sizes]
-        queue: deque[tuple[tuple, int]] = deque()
-        # the tuples and dicts built here form no cycles, and every
-        # collection would rescan them with the caller's objects
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            # per degree d >= 1, the d-cells that have each (d-1)-cell as a face
-            cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], d + 1) for d in range(1, top)]
-            # per degree d >= 1, from the top down: what a d-cell reads when
-            # one of its faces stops being active (its state, its count of
-            # active faces, the cofaces of each (d-1)-cell), the degree above,
-            # and what pairing a d-cell with a face reads and writes
-            levels: list = [None] * (top + 1)
-            for d in range(top - 1, 0, -1):
-                levels[d] = (
-                    (state[d], live[d], *cofaces[d]),
-                    levels[d + 1],
-                    faces[d], d + 1, state[d - 1], upper[d - 1], place[d - 1], place[d],
-                )
-            start = [0] * top
-            while True:
-                while queue:
-                    level, b = queue.popleft()
-                    (here, count, off, flat), up, faces_d, width, below, pairs, place_a, place_b = level
-                    if here[b] or count[b] != 1:
-                        continue
-                    for a in faces_d[b * width : b * width + width]:
-                        if not below[a]:
-                            break
-                    below[a], here[b] = 2, 3
-                    place_a[a] = place_b[b] = len(pairs)
-                    pairs.append(b)
-                    # a and b stop being active: each active coface of either
-                    # loses an active face, and with one left is queued
-                    for c in flat[off[a] : off[a + 1]]:
-                        if not here[c]:
-                            count[c] -= 1
-                            if count[c] == 1:
-                                queue.append((level, c))
-                    if up:
-                        above, count, off, flat = up[0]
-                        for c in flat[off[b] : off[b + 1]]:
-                            if not above[c]:
-                                count[c] -= 1
-                                if count[c] == 1:
-                                    queue.append((up, c))
-                # no pair left: the lowest-degree active cell becomes critical
-                for d in range(top):
-                    i = state[d].find(0, start[d])
-                    if i >= 0:
+        queue: deque[tuple[int, int]] = deque()  # (degree, cell)
+        # per degree d >= 1, the d-cells that have each (d-1)-cell as a face;
+        # None above the top degree
+        cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], d + 1) for d in range(1, top)] + [None]
+        start = [0] * top
+        while True:
+            while queue:
+                d, b = queue.popleft()
+                here, count = state[d], live[d]
+                if here[b] or count[b] != 1:
+                    continue
+                below, width = state[d - 1], d + 1
+                for a in faces[d][b * width : b * width + width]:
+                    if not below[a]:
                         break
-                    start[d] = sizes[d]
-                else:
-                    break
-                start[d] = i + 1
-                state[d][i] = 1
-                critical[d].append(i)
-                up = levels[d + 1]
-                if up:
-                    above, count, off, flat = up[0]
-                    for c in flat[off[i] : off[i + 1]]:
+                below[a], here[b] = 2, 3
+                pairs = upper[d - 1]
+                place[d - 1][a] = place[d][b] = len(pairs)
+                pairs.append(b)
+                # a and b stop being active: each active coface of either
+                # loses an active face, and with one left is queued
+                off, flat = cofaces[d]
+                for c in flat[off[a] : off[a + 1]]:
+                    if not here[c]:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            queue.append((d, c))
+                if cofaces[d + 1]:
+                    above, count = state[d + 1], live[d + 1]
+                    off, flat = cofaces[d + 1]
+                    for c in flat[off[b] : off[b + 1]]:
                         if not above[c]:
                             count[c] -= 1
                             if count[c] == 1:
-                                queue.append((up, c))
-            del levels
-            columns = [[]]
-            for d in range(1, top):
-                columns.append(self._follow(d, state, place, upper[d - 1], critical, cofaces[d]))
-                cofaces[d] = None
-        finally:
-            if collecting:
-                gc.enable()
+                                queue.append((d + 1, c))
+            # no pair left: the lowest-degree active cell becomes critical
+            for d in range(top):
+                i = state[d].find(0, start[d])
+                if i >= 0:
+                    break
+                start[d] = sizes[d]
+            else:
+                break
+            start[d] = i + 1
+            state[d][i] = 1
+            critical[d].append(i)
+            if cofaces[d + 1]:
+                above, count = state[d + 1], live[d + 1]
+                off, flat = cofaces[d + 1]
+                for c in flat[off[i] : off[i + 1]]:
+                    if not above[c]:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            queue.append((d + 1, c))
+        columns = [[]]
+        for d in range(1, top):
+            columns.append(self._follow(d, state, place, upper[d - 1], critical, cofaces[d]))
+            cofaces[d] = None
         return critical, columns
 
     def _follow(
@@ -306,7 +291,15 @@ class ChainComplex:
         that some such face pushes: first through the cofaces of the
         critical (d-1)-cells, then through those of each lower cell whose
         image is kept (`cofaces`, the CSR pair of `coface_csr`).  Only the
-        images that do not vanish are kept."""
+        images that do not vanish are kept.
+
+        The backward pass is wasted only where every pair is reached, as in
+        a top degree: all 293,437 degree-2 pairs of the spine's radius-1
+        singular set, all degree-3 pairs of a torus filling.  Below the top
+        it prunes (601 of 2,761 degree-1 pairs marked on a radius-2 singular
+        set, 5 of 1,361 on a filling), and a degree with no critical cell
+        marks none, so no image is made there; without it, `coreduce` on
+        the benchmark's fillings and Davis sets measured slower."""
         below, above = state[d - 1], state[d]
         place_a, place_b = place[d - 1], place[d]
         cells = critical[d]

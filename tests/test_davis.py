@@ -313,6 +313,18 @@ def test_spine_coset_counts(spine_ball):
     assert sum(DavisBall(spine_ball.system, 3).coset_counts()) == 2305205373
 
 
+def test_spine_sharp_set_pairing(spine_ball):
+    """The pairing on the build the CLI reduces (`from_faces` arrays in the
+    index's numbering): the critical cells and their boundary columns of
+    the spine's radius-1 sharp set, pinned."""
+    cc = CellIndex(spine_ball, sharp=True).chain_complex()
+    assert cc.sizes == [16366, 40523, 24158]
+    assert cc.coreduce() == (
+        [[0], [66, 556], [1027, 1414]],
+        [[], [{}, {}], [{66: -5, 556: 2}, {556: 1, 66: -3}]],
+    )
+
+
 def test_coset_counts_stop_at_the_limit():
     """A total over the limit raises while summing; a finite group stops at
     its longest element; an infinite group has an element of every length,
