@@ -10,7 +10,7 @@ from typing import Optional
 from .coxeter import hyperbolicity, racg_from_flag, nerve as nerve_of
 from .coxeter import CoxeterSystem, system_from_json, system_to_json
 from .davis import CellIndex, davis_ball
-from .homology import ChainComplex, MatrixSizeError, _cell_limit, chain_homology, homology
+from .homology import ChainComplex, MatrixSizeError, chain_homology, homology
 from .models import farrell_h3_growth, farrell_quotient, main_theorem_report
 from .presentations import (
     presentation_complex,
@@ -18,7 +18,7 @@ from .presentations import (
     spine_complex,
     spine_presentation,
 )
-from .simplicial import SimplicialComplex, complex_from_json, complex_to_json
+from .simplicial import SimplicialComplex, cell_limit, complex_from_json, complex_to_json
 from .subdivide import barycentric_subdivision
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .davis import hash_union_sharp, singular_subcomplex  # noqa: F401
@@ -110,13 +110,13 @@ def _checked(build, *args, **kwargs):
 
 def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
     data, digest = _load_json(path)
-    return _checked(complex_from_json, data, max_cells=_cell_limit()), digest
+    return _checked(complex_from_json, data), digest
 
 
 def _racg_of(k: SimplicialComplex) -> tuple[Optional[CoxeterSystem], Optional[str]]:
     """Right-angled system of a flag complex, or why it is not flag.  The n x n
     matrix of n vertices counts against the cell cap; over it is an input error."""
-    n, limit = len(k.vertices), _cell_limit()
+    n, limit = len(k.vertices), cell_limit()
     if n * n > limit:
         raise InputError(f"{n} vertices imply a {n} x {n} Coxeter matrix, over the cell limit {limit}")
     try:
@@ -130,7 +130,7 @@ def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str
     data, digest = _load_json(path)
     if isinstance(data, dict) and "matrix" in data:
         return _checked(system_from_json, data), digest, None
-    sys_, refusal = _racg_of(_checked(complex_from_json, data, max_cells=_cell_limit()))
+    sys_, refusal = _racg_of(_checked(complex_from_json, data))
     return sys_, digest, refusal
 
 
@@ -163,7 +163,7 @@ def cmd_hyperbolic(args) -> RunReport:
     if refusal is not None:
         report.add("flag-input", "fail", reason=refusal)
         return report
-    hyp = _checked(hyperbolicity, sys_, max_cells=_cell_limit())
+    hyp = _checked(hyperbolicity, sys_)
     status = "pass" if hyp.hyperbolic is not None else "indeterminate"
     report.add(
         "hyperbolicity",
@@ -181,7 +181,7 @@ def cmd_nerve(args) -> RunReport:
     data, digest = _load_json(args.path)
     sys_ = _checked(system_from_json, data)
     report = RunReport("nerve", digest)
-    nerve = _checked(nerve_of, sys_, max_cells=_cell_limit())
+    nerve = _checked(nerve_of, sys_)
     report.add("nerve", "pass", complex=complex_to_json(nerve))
     return report
 
@@ -214,9 +214,9 @@ def cmd_davis(args) -> RunReport:
     if not sys_.right_angled:
         report.add("right-angled", "fail", reason="davis balls require a right-angled system")
         return report
-    ball = _checked(davis_ball, sys_, args.radius, max_cells=_cell_limit())
+    ball = _checked(davis_ball, sys_, args.radius)
     try:
-        counts = ball.coset_counts(_cell_limit())
+        counts = ball.coset_counts()
     except MatrixSizeError as exc:
         report.add("ball", "skipped", radius=args.radius, reason=str(exc))
         return report
@@ -433,7 +433,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        _checked(_cell_limit)  # a malformed cell cap is an input error, before any work
+        _checked(cell_limit)  # a malformed cell cap is an input error, before any work
         report: RunReport = args.func(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

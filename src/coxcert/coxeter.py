@@ -166,16 +166,16 @@ def _walk(nbrs: dict[int, dict[int, int]], prev: Optional[int], v: int) -> list[
     return labels
 
 
-def nerve(sys: CoxeterSystem, *, max_cells: Optional[int] = None) -> SimplicialComplex:
+def nerve(sys: CoxeterSystem) -> SimplicialComplex:
     """Complex on the generators whose simplices are the spherical subsets.
 
     In a right-angled system they are the cliques of the commuting graph.
     Otherwise each level grows from the one before by larger indices (they
     are closed under subsets), a candidate passing when each component of
-    its diagram is a finite-type tree (`_is_finite_diagram`).  More than
-    `max_cells` simplices raise `ValueError` as soon as they are listed.
+    its diagram is a finite-type tree (`_is_finite_diagram`).  More
+    simplices than the cell limit raise `ValueError` as soon as they are listed.
     """
-    return SimplicialComplex(sys.generators, capped(_spherical_subsets(sys), max_cells))
+    return SimplicialComplex(sys.generators, capped(_spherical_subsets(sys)))
 
 
 def _spherical_subsets(sys: CoxeterSystem) -> Iterable[tuple[int, ...]]:
@@ -209,14 +209,14 @@ class HyperbolicityReport(NamedTuple):
     z2_witness: Optional[tuple[str, str, str, str]]
 
 
-def hyperbolicity(sys: CoxeterSystem, *, max_cells: Optional[int] = None) -> HyperbolicityReport:
+def hyperbolicity(sys: CoxeterSystem) -> HyperbolicityReport:
     """Flag-no-squares test on the nerve; decides word hyperbolicity for RA systems.
 
     An empty square (a, b, c, d) of the nerve yields the witness (a, c, b, d):
     the two diagonal pairs generate commuting infinite dihedral subgroups,
-    hence a Z x Z subgroup.  `max_cells` caps the nerve, as in `nerve`.
+    hence a Z x Z subgroup.  The cell limit caps the nerve, as in `nerve`.
     """
-    l = nerve(sys, max_cells=max_cells)
+    l = nerve(sys)
     report = square_report(l)
     if not sys.right_angled:
         return HyperbolicityReport(False, report.is_flag, report.empty_squares, None, None)

@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
 from .homology import ChainComplex, MatrixSizeError, check_boundary_entries
-from .simplicial import SimplicialComplex, capped, cliques
+from .simplicial import SimplicialComplex, capped, cell_limit, cliques
 from .subdivide import face_poset
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .coxeter import in_special_subgroup, min_coset_rep, nerve, reduce  # noqa: F401
@@ -43,15 +43,15 @@ class DavisBall:
     letter of w (Davis, walls of the Davis complex).
     """
 
-    def __init__(self, system: CoxeterSystem, radius: int, *, max_cells: Optional[int] = None):
+    def __init__(self, system: CoxeterSystem, radius: int):
         _check_ra(system)
         if radius < 0:
             raise ValueError("radius must be >= 0")
         self.system = system
         self.radius = radius
         # the empty type, then the cliques of the nerve in (size, lex) order,
-        # at most max_cells of them (ValueError past that)
-        self._sphericals: list[Subset] = [()] + list(capped(cliques(system.link), max_cells))
+        # at most the cell limit of them (ValueError past that)
+        self._sphericals: list[Subset] = [()] + list(capped(cliques(system.link)))
 
     @cached_property
     def _supersets(self) -> dict[Subset, list[Subset]]:
@@ -61,7 +61,7 @@ class DavisBall:
         supersets[()] = faces
         return supersets
 
-    def coset_counts(self, limit: Optional[int] = None) -> list[int]:
+    def coset_counts(self) -> list[int]:
         """Number of cosets of each type size 0..dim L + 1, without listing them.
 
         Entry 0 is N_r, the number of elements of length <= r.  With f_k the
@@ -71,7 +71,7 @@ class DavisBall:
         the ball are the minimal representatives of W^T, counted by
         W(t) / (1+t)^|T| (Bjorner-Brenti, Prop. 2.4.4).  Summing up to t^r is
         taking [t^r] of (1+t)^(d-|T|) / ((1-t) D(t)), read off by halving r
-        (`_coefficients`).  Past `limit` cosets, MatrixSizeError: the ball
+        (`_coefficients`).  Past the cell limit, MatrixSizeError: the ball
         grows with the radius, so the total is first checked at the radii
         1, 2, 4, ... below r, and a ball far over the limit stops early.
         """
@@ -84,10 +84,11 @@ class DavisBall:
         ]
         q = _poly_mul(denom, [1, -1])
         nums = [[comb(d - k, j) for j in range(d - k + 1)] for k in range(d + 1)]
+        limit = cell_limit()
         radii = [1 << n for n in range(self.radius.bit_length()) if 1 << n < self.radius]
         for n in radii + [self.radius]:
             counts = [fk * c for fk, c in zip(f, _coefficients(nums, q, n))]
-            if limit is not None and sum(counts) > limit:
+            if sum(counts) > limit:
                 raise MatrixSizeError(
                     f"radius-{self.radius} ball: more than {limit} cosets, over the cell limit"
                 )
@@ -222,8 +223,8 @@ def _coefficients(nums: list[list[int]], q: list[int], n: int) -> list[int]:
     return [p[0] if p else 0 for p in nums]
 
 
-def davis_ball(sys: CoxeterSystem, radius: int, *, max_cells: Optional[int] = None) -> DavisBall:
-    return DavisBall(sys, radius, max_cells=max_cells)
+def davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
+    return DavisBall(sys, radius)
 
 
 # -- distinguished subcomplexes ---------------------------------------------
@@ -372,21 +373,21 @@ class CellIndex:
                 for chain in chains:
                     yield tuple(map(number.__getitem__, chain))
 
-    def complex(self, max_cells: Optional[int] = None) -> SimplicialComplex:
+    def complex(self) -> SimplicialComplex:
         """The extract as a simplicial complex on the kept cosets, named by
-        `coset_id`, after the cells are checked against `max_cells`."""
-        self.cells(max_cells)
+        `coset_id`, after the cells are checked against the cell limit."""
+        self.cells(cell_limit())
         names = [
             self.ball.coset_id(SphericalCoset(w, t)) for w, places in self._kept for t in places
         ]
         return SimplicialComplex(names, (tuple(sorted(chain)) for chain in self.chains()))
 
 
-def hash_union_sharp(ball_: DavisBall, max_cells: Optional[int] = None) -> SimplicialComplex:
+def hash_union_sharp(ball_: DavisBall) -> SimplicialComplex:
     """Union over the fundamental generators of their fixed subcomplexes."""
-    return CellIndex(ball_, sharp=True).complex(max_cells)
+    return CellIndex(ball_, sharp=True).complex()
 
 
-def singular_subcomplex(ball_: DavisBall, max_cells: Optional[int] = None) -> SimplicialComplex:
+def singular_subcomplex(ball_: DavisBall) -> SimplicialComplex:
     """Full subcomplex on the cosets with non-trivial type (stabilised points)."""
-    return CellIndex(ball_, sharp=False).complex(max_cells)
+    return CellIndex(ball_, sharp=False).complex()

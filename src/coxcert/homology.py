@@ -2,28 +2,16 @@
 normal form on the critical cells they leave."""
 from __future__ import annotations
 
-import os
 from array import array
 from collections import defaultdict, deque
 from itertools import accumulate, chain, combinations, count, repeat
 from typing import Iterable, Iterator, Optional
 
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, cell_limit
 
 
 class MatrixSizeError(RuntimeError):
     """Raised when a boundary matrix exceeds the configured safety cap."""
-
-
-def _cell_limit() -> int:
-    raw = os.environ.get("COXCERT_SNF_CELL_LIMIT", "50000000")
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = -1  # rejected below, with the message for a negative value
-    if limit < 0:
-        raise ValueError(f"COXCERT_SNF_CELL_LIMIT must be a non-negative integer, got {raw!r}")
-    return limit
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -46,7 +34,7 @@ def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
     cols = [col for col in ({r: v for r, v in c.items() if v} for c in columns) if col]
     rmap = {r: i for i, r in enumerate(sorted({r for col in cols for r in col}))}
     m, n = len(rmap), len(cols)
-    if m * n > _cell_limit():
+    if m * n > cell_limit():
         raise MatrixSizeError(f"dense {m} x {n} SNF array exceeds cell limit")
     a = [[0] * n for _ in range(m)]
     for j, col in enumerate(cols):
@@ -109,7 +97,7 @@ def check_boundary_entries(sizes: list[int]) -> None:
     """The boundary entries of `sizes[d]` cells of each degree d, or of those
     counted so far, count against the cell limit: `MatrixSizeError` past it."""
     nnz = sum((d + 1) * n for d, n in enumerate(sizes) if d)
-    if nnz > _cell_limit():
+    if nnz > cell_limit():
         raise MatrixSizeError(f"chain complex with at least {nnz} boundary entries exceeds cell limit")
 
 

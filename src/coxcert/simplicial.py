@@ -1,6 +1,7 @@
 """Finite abstract simplicial complexes and their basic constructions."""
 from __future__ import annotations
 
+import os
 from collections import Counter, defaultdict
 from itertools import chain, combinations, repeat
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -236,13 +237,27 @@ def cliques(adj: Sequence[AbstractSet[int]]) -> Iterator[tuple[int, ...]]:
         level = nxt
 
 
-def capped(cells: Iterable[tuple[int, ...]], max_cells: Optional[int]) -> Iterator[tuple[int, ...]]:
+def cell_limit() -> int:
+    """The cell limit, `COXCERT_SNF_CELL_LIMIT` (default 50,000,000), read
+    where each cap is checked; `ValueError` unless a non-negative integer."""
+    raw = os.environ.get("COXCERT_SNF_CELL_LIMIT", "50000000")
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1  # rejected below, with the message for a negative value
+    if limit < 0:
+        raise ValueError(f"COXCERT_SNF_CELL_LIMIT must be a non-negative integer, got {raw!r}")
+    return limit
+
+
+def capped(cells: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     """The simplices of a nerve as they come, raising `ValueError` ("nerve:
-    more than ...") as soon as one more than `max_cells` comes, so that
-    nothing past the cap is built."""
+    more than ...") as soon as one more than the cell limit comes, so that
+    nothing past the limit is built."""
+    limit = cell_limit()
     for n, cell in enumerate(cells, 1):
-        if max_cells is not None and n > max_cells:
-            raise ValueError(f"nerve: more than {max_cells} simplices, over the cell limit")
+        if n > limit:
+            raise ValueError(f"nerve: more than {limit} simplices, over the cell limit")
         yield cell
 
 
@@ -276,9 +291,9 @@ def complex_to_json(k: SimplicialComplex) -> dict:
     }
 
 
-def complex_from_json(data: Mapping, max_cells: Optional[int] = None) -> SimplicialComplex:
+def complex_from_json(data: Mapping) -> SimplicialComplex:
     """Complex of a JSON object, after checks on its shape, built from its
-    listed sets by `faces_closure` with its checks; `max_cells` caps the
+    listed sets by `faces_closure` with its checks; the cell limit caps the
     faces they span."""
     if not isinstance(data, Mapping):
         raise ValueError("complex JSON must be an object")
@@ -293,4 +308,4 @@ def complex_from_json(data: Mapping, max_cells: Optional[int] = None) -> Simplic
         isinstance(m, list) and all(isinstance(v, str) for v in m) for m in maximal
     ):
         raise ValueError("'maximal_simplices' must be a list of vertex lists")
-    return faces_closure(maximal, vertices, max_cells)
+    return faces_closure(maximal, vertices, cell_limit())

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from coxcert import simplicial
 from coxcert.cli import main
 from coxcert.davis import DavisBall
-from coxcert.homology import _cell_limit, homology
+from coxcert.homology import homology
 from coxcert.simplicial import SimplicialComplex, complex_from_json, complex_to_json, faces_closure
 from coxcert.coxeter import CoxeterSystem, racg_from_flag, system_to_json
 from coxcert.presentations import spine_complex
@@ -162,7 +162,7 @@ def test_homology_input_errors_match_complex_from_json(tmp_path, capsys, monkeyp
     if limit is not None:
         monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", limit)
     with pytest.raises(ValueError) as refused:
-        complex_from_json(data, max_cells=_cell_limit())
+        complex_from_json(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, report = run_cli(capsys, "homology", str(path))

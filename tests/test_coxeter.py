@@ -25,6 +25,7 @@ from coxcert.coxeter import (
     system_from_json,
     system_to_json,
 )
+from coxcert.davis import DavisBall
 from coxcert.simplicial import cliques, faces_closure
 
 from helpers import (
@@ -284,9 +285,18 @@ def test_general_nerve_stops_at_its_cap(monkeypatch):
         return is_spherical_idx(*args)
 
     monkeypatch.setattr(coxeter, "_is_spherical_idx", counted)
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "1000")
     with pytest.raises(ValueError, match="more than 1000 simplices"):
-        nerve(sys, max_cells=1000)
+        nerve(sys)
     assert calls <= 1000
+    # the other builders of a nerve read the same limit, with the message the
+    # CLI prints: on 11 commuting generators (2,047 cliques), the
+    # hyperbolicity test and a ball
+    commuting = diagram_system(11, {})
+    for build in (lambda: hyperbolicity(commuting), lambda: DavisBall(commuting, 0)):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == "nerve: more than 1000 simplices, over the cell limit"
 
 
 def test_nerve_racg_round_trip():

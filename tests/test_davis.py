@@ -148,13 +148,14 @@ def test_triangle_nerve_full_ball_size():
     assert len(b.cosets) == 27
 
 
-def test_materialization_cap_counts_cosets_then_chains():
+def test_materialization_cap_counts_cosets_then_chains(monkeypatch):
     """The index checks its exact cells before it builds any."""
     b = davis_ball(edge_nerve_system(), 2)  # singular set: 5 cosets, 9 chains
-    assert sum(singular_subcomplex(b, max_cells=9).counts()) == 9
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "9")
+    assert sum(singular_subcomplex(b).counts()) == 9
     for cap in (4, 8):
         with pytest.raises(MatrixSizeError, match="^9 cells exceed the materialization cap$"):
-            singular_subcomplex(b, max_cells=cap)
+            CellIndex(b, sharp=False).cells(cap)
 
 
 def test_realization_is_flag():
@@ -307,7 +308,8 @@ def test_coset_counts_match_enumeration(seed):
         assert sum(counts) == davis_expectations(adj, radius)["cosets"]
 
 
-def test_spine_coset_counts(spine_ball):
+def test_spine_coset_counts(spine_ball, monkeypatch):
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "2305205373")
     assert spine_ball.coset_counts() == [137, 18496, 66825, 48240]
     assert sum(DavisBall(spine_ball.system, 2).coset_counts()) == 17559543
     assert sum(DavisBall(spine_ball.system, 3).coset_counts()) == 2305205373
@@ -325,17 +327,21 @@ def test_spine_sharp_set_pairing(spine_ball):
     )
 
 
-def test_coset_counts_stop_at_the_limit():
+def test_coset_counts_stop_at_the_limit(monkeypatch):
     """A total over the limit raises while summing; a finite group stops at
     its longest element; an infinite group has an element of every length,
     so a radius past the limit raises at once."""
     b = davis_ball(edge_nerve_system(), 2)
-    assert b.coset_counts(9) == [4, 4, 1]
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "9")
+    assert b.coset_counts() == [4, 4, 1]
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "8")
     with pytest.raises(MatrixSizeError, match="radius-2 ball: more than 8 cosets"):
-        b.coset_counts(8)
+        b.coset_counts()
+    monkeypatch.delenv("COXCERT_SNF_CELL_LIMIT")
     assert davis_ball(triangle_nerve_system(), 10**9).coset_counts() == [8, 12, 6, 1]
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", str(10**6))
     with pytest.raises(MatrixSizeError):
-        davis_ball(dihedral_system(), 10**9).coset_counts(10**6)
+        davis_ball(dihedral_system(), 10**9).coset_counts()
 
 
 def _check_index(ball_, sharp):
@@ -404,4 +410,8 @@ def test_coset_counts_match_the_per_length_sum(seed):
         lambda: cycle_complex(4),
     ])()
     b = davis_ball(racg_from_flag(l), rng.randint(0, 300))
-    assert b.coset_counts() == reference_coset_counts(b)
+    expected = reference_coset_counts(b)
+    # the least limit that passes: a radius up to 300 goes past the default
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COXCERT_SNF_CELL_LIMIT", str(sum(expected)))
+        assert b.coset_counts() == expected

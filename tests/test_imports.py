@@ -9,7 +9,9 @@ a private attribute of another object only when it defines that attribute
 itself, so no module depends on another's internals.  Every function, class
 and method the package defines is named in code (not in a comment or a
 docstring) somewhere in the package, its scripts, the benchmark or the
-acceptance tests; a definition only unit tests reach is dead code.  Every
+acceptance tests; a definition only unit tests reach is dead code.  One
+function reads the environment, `simplicial.cell_limit`, so the cell limit
+is one setting, read where each cap is checked.  Every
 command is a fresh process, so `import coxcert.cli` loads nothing that costs
 start-up time or memory without use: no `dataclasses`, no `inspect`, and no
 `hashlib`, which loads OpenSSL; the input digest comes from the interpreter's
@@ -174,6 +176,51 @@ def unreached_definitions() -> list[str]:
 
 def test_every_definition_is_reached():
     assert unreached_definitions() == []
+
+
+def environment_readers(source: str) -> set[str]:
+    """Innermost functions that read `environ` or `getenv` (as a name or an
+    attribute, so `os.environ` and an imported `environ` both count);
+    `<module>` for a read outside any function."""
+    readers = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name in ("environ", "getenv"):
+                readers.add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_only_cell_limit_reads_the_environment():
+    """The cell limit is one setting, read where each cap is checked through
+    `simplicial.cell_limit`; no other function reads the environment."""
+    readers = {
+        f"{path.stem}.{name}" for path in MODULES for name in environment_readers(path.read_text())
+    }
+    assert readers == {"simplicial.cell_limit"}
+
+
+def test_environment_reader_finder_names_the_innermost_function():
+    source = (
+        "import os\n"
+        "from os import environ, getenv\n"
+        "A = environ.get('A')\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return os.environ['B']\n"
+        "    return g\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        return getenv('C')\n"
+        "    def k(self):\n"
+        "        return os.path.join('environ')\n"
+    )
+    assert environment_readers(source) == {"<module>", "g", "h"}
 
 
 def run_bare(probe: str) -> str:
