@@ -7,12 +7,12 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
 from .homology import ChainComplex, MatrixSizeError, check_boundary_entries
 from .simplicial import SimplicialComplex, capped, cell_limit, cliques
-from .subdivide import face_poset
+from .subdivide import face_poset, order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .coxeter import in_special_subgroup, min_coset_rep, nerve, reduce  # noqa: F401
 from .simplicial import square_report  # noqa: F401
@@ -132,15 +132,14 @@ class DavisBall:
     ) -> Iterator[tuple[int, Word, Subset, list[int]]]:
         """Each coset w*W_T of `kept`, a set closed upwards, in ball order:
         its number, w, T, and the numbers of the cosets above it, one per
-        strict superset of T."""
+        strict superset of T.  One walk numbers them all: a superset u that
+        holds a right descent of w gives a strictly shorter representative,
+        whose cosets are numbered already."""
         supersets = self._supersets
         where: dict[Word, tuple[int, dict[Subset, int]]] = {}
         b = 0
         for w, places in kept:
             where[w] = (b, places)
-            b += len(places)
-        b = 0
-        for w, places in kept:
             # the coset of type u above w*W_T is w*W_u, whatever T is; it is
             # kept, and w is its representative when u misses the descents of w
             number = {}
@@ -248,7 +247,8 @@ class CellIndex:
     Deleting Ti with i >= 1 keeps the bottom and picks another chain from the
     same table; deleting T0 moves the bottom to the coset of type T1 above
     it.  So the cells per degree are known before any is built: the kept
-    cosets of each type times the chains from that type.
+    cosets of each type times the chains from that type.  The views below
+    are order complexes of the walk of its kept cosets (`_extract`).
     """
 
     def __init__(self, ball_: DavisBall, sharp: bool):
@@ -308,10 +308,10 @@ class CellIndex:
             counts.pop()
         return counts
 
-    def cells(self, max_cells: Optional[int] = None) -> int:
+    def cells(self, max_cells: int) -> int:
         """Number of cells; over `max_cells`, MatrixSizeError."""
         total = sum(self.counts)
-        if max_cells is not None and total > max_cells:
+        if total > max_cells:
             raise MatrixSizeError(f"{total} cells exceed the materialization cap")
         return total
 
@@ -362,32 +362,25 @@ class CellIndex:
                 faces[d].extend(map(add, map(base.__getitem__, src), val))
         return ChainComplex.from_faces(counts, faces)
 
-    def chains(self) -> Iterator[tuple[int, ...]]:
-        """Each cell as its chain of kept cosets c0 < ... < cj, by number,
-        bottom by bottom: the j-cells come in the order of their numbers."""
-        supersets = self.ball._supersets
-        for b, _, t, above in self.ball._numbered(self._kept):
-            number = dict(zip(supersets[t], above))
-            number[t] = b
-            for chains in self._chains[t]:
-                for chain in chains:
-                    yield tuple(map(number.__getitem__, chain))
 
-    def complex(self) -> SimplicialComplex:
-        """The extract as a simplicial complex on the kept cosets, named by
-        `coset_id`, after the cells are checked against the cell limit."""
-        self.cells(cell_limit())
-        names = [
-            self.ball.coset_id(SphericalCoset(w, t)) for w, places in self._kept for t in places
-        ]
-        return SimplicialComplex(names, (tuple(sorted(chain)) for chain in self.chains()))
+def _extract(ball_: DavisBall, sharp: bool) -> SimplicialComplex:
+    """Order complex of the singular or sharp set, on cosets named by
+    `coset_id`, once its cells pass the cell limit.  The set is closed
+    upwards, so a kept coset's up-list holds every coset above it."""
+    index = CellIndex(ball_, sharp)
+    index.cells(cell_limit())
+    names, up = [], []
+    for _, w, t, above in ball_._numbered(index._kept):
+        names.append(ball_.coset_id(SphericalCoset(w, t)))
+        up.append(above)
+    return order_complex(names, up)
 
 
 def hash_union_sharp(ball_: DavisBall) -> SimplicialComplex:
-    """Union over the fundamental generators of their fixed subcomplexes."""
-    return CellIndex(ball_, sharp=True).complex()
+    """Union of the generators' fixed subcomplexes: the cosets some generator fixes."""
+    return _extract(ball_, sharp=True)
 
 
 def singular_subcomplex(ball_: DavisBall) -> SimplicialComplex:
-    """Full subcomplex on the cosets with non-trivial type (stabilised points)."""
-    return CellIndex(ball_, sharp=False).complex()
+    """Order complex of the cosets with non-trivial type (stabilised points)."""
+    return _extract(ball_, sharp=False)

@@ -391,10 +391,8 @@ class HomologyResult:
         kind = "reduced" if self.reduced else "unreduced"
         return f"HomologyResult({kind}: {', '.join(parts) if parts else 'trivial'})"
 
-    def to_json(self, max_degree: Optional[int] = None) -> list[dict]:
-        top = max(self.degrees(), default=0)
-        if max_degree is not None:
-            top = max(top, max_degree)
+    def to_json(self, max_degree: int) -> list[dict]:
+        top = max(max(self.degrees(), default=0), max_degree)
         low = -1 if self.betti(-1) else 0
         return [
             {"degree": d, "betti": self.betti(d), "torsion": list(self.torsion(d))}

@@ -22,6 +22,7 @@ from coxcert.subdivide import barycentric_subdivision
 
 from helpers import (
     ReferenceBall,
+    chain_cells,
     cycle_complex,
     full_triangle,
     named_simplices,
@@ -346,25 +347,33 @@ def test_coset_counts_stop_at_the_limit(monkeypatch):
 
 def _check_index(ball_, sharp):
     """The cell index of an extract against the oracle that lists its chains:
-    the cells counted before any is built, the cells built, the oracle's
-    cells, the face slots and the homology must all agree."""
+    the cells counted before any is built, the view, the cells built, the
+    oracle's simplices, the face slots and the homology must all agree."""
     index = CellIndex(ball_, sharp)
     oracle = reference_sharp(ball_) if sharp else reference_singular(ball_)
     counts = index.counts
     assert counts == oracle.counts()
-    assert named_simplices(index.complex()) == named_simplices(oracle)
+    view = hash_union_sharp(ball_) if sharp else singular_subcomplex(ball_)
+    assert named_simplices(view) == named_simplices(oracle)
     cc = index.chain_complex()  # asserts that the built offsets give `counts`
-    chains = [[] for _ in counts]
-    for chain in index.chains():
-        chains[len(chain) - 1].append(chain)
-    assert list(map(len, chains)) == cc.sizes == counts
+    assert cc.sizes == counts
+    cells = chain_cells(cc)
+    # the oracle lists the kept cosets in ball order, the index's vertex numbering
+    names = oracle.vertices
+    named = {tuple(names[v] for v in sorted(cell)) for row in cells for cell in row}
+    assert named == named_simplices(oracle)
+    size = {ball_.coset_id(c): len(c.gens) for c in ball_.cosets}
+    sizes = [size[name] for name in names]
     for d in range(1, len(counts)):
         faces, width = cc.faces[d], d + 1
         assert len(faces) == width * counts[d]
-        for i, chain in enumerate(chains[d]):
-            # slot j omits the coset at chain place d - j, with sign (-1)^(d-j)
-            got = [chains[d - 1][faces[i * width + j]] for j in range(width)]
-            assert got == [chain[: d - j] + chain[d - j + 1 :] for j in range(width)]
+        for i, cell in enumerate(cells[d]):
+            # types grow strictly along a chain; slot j omits the coset at
+            # chain place d - j, with sign (-1)^(d-j)
+            chain = sorted(cell, key=sizes.__getitem__)
+            assert len(chain) == width
+            got = [set(cells[d - 1][faces[i * width + j]]) for j in range(width)]
+            assert got == [set(chain[: d - j] + chain[d - j + 1 :]) for j in range(width)]
     result = chain_homology(cc, reduced=True)
     assert result == reference_homology(oracle, reduced=True)
     return result
@@ -379,10 +388,10 @@ def test_cell_index_matches_the_listed_extract(seed, sharp):
     rng = random.Random(seed)
     sys = racg_from_flag(random_flag_complex(rng, rng.randint(5, 9), rng.choice((0.2, 0.5, 0.8))))
     radius = rng.randint(0, 2)
-    while radius and CellIndex(DavisBall(sys, radius), sharp).cells() > ORACLE_MAX_CELLS:
+    while radius and sum(CellIndex(DavisBall(sys, radius), sharp).counts) > ORACLE_MAX_CELLS:
         radius -= 1
     ball_ = DavisBall(sys, radius)
-    assume(CellIndex(ball_, sharp).cells() <= ORACLE_MAX_CELLS)  # large cliques: large at r = 0
+    assume(sum(CellIndex(ball_, sharp).counts) <= ORACLE_MAX_CELLS)  # large cliques: large at r = 0
     _check_index(ball_, sharp)
 
 
