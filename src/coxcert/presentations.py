@@ -200,35 +200,59 @@ class Pi1Certificate(NamedTuple):
 
 
 def find_pi1_certificate(p: Presentation, degree: int) -> Optional[Pi1Certificate]:
-    """Exhaustive search for the lexicographically least valid image tuple.
+    """The lexicographically least valid image tuple, or None when there is none.
 
-    Practical for two-generator presentations at small degree; the search is
-    the oracle that both finds and verifies the certificate.  For each tuple
-    of images of all generators but the last, each relator's leading run of
-    letters over those generators is evaluated once, and every candidate for
-    the last generator multiplies in only the rest.  The tuples are tried in
-    the same lex order with the same verdicts, so the answer is unchanged.
+    Practical for two-generator presentations at small degree.  A tuple is
+    valid when its images kill every relator and are not all the identity.
+    Conjugating every image by one permutation keeps a tuple valid, and it
+    can move the first image to any permutation of the same cycle type.  So
+    the least valid tuple begins with the lex-least permutation of its cycle
+    type, or one of its conjugates would be less.  Only those first images
+    are tried, one per conjugacy class, and the answer is the one a search
+    of every tuple in lex order gives.  For each tuple of images of all
+    generators but the last, each relator's leading run of letters over
+    those generators is evaluated once, and every candidate for the last
+    generator multiplies in only the rest.
     """
     if not p.generators:
         return None
     identity = tuple(range(degree))
     perms = list(permutations(range(degree)))
     inverse = {perm: _perm_inv(perm) for perm in perms}
+    leaders: dict[tuple[int, ...], Perm] = {}  # cycle type -> its lex-least permutation
+    for perm in perms:
+        leaders.setdefault(_cycle_type(perm), perm)
     *fixed, last = p.generators
+    *choices, lasts = [sorted(leaders.values())] + [perms] * len(fixed)  # one list per generator
     letters = "".join(fixed) + "".join(fixed).upper()
     rests = [r.lstrip(letters) for r in p.relators]  # each from its first letter of `last` on
     imap: dict[str, Perm] = {}
-    for prefix in product(perms, repeat=len(fixed)):
+    for prefix in product(*choices):
         imap.update(zip(letters, prefix + tuple(map(inverse.__getitem__, prefix))))
         heads = [_evaluate(r[: len(r) - len(t)], imap, degree) for r, t in zip(p.relators, rests)]
         trivial = all(x == identity for x in prefix)
-        for cand in perms:
+        for cand in lasts:
             imap[last], imap[last.upper()] = cand, inverse[cand]
             if (cand != identity or not trivial) and all(
                 _evaluate(rest, imap, degree, head) == identity for head, rest in zip(heads, rests)
             ):
                 return Pi1Certificate(presentation=p, degree=degree, images=prefix + (cand,))
     return None
+
+
+def _cycle_type(perm: Perm) -> tuple[int, ...]:
+    """The lengths of the cycles of a permutation, in decreasing order."""
+    seen: set[int] = set()
+    lengths = []
+    for i in perm:
+        n = 0
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            n += 1
+        if n:
+            lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
 
 
 # -- the canonical example ----------------------------------------------------

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict
+from functools import reduce
 from itertools import chain, combinations, repeat
+from operator import and_
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
@@ -264,10 +266,28 @@ def capped(cells: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
 def _flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:
     """An inclusion-minimal clique of the 1-skeleton that spans no simplex.
 
-    The first such clique in (size, lex) order; None when k is flag.
+    The first such clique in (size, lex) order; None when k is flag.  It is
+    decided by counting, with the neighbour sets as int bitsets: each
+    simplex σ of size s extends to the (s+1)-cliques σ + (v,) with v a
+    common neighbour of σ above max σ.  Summed over σ, these counts give
+    every (s+1)-clique whose first s vertices span a simplex, so when every
+    s-clique is a simplex they give the number of (s+1)-cliques, and k is
+    flag exactly when each such sum equals the number of simplices of size
+    s+1.  Only when a sum differs are the cliques listed, up to the first
+    that spans no simplex.
     """
-    missing = next((c for c in cliques(k.adjacency()) if c not in k.simplices), None)
-    return None if missing is None else tuple(k.vertices[i] for i in missing)
+    adj = k.adjacency()
+    nbrs = [sum(1 << w for w in a) for a in adj]
+    by_size: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for s in k.simplices:
+        by_size[len(s)].append(s)
+    for size in range(2, len(by_size) + 1):
+        # common neighbours of each simplex beyond its last vertex
+        above = (reduce(and_, map(nbrs.__getitem__, s)) >> (s[-1] + 1) for s in by_size[size])
+        if sum(c.bit_count() for c in above) != len(by_size.get(size + 1, ())):
+            missing = next(c for c in cliques(adj) if c not in k.simplices)
+            return tuple(k.vertices[i] for i in missing)
+    return None
 
 
 def square_report(k: SimplicialComplex) -> SquareReport:

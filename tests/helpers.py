@@ -120,6 +120,12 @@ def torus_grid(n: int) -> SimplicialComplex:
     return faces_closure(faces, vertices=verts)
 
 
+def simplex_boundary(n: int) -> SimplicialComplex:
+    """The boundary of the simplex on the first n letters a, b, c, ...: a
+    clique of n vertices that spans no simplex, though all its faces do."""
+    return faces_closure(combinations("abcdefgh"[:n], n - 1))
+
+
 def random_complex(rng: random.Random, n_vertices: int = 6, n_faces: int = 5) -> SimplicialComplex:
     verts = [f"r{i}" for i in range(n_vertices)]
     faces = []
@@ -460,6 +466,21 @@ def reference_empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, s
                 squares.add((a, b, c, d))
     names = k.vertices
     return [(names[a], names[b], names[c], names[d]) for a, b, c, d in sorted(squares)]
+
+
+# -- flag check by subsets ----------------------------------------------------
+
+
+def reference_flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:
+    """The least vertex set in (size, lex) order that is a clique of the
+    1-skeleton but not a simplex, found by trying every subset; None when k
+    is flag.  The oracle of `_flag_witness`."""
+    edges = {s for s in k.simplices if len(s) == 2}
+    for r in range(1, len(k.vertices) + 1):
+        for t in combinations(range(len(k.vertices)), r):
+            if t not in k.simplices and all(e in edges for e in combinations(t, 2)):
+                return tuple(k.vertices[i] for i in t)
+    return None
 
 
 # -- contraction with explicit triangle sets ---------------------------------

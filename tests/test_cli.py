@@ -27,6 +27,7 @@ from helpers import (
     diagram_system,
     hollow_triangle,
     projective_plane,
+    simplex_boundary,
     two_points,
 )
 
@@ -276,6 +277,23 @@ def test_hyperbolic_refuses_non_flag(tmp_path, capsys):
     assert code == 1
     assert report["overall"] == "fail"
     assert "witness" in report["steps"][0]["data"]["reason"]
+
+
+@pytest.mark.parametrize("command", ["racg", "hyperbolic"])
+def test_non_flag_refusal_names_the_whole_witness_clique(tmp_path, capsys, command):
+    """The boundary of a tetrahedron has every triangle of its 4-clique, so
+    the witness is found only at size 4."""
+    path = write_complex(tmp_path, simplex_boundary(4))
+    code, report = run_cli(capsys, command, path)
+    assert code == 1
+    assert report["overall"] == "fail"
+    assert report["steps"] == [
+        {
+            "name": "flag-input",
+            "status": "fail",
+            "data": {"reason": "input is not flag; witness clique ('a', 'b', 'c', 'd')"},
+        }
+    ]
 
 
 def test_nerve_and_racg_round_trip(tmp_path, capsys):

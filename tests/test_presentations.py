@@ -134,19 +134,57 @@ def test_no_certificate_for_trivial_group():
 
 
 @st.composite
-def small_presentations(draw) -> Presentation:
-    """One to three generators and up to three relators of length at most 8."""
-    gens = "xyz"[: draw(st.integers(1, 3))]
+def small_presentations(draw, max_generators: int = 3) -> Presentation:
+    """One to `max_generators` generators and up to three relators of length
+    at most 8."""
+    gens = "xyz"[: draw(st.integers(1, max_generators))]
     word = st.text(alphabet=gens + gens.upper(), min_size=1, max_size=8)
     relators = draw(st.lists(word.filter(free_reduce), max_size=3))
     return Presentation(tuple(gens), relators)
 
 
-@settings(max_examples=80, deadline=None)
-@given(small_presentations(), st.sampled_from([3, 4]))
-def test_certificate_search_matches_exhaustive_oracle(p, degree):
+@st.composite
+def presentations_with_degree(draw) -> tuple[Presentation, int]:
+    """A degree from 3 to 5 and a presentation, of at most two generators at
+    degree 5, where the oracle tries up to 120^2 tuples."""
+    degree = draw(st.sampled_from([3, 4, 5]))
+    return draw(small_presentations(3 if degree < 5 else 2)), degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations_with_degree())
+def test_certificate_search_matches_exhaustive_oracle(case):
+    p, degree = case
     cert = find_pi1_certificate(p, degree)
     assert (None if cert is None else cert.images) == reference_find_pi1_certificate(p, degree)
+
+
+def test_certificate_search_keeps_a_double_transposition_first():
+    """<x, y | x^2, y^3, (xy)^5> is Alt(5); at degree 5 the least
+    certificate sends x to (12)(34).  A permutation of order 2 is a
+    transposition or a product of two, so a search that tried one first
+    image per order, not per cycle type, would try only (34) and find no
+    certificate.  At degree 4 no least certificate starts with a double
+    transposition: the image group would be Z2, or have a quotient of order
+    2 or 3 in which x dies (by the sign, or from A4 or V4), and either gives
+    a lesser certificate, sending x to a transposition or to 1."""
+    p = Presentation(("x", "y"), ("xx", "yyy", "xyxyxyxyxy"))
+    cert = find_pi1_certificate(p, 5)
+    assert cert.images == ((0, 2, 1, 4, 3), (1, 3, 2, 0, 4))
+    assert cert.images == reference_find_pi1_certificate(p, 5)
+    assert cert.subgroup_order() == 60
+
+
+def test_second_nerve_certificate():
+    """<x, y | x^7 = (xy)^2 = y^3>: its relator matrix has determinant +1,
+    and the (2, 3, 7) triangle group it maps onto maps onto PSL(2, 7), of
+    order 168 on 7 points.  No non-trivial image of degree 6 kills it."""
+    p = Presentation(("x", "y"), ("xxxxxxxYXYX", "yyyYXYX"))
+    assert exponent_sums(p) == [[5, -2], [-2, 1]]
+    cert = find_pi1_certificate(p, 7)
+    assert cert.images == ((1, 2, 3, 4, 5, 6, 0), (0, 6, 1, 5, 3, 4, 2))
+    assert cert.valid and cert.subgroup_order() == 168
+    assert find_pi1_certificate(p, 6) is None
 
 
 def test_spine_build_checks_the_subdivision_once(monkeypatch):

@@ -29,7 +29,9 @@ from helpers import (
     reference_closure,
     reference_empty_squares,
     reference_facets,
+    reference_flag_witness,
     reference_homology,
+    simplex_boundary,
     two_points,
 )
 
@@ -269,6 +271,35 @@ def test_cliques_match_brute_force(seed):
         key=lambda t: (len(t), t),
     )
     assert list(cliques(adj)) == expected
+
+
+@pytest.mark.parametrize(
+    "n", [3, 4, 5], ids=["hollow-triangle", "boundary-tetrahedron", "boundary-4-simplex"]
+)
+def test_flag_witness_of_a_simplex_boundary_is_the_whole_clique(n):
+    """Every face of the boundary of an (n-1)-simplex is there, so the
+    counts agree below size n and the witness is the n-clique itself."""
+    k = simplex_boundary(n)
+    assert _flag_witness(k) == reference_flag_witness(k) == tuple("abcde"[:n])
+    assert not square_report(k).is_flag
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0))
+def test_flag_witness_matches_subset_oracle(seed):
+    """Random cells, with the boundary of a simplex of 3 to 5 vertices
+    planted among them, so that a clique of that size spans no simplex
+    unless another cell fills it."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 9)
+    sizes = [rng.randint(1, min(n, 4)) for _ in range(rng.randint(0, 8))]
+    cells = [tuple(sorted(rng.sample(range(n), size))) for size in sizes]
+    planted = tuple(sorted(rng.sample(range(n), rng.randint(3, 5))))
+    cells += combinations(planted, len(planted) - 1)
+    k = SimplicialComplex([f"v{i}" for i in range(n)], cells)
+    witness = _flag_witness(k)
+    assert witness == reference_flag_witness(k)
+    assert witness is not None or planted in k.simplices
 
 
 class _BudgetedAdjacency(list):
