@@ -216,11 +216,10 @@ def cmd_davis(args) -> RunReport:
         return report
     ball = _checked(davis_ball, sys_, args.radius)
     try:
-        counts = ball.coset_counts()
+        total = sum(ball.coset_counts())
     except MatrixSizeError as exc:
         report.add("ball", "skipped", radius=args.radius, reason=str(exc))
         return report
-    total = sum(counts)
     report.add(
         "ball",
         "pass",
@@ -233,12 +232,7 @@ def cmd_davis(args) -> RunReport:
         # every wall holds the cosets e*W_T with T containing its generator, so
         # the sharp set has the dimension of the singular set
         extracted_dim = ball.singular_dim()
-        # the singular set lists the cosets of non-empty type; the sharp set
-        # lists every coset before it keeps those some generator fixes
-        listed = total - counts[0] if args.singular else total
         try:
-            if listed > args.max_cells:
-                raise MatrixSizeError(f"{listed} cosets exceed the materialization cap")
             index = CellIndex(ball, sharp=args.sharp)
             cells = index.cells(args.max_cells)
         except MatrixSizeError as exc:
@@ -253,10 +247,14 @@ def cmd_davis(args) -> RunReport:
             except MatrixSizeError as exc:
                 report.add("homology", "skipped", reason=str(exc))
     if args.dump:
-        if total > args.max_cells:
-            report.add("dump", "skipped", reason=f"{total} cosets exceed the materialization cap")
+        try:
+            if total > args.max_cells:
+                raise MatrixSizeError(f"{total} cosets exceed the materialization cap")
+            data = ball.to_json()
+        except MatrixSizeError as exc:
+            report.add("dump", "skipped", reason=str(exc))
         else:
-            _write_json(args.dump, ball.to_json())
+            _write_json(args.dump, data)
     return report
 
 

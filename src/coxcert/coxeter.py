@@ -305,9 +305,14 @@ def ball(sys: CoxeterSystem, radius: int) -> list[Word]:
 
 def right_descents(sys: CoxeterSystem, w: Word) -> set[int]:
     """Right-descent set of a normal form w: the letters that commute with
-    every letter after them."""
-    link = sys.link
-    return {x for i, x in enumerate(w) if link[x].issuperset(w[i + 1 :])}
+    every letter after them.  One scan from the right, keeping the letters
+    seen: O(|w| * rank)."""
+    link, after, descents = sys.link, set(), set()
+    for x in reversed(w):
+        if link[x].issuperset(after):
+            descents.add(x)
+        after.add(x)
+    return descents
 
 
 def coset_rep(sys: CoxeterSystem, w: Word, t: tuple[int, ...]) -> Word:
@@ -315,12 +320,17 @@ def coset_rep(sys: CoxeterSystem, w: Word, t: tuple[int, ...]) -> Word:
     w without its right descents in T (Bjorner-Brenti, Prop. 2.4.4).
 
     T is a clique, so deleting one such descent leaves the others descents;
-    the result is again a normal form.
+    the result is again a normal form.  One scan from the right, as in
+    `right_descents`.
     """
     if not t:
         return w
-    link = sys.link
-    return tuple(x for i, x in enumerate(w) if x not in t or not link[x].issuperset(w[i + 1 :]))
+    link, after, kept = sys.link, set(), []
+    for x in reversed(w):
+        if x not in t or not link[x].issuperset(after):
+            kept.append(x)
+        after.add(x)
+    return tuple(reversed(kept))
 
 
 def min_coset_rep(sys: CoxeterSystem, w: Iterable[int], subset: Iterable[str]) -> Word:

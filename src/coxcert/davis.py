@@ -55,7 +55,15 @@ class DavisBall:
 
     @cached_property
     def _supersets(self) -> dict[Subset, list[Subset]]:
-        """Strict supersets of each type, for the up-lists; built on first use."""
+        """Strict supersets of each type, for the up-lists; built on first use.
+
+        A type of size k lies in 2^k - 1 of these lists, the empty type's
+        included, so the entries are counted from the sizes first: past the
+        cell limit, MatrixSizeError before any list is built.
+        """
+        entries = sum((1 << len(t)) - 1 for t in self._sphericals)
+        if entries > cell_limit():
+            raise MatrixSizeError(f"nerve: {entries} superset entries, over the cell limit")
         faces, _, up = face_poset(SimplicialComplex(self.system.generators, self._sphericals[1:]))
         supersets = {t: [faces[j] for j in above] for t, above in zip(faces, up)}
         supersets[()] = faces
@@ -107,7 +115,15 @@ class DavisBall:
 
     def _elements(self) -> Iterator[tuple[Word, list[Subset]]]:
         """Each w of length <= r in (length, word) order, with the types T of
-        its cosets w*W_T in (size, T) order: those missing its right descents."""
+        its cosets w*W_T in (size, T) order: those missing its right descents.
+        The N_r words hold at most N_r * r letters; past the cell limit,
+        MatrixSizeError before any word is listed."""
+        words = self.coset_counts()[0]
+        if words * self.radius > cell_limit():
+            raise MatrixSizeError(
+                f"radius-{self.radius} ball: {words} words of up to {self.radius} letters,"
+                " over the cell limit"
+            )
         for w in ball(self.system, self.radius):
             descents = right_descents(self.system, w)
             yield w, [t for t in self._sphericals if descents.isdisjoint(t)]
@@ -243,12 +259,15 @@ class CellIndex:
     each clique T containing T0 strictly, so a chain c0 < ... < cj is its
     bottom c0 and a chain of cliques T0 < ... < Tj.  The kept cosets are
     numbered in ball order, and the j-cell of bottom b and clique chain k is
-    numbered offset_j[b] + k, k its place in the table of j-chains from T0.
-    Deleting Ti with i >= 1 keeps the bottom and picks another chain from the
-    same table; deleting T0 moves the bottom to the coset of type T1 above
-    it.  So the cells per degree are known before any is built: the kept
-    cosets of each type times the chains from that type.  The views below
-    are order complexes of the walk of its kept cosets (`_extract`).
+    numbered offset_j[b] + k, k its place in the table of j-chains from T0,
+    one dict from each chain to its place.  Deleting Ti with i >= 1 keeps
+    the bottom and picks another chain from the same table; deleting T0
+    moves the bottom to the coset of type T1 above it.  So the cells per
+    degree are known before any is built: the kept cosets of each type times
+    the chains from that type.  The singular set's kept cosets are counted
+    in closed form; the sharp set's are counted by a walk of every coset of
+    the ball, which `cells` checks first.  The views below are order
+    complexes of the walk of its kept cosets (`_extract`).
     """
 
     def __init__(self, ball_: DavisBall, sharp: bool):
@@ -264,15 +283,17 @@ class CellIndex:
             self._lengths[t] = n
 
     @cached_property
-    def _chains(self) -> dict[Subset, list[list[tuple[Subset, ...]]]]:
+    def _chains(self) -> dict[Subset, list[dict[tuple[Subset, ...], int]]]:
         """The chains of types from each non-empty type, by length: the
-        tables, built only once their cells are counted and let through."""
-        chains: dict[Subset, list[list[tuple[Subset, ...]]]] = {}
+        tables, each chain mapped to its place in insertion order, built
+        only once their cells are counted and let through."""
+        chains: dict[Subset, list[dict[tuple[Subset, ...], int]]] = {}
         for t in reversed(self.ball._sphericals[1:]):
-            by_length = [[(t,)]] + [[] for _ in range(self._width - 1)]
+            by_length = [{(t,): 0}] + [{} for _ in range(self._width - 1)]
             for u in self.ball._supersets[t]:
-                for j, tails in enumerate(chains[u][:-1], 1):
-                    by_length[j] += [(t,) + tail for tail in tails]
+                for table, tails in zip(by_length[1:], chains[u]):
+                    for tail in tails:
+                        table[(t,) + tail] = len(table)
             chains[t] = by_length
         return chains
 
@@ -309,19 +330,17 @@ class CellIndex:
         return counts
 
     def cells(self, max_cells: int) -> int:
-        """Number of cells; over `max_cells`, MatrixSizeError."""
+        """Number of cells; over `max_cells`, MatrixSizeError.  The sharp set
+        is counted by testing every coset of the ball, so over `max_cells`
+        cosets it is refused before any is listed."""
+        if self.sharp:
+            cosets = sum(self.ball.coset_counts())
+            if cosets > max_cells:
+                raise MatrixSizeError(f"{cosets} cosets exceed the materialization cap")
         total = sum(self.counts)
         if total > max_cells:
             raise MatrixSizeError(f"{total} cells exceed the materialization cap")
         return total
-
-    @cached_property
-    def _places(self) -> dict[Subset, list[dict[tuple[Subset, ...], int]]]:
-        """The place of each chain in its table."""
-        return {
-            t: [{chain: k for k, chain in enumerate(chains)} for chains in by_length]
-            for t, by_length in self._chains.items()
-        }
 
     def _slots(self, t: Subset, d: int) -> tuple[list[int], list[int]]:
         """The face slots of the d-cells from type t.  Slot j of a cell is
@@ -329,14 +348,15 @@ class CellIndex:
         d-1 and base[n] that of the coset above the bottom of the n-th strict
         superset of t.  Slot j deletes the type at place d-j of the chain."""
         up = {u: n for n, u in enumerate(self.ball._supersets[t], 1)}
-        same = self._places[t][d - 1]
+        tables = self._chains
+        same = tables[t][d - 1]
         src, val = [], []
-        for chain in self._chains[t][d]:
+        for chain in tables[t][d]:
             for m in range(d, 0, -1):
                 src.append(0)
                 val.append(same[chain[:m] + chain[m + 1 :]])
             src.append(up[chain[1]])
-            val.append(self._places[chain[1]][d - 1][chain[1:]])
+            val.append(tables[chain[1]][d - 1][chain[1:]])
         return src, val
 
     def chain_complex(self) -> ChainComplex:

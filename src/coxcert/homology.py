@@ -184,12 +184,14 @@ class ChainComplex:
         removed as the lower cell of the pair (a, b) becomes
         -<d(b), a> (d(b) - <d(b), a> a), its faces resolved the same way.
 
-        A cell that stops being active lowers the active-face count of each
-        active coface, and one left with a single active face is queued as
-        its (degree, cell) pair, first in, first out.  The cofaces of each
-        degree are one CSR pair of flat arrays (`coface_csr`), built one
-        degree at a time, each cell's in increasing order: that order sets
-        the order cells are queued in, and so the pairing.
+        One step, `release`, serves every cell that stops being active: the
+        lower then the upper cell of each pair, and each critical cell.  It
+        lowers the active-face count of each active coface, and queues one
+        left with a single active face as its (degree, cell) pair, first in,
+        first out.  The cofaces of each degree are one CSR pair of flat
+        arrays (`coface_csr`), built one degree at a time, each cell's in
+        increasing order: that order sets the order cells are queued in, and
+        so the pairing.
         """
         sizes, faces = self.sizes, self.faces
         top = len(sizes)
@@ -208,6 +210,19 @@ class ChainComplex:
         # None above the top degree
         cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], d + 1) for d in range(1, top)] + [None]
         start = [0] * top
+
+        def release(d: int, x: int) -> None:
+            # the d-cell x stops being active: each active coface loses an
+            # active face, and one left with a single active face is queued
+            if cofaces[d + 1]:
+                above, count = state[d + 1], live[d + 1]
+                off, flat = cofaces[d + 1]
+                for c in flat[off[x] : off[x + 1]]:
+                    if not above[c]:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            queue.append((d + 1, c))
+
         while True:
             while queue:
                 d, b = queue.popleft()
@@ -222,22 +237,8 @@ class ChainComplex:
                 pairs = upper[d - 1]
                 place[d - 1][a] = place[d][b] = len(pairs)
                 pairs.append(b)
-                # a and b stop being active: each active coface of either
-                # loses an active face, and with one left is queued
-                off, flat = cofaces[d]
-                for c in flat[off[a] : off[a + 1]]:
-                    if not here[c]:
-                        count[c] -= 1
-                        if count[c] == 1:
-                            queue.append((d, c))
-                if cofaces[d + 1]:
-                    above, count = state[d + 1], live[d + 1]
-                    off, flat = cofaces[d + 1]
-                    for c in flat[off[b] : off[b + 1]]:
-                        if not above[c]:
-                            count[c] -= 1
-                            if count[c] == 1:
-                                queue.append((d + 1, c))
+                release(d - 1, a)
+                release(d, b)
             # no pair left: the lowest-degree active cell becomes critical
             for d in range(top):
                 i = state[d].find(0, start[d])
@@ -249,14 +250,7 @@ class ChainComplex:
             start[d] = i + 1
             state[d][i] = 1
             critical[d].append(i)
-            if cofaces[d + 1]:
-                above, count = state[d + 1], live[d + 1]
-                off, flat = cofaces[d + 1]
-                for c in flat[off[i] : off[i + 1]]:
-                    if not above[c]:
-                        count[c] -= 1
-                        if count[c] == 1:
-                            queue.append((d + 1, c))
+            release(d, i)
         columns = [[]]
         for d in range(1, top):
             columns.append(self._follow(d, state, place, upper[d - 1], critical, cofaces[d]))

@@ -785,6 +785,18 @@ def reference_ball(sys, radius: int) -> list[tuple[int, ...]]:
     return sorted(seen, key=lambda w: (len(w), w))
 
 
+def reference_right_descents(sys, w) -> set[int]:
+    """The letters of a normal form w that commute with every letter of the
+    suffix after them, each suffix sliced out whole."""
+    return {x for i, x in enumerate(w) if sys.link[x].issuperset(w[i + 1 :])}
+
+
+def reference_coset_rep(sys, w, t) -> tuple[int, ...]:
+    """w without its right descents in the clique T, each tested against
+    the sliced suffix after it."""
+    return tuple(x for i, x in enumerate(w) if x not in t or not sys.link[x].issuperset(w[i + 1 :]))
+
+
 def reference_min_coset_rep(sys, w, t) -> tuple[int, ...]:
     """Shortest element of w*W_T, T given by generator indices, by greedy
     descent: multiply by a letter of T while that shortens the normal form."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxcert import simplicial
+from coxcert import davis, simplicial
 from coxcert.cli import main
 from coxcert.davis import DavisBall
 from coxcert.homology import homology
@@ -74,6 +74,17 @@ def no_coset_list(monkeypatch):
         raise AssertionError("DavisBall.cosets enumerated")
 
     monkeypatch.setattr(DavisBall, "cosets", property(refuse))
+
+
+@pytest.fixture
+def no_ball_walk(monkeypatch, no_coset_list):
+    """Also fail as soon as any Davis ball walks its words, as the sharp
+    count and every numbering of its cosets do."""
+
+    def refuse(ball):
+        raise AssertionError("DavisBall._elements walked")
+
+    monkeypatch.setattr(DavisBall, "_elements", refuse)
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +359,7 @@ def test_davis_command_sharp_and_dump(tmp_path, capsys, no_coset_list):
     assert data["cosets"]
 
 
-def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys, no_coset_list):
+def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys, no_ball_walk):
     """The sharp set tests all 73 cosets of the ball: over the cap, none is listed."""
     path = write_complex(tmp_path, cycle_complex(4))
     code, report = run_cli(
@@ -364,7 +375,7 @@ def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys, no_coset_list
     assert "homology" not in steps
 
 
-def test_davis_command_exact_cells_over_cap_are_skipped(tmp_path, capsys, no_coset_list):
+def test_davis_command_exact_cells_over_cap_are_skipped(tmp_path, capsys, no_ball_walk):
     """The 60 singular cosets fit under the cap, their 132 chains do
     not: the cells are counted from the growth series, and none is built."""
     path = write_complex(tmp_path, cycle_complex(4))
@@ -397,7 +408,7 @@ def test_dense_nerve_extract_is_skipped_before_any_chain(tmp_path, extract):
     )
 
 
-def test_davis_dump_over_cap_is_skipped(tmp_path, capsys, no_coset_list):
+def test_davis_dump_over_cap_is_skipped(tmp_path, capsys, no_ball_walk):
     path = write_complex(tmp_path, cycle_complex(4))
     dump = tmp_path / "ball.json"
     argv = ("davis", path, "--radius", "2", "--dump", str(dump), "--max-cells", "72")
@@ -412,7 +423,7 @@ def test_davis_dump_over_cap_is_skipped(tmp_path, capsys, no_coset_list):
     assert not dump.exists()
 
 
-def test_plain_davis_lists_no_cosets(spine_path, capsys, no_coset_list):
+def test_plain_davis_lists_no_cosets(spine_path, capsys, no_ball_walk):
     code, report = run_cli(capsys, "davis", spine_path, "--radius", "2")
     assert code == 0
     assert report["overall"] == "pass"
@@ -424,7 +435,7 @@ def test_plain_davis_lists_no_cosets(spine_path, capsys, no_coset_list):
     [
         ("2", (), "ball", "pass", {"radius": 2, "cosets": 17559543, "realization_dim": 3}),
         ("2", ("--singular",), "extract", "skipped",
-         {"kind": "singular", "dim": 2, "reason": "17541541 cosets exceed the materialization cap"}),
+         {"kind": "singular", "dim": 2, "reason": "112264201 cells exceed the materialization cap"}),
         ("3", (), "ball", "skipped",
          {"radius": 3, "reason": "radius-3 ball: more than 50000000 cosets, over the cell limit"}),
         ("1000000000", (), "ball", "skipped",
@@ -462,6 +473,71 @@ def test_linear_growth_is_counted_at_once(tmp_path):
         "status": "pass",
         "data": {"radius": 12000000, "cosets": 48000003, "realization_dim": 1},
     }]
+
+
+def test_long_words_of_a_line_are_walked_in_linear_time(tmp_path):
+    """Two points at radius 3,000: the right descents of each of the 6,001
+    words are found in one scan, so the 6,002 singular cells are built and
+    reduced well inside the child's timeout."""
+    path = write_complex(tmp_path, two_points())
+    start = time.monotonic()
+    code, report = run_child("davis", path, "--radius", "3000", "--singular")
+    assert time.monotonic() - start < 5
+    assert code == 0
+    assert report["overall"] == "pass"
+    assert report["steps"][1]["data"]["cells"] == 6002
+
+
+@pytest.mark.parametrize(
+    "flag, step", [("--singular", "homology"), ("--sharp", "extract"), ("--dump", "dump")]
+)
+def test_ball_of_long_words_is_skipped_before_the_walk(tmp_path, flag, step):
+    """Two points at radius 100,000: 200,001 words of up to 100,000 letters,
+    over the cell limit in letters though not in cells or cosets.  The
+    singular cells are counted without the walk; the step that needs it is
+    skipped, and nothing is written."""
+    path = write_complex(tmp_path, two_points())
+    dump = tmp_path / "ball.json"
+    argv = [flag, str(dump)] if flag == "--dump" else [flag]
+    start = time.monotonic()
+    code, report = run_child("davis", path, "--radius", "100000", *argv)
+    assert time.monotonic() - start < 2
+    assert code == 0
+    assert report["overall"] == "indeterminate"
+    assert report["steps"][-1]["name"] == step
+    assert report["steps"][-1]["data"]["reason"] == (
+        "radius-100000 ball: 200001 words of up to 100000 letters, over the cell limit"
+    )
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("flag", ["--singular", "--dump"])
+def test_dense_nerve_up_lists_are_counted_before_any_is_built(tmp_path, capsys, monkeypatch, flag):
+    """Twelve commuting generators: the 4,096 cliques fit under a limit of
+    10,000, but their up-lists hold 3^12 - 2^12 = 527,345 entries, counted
+    from the clique sizes before the face poset is built."""
+    n = 12
+    path = tmp_path / "k12.json"
+    path.write_text(json.dumps({
+        "generators": [f"g{i}" for i in range(n)],
+        "matrix": [[1 if i == j else 2 for j in range(n)] for i in range(n)],
+    }))
+    dump = tmp_path / "ball.json"
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "10000")
+
+    def refuse(*args):
+        raise AssertionError("the face poset of the nerve was built")
+
+    monkeypatch.setattr(davis, "face_poset", refuse)
+    argv = [flag, str(dump)] if flag == "--dump" else [flag]
+    code, report = run_cli(capsys, "davis", str(path), "--radius", "0", *argv)
+    assert code == 0
+    assert report["overall"] == "indeterminate"
+    assert report["steps"][-1]["status"] == "skipped"
+    assert report["steps"][-1]["data"]["reason"] == (
+        "nerve: 527345 superset entries, over the cell limit"
+    )
+    assert not dump.exists()
 
 
 def test_davis_homology_cap_counts_critical_cells(tmp_path, capsys):

@@ -14,6 +14,7 @@ from coxcert.coxeter import (
     CoxeterSystem,
     _is_spherical_idx,
     ball,
+    coset_rep,
     hyperbolicity,
     in_special_subgroup,
     min_coset_rep,
@@ -37,9 +38,11 @@ from helpers import (
     named_simplices,
     random_flag_complex,
     reference_ball,
+    reference_coset_rep,
     reference_is_spherical,
     reference_min_coset_rep,
     reference_reduce,
+    reference_right_descents,
     two_points,
 )
 
@@ -452,6 +455,18 @@ def test_insertion_rule_matches_two_pass_oracles():
             labels = [sys.generators[i] for i in t]
             for w in words:
                 assert min_coset_rep(sys, w, labels) == reference_min_coset_rep(sys, w, t), (w, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(st.integers(0, 7), max_size=40))
+def test_one_scan_descents_match_suffix_slices(rng, letters):
+    """`right_descents` and `coset_rep`, one scan from the right, agree with
+    testing each letter against the slice of the word after it."""
+    sys = racg_from_flag(random_flag_complex(rng, 8, rng.choice((0.2, 0.5, 0.8))))
+    w = reduce(sys, letters)
+    assert right_descents(sys, w) == reference_right_descents(sys, w)
+    for t in cliques(sys.link):
+        assert coset_rep(sys, w, t) == reference_coset_rep(sys, w, t), (w, t)
 
 
 def test_ball_lengths_and_descents_match_benchmark_table():

@@ -345,6 +345,20 @@ def test_coset_counts_stop_at_the_limit(monkeypatch):
         davis_ball(dihedral_system(), 10**9).coset_counts()
 
 
+def test_sharp_view_over_its_guard_walks_no_word(monkeypatch):
+    """`hash_union_sharp` counts the ball's 73 cosets before its count walks
+    them: over the cell limit, MatrixSizeError, and no word is listed."""
+    b = davis_ball(racg_from_flag(cycle_complex(4)), 2)
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "72")
+
+    def refuse(ball_):
+        raise AssertionError("DavisBall._elements walked")
+
+    monkeypatch.setattr(DavisBall, "_elements", refuse)
+    with pytest.raises(MatrixSizeError):
+        hash_union_sharp(b)
+
+
 def _check_index(ball_, sharp):
     """The cell index of an extract against the oracle that lists its chains:
     the cells counted before any is built, the view, the cells built, the
