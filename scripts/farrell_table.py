@@ -1,5 +1,14 @@
 #!/usr/bin/env python3
-"""Print the H3 growth table for torus models with 1..n slope fillings."""
+"""Print the H1 and H3 table for torus models with 1..n slope fillings.
+
+Usage: PYTHONPATH=src python scripts/farrell_table.py [-n N]
+
+Unlike `coxcert farrell`, which reduces each filling once, as a pair with
+the torus (`models.farrell_h3_growth`), this builds every prefix model and
+takes its whole homology, because it prints H1, whose torsion depends on
+the slopes together.  So it costs one model per row, each on the grid of
+its prefix.
+"""
 import argparse
 import time
 

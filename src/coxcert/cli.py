@@ -250,6 +250,9 @@ def cmd_davis(args) -> RunReport:
         try:
             if total > args.max_cells:
                 raise MatrixSizeError(f"{total} cosets exceed the materialization cap")
+            pairs = ball.order_pairs()
+            if pairs > args.max_cells:
+                raise MatrixSizeError(f"{pairs} order pairs exceed the materialization cap")
             data = ball.to_json()
         except MatrixSizeError as exc:
             report.add("dump", "skipped", reason=str(exc))
@@ -277,6 +280,9 @@ def cmd_farrell(args) -> RunReport:
         ranks = farrell_h3_growth(args.slopes)
     except MatrixSizeError as exc:
         report.add("h3-growth", "skipped", reason=str(exc))
+        return report
+    except ArithmeticError as exc:
+        report.add("h3-growth", "fail", reason=str(exc))
         return report
     monotone = all(a <= b for a, b in zip(ranks, ranks[1:]))
     report.add("h3-growth", "pass" if monotone else "fail", ranks=ranks)

@@ -102,6 +102,17 @@ class DavisBall:
                 )
         return counts
 
+    def order_pairs(self) -> int:
+        """Number of the pairs of cosets, one inside the other, without
+        listing them.  Above a coset of type T lies one coset per strict
+        superset U of T, and each of the f_k types of size k has n_k =
+        `coset_counts()[k]` / f_k cosets, so the pairs number sum_U sum_{k <
+        |U|} C(|U|, k) n_k."""
+        counts = self.coset_counts()
+        f = Counter(map(len, self._sphericals))
+        n = [c // f[k] for k, c in enumerate(counts)]
+        return sum(f[m] * sum(comb(m, k) * n[k] for k in range(m)) for m in f)
+
     @cached_property
     def cosets(self) -> tuple[SphericalCoset, ...]:
         """Every coset, ordered by (length, word) of the representative, then (size, T).
@@ -272,15 +283,20 @@ class CellIndex:
 
     def __init__(self, ball_: DavisBall, sharp: bool):
         self.ball, self.sharp = ball_, sharp
-        # the number of chains of types from each non-empty type, by length
-        # 0..dim L; larger types first, so each sums over its supersets
         self._width = ball_.singular_dim() + 1
-        self._lengths: dict[Subset, list[int]] = {}
-        for t in reversed(ball_._sphericals[1:]):
+
+    @cached_property
+    def _lengths(self) -> dict[Subset, list[int]]:
+        """The number of chains of types from each non-empty type, by length
+        0..dim L; larger types first, so each sums over its supersets.  Built
+        on first use, from the face poset of the nerve."""
+        lengths: dict[Subset, list[int]] = {}
+        for t in reversed(self.ball._sphericals[1:]):
             n = [1] + [0] * (self._width - 1)
-            for u in ball_._supersets[t]:
-                n[1:] = map(add, n[1:], self._lengths[u])
-            self._lengths[t] = n
+            for u in self.ball._supersets[t]:
+                n[1:] = map(add, n[1:], lengths[u])
+            lengths[t] = n
+        return lengths
 
     @cached_property
     def _chains(self) -> dict[Subset, list[dict[tuple[Subset, ...], int]]]:
@@ -330,9 +346,17 @@ class CellIndex:
         return counts
 
     def cells(self, max_cells: int) -> int:
-        """Number of cells; over `max_cells`, MatrixSizeError.  The sharp set
-        is counted by testing every coset of the ball, so over `max_cells`
-        cosets it is refused before any is listed."""
+        """Number of cells; over `max_cells`, MatrixSizeError.  Two checks
+        come before the count.  The identity has no right descents, so each
+        pair T < U of non-empty types is a 1-cell e*W_T < e*W_U of both
+        sets: sum_T (2^|T| - 2) over the non-empty types bounds the cells
+        from below (it is the number of 1-cells at radius 0), read off the
+        clique sizes before the face poset of the nerve is built.  The sharp
+        set is counted by testing every coset of the ball, so over
+        `max_cells` cosets it is refused before any is listed."""
+        edges = sum((1 << len(t)) - 2 for t in self.ball._sphericals[1:])
+        if edges > max_cells:
+            raise MatrixSizeError(f"at least {edges} cells exceed the materialization cap")
         if self.sharp:
             cosets = sum(self.ball.coset_counts())
             if cosets > max_cells:

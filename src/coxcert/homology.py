@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict, deque
-from itertools import accumulate, chain, combinations, count, repeat
+from functools import reduce
+from itertools import accumulate, chain, combinations, compress, count, repeat
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .simplicial import SimplicialComplex, cell_limit
@@ -92,6 +94,18 @@ def rank_and_torsion(columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int,
 
 # -- chain complexes -------------------------------------------------------
 
+# translate tables: 1 where a count is 1; the first state by level, 0
+# (active) for level 0 and 4 (waiting) for level 1
+_ONE = bytes(v == 1 for v in range(256))
+_WAIT = bytes([0, 4]) + bytes(254)
+
+
+def _slot_flags(flags: bytes, faces, width: int) -> Iterator[int]:
+    """For each face slot of cells with `width` slots, the flags of the
+    faces in that slot, one byte per cell, as one little-endian integer."""
+    for j in range(width):
+        yield int.from_bytes(bytes(map(flags.__getitem__, faces[j::width])), "little")
+
 
 def check_boundary_entries(sizes: list[int]) -> None:
     """The boundary entries of `sizes[d]` cells of each degree d, or of those
@@ -170,7 +184,19 @@ class ChainComplex:
         cc.sizes, cc.faces = sizes, faces
         return cc
 
-    def coreduce(self) -> tuple[list[list[int]], list[list[dict[int, int]]]]:
+    def cell_levels(self, vertex_levels: Iterable[int]) -> list[bytearray]:
+        """The level of each cell, per degree: a vertex's is given, 0 or 1,
+        and any other cell's is 1 when one of its faces' is.  So the cells of
+        level 0 are the full subcomplex on the level-0 vertices."""
+        levels = [bytearray(vertex_levels)]
+        for d in range(1, len(self.sizes)):
+            flags = reduce(or_, _slot_flags(levels[-1], self.faces[d], d + 1))
+            levels.append(bytearray(flags.to_bytes(self.sizes[d], "little")))
+        return levels
+
+    def coreduce(
+        self, levels: Optional[list[bytearray]] = None
+    ) -> tuple[list[list[int]], list[list[dict[int, int]]]]:
         """Critical cells by degree, and the boundary of each in the critical
         cells of the degree below (no columns in degree 0).
 
@@ -192,13 +218,36 @@ class ChainComplex:
         arrays (`coface_csr`), built one degree at a time, each cell's in
         increasing order: that order sets the order cells are queued in, and
         so the pairing.
+
+        With `levels` (`cell_levels`), the subcomplex of level 0 is reduced
+        first, then the rest, and no pair joins two levels: a cell of level
+        1 waits in a state that `release` skips.  When level 1 starts, its
+        cells become active, each with its number of faces of level 1, and
+        those with one are queued in (degree, cell) order; the critical rule
+        then finds only active cells, those of level 1.  Every face of level
+        0 is removed by then, so the pairing stays acyclic and is followed
+        as before.  The critical cells of level 0, with their columns, are a
+        Morse complex of the subcomplex.  With no `levels` there is one
+        level and every face counts from the start.
         """
         sizes, faces = self.sizes, self.faces
         top = len(sizes)
         # per cell: 0 active, 1 critical, 2 removed as the lower cell of a
-        # pair, 3 removed as the upper cell; and its number of active faces
-        state = [bytearray(n) for n in sizes]
-        live = [bytearray([d + 1 if d else 0]) * n for d, n in enumerate(sizes)]
+        # pair, 3 removed as the upper cell, 4 waiting for its level; and its
+        # number of active faces
+        if levels is None:
+            state = [bytearray(n) for n in sizes]
+            live = [bytearray([d + 1 if d else 0]) * n for d, n in enumerate(sizes)]
+        else:
+            # level 0 starts active, with all its faces; level 1 waits, and
+            # counts its faces of level 1, the active ones once it starts.
+            # The flags add up as bytes of one integer: no count reaches 256
+            state = [cells.translate(_WAIT) for cells in levels]
+            live = [bytearray(sizes[0])]
+            for d in range(1, top):
+                count = sum(_slot_flags(levels[d - 1], faces[d], d + 1))
+                count += int.from_bytes(levels[d].translate(bytes([d + 1]) + bytes(255)), "little")
+                live.append(bytearray(count.to_bytes(sizes[d], "little")))
         # per degree, the upper cell b of each pair (a, b) in the order the
         # pairs are made, and per cell removed, the place of its pair in that
         # order (4-byte entries: no complex that fits in memory has 2^31 cells)
@@ -209,7 +258,6 @@ class ChainComplex:
         # per degree d >= 1, the d-cells that have each (d-1)-cell as a face;
         # None above the top degree
         cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], d + 1) for d in range(1, top)] + [None]
-        start = [0] * top
 
         def release(d: int, x: int) -> None:
             # the d-cell x stops being active: each active coface loses an
@@ -223,39 +271,56 @@ class ChainComplex:
                         if count[c] == 1:
                             queue.append((d + 1, c))
 
-        while True:
-            while queue:
-                d, b = queue.popleft()
-                here, count = state[d], live[d]
-                if here[b] or count[b] != 1:
-                    continue
-                below, width = state[d - 1], d + 1
-                for a in faces[d][b * width : b * width + width]:
-                    if not below[a]:
+        for level in range(2 if levels else 1):
+            if level:
+                self._activate(levels, state, live, queue)
+            start = [0] * top
+            while True:
+                while queue:
+                    d, b = queue.popleft()
+                    here, count = state[d], live[d]
+                    if here[b] or count[b] != 1:
+                        continue
+                    below, width = state[d - 1], d + 1
+                    for a in faces[d][b * width : b * width + width]:
+                        if not below[a]:
+                            break
+                    below[a], here[b] = 2, 3
+                    pairs = upper[d - 1]
+                    place[d - 1][a] = place[d][b] = len(pairs)
+                    pairs.append(b)
+                    release(d - 1, a)
+                    release(d, b)
+                # no pair left: the lowest-degree active cell becomes critical
+                for d in range(top):
+                    i = state[d].find(0, start[d])
+                    if i >= 0:
                         break
-                below[a], here[b] = 2, 3
-                pairs = upper[d - 1]
-                place[d - 1][a] = place[d][b] = len(pairs)
-                pairs.append(b)
-                release(d - 1, a)
-                release(d, b)
-            # no pair left: the lowest-degree active cell becomes critical
-            for d in range(top):
-                i = state[d].find(0, start[d])
-                if i >= 0:
+                    start[d] = sizes[d]
+                else:
                     break
-                start[d] = sizes[d]
-            else:
-                break
-            start[d] = i + 1
-            state[d][i] = 1
-            critical[d].append(i)
-            release(d, i)
+                start[d] = i + 1
+                state[d][i] = 1
+                critical[d].append(i)
+                release(d, i)
         columns = [[]]
         for d in range(1, top):
             columns.append(self._follow(d, state, place, upper[d - 1], critical, cofaces[d]))
             cofaces[d] = None
         return critical, columns
+
+    def _activate(self, levels: list, state: list, live: list, queue: deque) -> None:
+        """Make the cells of level 1 active, and queue those with one face of
+        level 1 in (degree, cell) order.  Whole degrees at a time, on the
+        flags as bytes of one integer."""
+        for d, cells in enumerate(levels):
+            n, flags = len(cells), int.from_bytes(cells, "little")
+            # clear the waiting state 4 of each cell of level 1
+            waiting = int.from_bytes(state[d], "little") & ~(255 * flags)
+            state[d][:] = waiting.to_bytes(n, "little")
+            if d:
+                single = flags & int.from_bytes(live[d].translate(_ONE), "little")
+                queue.extend(zip(repeat(d), compress(range(n), single.to_bytes(n, "little"))))
 
     def _follow(
         self, d: int, state: list, place: list, pairs: array, critical: list, cofaces: tuple
@@ -425,3 +490,39 @@ def chain_homology(
         ranks[d], torsions[d] = rank_and_torsion(boundaries[d])
     betti = {d: len(critical[d]) - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
     return HomologyResult(betti, {d: torsions[d + 1] for d in range(dim + 1)}, reduced=reduced)
+
+
+def pair_ranks(k: SimplicialComplex, sub: Iterable[bool]) -> tuple[list[int], list[int], list[int]]:
+    """Ranks in the long exact sequence of the pair (K, A), A the full
+    subcomplex of K on the vertices flagged in `sub`.  Per degree d of K:
+    rank H_d(A), rank H_d(K, A), and the rank of the connecting map
+    H_d(K, A) -> H_{d-1}(A).
+
+    One coreduction of K in two levels, A first (`ChainComplex.coreduce`):
+    no pair joins the levels, so the critical cells of A with their columns
+    are a Morse complex of A, and the other critical cells, with their
+    columns cut to the rows outside A, one of (K, A).  In each degree the
+    whole Morse boundary B is block triangular, [B_1 0; B_01 B_0], with B_0
+    that of A and B_1 that of (K, A).  Its rank is rank B_1 + rank B_0 plus
+    the rank of B_01 on the kernel of B_1 modulo the image of B_0, which is
+    the connecting map.  Each rank is one `rank_and_torsion` on the
+    critical columns, so the ranks are exact.
+    """
+    cc = ChainComplex(len(k.vertices), k.maximal_simplices())
+    levels = cc.cell_levels(0 if a else 1 for a in sub)
+    critical, columns = cc.coreduce(levels)
+    top = len(critical)
+    # per degree, and one past the top: ranks of B_0, B_1 and B
+    rank_sub, rank_rel, rank_all = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+    for d in range(1, top):
+        mine, rows = levels[d], levels[d - 1]
+        cells = list(zip(critical[d], columns[d]))
+        rank_sub[d] = rank_and_torsion([c for i, c in cells if not mine[i]])[0]
+        cut = [{r: v for r, v in c.items() if rows[r]} for i, c in cells if mine[i]]
+        rank_rel[d] = rank_and_torsion(cut)[0]
+        rank_all[d] = rank_and_torsion(columns[d])[0]
+    in_sub = [sum(not levels[d][i] for i in cells) for d, cells in enumerate(critical)]
+    sub_betti = [in_sub[d] - rank_sub[d] - rank_sub[d + 1] for d in range(top)]
+    relative = [len(critical[d]) - in_sub[d] - rank_rel[d] - rank_rel[d + 1] for d in range(top)]
+    connecting = [rank_all[d] - rank_sub[d] - rank_rel[d] for d in range(top)]
+    return sub_betti, relative, connecting

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .homology import homology
+from .homology import homology, pair_ranks
 from .presentations import Pi1Certificate
 from .simplicial import (
     SimplicialComplex,
@@ -261,12 +261,35 @@ def farrell_quotient(slopes: Iterable[Sequence[int]]) -> SimplicialComplex:
 
 
 def farrell_h3_growth(n: int) -> list[int]:
-    """Rank of H3 after filling the first k Farey slopes, for k = 1..n."""
+    """Rank of H3 after filling the first k Farey slopes, for k = 1..n.
+
+    X_k, the torus T filled along the first k slopes, is the union of the
+    cylinders C_i, which meet only in T.  T is 2-dimensional, so H3(T) = 0
+    and H2(T) has no boundaries.  By excision H3(X_k, T) is the direct sum
+    of the H3(C_i u T, T), so the long exact sequence of (X_k, T) gives
+    rank H3(X_k) = sum_{i<=k} r_i - rank span{d_i}, with r_i = rank
+    H3(C_i u T, T) and d_i its connecting map into H2(T).  H2(T) has rank
+    1, so the span has rank 1 exactly when some d_i is not 0.
+
+    So each cylinder is reduced on its own, as the pair (Y_i, T) with Y_i =
+    `farrell_quotient([s_i])` on its slope's own grid (`pair_ranks`), and
+    no prefix model is built.  On any grid the pair is a simplicial
+    approximation of the same linear map T -> S^1, so neither r_i nor
+    whether d_i is 0 depends on the grid.  The torus is the full
+    subcomplex on the faces of the grid torus: every vertex but the faces
+    of the filling circle, tagged "~" (`poset_mapping_cylinder`).  A rank
+    of H2(T) other than 1 raises ArithmeticError.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     out = []
-    all_slopes = farey_slopes(n)
-    for k in range(1, n + 1):
-        x = farrell_quotient(all_slopes[:k])
-        out.append(homology(x).betti(3))
+    total, bounded = 0, False
+    for slope in farey_slopes(n):
+        y = farrell_quotient([slope])
+        torus, relative, connecting = pair_ranks(y, [v[0] != "~" for v in y.vertices])
+        if torus[2] != 1:
+            raise ArithmeticError(f"slope {slope}: rank H2 of the torus is {torus[2]}, not 1")
+        total += relative[3]
+        bounded = bounded or connecting[3] > 0
+        out.append(total - bounded)
     return out

@@ -11,7 +11,8 @@ from typing import Optional
 
 from coxcert.coxeter import INF, CoxeterSystem, _is_spherical_idx, _subset_indices
 from coxcert.davis import DavisBall, SphericalCoset
-from coxcert.homology import ChainComplex
+from coxcert.homology import ChainComplex, homology
+from coxcert.models import farey_slopes, farrell_quotient
 from coxcert.presentations import Presentation, _evaluate, _perm_inv
 from coxcert.simplicial import SimplicialComplex, faces_closure
 from coxcert.subdivide import order_complex
@@ -419,6 +420,14 @@ def reference_homology(k: SimplicialComplex, reduced: bool = False):
         ranks[d], torsions[d] = len(divisors), tuple(sorted(x for x in divisors if x > 1))
     betti = {d: counts[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1)}
     return HomologyResult(betti, {d: torsions[d + 1] for d in range(dim + 1)}, reduced=reduced)
+
+
+def reference_farrell_h3_growth(n: int) -> list[int]:
+    """rank H3 of the torus filled along the first k Farey slopes, for k =
+    1..n: one model per prefix, on the grid of its prefix, and the homology
+    of each: the oracle for `farrell_h3_growth`."""
+    slopes = farey_slopes(n)
+    return [homology(farrell_quotient(slopes[:k])).betti(3) for k in range(1, n + 1)]
 
 
 def rational_betti(k: SimplicialComplex) -> dict[int, int]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxcert import davis, simplicial
+from coxcert import cli as cli_module, davis, simplicial
 from coxcert.cli import main
 from coxcert.davis import DavisBall
 from coxcert.homology import homology
@@ -408,6 +408,38 @@ def test_dense_nerve_extract_is_skipped_before_any_chain(tmp_path, extract):
     )
 
 
+@pytest.mark.parametrize(
+    "flag, reason",
+    [("--singular", "at least 4750202 cells exceed the materialization cap"),
+     ("--sharp", "at least 4750202 cells exceed the materialization cap"),
+     ("--dump", "4766585 order pairs exceed the materialization cap")],
+    ids=["singular", "sharp", "dump"],
+)
+def test_simplex_nerve_is_refused_before_its_face_poset(tmp_path, capsys, monkeypatch, flag, reason):
+    """A 14-vertex simplex at radius 0: its 16,384 cosets fit under the cap.
+    The 1-cells e*W_T < e*W_U of both sets (3^14 - 2^15 + 1 of them) and
+    the order pairs of the dump (3^14 - 2^14) are counted from the clique
+    sizes, so each step ends "skipped" at once, with no face poset of the
+    nerve and no coset listed."""
+    path = write_complex(tmp_path, SimplicialComplex([f"v{i}" for i in range(14)], [tuple(range(14))]))
+    dump = tmp_path / "ball.json"
+
+    def refuse(*args):
+        raise AssertionError("the face poset of the nerve was built")
+
+    monkeypatch.setattr(davis, "face_poset", refuse)
+    monkeypatch.setattr(DavisBall, "_elements", refuse)
+    argv = [flag, str(dump)] if flag == "--dump" else [flag]
+    start = time.monotonic()
+    code, report = run_cli(capsys, "davis", path, "--radius", "0", *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    assert report["steps"][0]["data"]["cosets"] == 2**14
+    assert report["steps"][-1]["status"] == "skipped"
+    assert report["steps"][-1]["data"]["reason"] == reason
+    assert not dump.exists()
+
+
 def test_davis_dump_over_cap_is_skipped(tmp_path, capsys, no_ball_walk):
     path = write_complex(tmp_path, cycle_complex(4))
     dump = tmp_path / "ball.json"
@@ -663,6 +695,31 @@ def test_farrell_command(capsys):
     code, report = run_cli(capsys, "farrell", "--slopes", "0")
     assert code == 0
     assert report["steps"][0]["data"]["betti"][3] == 0
+
+
+def test_farrell_growth_over_a_small_cell_limit_is_skipped(capsys, monkeypatch):
+    """The cylinders are built one slope at a time: the first five pass a
+    limit of 20,000 boundary entries, and the sixth, (3, 1), on a grid of
+    side 9, has 22,854, so the step ends "skipped" with exit 0."""
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "20000")
+    code, report = run_cli(capsys, "farrell", "--slopes", "8")
+    assert code == 0
+    assert report["overall"] == "indeterminate"
+    (step,) = report["steps"]
+    assert (step["name"], step["status"]) == ("h3-growth", "skipped")
+    assert step["data"]["reason"] == "chain complex with at least 22854 boundary entries exceeds cell limit"
+
+
+def test_farrell_growth_fails_on_a_torus_without_one_class(capsys, monkeypatch):
+    def refuse(n):
+        raise ArithmeticError("slope (1, 0): rank H2 of the torus is 0, not 1")
+
+    monkeypatch.setattr(cli_module, "farrell_h3_growth", refuse)
+    code, report = run_cli(capsys, "farrell", "--slopes", "2")
+    assert code == 1
+    (step,) = report["steps"]
+    assert (step["name"], step["status"]) == ("h3-growth", "fail")
+    assert step["data"]["reason"] == "slope (1, 0): rank H2 of the torus is 0, not 1"
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -309,6 +309,24 @@ def test_coset_counts_match_enumeration(seed):
         assert sum(counts) == davis_expectations(adj, radius)["cosets"]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0))
+def test_closed_form_counts_match_the_listed_ball(seed):
+    """The order pairs counted in closed form are those the dump lists, and
+    the identity's 1-cells bound the cells of both sets from below, equal
+    to their 1-cells at radius 0."""
+    rng = random.Random(seed)
+    l = random_flag_complex(rng, rng.randint(3, 8), rng.choice((0.2, 0.5, 0.8)))
+    b = davis_ball(racg_from_flag(l), rng.randint(0, 2))
+    assert b.order_pairs() == len(b.to_json()["order"])
+    edges = sum(2 ** len(c.gens) - 2 for c in b.cosets if not c.rep and c.gens)
+    for sharp in (False, True):
+        counts = CellIndex(b, sharp).counts
+        assert edges <= sum(counts)
+        if b.radius == 0:
+            assert edges == (counts[1] if len(counts) > 1 else 0)
+
+
 def test_spine_coset_counts(spine_ball, monkeypatch):
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "2305205373")
     assert spine_ball.coset_counts() == [137, 18496, 66825, 48240]

@@ -1,5 +1,6 @@
 """Homology engine: SNF correctness against independent oracles."""
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from coxcert.homology import (
     MatrixSizeError,
     coface_csr,
     homology,
+    pair_ranks,
     snf_divisors,
 )
 from coxcert.models import farrell_quotient
@@ -398,3 +400,47 @@ def test_chain_complex_cap_is_exact(case):
         mp.setenv("COXCERT_SNF_CELL_LIMIT", "0")
         assert ChainComplex(n, [(v,) for v in range(n)]).sizes == [n]
         assert ChainComplex(0, []).sizes == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0), st.integers(0, 2**9 - 1))
+def test_pair_ranks_match_the_cone_on_the_subcomplex(seed, mask):
+    """Two-level coreduction of K with A, a full subcomplex, first: the
+    relative Betti numbers are the reduced ones of K u cone(A), those of A
+    are its own, and the connecting ranks close the long exact sequence
+    onto the Betti numbers of K, all from `reference_homology`.  No pair
+    joins two levels."""
+    rng = random.Random(seed)
+    k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
+    sub = [bool(mask >> v & 1) for v in range(len(k.vertices))]
+    pairs = []
+    follow = ChainComplex._follow
+
+    def spy(self, d, state, place, upper, critical, cofaces):
+        # the j-th pair of degrees d-1 and d is (a, upper[j]), a the lower
+        # cell with place j
+        lower = {place[d - 1][a]: a for a, s in enumerate(state[d - 1]) if s == 2}
+        levels = self.cell_levels(0 if a else 1 for a in sub)
+        pairs.extend((levels[d - 1][lower[j]], levels[d][b]) for j, b in enumerate(upper))
+        return follow(self, d, state, place, upper, critical, cofaces)
+
+    with mock.patch.object(ChainComplex, "_follow", spy):
+        sub_betti, relative, connecting = pair_ranks(k, sub)
+    assert all(x == y for x, y in pairs)
+
+    inside = [s for s in k.simplices if all(sub[v] for v in s)]
+    kept = [v for v in range(len(k.vertices)) if sub[v]]
+    at = {v: i for i, v in enumerate(kept)}
+    a = SimplicialComplex([k.vertices[v] for v in kept], [tuple(map(at.get, s)) for s in inside])
+    apex = len(k.vertices)
+    coned = SimplicialComplex(
+        k.vertices + ("*",), [*k.simplices, (apex,), *(s + (apex,) for s in inside)]
+    )
+    top = len(relative)
+    cone_h = reference_homology(coned, reduced=True)
+    a_h, k_h = reference_homology(a), reference_homology(k)
+    assert relative == [cone_h.betti(d) for d in range(top)] and cone_h.betti(top) == 0
+    assert sub_betti == [a_h.betti(d) for d in range(top)]
+    for d in range(top):
+        after = connecting[d + 1] if d + 1 < top else 0
+        assert k_h.betti(d) == sub_betti[d] - after + relative[d] - connecting[d]

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from coxcert import homology as homology_module
+from coxcert import homology as homology_module, models as models_module
 from coxcert.coxeter import INF, hyperbolicity, racg_from_flag
-from coxcert.homology import homology
+from coxcert.homology import homology, pair_ranks
 from coxcert.models import (
     canonical_slope,
     farey_slopes,
@@ -29,7 +29,13 @@ from coxcert.presentations import (
 from coxcert.simplicial import complex_to_json, faces_closure, wedge
 from coxcert.subdivide import barycentric_subdivision
 
-from helpers import check_invariants, cycle_complex, full_triangle, named_simplices
+from helpers import (
+    check_invariants,
+    cycle_complex,
+    full_triangle,
+    named_simplices,
+    reference_farrell_h3_growth,
+)
 
 
 def test_wedge_model_homology():
@@ -162,21 +168,43 @@ def test_farrell_growth_small():
     assert farrell_h3_growth(3) == [0, 1, 2]
 
 
-def test_farrell_growth_builds_each_chain_complex_from_facets(monkeypatch):
-    """Each prefix's chain complex gets the model's facets, so the model is
-    closed once, by `ChainComplex`, not also into a simplex set."""
+def test_farrell_growth_matches_the_per_prefix_oracle():
+    """One pair per cylinder gives the ranks of one homology per prefix
+    model, for every n <= 8; they read k - 1."""
+    expected = reference_farrell_h3_growth(8)
+    assert expected == list(range(8))
+    for n in range(1, 9):
+        assert farrell_h3_growth(n) == expected[:n]
+
+
+def test_farrell_growth_builds_one_chain_complex_per_slope(monkeypatch):
+    """Each cylinder is reduced on its own: one chain complex per slope,
+    built from the facets of the torus filled along that slope alone, and
+    no prefix model."""
     received = []
     build = homology_module.ChainComplex
 
     def spy(vertex_count, cells):
         cells = list(cells)
-        received.append(len(cells))
+        received.append((vertex_count, cells))
         return build(vertex_count, cells)
 
     monkeypatch.setattr(homology_module, "ChainComplex", spy)
-    assert farrell_h3_growth(3) == [0, 1, 2]
-    slopes = farey_slopes(3)
-    assert received == [len(farrell_quotient(slopes[:k]).maximal_simplices()) for k in (1, 2, 3)]
+    assert farrell_h3_growth(4) == [0, 1, 2, 3]
+    singles = [farrell_quotient([s]) for s in farey_slopes(4)]
+    assert received == [(len(y.vertices), y.maximal_simplices()) for y in singles]
+
+
+def test_farrell_growth_needs_one_class_in_h2_of_the_torus(monkeypatch):
+    """The long exact sequence bounds the span of the connecting maps by
+    rank H2(T) = 1; any other rank is refused."""
+    def doubled(k, sub):
+        torus, relative, connecting = pair_ranks(k, sub)
+        return [*torus[:2], 2, *torus[3:]], relative, connecting
+
+    monkeypatch.setattr(models_module, "pair_ranks", doubled)
+    with pytest.raises(ArithmeticError, match=r"slope \(1, 0\): rank H2 of the torus is 2"):
+        farrell_h3_growth(2)
 
 
 def test_farrell_json_leaves_the_order_complex_unclosed():
