@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .simplicial import SimplicialComplex, _flag_witness, capped, cliques, square_report
+from .simplicial import SimplicialComplex, _flag_witness, _skeleton, capped, cliques, square_report
 
 INF = 0  # Coxeter matrix entries use 0 to encode infinity (as in the JSON format)
 
@@ -85,14 +85,16 @@ def racg_from_flag(l: SimplicialComplex) -> CoxeterSystem:
     """Right-angled system on the vertices of a flag complex L.
 
     m_st = 2 for edges of L and infinity for non-edges; rejects non-flag
-    input, reporting the minimal witness clique.
+    input, reporting the minimal witness clique.  The flag check and the
+    rows read one 1-skeleton of L.
     """
-    witness = _flag_witness(l)
+    graph = _skeleton(l)
+    witness = _flag_witness(l, graph)
     if witness is not None:
         raise ValueError(f"input is not flag; witness clique {witness}")
     n = len(l.vertices)
     entries = []
-    for i, nbrs in enumerate(l.adjacency()):
+    for i, nbrs in enumerate(graph[0]):
         row = [INF] * n
         for j in nbrs:
             row[j] = 2
@@ -215,9 +217,10 @@ def hyperbolicity(sys: CoxeterSystem) -> HyperbolicityReport:
     An empty square (a, b, c, d) of the nerve yields the witness (a, c, b, d):
     the two diagonal pairs generate commuting infinite dihedral subgroups,
     hence a Z x Z subgroup.  The cell limit caps the nerve, as in `nerve`.
+    A right-angled nerve is censused on `sys.link`, its 1-skeleton.
     """
     l = nerve(sys)
-    report = square_report(l)
+    report = square_report(l, _skeleton(l, sys.link) if sys.right_angled else None)
     if not sys.right_angled:
         return HyperbolicityReport(False, report.is_flag, report.empty_squares, None, None)
     witness = None

@@ -1,15 +1,16 @@
 """Wedge and Farrell classifying-space models and the main dimension report."""
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .homology import homology, pair_ranks
+from .homology import MatrixSizeError, homology, pair_ranks
 from .presentations import Pi1Certificate
 from .simplicial import (
     SimplicialComplex,
     SquareReport,
+    cell_limit,
     faces_closure,
     square_report,
     wedge,
@@ -158,15 +159,18 @@ def farey_slopes(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    found = [(1, 0), (0, 1)]
+    return tuple(islice(_farey(), n))
+
+
+def _farey() -> Iterator[tuple[int, int]]:
+    """Every slope of `farey_slopes`, in its order, one at a time."""
+    yield from [(1, 0), (0, 1)]
     s = 2
-    while len(found) < n:
+    while True:
         for q in range(1, s):
-            p = s - q
-            if gcd(p, q) == 1:
-                found.append((p, q))
+            if gcd(s - q, q) == 1:
+                yield (s - q, q)
         s += 1
-    return tuple(found[:n])
 
 
 # -- torus with slope fillings ----------------------------------------------
@@ -260,6 +264,27 @@ def farrell_quotient(slopes: Iterable[Sequence[int]]) -> SimplicialComplex:
     return poset_mapping_cylinder(_grid_torus(n), maps)
 
 
+def farrell_cells(slope: Sequence[int]) -> int:
+    """Number of simplices of `farrell_quotient([slope])`: 104 n^2 + 12 on
+    its n x n grid, n = 3 * span.
+
+    The barycentric subdivision of the grid torus has 36 n^2 chains.  The
+    cylinder adds the 12 chains of the circle's face poset and, per torus
+    chain, one simplex per circle chain below the image of its least face:
+    1 over a vertex, 5 over an edge.  Chains start at a vertex in 25 ways,
+    at an edge in 3 and at a triangle in 1.  The map sends grid point (x, y)
+    to the arc of p*y - q*x mod n, which takes each value at n points, and
+    the three arcs have length span.  So a grid edge of step d lies over a
+    circle edge at 3|d|n points: the steps -q, p and p - q sum to 2 span in
+    size, giving 2 n^2 such edges, and a triangle, whose steps span one
+    arc, always lies over a circle edge.  In all 36 n^2 + 12 + 36 n^2 + 4 *
+    3 * 2 n^2 + 4 * 2 n^2.
+    """
+    p, q = slope
+    n = 3 * max(abs(p), abs(q), abs(p - q))
+    return 104 * n * n + 12
+
+
 def farrell_h3_growth(n: int) -> list[int]:
     """Rank of H3 after filling the first k Farey slopes, for k = 1..n.
 
@@ -279,12 +304,25 @@ def farrell_h3_growth(n: int) -> list[int]:
     subcomplex on the faces of the grid torus: every vertex but the faces
     of the filling circle, tagged "~" (`poset_mapping_cylinder`).  A rank
     of H2(T) other than 1 raises ArithmeticError.
+
+    Before any cylinder is built, their cells are summed slope by slope
+    (`farrell_cells`); past the cell limit, MatrixSizeError, so the work
+    of any n is bounded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    slopes, cells, limit = [], 0, cell_limit()
+    for slope in islice(_farey(), n):
+        cells += farrell_cells(slope)
+        if cells > limit:
+            raise MatrixSizeError(
+                f"farrell growth with {cells} cells in the cylinders of the first"
+                f" {len(slopes) + 1} slopes exceeds cell limit"
+            )
+        slopes.append(slope)
     out = []
     total, bounded = 0, False
-    for slope in farey_slopes(n):
+    for slope in slopes:
         y = farrell_quotient([slope])
         torus, relative, connecting = pair_ranks(y, [v[0] != "~" for v in y.vertices])
         if torus[2] != 1:

@@ -286,7 +286,9 @@ def spine_complex() -> tuple[SimplicialComplex, SquareReport]:
     contraction's precondition, flag with no empty square; the contraction
     checks its own output likewise.  Either check raises if it fails, so
     the census returned with the complex, flag with no empty square, is
-    that check's.
+    that check's.  The subdivision's 1-skeleton is built once, from one
+    `adjacency()` call, for the check and the contraction, and the
+    subdivision is never closed.
     """
     x = presentation_complex(spine_presentation())
     l = contract_flag_no_squares(no_square_subdivision(x))

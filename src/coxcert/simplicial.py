@@ -196,8 +196,25 @@ class SquareReport(NamedTuple):
         return self.is_flag and not self.empty_squares
 
 
-def _empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
-    """All induced 4-cycles: 4 vertices, cyclically adjacent, no diagonal edge.
+# a 1-skeleton: neighbour sets by vertex position, and the same as int bitsets
+_Graph = tuple[Sequence[AbstractSet[int]], list[int]]
+
+
+def _skeleton(k: SimplicialComplex, nbrs: Optional[Sequence[AbstractSet[int]]] = None) -> _Graph:
+    """The 1-skeleton of k, the one graph that every graph test reads: the
+    neighbour sets of the vertices by position, from one `k.adjacency()`
+    call unless a caller that already holds them passes them as `nbrs`,
+    and the same sets as int bitsets."""
+    if nbrs is None:
+        nbrs = k.adjacency()
+    return nbrs, [sum(1 << w for w in a) for a in nbrs]
+
+
+def _empty_squares(
+    k: SimplicialComplex, adj: Sequence[AbstractSet[int]]
+) -> list[tuple[str, str, str, str]]:
+    """All induced 4-cycles of the graph `adj`, the 1-skeleton of k: 4
+    vertices, cyclically adjacent, no diagonal edge.
 
     Each is listed once, as (a, b, c, d) from its least vertex a: c is
     opposite a, and b < d are common neighbours of a and c with no edge
@@ -205,17 +222,17 @@ def _empty_squares(k: SimplicialComplex) -> list[tuple[str, str, str, str]]:
     order, and over their neighbours c > a not adjacent to a collects each
     such c's common neighbours with a, already sorted.
     """
-    adj = k.adjacency()
     squares = []
     for a, nbrs_a in enumerate(adj):
         middles: dict[int, list[int]] = {}
         for v in sorted(w for w in nbrs_a if w > a):
-            for c in adj[v]:
-                if c > a and c not in nbrs_a:
+            for c in adj[v] - nbrs_a:
+                if c > a:
                     middles.setdefault(c, []).append(v)
         for c, mids in middles.items():
-            for i, b in enumerate(mids):
-                squares.extend((a, b, c, d) for d in mids[i + 1 :] if d not in adj[b])
+            if len(mids) > 1:
+                for i, b in enumerate(mids):
+                    squares.extend((a, b, c, d) for d in mids[i + 1 :] if d not in adj[b])
     names = k.vertices
     return [(names[a], names[b], names[c], names[d]) for a, b, c, d in sorted(squares)]
 
@@ -263,40 +280,45 @@ def capped(cells: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         yield cell
 
 
-def _flag_witness(k: SimplicialComplex) -> Optional[tuple[str, ...]]:
+def _flag_witness(k: SimplicialComplex, graph: _Graph) -> Optional[tuple[str, ...]]:
     """An inclusion-minimal clique of the 1-skeleton that spans no simplex.
 
     The first such clique in (size, lex) order; None when k is flag.  It is
-    decided by counting, with the neighbour sets as int bitsets: each
-    simplex σ of size s extends to the (s+1)-cliques σ + (v,) with v a
-    common neighbour of σ above max σ.  Summed over σ, these counts give
-    every (s+1)-clique whose first s vertices span a simplex, so when every
-    s-clique is a simplex they give the number of (s+1)-cliques, and k is
-    flag exactly when each such sum equals the number of simplices of size
-    s+1.  Only when a sum differs are the cliques listed, up to the first
-    that spans no simplex.
+    decided by counting on `graph`, the 1-skeleton of k as `_skeleton`
+    gives it: each simplex σ of size s extends to the (s+1)-cliques
+    σ + (v,) with v a common neighbour of σ above max σ.  Summed over σ,
+    these counts give every (s+1)-clique whose first s vertices span a
+    simplex, so when every s-clique is a simplex they give the number of
+    (s+1)-cliques, and k is flag exactly when each such sum equals the
+    number of simplices of size s+1.  The edges are the graph's and the
+    larger simplices the faces of the facets, so k is not closed; only
+    when a sum differs are the cliques listed, up to the first that is not
+    among the closed simplices.
     """
-    adj = k.adjacency()
-    nbrs = [sum(1 << w for w in a) for a in adj]
-    by_size: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for s in k.simplices:
-        by_size[len(s)].append(s)
-    for size in range(2, len(by_size) + 1):
+    adj, nbrs = graph
+    level = [(a, b) for a, bs in enumerate(adj) for b in bs if a < b]
+    size = 2
+    while level:
+        bigger = {c for f in k._facets if len(f) > size for c in combinations(f, size + 1)}
         # common neighbours of each simplex beyond its last vertex
-        above = (reduce(and_, map(nbrs.__getitem__, s)) >> (s[-1] + 1) for s in by_size[size])
-        if sum(c.bit_count() for c in above) != len(by_size.get(size + 1, ())):
+        above = (reduce(and_, map(nbrs.__getitem__, s)) >> (s[-1] + 1) for s in level)
+        if sum(c.bit_count() for c in above) != len(bigger):
             missing = next(c for c in cliques(adj) if c not in k.simplices)
             return tuple(k.vertices[i] for i in missing)
+        level, size = bigger, size + 1
     return None
 
 
-def square_report(k: SimplicialComplex) -> SquareReport:
-    """Check flagness (all cliques span simplices) and list empty squares."""
-    witness = _flag_witness(k)
+def square_report(k: SimplicialComplex, graph: Optional[_Graph] = None) -> SquareReport:
+    """Check flagness (all cliques span simplices) and list empty squares,
+    both on one 1-skeleton: `graph` as `_skeleton` gives it, built here
+    unless the caller holds it.  A flag complex is not closed."""
+    graph = _skeleton(k) if graph is None else graph
+    witness = _flag_witness(k, graph)
     return SquareReport(
         is_flag=witness is None,
         flag_witness=witness,
-        empty_squares=tuple(_empty_squares(k)),
+        empty_squares=tuple(_empty_squares(k, graph[0])),
     )
 
 

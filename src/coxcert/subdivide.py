@@ -6,7 +6,7 @@ from itertools import chain, combinations
 from operator import or_
 from typing import Sequence
 
-from .simplicial import SimplicialComplex, cliques, square_report
+from .simplicial import SimplicialComplex, _skeleton, cliques, square_report
 
 
 def order_complex(names: Sequence[str], up: Sequence[Sequence[int]]) -> SimplicialComplex:
@@ -122,10 +122,14 @@ def no_square_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
     """Shrink a flag 2-complex with no empty square by edge contractions.
 
-    One `square_report` checks the input: a clique that spans no simplex,
-    or an empty square, raises `ValueError` naming the first one.  As the
-    input is flag, its triangles are the 3-cliques of the 1-skeleton and
-    every move is decided on the graph alone.  In a flag 2-complex each
+    The 1-skeleton is built once (`_skeleton`): one `square_report` on it
+    checks the input, where a clique that spans no simplex, or an empty
+    square, raises `ValueError` naming the first one, and the contraction
+    then works on those same neighbour sets and bitsets.  As the input is
+    flag, its triangles are the 3-cliques of the 1-skeleton and every move
+    is decided on the graph alone, so the input is never closed.  The
+    output, the clique complex of the final graph, is checked on that
+    graph renumbered.  In a flag 2-complex each
     edge meets the link condition of Dey, Edelsbrunner, Guha and Nekhayev
     ("Topology preserving edge contraction", 1999), since a common link
     edge of u and v would be a 4-clique.  So every contraction preserves
@@ -145,20 +149,21 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
     """
     if k.dim() > 2:
         raise ValueError("contraction pass requires dim <= 2")
-    _, witness, squares = square_report(k)
+    adj, bits = graph = _skeleton(k)  # a vertex merged away keeps no neighbours
+    _, witness, squares = square_report(k, graph)
     if witness is not None:
         raise ValueError(f"contraction pass requires a flag complex; {witness} spans no simplex")
     if squares:
         raise ValueError(f"contraction pass requires no empty square; {squares[0]} is one")
     n = len(k.vertices)
-    adj = k.adjacency()  # a vertex merged away keeps no neighbours
-    bits = [sum(1 << w for w in nbrs) for nbrs in adj]  # adj as int bitsets
     gone: set[int] = set()
 
     def crossing_ok(u: int, v: int) -> bool:
         # near_a, near_b: every neighbour of A = N(u) - N[v], of B = N(v) - N[u]
-        near_a = reduce(or_, map(bits.__getitem__, adj[u] - adj[v] - {v}), 0)
-        near_b = reduce(or_, map(bits.__getitem__, adj[v] - adj[u] - {u}), 0)
+        near_a = reduce(or_, map(bits.__getitem__, adj[u].difference(adj[v], (v,))), 0)
+        if not near_a:
+            return True
+        near_b = reduce(or_, map(bits.__getitem__, adj[v].difference(adj[u], (u,))), 0)
         return not near_a & near_b & ~(bits[u] | bits[v])
 
     def contract(u: int, v: int) -> None:
@@ -194,9 +199,8 @@ def contract_flag_no_squares(k: SimplicialComplex) -> SimplicialComplex:
     # final graph, so a 4-clique would be a 3-simplex, not a flag failure
     keep = sorted(set(range(n)) - gone, key=k.vertices.__getitem__)
     new = {i: p for p, i in enumerate(keep)}
-    out = SimplicialComplex(
-        [k.vertices[i] for i in keep], cliques([{new[j] for j in adj[i]} for i in keep])
-    )
-    if out.dim() > 2 or not square_report(out).flag_no_squares:
+    final = [{new[j] for j in adj[i]} for i in keep]
+    out = SimplicialComplex([k.vertices[i] for i in keep], cliques(final))
+    if out.dim() > 2 or not square_report(out, _skeleton(out, final)).flag_no_squares:
         raise RuntimeError("contraction pass broke the flag-no-square property")
     return out

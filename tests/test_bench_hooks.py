@@ -21,6 +21,21 @@ def test_tracing_install_and_uninstall_restore_every_name():
         assert current is original, (owner, leaf)
 
 
+def test_certify_main_theorem_traces_two_square_censuses(capsys):
+    """`simplicial.square_report_calls` on `spine` counts the contraction's
+    input and output checks: one traced `certify-main-theorem` run records
+    two `square_report` spans, though each check hands it a graph."""
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        assert cli.main(["certify-main-theorem"]) == 0
+    finally:
+        tracing.uninstall(saved)
+    capsys.readouterr()
+    calls, total, _ = tracer.totals()
+    assert calls["simplicial.square_report"] == 2 and total["simplicial.square_report"] > 0
+
+
 def test_homology_goes_through_the_traced_chain_build_and_snf(monkeypatch):
     """One `homology` call passes the two names whose spans and counters the
     benchmark reads: `ChainComplex.__init__` (homology.chain_build_s) and

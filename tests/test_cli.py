@@ -698,16 +698,38 @@ def test_farrell_command(capsys):
 
 
 def test_farrell_growth_over_a_small_cell_limit_is_skipped(capsys, monkeypatch):
-    """The cylinders are built one slope at a time: the first five pass a
-    limit of 20,000 boundary entries, and the sixth, (3, 1), on a grid of
-    side 9, has 22,854, so the step ends "skipped" with exit 0."""
+    """The cylinders' cells are summed before any is built: the first six
+    slopes have 18,792 and the seventh, (1, 3), on a grid of side 9, brings
+    8,436 more, past a limit of 20,000, so the step ends "skipped" with exit
+    0 and nothing is built."""
+    def refuse(slopes):
+        raise AssertionError("built a filling")
+
+    monkeypatch.setattr("coxcert.models.farrell_quotient", refuse)
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "20000")
     code, report = run_cli(capsys, "farrell", "--slopes", "8")
     assert code == 0
     assert report["overall"] == "indeterminate"
     (step,) = report["steps"]
     assert (step["name"], step["status"]) == ("h3-growth", "skipped")
-    assert step["data"]["reason"] == "chain complex with at least 22854 boundary entries exceeds cell limit"
+    assert step["data"]["reason"] == (
+        "farrell growth with 27228 cells in the cylinders of the first 7 slopes exceeds cell limit"
+    )
+
+
+def test_farrell_many_slopes_are_skipped_at_once():
+    """Under the default limit the running total first passes 50,000,000
+    cells at the 238th slope, so 100,000 slopes end "skipped" at once."""
+    start = time.monotonic()
+    code, report = run_child("farrell", "--slopes", "100000")
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    assert report["steps"] == [{
+        "name": "h3-growth",
+        "status": "skipped",
+        "data": {"reason": "farrell growth with 50200536 cells in the cylinders of the first"
+                           " 238 slopes exceeds cell limit"},
+    }]
 
 
 def test_farrell_growth_fails_on_a_torus_without_one_class(capsys, monkeypatch):
@@ -780,9 +802,9 @@ def test_spine_commands_take_one_square_census(capsys, monkeypatch, command):
     calls = Counter()
     census = simplicial._empty_squares
 
-    def counted(k):
+    def counted(k, adj):
         calls["squares", len(k.vertices)] += 1
-        return census(k)
+        return census(k, adj)
 
     monkeypatch.setattr(simplicial, "_empty_squares", counted)
     code, report = run_cli(capsys, command)

@@ -333,6 +333,17 @@ def test_hyperbolicity_non_right_angled():
     assert rep.hyperbolic is None
 
 
+def test_hyperbolicity_censuses_the_whole_nerve_of_a_non_right_angled_system():
+    """The nerve of a system with labels 3 has edges that are not in its
+    commuting sets: a 4-cycle of labels 3 with infinite diagonals is an
+    empty square of the nerve, though no two generators commute."""
+    inf = coxeter.INF
+    entries = [[1, 3, inf, 3], [3, 1, 3, inf], [inf, 3, 1, 3], [3, inf, 3, 1]]
+    rep = hyperbolicity(CoxeterSystem("abcd", entries))
+    assert (rep.right_angled, rep.flag, rep.hyperbolic) == (False, True, None)
+    assert rep.empty_squares == (("a", "b", "c", "d"),)
+
+
 def test_reduce_examples():
     sys = klein_four()
     assert reduce(sys, (0, 0)) == ()

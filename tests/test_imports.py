@@ -11,7 +11,8 @@ and method the package defines is named in code (not in a comment or a
 docstring) somewhere in the package, its scripts, the benchmark or the
 acceptance tests; a definition only unit tests reach is dead code.  One
 function reads the environment, `simplicial.cell_limit`, so the cell limit
-is one setting, read where each cap is checked.  Every
+is one setting, read where each cap is checked; and one function builds a
+1-skeleton, `simplicial._skeleton`, so every graph test reads one graph.  Every
 command is a fresh process, so `import coxcert.cli` loads nothing that costs
 start-up time or memory without use: no `dataclasses`, no `inspect`, and no
 `hashlib`, which loads OpenSSL; the input digest comes from the interpreter's
@@ -221,6 +222,48 @@ def test_environment_reader_finder_names_the_innermost_function():
         "        return os.path.join('environ')\n"
     )
     assert environment_readers(source) == {"<module>", "g", "h"}
+
+
+def adjacency_callers(source: str) -> set[str]:
+    """Innermost functions that call a method named `adjacency`;
+    `<module>` for a call outside any function."""
+    callers = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "adjacency"):
+                callers.add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_only_the_skeleton_calls_adjacency():
+    """The 1-skeleton of a complex is built in one place,
+    `simplicial._skeleton`, and handed to every graph test from there."""
+    callers = {
+        f"{path.stem}.{name}" for path in MODULES for name in adjacency_callers(path.read_text())
+    }
+    assert callers == {"simplicial._skeleton"}
+
+
+def test_adjacency_caller_finder_names_the_innermost_function():
+    source = (
+        "A = k.adjacency()\n"
+        "def f(k):\n"
+        "    def g():\n"
+        "        return k.adjacency()\n"
+        "    return g, k.adjacency\n"
+        "class C:\n"
+        "    def h(self, k):\n"
+        "        return [a for a in k.adjacency()]\n"
+        "    def adjacency(self):\n"
+        "        return adjacency()\n"
+    )
+    assert adjacency_callers(source) == {"<module>", "g", "h"}
 
 
 def run_bare(probe: str) -> str:

@@ -6,10 +6,11 @@ import pytest
 
 from coxcert import homology as homology_module, models as models_module
 from coxcert.coxeter import INF, hyperbolicity, racg_from_flag
-from coxcert.homology import homology, pair_ranks
+from coxcert.homology import MatrixSizeError, homology, pair_ranks
 from coxcert.models import (
     canonical_slope,
     farey_slopes,
+    farrell_cells,
     farrell_h3_growth,
     farrell_quotient,
     main_theorem_report,
@@ -193,6 +194,40 @@ def test_farrell_growth_builds_one_chain_complex_per_slope(monkeypatch):
     assert farrell_h3_growth(4) == [0, 1, 2, 3]
     singles = [farrell_quotient([s]) for s in farey_slopes(4)]
     assert received == [(len(y.vertices), y.maximal_simplices()) for y in singles]
+
+
+def test_farrell_cells_count_the_built_filling():
+    """The closed form is exact on every slope's own grid, for the first 12
+    Farey slopes and for slopes with q < 0."""
+    for slope in farey_slopes(12) + ((1, -1), (2, -1), (1, -3), (3, -2)):
+        assert farrell_cells(slope) == len(farrell_quotient([slope]).simplices)
+
+
+def test_farrell_growth_caps_the_running_total(monkeypatch):
+    """The cap holds the sum over the slopes, not each cylinder alone: every
+    one of the first seven has at most 8,436 cells, but together they have
+    27,228.  A total at the limit passes, and the sixth cylinder is built
+    before its chain complex meets the limit."""
+    built = []
+    build = models_module.farrell_quotient
+
+    def spy(slopes):
+        built.append(slopes)
+        return build(slopes)
+
+    monkeypatch.setattr(models_module, "farrell_quotient", spy)
+    assert max(map(farrell_cells, farey_slopes(7))) == 8436
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "20000")
+    with pytest.raises(MatrixSizeError, match="27228 cells in the cylinders of the first 7 slopes"):
+        farrell_h3_growth(8)
+    assert built == []
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "18791")
+    with pytest.raises(MatrixSizeError, match="18792 cells in the cylinders of the first 6 slopes"):
+        farrell_h3_growth(6)
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "18792")
+    with pytest.raises(MatrixSizeError, match="22854 boundary entries"):
+        farrell_h3_growth(6)
+    assert built == [[s] for s in farey_slopes(6)]
 
 
 def test_farrell_growth_needs_one_class_in_h2_of_the_torus(monkeypatch):

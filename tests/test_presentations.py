@@ -15,7 +15,7 @@ from coxcert.presentations import (
     spine_complex,
     spine_presentation,
 )
-from coxcert.simplicial import square_report
+from coxcert.simplicial import SimplicialComplex, square_report
 
 from helpers import reference_find_pi1_certificate
 
@@ -187,6 +187,28 @@ def test_second_nerve_certificate():
     assert find_pi1_certificate(p, 6) is None
 
 
+def test_spine_build_reads_one_graph_of_the_subdivision(monkeypatch):
+    """The 1279-vertex subdivision's 1-skeleton is built once, for the flag
+    count, the square census and the contraction, and the subdivision is
+    never closed; the 136-vertex output is checked on the final graph."""
+    adjacency, simplices = SimplicialComplex.adjacency, SimplicialComplex.simplices
+    calls = Counter()
+
+    def counted(k):
+        calls[len(k.vertices)] += 1
+        return adjacency(k)
+
+    def closed(k):
+        assert len(k.vertices) != 1279, "the subdivision was closed"
+        return simplices.fget(k)
+
+    monkeypatch.setattr(SimplicialComplex, "adjacency", counted)
+    monkeypatch.setattr(SimplicialComplex, "simplices", property(closed))
+    l, squares = spine_complex()
+    assert calls == {1279: 1}
+    assert len(l.vertices) == 136 and squares.flag_no_squares
+
+
 def test_spine_build_checks_the_subdivision_once(monkeypatch):
     """The contraction's precondition checks the 1279-vertex subdivision once,
     for flagness and empty squares, and its postcondition the 136-vertex
@@ -196,9 +218,9 @@ def test_spine_build_checks_the_subdivision_once(monkeypatch):
     calls = Counter()
 
     def counted(kind, fn):
-        def wrapper(k):
+        def wrapper(k, graph):
             calls[kind, len(k.vertices)] += 1
-            return fn(k)
+            return fn(k, graph)
 
         return wrapper
 

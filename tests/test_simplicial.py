@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from coxcert.simplicial import (
     SimplicialComplex,
     _flag_witness,
+    _skeleton,
     cliques,
     complex_from_json,
     complex_to_json,
@@ -17,7 +18,7 @@ from coxcert.simplicial import (
 )
 from coxcert.homology import homology
 from coxcert.presentations import presentation_complex, spine_presentation
-from coxcert.subdivide import barycentric_subdivision
+from coxcert.subdivide import barycentric_subdivision, no_square_subdivision
 
 from helpers import (
     check_invariants,
@@ -280,26 +281,45 @@ def test_flag_witness_of_a_simplex_boundary_is_the_whole_clique(n):
     """Every face of the boundary of an (n-1)-simplex is there, so the
     counts agree below size n and the witness is the n-clique itself."""
     k = simplex_boundary(n)
-    assert _flag_witness(k) == reference_flag_witness(k) == tuple("abcde"[:n])
+    assert _flag_witness(k, _skeleton(k)) == reference_flag_witness(k) == tuple("abcde"[:n])
     assert not square_report(k).is_flag
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0))
 def test_flag_witness_matches_subset_oracle(seed):
-    """Random cells, with the boundary of a simplex of 3 to 5 vertices
-    planted among them, so that a clique of that size spans no simplex
-    unless another cell fills it."""
+    """Complexes given by facets only: random cells of 1 to 5 vertices, so
+    edges and vertices that are facets, isolated vertices, and facets of 4
+    or 5 vertices beside triangles, with the boundary of a simplex of 3 to
+    5 vertices planted among them in most draws, so that a clique of that
+    size spans no simplex unless another cell fills it.  The count closes
+    no flag complex."""
     rng = random.Random(seed)
     n = rng.randint(5, 9)
-    sizes = [rng.randint(1, min(n, 4)) for _ in range(rng.randint(0, 8))]
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 8))]
     cells = [tuple(sorted(rng.sample(range(n), size))) for size in sizes]
     planted = tuple(sorted(rng.sample(range(n), rng.randint(3, 5))))
-    cells += combinations(planted, len(planted) - 1)
+    if rng.random() < 0.8:
+        cells += combinations(planted, len(planted) - 1)
     k = SimplicialComplex([f"v{i}" for i in range(n)], cells)
-    witness = _flag_witness(k)
+    witness = _flag_witness(k, _skeleton(k))
+    assert witness is not None or k._simplices is None
     assert witness == reference_flag_witness(k)
-    assert witness is not None or planted in k.simplices
+
+
+@pytest.mark.parametrize(
+    "k",
+    [cycle_complex(5), hollow_triangle(), barycentric_subdivision(simplex_boundary(4)),
+     no_square_subdivision(presentation_complex(spine_presentation()))],
+    ids=["c5", "hollow-triangle", "subdivided-sphere", "no-square-spine"],
+)
+def test_square_report_leaves_a_flag_complex_unclosed(k):
+    """The flag count reads the edges off the graph and the larger simplices
+    off the facets, so a flag complex is not closed; the hollow triangle
+    (not flag) shows the count still refuses."""
+    report = square_report(k)
+    assert report.is_flag == (len(k.vertices) != 3)
+    assert report.is_flag == (k._simplices is None)
 
 
 class _BudgetedAdjacency(list):
@@ -323,7 +343,7 @@ def test_flag_witness_stops_at_the_first_missing_clique():
     n = 200
     edges = list(combinations(range(n), 2))
     k = SimplicialComplex([f"v{i}" for i in range(n)], [(i,) for i in range(n)] + edges)
-    assert _flag_witness(k) == ("v0", "v1", "v2")
+    assert _flag_witness(k, _skeleton(k)) == ("v0", "v1", "v2")
     adj = _BudgetedAdjacency(k.adjacency(), budget=n * n)
     first_triangle = next(c for c in cliques(adj) if len(c) == 3)
     assert first_triangle == (0, 1, 2)
