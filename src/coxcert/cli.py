@@ -10,7 +10,7 @@ from typing import Optional
 from .coxeter import hyperbolicity, racg_from_flag, nerve as nerve_of
 from .coxeter import CoxeterSystem, system_from_json, system_to_json
 from .davis import CellIndex, davis_ball
-from .homology import ChainComplex, MatrixSizeError, chain_homology, homology
+from .homology import ChainComplex, chain_homology, homology
 from .models import farrell_h3_growth, farrell_quotient, main_theorem_report
 from .presentations import (
     presentation_complex,
@@ -18,7 +18,8 @@ from .presentations import (
     spine_complex,
     spine_presentation,
 )
-from .simplicial import SimplicialComplex, cell_limit, complex_from_json, complex_to_json
+from .simplicial import MatrixSizeError, SimplicialComplex, cell_limit, check_size
+from .simplicial import complex_from_json, complex_to_json
 from .subdivide import barycentric_subdivision
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .davis import hash_union_sharp, singular_subcomplex  # noqa: F401
@@ -116,9 +117,8 @@ def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
 def _racg_of(k: SimplicialComplex) -> tuple[Optional[CoxeterSystem], Optional[str]]:
     """Right-angled system of a flag complex, or why it is not flag.  The n x n
     matrix of n vertices counts against the cell cap; over it is an input error."""
-    n, limit = len(k.vertices), cell_limit()
-    if n * n > limit:
-        raise InputError(f"{n} vertices imply a {n} x {n} Coxeter matrix, over the cell limit {limit}")
+    n = len(k.vertices)
+    _checked(check_size, n * n, f"entries of the {n} x {n} Coxeter matrix")
     try:
         return racg_from_flag(k), None
     except ValueError as exc:
@@ -248,12 +248,7 @@ def cmd_davis(args) -> RunReport:
                 report.add("homology", "skipped", reason=str(exc))
     if args.dump:
         try:
-            if total > args.max_cells:
-                raise MatrixSizeError(f"{total} cosets exceed the materialization cap")
-            pairs = ball.order_pairs()
-            if pairs > args.max_cells:
-                raise MatrixSizeError(f"{pairs} order pairs exceed the materialization cap")
-            data = ball.to_json()
+            data = ball.to_json(args.max_cells)
         except MatrixSizeError as exc:
             report.add("dump", "skipped", reason=str(exc))
         else:

@@ -175,7 +175,7 @@ def nerve(sys: CoxeterSystem) -> SimplicialComplex:
     Otherwise each level grows from the one before by larger indices (they
     are closed under subsets), a candidate passing when each component of
     its diagram is a finite-type tree (`_is_finite_diagram`).  More
-    simplices than the cell limit raise `ValueError` as soon as they are listed.
+    simplices than the cell limit are refused as they are listed (`capped`).
     """
     return SimplicialComplex(sys.generators, capped(_spherical_subsets(sys)))
 

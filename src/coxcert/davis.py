@@ -10,8 +10,8 @@ from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
-from .homology import ChainComplex, MatrixSizeError, check_boundary_entries
-from .simplicial import SimplicialComplex, capped, cell_limit, cliques
+from .homology import ChainComplex
+from .simplicial import SimplicialComplex, capped, cell_limit, check_size, cliques
 from .subdivide import face_poset, order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .coxeter import in_special_subgroup, min_coset_rep, nerve, reduce  # noqa: F401
@@ -50,7 +50,7 @@ class DavisBall:
         self.system = system
         self.radius = radius
         # the empty type, then the cliques of the nerve in (size, lex) order,
-        # at most the cell limit of them (ValueError past that)
+        # at most the cell limit of them (`capped`)
         self._sphericals: list[Subset] = [()] + list(capped(cliques(system.link)))
 
     @cached_property
@@ -58,12 +58,11 @@ class DavisBall:
         """Strict supersets of each type, for the up-lists; built on first use.
 
         A type of size k lies in 2^k - 1 of these lists, the empty type's
-        included, so the entries are counted from the sizes first: past the
-        cell limit, MatrixSizeError before any list is built.
+        included, so the entries are counted from the sizes first and
+        checked against the cell limit before any list is built.
         """
         entries = sum((1 << len(t)) - 1 for t in self._sphericals)
-        if entries > cell_limit():
-            raise MatrixSizeError(f"nerve: {entries} superset entries, over the cell limit")
+        check_size(entries, "entries in the up-lists of the nerve's types")
         faces, _, up = face_poset(SimplicialComplex(self.system.generators, self._sphericals[1:]))
         supersets = {t: [faces[j] for j in above] for t, above in zip(faces, up)}
         supersets[()] = faces
@@ -79,9 +78,9 @@ class DavisBall:
         the ball are the minimal representatives of W^T, counted by
         W(t) / (1+t)^|T| (Bjorner-Brenti, Prop. 2.4.4).  Summing up to t^r is
         taking [t^r] of (1+t)^(d-|T|) / ((1-t) D(t)), read off by halving r
-        (`_coefficients`).  Past the cell limit, MatrixSizeError: the ball
-        grows with the radius, so the total is first checked at the radii
-        1, 2, 4, ... below r, and a ball far over the limit stops early.
+        (`_coefficients`).  The ball grows with the radius, so the total is
+        checked against the cell limit first at the radii 1, 2, 4, ... below
+        r, a lower bound there, and a ball far over the limit stops early.
         """
         d = len(self._sphericals[-1])
         f = [0] * (d + 1)
@@ -92,14 +91,11 @@ class DavisBall:
         ]
         q = _poly_mul(denom, [1, -1])
         nums = [[comb(d - k, j) for j in range(d - k + 1)] for k in range(d + 1)]
-        limit = cell_limit()
         radii = [1 << n for n in range(self.radius.bit_length()) if 1 << n < self.radius]
         for n in radii + [self.radius]:
             counts = [fk * c for fk, c in zip(f, _coefficients(nums, q, n))]
-            if sum(counts) > limit:
-                raise MatrixSizeError(
-                    f"radius-{self.radius} ball: more than {limit} cosets, over the cell limit"
-                )
+            bound = "" if n == self.radius else "or more "
+            check_size(sum(counts), f"{bound}cosets in the radius-{self.radius} ball")
         return counts
 
     def order_pairs(self) -> int:
@@ -127,14 +123,10 @@ class DavisBall:
     def _elements(self) -> Iterator[tuple[Word, list[Subset]]]:
         """Each w of length <= r in (length, word) order, with the types T of
         its cosets w*W_T in (size, T) order: those missing its right descents.
-        The N_r words hold at most N_r * r letters; past the cell limit,
-        MatrixSizeError before any word is listed."""
-        words = self.coset_counts()[0]
-        if words * self.radius > cell_limit():
-            raise MatrixSizeError(
-                f"radius-{self.radius} ball: {words} words of up to {self.radius} letters,"
-                " over the cell limit"
-            )
+        The N_r words hold at most N_r * r letters, checked against the
+        cell limit before any word is listed."""
+        words, r = self.coset_counts()[0], self.radius
+        check_size(words * r, f"letter slots, {r} for each of the {words} words of length <= {r},")
         for w in ball(self.system, self.radius):
             descents = right_descents(self.system, w)
             yield w, [t for t in self._sphericals if descents.isdisjoint(t)]
@@ -215,8 +207,11 @@ class DavisBall:
         """Dimension of the singular subcomplex (chains of non-chamber cosets): dim L."""
         return len(self._sphericals[-1]) - 1
 
-    def to_json(self) -> dict:
-        """Every coset, and each pair [b, j] of a coset and one above it."""
+    def to_json(self, max_cells: int) -> dict:
+        """Every coset, and each pair [b, j] of a coset and one above it,
+        once the cosets, then the pairs (`order_pairs`), pass `max_cells`."""
+        check_size(sum(self.coset_counts()), f"cosets in the radius-{self.radius} ball", max_cells)
+        check_size(self.order_pairs(), "order pairs", max_cells)
         gens = self.system.generators
         cosets, order = [], []
         for b, w, t, above in self._numbered(self._kept(lambda w, types: types)):
@@ -346,24 +341,20 @@ class CellIndex:
         return counts
 
     def cells(self, max_cells: int) -> int:
-        """Number of cells; over `max_cells`, MatrixSizeError.  Two checks
-        come before the count.  The identity has no right descents, so each
-        pair T < U of non-empty types is a 1-cell e*W_T < e*W_U of both
-        sets: sum_T (2^|T| - 2) over the non-empty types bounds the cells
-        from below (it is the number of 1-cells at radius 0), read off the
-        clique sizes before the face poset of the nerve is built.  The sharp
-        set is counted by testing every coset of the ball, so over
-        `max_cells` cosets it is refused before any is listed."""
+        """Number of cells, checked against `max_cells`.  Two checks come
+        before the count.  The identity has no right descents, so each pair
+        T < U of non-empty types is a 1-cell e*W_T < e*W_U of both sets:
+        sum_T (2^|T| - 2) over the non-empty types bounds the cells from
+        below (the 1-cells at radius 0), read off the clique sizes before
+        the face poset of the nerve is built.  The sharp set is counted by
+        testing every coset of the ball, so the cosets are checked first."""
         edges = sum((1 << len(t)) - 2 for t in self.ball._sphericals[1:])
-        if edges > max_cells:
-            raise MatrixSizeError(f"at least {edges} cells exceed the materialization cap")
+        check_size(edges, "or more cells", max_cells)
         if self.sharp:
-            cosets = sum(self.ball.coset_counts())
-            if cosets > max_cells:
-                raise MatrixSizeError(f"{cosets} cosets exceed the materialization cap")
+            cosets, r = sum(self.ball.coset_counts()), self.ball.radius
+            check_size(cosets, f"cosets in the radius-{r} ball", max_cells)
         total = sum(self.counts)
-        if total > max_cells:
-            raise MatrixSizeError(f"{total} cells exceed the materialization cap")
+        check_size(total, "cells", max_cells)
         return total
 
     def _slots(self, t: Subset, d: int) -> tuple[list[int], list[int]]:
@@ -385,15 +376,15 @@ class CellIndex:
 
     def chain_complex(self) -> ChainComplex:
         """The boundary maps, in the slot layout of `ChainComplex`.  The
-        boundary entries count against the cell limit before any is listed;
-        the offsets built from the kept cosets must give the counted cells."""
+        boundary entries count against the cell limit (`from_faces`) before
+        any is listed; the offsets must give the counted cells."""
         counts = self.counts
-        check_boundary_entries(counts)
+        faces: list = [array("i") for _ in counts]
+        cc = ChainComplex.from_faces(counts, faces)
         types = [t for _, places in self._kept for t in places]
         lengths = [{t: n[j] for t, n in self._lengths.items()} for j in range(len(counts))]
         offsets = [array("q", accumulate(map(n.__getitem__, types), initial=0)) for n in lengths]
         assert [off[-1] for off in offsets] == counts, "built cells differ from the count"
-        faces: list = [array("i") for _ in counts]
         slots: dict[Subset, list[tuple[int, list[int], list[int]]]] = {}
         for b, _, t, above in self.ball._numbered(self._kept):
             if t not in slots:
@@ -404,7 +395,7 @@ class CellIndex:
                 lower = offsets[d - 1]
                 base = [lower[b], *map(lower.__getitem__, above)]
                 faces[d].extend(map(add, map(base.__getitem__, src), val))
-        return ChainComplex.from_faces(counts, faces)
+        return cc
 
 
 def _extract(ball_: DavisBall, sharp: bool) -> SimplicialComplex:

@@ -9,11 +9,7 @@ from itertools import accumulate, chain, combinations, compress, count, repeat
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .simplicial import SimplicialComplex, cell_limit
-
-
-class MatrixSizeError(RuntimeError):
-    """Raised when a boundary matrix exceeds the configured safety cap."""
+from .simplicial import SimplicialComplex, check_size
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -36,8 +32,7 @@ def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
     cols = [col for col in ({r: v for r, v in c.items() if v} for c in columns) if col]
     rmap = {r: i for i, r in enumerate(sorted({r for col in cols for r in col}))}
     m, n = len(rmap), len(cols)
-    if m * n > cell_limit():
-        raise MatrixSizeError(f"dense {m} x {n} SNF array exceeds cell limit")
+    check_size(m * n, f"entries of a dense {m} x {n} SNF array")
     a = [[0] * n for _ in range(m)]
     for j, col in enumerate(cols):
         for r, v in col.items():
@@ -107,14 +102,6 @@ def _slot_flags(flags: bytes, faces, width: int) -> Iterator[int]:
         yield int.from_bytes(bytes(map(flags.__getitem__, faces[j::width])), "little")
 
 
-def check_boundary_entries(sizes: list[int]) -> None:
-    """The boundary entries of `sizes[d]` cells of each degree d, or of those
-    counted so far, count against the cell limit: `MatrixSizeError` past it."""
-    nnz = sum((d + 1) * n for d, n in enumerate(sizes) if d)
-    if nnz > cell_limit():
-        raise MatrixSizeError(f"chain complex with at least {nnz} boundary entries exceeds cell limit")
-
-
 def coface_csr(n: int, faces, width: int) -> tuple[array, array]:
     """The cofaces of n cells in CSR form, from the flat face lists of the
     cells of the degree above, `width` slots each: the cofaces of cell i are
@@ -152,8 +139,9 @@ class ChainComplex:
     degree is numbered in the order its cells are first seen: the top cells
     in the order given; below, the faces in slot order (`combinations`
     order, last vertex omitted first), then the cells given there that are
-    not among them.  Its boundary entries count against the cell limit
-    before its slots are written; one dict closes, numbers and writes it.
+    not among them.  The boundary entries of the degrees built so far count
+    against the cell limit before their slots are written; one dict closes,
+    numbers and writes each degree.
     """
 
     def __init__(self, vertex_count: int, cells: Iterable[tuple[int, ...]]):
@@ -164,9 +152,11 @@ class ChainComplex:
         self.sizes = [vertex_count] + [0] * top if vertex_count else []
         self.faces: list = [array("i") for _ in range(top + 1)]
         upper: dict = given.pop(top + 1, {})
+        entries = 0
         for d in range(top, 0, -1):
             self.sizes[d] = len(upper)
-            check_boundary_entries(self.sizes)
+            entries += (d + 1) * len(upper)
+            check_size(entries, "or more boundary entries")
             if d == 1:
                 self.faces[1] = array("i", chain.from_iterable(upper))
                 break
@@ -179,7 +169,9 @@ class ChainComplex:
     @classmethod
     def from_faces(cls, sizes: list[int], faces: list) -> ChainComplex:
         """A complex given by its cells per degree and its face lists, laid
-        out as above; the caller has checked `sizes` against the cell limit."""
+        out as above.  Its boundary entries are checked against the cell
+        limit first, so a caller may fill the lists once this returns."""
+        check_size(sum((d + 1) * n for d, n in enumerate(sizes) if d), "boundary entries")
         cc = cls.__new__(cls)
         cc.sizes, cc.faces = sizes, faces
         return cc
@@ -470,7 +462,7 @@ def chain_homology(
 ) -> HomologyResult:
     """Integral homology: coreductions, then Smith normal form over exact integers.
 
-    More than `max_cells` critical cells raise `MatrixSizeError` before any
+    More than `max_cells` critical cells, when given, are refused before any
     SNF.  The empty complex in reduced mode reports the augmentation kernel
     as a single Z in degree -1.
     """
@@ -480,8 +472,8 @@ def chain_homology(
         return HomologyResult({}, {}, reduced=False)
     critical, boundaries = cc.coreduce()
     n_critical = sum(map(len, critical))
-    if max_cells is not None and n_critical > max_cells:
-        raise MatrixSizeError(f"{n_critical} critical cells exceed the homology cap {max_cells}")
+    if max_cells is not None:
+        check_size(n_critical, "critical cells", max_cells)
     dim = len(cc.sizes) - 1
     # the augmentation onto Z is onto for a non-empty complex
     ranks = {0: 1 if reduced else 0, dim + 1: 0}

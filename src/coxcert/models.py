@@ -5,12 +5,12 @@ from itertools import combinations, islice
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .homology import MatrixSizeError, homology, pair_ranks
+from .homology import homology, pair_ranks
 from .presentations import Pi1Certificate
 from .simplicial import (
     SimplicialComplex,
     SquareReport,
-    cell_limit,
+    check_size,
     faces_closure,
     square_report,
     wedge,
@@ -306,19 +306,15 @@ def farrell_h3_growth(n: int) -> list[int]:
     of H2(T) other than 1 raises ArithmeticError.
 
     Before any cylinder is built, their cells are summed slope by slope
-    (`farrell_cells`); past the cell limit, MatrixSizeError, so the work
-    of any n is bounded.
+    (`farrell_cells`); each partial sum, a lower bound on the total, is
+    checked against the cell limit, so the work of any n is bounded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    slopes, cells, limit = [], 0, cell_limit()
+    slopes, cells = [], 0
     for slope in islice(_farey(), n):
         cells += farrell_cells(slope)
-        if cells > limit:
-            raise MatrixSizeError(
-                f"farrell growth with {cells} cells in the cylinders of the first"
-                f" {len(slopes) + 1} slopes exceeds cell limit"
-            )
+        check_size(cells, f"or more cells in the Farrell cylinders of the first n = {n} slopes")
         slopes.append(slope)
     out = []
     total, bounded = 0, False

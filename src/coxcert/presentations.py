@@ -4,7 +4,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .simplicial import SimplicialComplex, SquareReport, faces_closure
+from .simplicial import SimplicialComplex, SquareReport, check_size, faces_closure
 from .subdivide import contract_flag_no_squares, no_square_subdivision
 # unused here, but kept bound: the benchmark's tracing hooks wrap this name
 from .simplicial import square_report  # noqa: F401
@@ -136,7 +136,8 @@ def _evaluate(
 
 
 def _closure_order(gens: Sequence[Perm], degree: int) -> int:
-    cap = 100000
+    """Order of the group the permutations generate, by closure; after each
+    level, the elements found so far are checked against a cap of 100,000."""
     identity = tuple(range(degree))
     seen = {identity}
     frontier = [identity]
@@ -148,8 +149,7 @@ def _closure_order(gens: Sequence[Perm], degree: int) -> int:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > cap:
-                        raise RuntimeError("subgroup closure exceeded cap")
+        check_size(len(seen), "or more elements in the image subgroup", 100000)
         frontier = nxt
     return len(seen)
 

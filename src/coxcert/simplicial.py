@@ -4,7 +4,7 @@ from __future__ import annotations
 import os
 from collections import Counter, defaultdict
 from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import and_
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -123,17 +123,16 @@ def faces_closure(
     `vertices` sequence fixes both universe and order, and with no sets
     gives the complex of those vertices alone.  `ValueError` is raised, in
     this order, for an empty set; for more than `max_cells` faces with two
-    or more vertices over the sets (2^n - 1 - n for a set of n vertices),
-    counted before any is listed; for a vertex outside the universe; and,
-    from the constructor, for a name repeated in it.
+    or more vertices, counted per set (2^n - 1 - n for a set of n vertices)
+    before any is listed; for a vertex outside the universe; and, from the
+    constructor, for a name repeated in it.
     """
     sets = [tuple(m) for m in sets]
     if not all(sets):
         raise ValueError("empty member set")
     if max_cells is not None:
         faces = sum((1 << n) - 1 - n for n in (len(set(m)) for m in sets))
-        if faces > max_cells:
-            raise ValueError(f"the sets span up to {faces} faces, over the cell limit {max_cells}")
+        check_size(faces, "faces of two or more vertices, counted per listed set,", max_cells)
     used = set(chain.from_iterable(sets))
     if vertices is None:
         universe: list[str] = sorted(used)
@@ -269,15 +268,30 @@ def cell_limit() -> int:
     return limit
 
 
+class MatrixSizeError(ValueError):
+    """A size over its cap, raised by `check_size` alone: a step that catches
+    it is "skipped", and where an input is loaded it is an input error."""
+
+
+def check_size(n: int, what: str, cap: Optional[int] = None) -> None:
+    """Refuse n things over the cap, the cell limit unless given: when n >
+    cap, `MatrixSizeError` with the reason "<n> <what> exceed the cap <cap>".
+    Where n only bounds the size from below, `what` says so ("or more
+    cells"), so that every reason is true."""
+    cap = cell_limit() if cap is None else cap
+    if n > cap:
+        raise MatrixSizeError(f"{n} {what} exceed the cap {cap}")
+
+
 def capped(cells: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """The simplices of a nerve as they come, raising `ValueError` ("nerve:
-    more than ...") as soon as one more than the cell limit comes, so that
-    nothing past the limit is built."""
+    """The simplices of a nerve as they come, up to the cell limit, read
+    once; one more is refused before it is yielded, so that nothing past
+    the limit is built."""
     limit = cell_limit()
-    for n, cell in enumerate(cells, 1):
-        if n > limit:
-            raise ValueError(f"nerve: more than {limit} simplices, over the cell limit")
-        yield cell
+    cells = iter(cells)
+    yield from islice(cells, limit)
+    for _ in cells:
+        check_size(limit + 1, "or more simplices in the nerve", limit)
 
 
 def _flag_witness(k: SimplicialComplex, graph: _Graph) -> Optional[tuple[str, ...]]:

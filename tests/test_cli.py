@@ -17,7 +17,8 @@ from coxcert import cli as cli_module, davis, simplicial
 from coxcert.cli import main
 from coxcert.davis import DavisBall
 from coxcert.homology import homology
-from coxcert.simplicial import SimplicialComplex, complex_from_json, complex_to_json, faces_closure
+from coxcert.simplicial import MatrixSizeError, SimplicialComplex, complex_from_json, complex_to_json
+from coxcert.simplicial import faces_closure
 from coxcert.coxeter import CoxeterSystem, racg_from_flag, system_to_json
 from coxcert.presentations import spine_complex
 
@@ -25,6 +26,7 @@ from helpers import (
     cone,
     cycle_complex,
     diagram_system,
+    full_triangle,
     hollow_triangle,
     projective_plane,
     simplex_boundary,
@@ -252,7 +254,7 @@ def test_pipeline_over_cell_limit_is_skipped(capsys, monkeypatch, argv, step):
     assert report["overall"] == "indeterminate"
     skipped = [s for s in report["steps"] if s["status"] == "skipped"]
     assert [s["name"] for s in skipped] == [step]
-    assert "exceeds cell limit" in skipped[0]["data"]["reason"]
+    assert skipped[0]["data"]["reason"].endswith(" exceed the cap 1")
 
 
 def test_malformed_cell_limit_exits_2(tmp_path, capsys, monkeypatch):
@@ -371,7 +373,7 @@ def test_davis_command_sharp_over_cap_is_skipped(tmp_path, capsys, no_ball_walk)
     assert steps["extract"]["status"] == "skipped"
     assert steps["extract"]["data"]["kind"] == "sharp"
     assert steps["extract"]["data"]["dim"] == 1
-    assert steps["extract"]["data"]["reason"] == "73 cosets exceed the materialization cap"
+    assert steps["extract"]["data"]["reason"] == "73 cosets in the radius-2 ball exceed the cap 10"
     assert "homology" not in steps
 
 
@@ -386,7 +388,7 @@ def test_davis_command_exact_cells_over_cap_are_skipped(tmp_path, capsys, no_bal
     assert report["steps"][-1] == {
         "name": "extract",
         "status": "skipped",
-        "data": {"kind": "singular", "dim": 1, "reason": "132 cells exceed the materialization cap"},
+        "data": {"kind": "singular", "dim": 1, "reason": "132 cells exceed the cap 131"},
     }
 
 
@@ -404,15 +406,15 @@ def test_dense_nerve_extract_is_skipped_before_any_chain(tmp_path, extract):
     code, report = run_child("davis", str(path), "--radius", "0", extract)
     assert code == 0
     assert report["steps"][-1]["data"]["reason"] == (
-        "56183135189 cells exceed the materialization cap"
+        "56183135189 cells exceed the cap 2000000"
     )
 
 
 @pytest.mark.parametrize(
     "flag, reason",
-    [("--singular", "at least 4750202 cells exceed the materialization cap"),
-     ("--sharp", "at least 4750202 cells exceed the materialization cap"),
-     ("--dump", "4766585 order pairs exceed the materialization cap")],
+    [("--singular", "4750202 or more cells exceed the cap 2000000"),
+     ("--sharp", "4750202 or more cells exceed the cap 2000000"),
+     ("--dump", "4766585 order pairs exceed the cap 2000000")],
     ids=["singular", "sharp", "dump"],
 )
 def test_simplex_nerve_is_refused_before_its_face_poset(tmp_path, capsys, monkeypatch, flag, reason):
@@ -450,7 +452,7 @@ def test_davis_dump_over_cap_is_skipped(tmp_path, capsys, no_ball_walk):
     assert report["steps"][-1] == {
         "name": "dump",
         "status": "skipped",
-        "data": {"reason": "73 cosets exceed the materialization cap"},
+        "data": {"reason": "73 cosets in the radius-2 ball exceed the cap 72"},
     }
     assert not dump.exists()
 
@@ -467,12 +469,13 @@ def test_plain_davis_lists_no_cosets(spine_path, capsys, no_ball_walk):
     [
         ("2", (), "ball", "pass", {"radius": 2, "cosets": 17559543, "realization_dim": 3}),
         ("2", ("--singular",), "extract", "skipped",
-         {"kind": "singular", "dim": 2, "reason": "112264201 cells exceed the materialization cap"}),
+         {"kind": "singular", "dim": 2, "reason": "112264201 cells exceed the cap 2000000"}),
         ("3", (), "ball", "skipped",
-         {"radius": 3, "reason": "radius-3 ball: more than 50000000 cosets, over the cell limit"}),
+         {"radius": 3, "reason": "2305205373 cosets in the radius-3 ball exceed the cap 50000000"}),
         ("1000000000", (), "ball", "skipped",
          {"radius": 1000000000,
-          "reason": "radius-1000000000 ball: more than 50000000 cosets, over the cell limit"}),
+          "reason": "302623859793 or more cosets in the radius-1000000000 ball"
+                    " exceed the cap 50000000"}),
     ],
     ids=["radius-2", "radius-2-singular", "radius-3", "radius-1e9"],
 )
@@ -538,7 +541,8 @@ def test_ball_of_long_words_is_skipped_before_the_walk(tmp_path, flag, step):
     assert report["overall"] == "indeterminate"
     assert report["steps"][-1]["name"] == step
     assert report["steps"][-1]["data"]["reason"] == (
-        "radius-100000 ball: 200001 words of up to 100000 letters, over the cell limit"
+        "20000100000 letter slots, 100000 for each of the 200001 words of length <= 100000,"
+        " exceed the cap 50000000"
     )
     assert not dump.exists()
 
@@ -567,7 +571,7 @@ def test_dense_nerve_up_lists_are_counted_before_any_is_built(tmp_path, capsys, 
     assert report["overall"] == "indeterminate"
     assert report["steps"][-1]["status"] == "skipped"
     assert report["steps"][-1]["data"]["reason"] == (
-        "nerve: 527345 superset entries, over the cell limit"
+        "527345 entries in the up-lists of the nerve's types exceed the cap 10000"
     )
     assert not dump.exists()
 
@@ -583,7 +587,7 @@ def test_davis_homology_cap_counts_critical_cells(tmp_path, capsys):
     assert code == 0
     steps = {s["name"]: s for s in report["steps"]}
     assert steps["homology"]["status"] == "skipped"
-    assert steps["homology"]["data"]["reason"] == "14 critical cells exceed the homology cap 13"
+    assert steps["homology"]["data"]["reason"] == "14 critical cells exceed the cap 13"
 
 
 def test_spine_singular_set_is_acyclic(tmp_path, capsys):
@@ -626,7 +630,9 @@ def test_closure_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, command)
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "1000")
     code, report = run_cli(capsys, command, str(path))
     assert code == 2
-    assert "cell limit" in report["error"]
+    assert report["error"] == (
+        "1048555 faces of two or more vertices, counted per listed set, exceed the cap 1000"
+    )
 
 
 @pytest.mark.parametrize("command", ["racg", "hyperbolic", "davis"])
@@ -639,7 +645,7 @@ def test_implied_matrix_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, c
         path.write_text(json.dumps({"vertices": verts, "maximal_simplices": [[v] for v in verts]}))
         code, report = run_cli(capsys, command, str(path))
         assert code == expected
-    assert "cell limit" in report["error"]
+    assert report["error"] == "121 entries of the 11 x 11 Coxeter matrix exceed the cap 100"
 
 
 @pytest.mark.parametrize("command", ["nerve", "hyperbolic", "davis"])
@@ -658,7 +664,7 @@ def test_nerve_over_cell_limit_exits_2(tmp_path, capsys, monkeypatch, command):
             extra = ["--radius", "0"] if command == "davis" else []
             code, report = run_cli(capsys, command, str(path), *extra)
             assert code == expected
-        assert report["error"] == "nerve: more than 1000 simplices, over the cell limit"
+        assert report["error"] == "1001 or more simplices in the nerve exceed the cap 1000"
 
 
 def test_davis_negative_radius_exits_2(tmp_path, capsys):
@@ -713,7 +719,8 @@ def test_farrell_growth_over_a_small_cell_limit_is_skipped(capsys, monkeypatch):
     (step,) = report["steps"]
     assert (step["name"], step["status"]) == ("h3-growth", "skipped")
     assert step["data"]["reason"] == (
-        "farrell growth with 27228 cells in the cylinders of the first 7 slopes exceeds cell limit"
+        "27228 or more cells in the Farrell cylinders of the first n = 8 slopes"
+        " exceed the cap 20000"
     )
 
 
@@ -727,8 +734,8 @@ def test_farrell_many_slopes_are_skipped_at_once():
     assert report["steps"] == [{
         "name": "h3-growth",
         "status": "skipped",
-        "data": {"reason": "farrell growth with 50200536 cells in the cylinders of the first"
-                           " 238 slopes exceeds cell limit"},
+        "data": {"reason": "50200536 or more cells in the Farrell cylinders of the first"
+                           " n = 100000 slopes exceed the cap 50000000"},
     }]
 
 
@@ -941,3 +948,130 @@ def test_davis_sharp_dump_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "c18225f19f9620269167932dd9f9c6d5b922a5802f73bf99ae980102e2617b95"
     )
+
+
+def commuting_system(n):
+    return {"generators": [f"s{i}" for i in range(n)],
+            "matrix": [[1 if i == j else 2 for j in range(n)] for i in range(n)]}
+
+
+REFUSAL_INPUTS = {
+    "edge": lambda: complex_to_json(faces_closure([("a", "b")])),
+    "triangle": lambda: complex_to_json(full_triangle()),
+    "c4": lambda: complex_to_json(cycle_complex(4)),
+    "points2": lambda: complex_to_json(two_points()),
+    "points11": lambda: complex_to_json(SimplicialComplex([f"v{i}" for i in range(11)], [])),
+    "k10": lambda: commuting_system(10),
+    "k12": lambda: commuting_system(12),
+}
+
+
+@pytest.mark.parametrize(
+    "source, argv, limit, code, step, reason",
+    [
+        ("edge", ("homology",), "1", 0, ("homology", "skipped"),
+         "2 or more boundary entries exceed the cap 1"),
+        ("c4", ("davis", "--radius", "2", "--singular"), "100", 0, ("homology", "skipped"),
+         "144 boundary entries exceed the cap 100"),
+        ("c4", ("davis", "--radius", "2", "--singular", "--max-homology-cells", "13"), None, 0,
+         ("homology", "skipped"), "14 critical cells exceed the cap 13"),
+        ("k12", ("davis", "--radius", "0", "--singular"), "10000", 0, ("extract", "skipped"),
+         "527345 entries in the up-lists of the nerve's types exceed the cap 10000"),
+        ("c4", ("davis", "--radius", "2"), "72", 0, ("ball", "skipped"),
+         "73 cosets in the radius-2 ball exceed the cap 72"),
+        ("c4", ("davis", "--radius", "4"), "72", 0, ("ball", "skipped"),
+         "73 or more cosets in the radius-4 ball exceed the cap 72"),
+        ("points2", ("davis", "--radius", "10", "--singular"), "200", 0, ("homology", "skipped"),
+         "210 letter slots, 10 for each of the 21 words of length <= 10, exceed the cap 200"),
+        ("triangle", ("davis", "--radius", "0", "--singular", "--max-cells", "11"), None, 0,
+         ("extract", "skipped"), "12 or more cells exceed the cap 11"),
+        ("c4", ("davis", "--radius", "2", "--sharp", "--max-cells", "72"), None, 0,
+         ("extract", "skipped"), "73 cosets in the radius-2 ball exceed the cap 72"),
+        ("c4", ("davis", "--radius", "2", "--singular", "--max-cells", "131"), None, 0,
+         ("extract", "skipped"), "132 cells exceed the cap 131"),
+        ("c4", ("davis", "--radius", "2", "--dump", "DUMP", "--max-cells", "72"), None, 0,
+         ("dump", "skipped"), "73 cosets in the radius-2 ball exceed the cap 72"),
+        ("c4", ("davis", "--radius", "2", "--dump", "DUMP", "--max-cells", "175"), None, 0,
+         ("dump", "skipped"), "176 order pairs exceed the cap 175"),
+        (None, ("farrell", "--slopes", "8"), "20000", 0, ("h3-growth", "skipped"),
+         "27228 or more cells in the Farrell cylinders of the first n = 8 slopes"
+         " exceed the cap 20000"),
+        ("k10", ("nerve",), "1000", 2, None,
+         "1001 or more simplices in the nerve exceed the cap 1000"),
+        ("triangle", ("homology",), "3", 2, None,
+         "4 faces of two or more vertices, counted per listed set, exceed the cap 3"),
+        ("points11", ("racg",), "100", 2, None,
+         "121 entries of the 11 x 11 Coxeter matrix exceed the cap 100"),
+    ],
+    ids=["chain-complex", "from-faces", "critical-cells", "up-lists", "cosets",
+         "cosets-lower-bound", "letters", "cells-lower-bound", "sharp-cosets", "cells",
+         "dump-cosets", "dump-pairs", "farrell", "nerve", "faces-closure", "racg-matrix"],
+)
+def test_every_cap_refusal_keeps_its_exit_code(tmp_path, capsys, monkeypatch, source, argv,
+                                              limit, code, step, reason):
+    """One input per refusal site that a command reaches.  A refused step is
+    "skipped" with exit 0, or, where an input is loaded, the refusal is an
+    input error with exit 2; either way the reason is `check_size`'s, with
+    the count and the cap, and nothing is written."""
+    if limit is not None:
+        monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", limit)
+    dump = tmp_path / "ball.json"
+    argv = [str(dump) if a == "DUMP" else a for a in argv]
+    if source is not None:
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(REFUSAL_INPUTS[source]()))
+        argv[1:1] = [str(path)]
+    got, report = run_cli(capsys, *argv)
+    assert got == code
+    if step is None:
+        assert report == {"error": reason}
+    else:
+        assert report["overall"] == "indeterminate"
+        last = report["steps"][-1]
+        assert (last["name"], last["status"], last["data"]["reason"]) == (*step, reason)
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize(
+    "source, argv, limit, step",
+    [
+        ("c4", ("davis", "--radius", "2"), "73", "ball"),
+        ("c4", ("davis", "--radius", "2", "--singular", "--max-cells", "132"), None, "homology"),
+        ("c4", ("davis", "--radius", "2", "--dump", "DUMP", "--max-cells", "176"), None, "ball"),
+        ("c4", ("davis", "--radius", "2", "--singular"), "144", "homology"),
+        ("points11", ("racg",), "121", "racg"),
+    ],
+    ids=["cosets", "cells", "dump-pairs", "from-faces", "racg-matrix"],
+)
+def test_a_count_at_its_cap_passes(tmp_path, capsys, monkeypatch, source, argv, limit, step):
+    """Each count of the refusals above passes at a cap equal to it."""
+    if limit is not None:
+        monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", limit)
+    dump = tmp_path / "ball.json"
+    path = tmp_path / f"{source}.json"
+    path.write_text(json.dumps(REFUSAL_INPUTS[source]()))
+    argv = [argv[0], str(path), *(str(dump) if a == "DUMP" else a for a in argv[1:])]
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["overall"] == "pass"
+    assert report["steps"][-1]["name"] == step
+    assert dump.exists() == ("--dump" in argv)
+
+
+def test_dump_refusal_is_the_balls_own(tmp_path, capsys):
+    """`davis --dump` reports what `DavisBall.to_json` refuses: a direct call
+    on the 14-vertex simplex at radius 0, with the command's default cap,
+    raises the reason the step prints; under 16,384 the cosets are refused
+    first, from the command and from the call alike."""
+    k = SimplicialComplex([f"v{i}" for i in range(14)], [tuple(range(14))])
+    path = write_complex(tmp_path, k)
+    ball = DavisBall(racg_from_flag(k), 0)
+    for cap, reason in [(2000000, "4766585 order pairs exceed the cap 2000000"),
+                        (16383, "16384 cosets in the radius-0 ball exceed the cap 16383")]:
+        with pytest.raises(MatrixSizeError) as refused:
+            ball.to_json(cap)
+        argv = ["--radius", "0", "--dump", str(tmp_path / "ball.json"), "--max-cells", str(cap)]
+        code, report = run_cli(capsys, "davis", path, *argv)
+        assert code == 0
+        assert report["steps"][-1]["data"]["reason"] == str(refused.value) == reason
+

@@ -16,8 +16,8 @@ from coxcert.davis import (
     hash_union_sharp,
     singular_subcomplex,
 )
-from coxcert.homology import MatrixSizeError, chain_homology, homology
-from coxcert.simplicial import faces_closure, square_report
+from coxcert.homology import chain_homology, homology
+from coxcert.simplicial import MatrixSizeError, faces_closure, square_report
 from coxcert.subdivide import barycentric_subdivision
 
 from helpers import (
@@ -41,6 +41,8 @@ from helpers import (
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from inputs import davis_expectations  # noqa: E402  (counts from explicit elements, r <= 2)
+
+DUMP_CAP = 2000000  # the `davis` command's default --max-cells
 
 
 def edge_nerve_system():
@@ -155,7 +157,7 @@ def test_materialization_cap_counts_cosets_then_chains(monkeypatch):
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "9")
     assert sum(singular_subcomplex(b).counts()) == 9
     for cap in (4, 8):
-        with pytest.raises(MatrixSizeError, match="^9 cells exceed the materialization cap$"):
+        with pytest.raises(MatrixSizeError, match=f"^9 cells exceed the cap {cap}$"):
             CellIndex(b, sharp=False).cells(cap)
 
 
@@ -167,7 +169,7 @@ def test_realization_is_flag():
 
 def test_ball_json_dump():
     b = davis_ball(dihedral_system(), 1)
-    data = b.to_json()
+    data = b.to_json(DUMP_CAP)
     assert data["radius"] == 1
     assert any(c["T"] for c in data["cosets"])
     assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["order"])
@@ -176,7 +178,7 @@ def test_ball_json_dump():
 def test_ball_json_dump_lists_no_cosets_tuple():
     """The dump numbers the cosets by the up-neighbour walk, not by `cosets`."""
     b = davis_ball(racg_from_flag(cycle_complex(5)), 2)
-    b.to_json()
+    b.to_json(DUMP_CAP)
     assert "cosets" not in vars(b)
 
 
@@ -190,7 +192,7 @@ def test_small_ball_dump_matches_oracle(nerve, radius):
     """Nerves the random oracle test never draws: with no generator only the
     empty type is walked, with one the walk has a single superset."""
     sys = racg_from_flag(nerve())
-    assert davis_ball(sys, radius).to_json() == ReferenceBall(sys, radius).to_json()
+    assert davis_ball(sys, radius).to_json(DUMP_CAP) == ReferenceBall(sys, radius).to_json()
 
 
 def test_cosets_are_frozen_dict_keys():
@@ -254,7 +256,7 @@ def test_fast_coset_paths_match_word_problem_oracle(seed):
         fast = davis_ball(sys, radius)
     ref = ReferenceBall(sys, radius)
     assert fast.cosets == ref.cosets
-    assert fast.to_json() == ref.to_json()
+    assert fast.to_json(DUMP_CAP) == ref.to_json()
     real = reference_realization(fast)
     assert real.simplices == reference_realization(ref).simplices
     assert fast.realization_dim() == real.dim()
@@ -318,7 +320,7 @@ def test_closed_form_counts_match_the_listed_ball(seed):
     rng = random.Random(seed)
     l = random_flag_complex(rng, rng.randint(3, 8), rng.choice((0.2, 0.5, 0.8)))
     b = davis_ball(racg_from_flag(l), rng.randint(0, 2))
-    assert b.order_pairs() == len(b.to_json()["order"])
+    assert b.order_pairs() == len(b.to_json(DUMP_CAP)["order"])
     edges = sum(2 ** len(c.gens) - 2 for c in b.cosets if not c.rep and c.gens)
     for sharp in (False, True):
         counts = CellIndex(b, sharp).counts
@@ -354,7 +356,7 @@ def test_coset_counts_stop_at_the_limit(monkeypatch):
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "9")
     assert b.coset_counts() == [4, 4, 1]
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "8")
-    with pytest.raises(MatrixSizeError, match="radius-2 ball: more than 8 cosets"):
+    with pytest.raises(MatrixSizeError, match="^9 cosets in the radius-2 ball exceed the cap 8$"):
         b.coset_counts()
     monkeypatch.delenv("COXCERT_SNF_CELL_LIMIT")
     assert davis_ball(triangle_nerve_system(), 10**9).coset_counts() == [8, 12, 6, 1]

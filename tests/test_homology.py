@@ -10,14 +10,13 @@ from coxcert.davis import davis_ball, hash_union_sharp, singular_subcomplex
 from coxcert.homology import (
     ChainComplex,
     HomologyResult,
-    MatrixSizeError,
     coface_csr,
     homology,
     pair_ranks,
     snf_divisors,
 )
 from coxcert.models import farrell_quotient
-from coxcert.simplicial import SimplicialComplex, faces_closure
+from coxcert.simplicial import MatrixSizeError, SimplicialComplex, faces_closure
 
 from helpers import (
     boundary_columns,
@@ -114,11 +113,14 @@ def test_snf_matches_sympy_smith_normal_form():
 
 
 def test_dense_residual_is_capped_before_allocation(monkeypatch):
-    """50 nonzeros fit under the cap of 100; the 50 x 50 dense array must not."""
+    """50 nonzeros fit under the cap of 100; the 50 x 50 dense array must
+    not, though it fits a cap of 2,500."""
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "100")
-    with pytest.raises(MatrixSizeError, match="50 x 50"):
+    with pytest.raises(MatrixSizeError, match="^2500 entries of a dense 50 x 50 SNF array"):
         snf_divisors([{i: 2} for i in range(50)])
     assert snf_divisors([{i: 2} for i in range(10)]) == [2] * 10
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "2500")
+    assert snf_divisors([{i: 2} for i in range(50)]) == [2] * 50
 
 
 def _compose(upper, lower):
@@ -395,7 +397,8 @@ def test_chain_complex_cap_is_exact(case):
         assert ChainComplex(n, facets).sizes == sizes
         if entries:
             mp.setenv("COXCERT_SNF_CELL_LIMIT", str(entries - 1))
-            with pytest.raises(MatrixSizeError, match="exceeds cell limit"):
+            reason = f"^{entries} or more boundary entries exceed the cap {entries - 1}$"
+            with pytest.raises(MatrixSizeError, match=reason):
                 ChainComplex(n, facets)
         mp.setenv("COXCERT_SNF_CELL_LIMIT", "0")
         assert ChainComplex(n, [(v,) for v in range(n)]).sizes == [n]

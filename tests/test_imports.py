@@ -11,12 +11,14 @@ and method the package defines is named in code (not in a comment or a
 docstring) somewhere in the package, its scripts, the benchmark or the
 acceptance tests; a definition only unit tests reach is dead code.  One
 function reads the environment, `simplicial.cell_limit`, so the cell limit
-is one setting, read where each cap is checked; and one function builds a
-1-skeleton, `simplicial._skeleton`, so every graph test reads one graph.  Every
-command is a fresh process, so `import coxcert.cli` loads nothing that costs
-start-up time or memory without use: no `dataclasses`, no `inspect`, and no
-`hashlib`, which loads OpenSSL; the input digest comes from the interpreter's
-builtin SHA-256, with `hashlib` only where that module is not built.
+is one setting, read where each cap is checked; one function builds a
+1-skeleton, `simplicial._skeleton`, so every graph test reads one graph; and
+one function raises `MatrixSizeError`, `simplicial.check_size`, so every cap
+refusal has one message shape.  Every command is a fresh process, so
+`import coxcert.cli` loads nothing that costs start-up time or memory
+without use: no `dataclasses`, no `inspect`, and no `hashlib`, which loads
+OpenSSL; the input digest comes from the interpreter's builtin SHA-256,
+with `hashlib` only where that module is not built.
 """
 import ast
 import hashlib
@@ -264,6 +266,55 @@ def test_adjacency_caller_finder_names_the_innermost_function():
         "        return adjacency()\n"
     )
     assert adjacency_callers(source) == {"<module>", "g", "h"}
+
+
+def size_error_raisers(source: str) -> set[str]:
+    """Innermost functions that raise `MatrixSizeError`, called or not, by
+    name or as an attribute; `<module>` for a raise outside any function."""
+    raisers = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "MatrixSizeError":
+                    raisers.add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return raisers
+
+
+def test_only_check_size_raises_size_errors():
+    """Every cap refusal comes from `simplicial.check_size`, with one
+    message shape; no other function, script included, raises the error."""
+    raisers = {
+        f"{path.stem}.{name}"
+        for path in MODULES + sorted((ROOT / "scripts").glob("*.py"))
+        for name in size_error_raisers(path.read_text())
+    }
+    assert raisers == {"simplicial.check_size"}
+
+
+def test_size_error_raiser_finder_names_the_innermost_function():
+    source = (
+        "raise MatrixSizeError\n"
+        "def f(n):\n"
+        "    def g():\n"
+        "        raise simplicial.MatrixSizeError(f'{n} cells')\n"
+        "    try:\n"
+        "        g()\n"
+        "    except MatrixSizeError:\n"
+        "        raise\n"
+        "    return MatrixSizeError\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        raise MatrixSizeError('over') from None\n"
+        "    def k(self):\n"
+        "        raise ValueError('MatrixSizeError')\n"
+    )
+    assert size_error_raisers(source) == {"<module>", "g", "h"}
 
 
 def run_bare(probe: str) -> str:

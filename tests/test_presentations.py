@@ -8,6 +8,7 @@ from coxcert.homology import homology, snf_divisors
 from coxcert.presentations import (
     Pi1Certificate,
     Presentation,
+    _closure_order,
     find_pi1_certificate,
     free_reduce,
     presentation_complex,
@@ -15,7 +16,7 @@ from coxcert.presentations import (
     spine_complex,
     spine_presentation,
 )
-from coxcert.simplicial import SimplicialComplex, square_report
+from coxcert.simplicial import MatrixSizeError, SimplicialComplex, square_report
 
 from helpers import reference_find_pi1_certificate
 
@@ -230,3 +231,16 @@ def test_spine_build_checks_the_subdivision_once(monkeypatch):
     assert calls == {
         ("flag", 1279): 1, ("squares", 1279): 1, ("flag", 136): 1, ("squares", 136): 1
     }
+
+
+def test_subgroup_closure_is_capped_level_by_level():
+    """A transposition and a 9-cycle generate Sym(9), of order 362,880: the
+    closure is refused after the level that takes it past 100,000 elements,
+    a lower bound on the order.  Sym(8), of order 40,320, is closed."""
+    def gens(n):
+        return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+
+    assert _closure_order(gens(8), 8) == 40320
+    reason = "^106700 or more elements in the image subgroup exceed the cap 100000$"
+    with pytest.raises(MatrixSizeError, match=reason):
+        _closure_order(gens(9), 9)

@@ -1,14 +1,17 @@
 """Core complex construction, flag/square reports and wedges."""
 import random
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcert.simplicial import (
+    MatrixSizeError,
     SimplicialComplex,
     _flag_witness,
     _skeleton,
+    capped,
+    check_size,
     cliques,
     complex_from_json,
     complex_to_json,
@@ -347,3 +350,41 @@ def test_flag_witness_stops_at_the_first_missing_clique():
     adj = _BudgetedAdjacency(k.adjacency(), budget=n * n)
     first_triangle = next(c for c in cliques(adj) if len(c) == 3)
     assert first_triangle == (0, 1, 2)
+
+
+def test_check_size_refuses_only_past_the_cap(monkeypatch):
+    """A count equal to the cap passes and one more is refused, with the
+    count, what was counted and the cap; the cap defaults to the cell limit,
+    and the error is a `ValueError`, so a refused input is an input error."""
+    check_size(5, "cells", 5)
+    with pytest.raises(MatrixSizeError, match="^6 cells exceed the cap 5$"):
+        check_size(6, "cells", 5)
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "7")
+    check_size(7, "or more cells")
+    with pytest.raises(ValueError, match="^8 or more cells exceed the cap 7$"):
+        check_size(8, "or more cells")
+
+
+def test_face_cap_is_exact():
+    """The 4 faces of two or more vertices of a triangle pass a cap of 4."""
+    assert faces_closure([("a", "b", "c")], max_cells=4).counts() == [3, 3, 1]
+    reason = "^4 faces of two or more vertices, counted per listed set, exceed the cap 3$"
+    with pytest.raises(MatrixSizeError, match=reason):
+        faces_closure([("a", "b", "c")], max_cells=3)
+
+
+def test_capped_yields_the_cell_limit_and_stops_at_one_more(monkeypatch):
+    """Three simplices pass a limit of 3; the fourth is refused before it
+    is yielded, on an endless source too."""
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "3")
+    cells = [(0,), (1,), (0, 1)]
+    assert list(capped(cells)) == cells
+    reason = "^4 or more simplices in the nerve exceed the cap 3$"
+    with pytest.raises(MatrixSizeError, match=reason):
+        list(capped(cells + [(2,)]))
+    pulled = []
+    endless = capped(pulled.append(n) or (n,) for n in count())
+    assert [next(endless) for _ in range(3)] == [(0,), (1,), (2,)]
+    with pytest.raises(MatrixSizeError, match=reason):
+        next(endless)
+    assert pulled == [0, 1, 2, 3]
