@@ -251,29 +251,44 @@ def davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
 # -- distinguished subcomplexes ---------------------------------------------
 
 
+def cube_signs(d: int) -> tuple[int, ...]:
+    """The slot signs of a d-cube [T, U], s_1 < ... < s_d the elements of
+    U - T: slot 2i-2 holds the lower face [T, U - s_i], with sign (-1)^i,
+    and slot 2i-1 the upper face [T + s_i, U], with sign (-1)^(i-1)."""
+    return tuple(sign for i in range(1, d + 1) for sign in ((-1) ** i, (-1) ** (i - 1)))
+
+
 class CellIndex:
-    """The order complex of the singular or the sharp set of a ball, as an
-    index of its cells, with no simplex listed.
+    """The singular or the sharp set of a ball, as an index of its cells,
+    with no cell listed.
 
     The singular set keeps the cosets of non-empty type.  The sharp set, the
     union over the generators of their fixed subcomplexes, keeps the cosets
     some generator fixes: a coset fixed by s lies only below cosets fixed by
     s, so every chain of the union lies in one wall.  Both sets are closed
-    upwards, so their cells are all the chains whose bottom coset is kept.
+    upwards.
 
-    The cosets above c = w*W_T0 are the cosets coset_rep(w, T)*W_T, one for
-    each clique T containing T0 strictly, so a chain c0 < ... < cj is its
-    bottom c0 and a chain of cliques T0 < ... < Tj.  The kept cosets are
-    numbered in ball order, and the j-cell of bottom b and clique chain k is
-    numbered offset_j[b] + k, k its place in the table of j-chains from T0,
-    one dict from each chain to its place.  Deleting Ti with i >= 1 keeps
-    the bottom and picks another chain from the same table; deleting T0
-    moves the bottom to the coset of type T1 above it.  So the cells per
-    degree are known before any is built: the kept cosets of each type times
-    the chains from that type.  The singular set's kept cosets are counted
-    in closed form; the sharp set's are counted by a walk of every coset of
-    the ball, which `cells` checks first.  The views below are order
-    complexes of the walk of its kept cosets (`_extract`).
+    The cosets above c = w*W_T are the cosets coset_rep(w, U)*W_U, one for
+    each clique U containing T strictly, and between c and the one of type U
+    lie those of the types V with T <= V <= U: the interval [c, w*W_U] is a
+    Boolean lattice.  So the order complex of a set closed upwards, whose
+    chains are the chains from a kept bottom, triangulates the cube complex
+    whose d-cells are the pairs [c, U] of a kept c and a clique U of |T| + d
+    elements containing T (the cubical structure on the Davis complex:
+    Davis, The Geometry and Topology of Coxeter Groups, 2008).  `counts` and
+    `cells` count the order complex, the views list it (`_extract`), and
+    `chain_complex` builds the cube complex, which has the same homology
+    and fewer cells.
+
+    The kept cosets are numbered in ball order, and the d-cube [b, U] is
+    numbered offset_d[b] + k, k the place of U in the table of the cliques
+    of |T| + d elements containing T.  Its upper face [T + s, U] moves the
+    bottom to the coset of type T + s above it; its lower face [T, U - s]
+    keeps the bottom.  So the cells per degree are known before any is
+    built: the kept cosets of each type times the chains, or the cubes, from
+    that type.  The singular set's kept cosets are counted in closed form;
+    the sharp set's are counted by a walk of every coset of the ball, which
+    `cells` checks first.
     """
 
     def __init__(self, ball_: DavisBall, sharp: bool):
@@ -294,19 +309,18 @@ class CellIndex:
         return lengths
 
     @cached_property
-    def _chains(self) -> dict[Subset, list[dict[tuple[Subset, ...], int]]]:
-        """The chains of types from each non-empty type, by length: the
-        tables, each chain mapped to its place in insertion order, built
-        only once their cells are counted and let through."""
-        chains: dict[Subset, list[dict[tuple[Subset, ...], int]]] = {}
-        for t in reversed(self.ball._sphericals[1:]):
-            by_length = [{(t,): 0}] + [{} for _ in range(self._width - 1)]
+    def _cubes(self) -> dict[Subset, list[dict[Subset, int]]]:
+        """The cliques containing each non-empty type, by the number d of
+        elements they add: the tables of the d-cubes from the type, each
+        clique mapped to its place in (size, T) order."""
+        cubes: dict[Subset, list[dict[Subset, int]]] = {}
+        for t in self.ball._sphericals[1:]:
+            tables: list[dict[Subset, int]] = [{t: 0}] + [{} for _ in range(self._width - 1)]
             for u in self.ball._supersets[t]:
-                for table, tails in zip(by_length[1:], chains[u]):
-                    for tail in tails:
-                        table[(t,) + tail] = len(table)
-            chains[t] = by_length
-        return chains
+                table = tables[len(u) - len(t)]
+                table[u] = len(table)
+            cubes[t] = tables
+        return cubes
 
     def _keep(self, w: Word, types: list[Subset]) -> Iterator[Subset]:
         """The kept types of the cosets w*W_T: those that meet walls(w) in
@@ -321,33 +335,42 @@ class CellIndex:
         return self.ball._kept(self._keep)
 
     @cached_property
-    def counts(self) -> list[int]:
-        """Cells per degree, from the kept cosets of each type.  The singular
-        set keeps every coset of non-empty type, counted without listing:
-        `coset_counts` gives them per type size, the same for each type."""
+    def _per_type(self) -> dict[Subset, int]:
+        """The kept cosets of each type.  The singular set keeps every coset
+        of non-empty type, counted without listing: `coset_counts` gives
+        them per type size, the same for each type."""
         if self.sharp:
-            per_type = Counter(t for _, types in self._kept for t in types)
-        else:
-            sphericals = self.ball._sphericals
-            sizes = Counter(map(len, sphericals))
-            by_size = self.ball.coset_counts()
-            per_type = {t: by_size[len(t)] // sizes[len(t)] for t in sphericals if t}
+            return Counter(t for _, types in self._kept for t in types)
+        sphericals = self.ball._sphericals
+        sizes = Counter(map(len, sphericals))
+        by_size = self.ball.coset_counts()
+        return {t: by_size[len(t)] // sizes[len(t)] for t in sphericals if t}
+
+    def _sizes(self, per_cell: dict[Subset, list[int]]) -> list[int]:
+        # cells per degree: the kept cosets of each type times its cells
         counts = [0] * self._width
-        for t, n in per_type.items():
-            for j, m in enumerate(self._lengths[t]):
+        for t, n in self._per_type.items():
+            for j, m in enumerate(per_cell[t]):
                 counts[j] += n * m
         while counts and not counts[-1]:
             counts.pop()
         return counts
 
+    @cached_property
+    def counts(self) -> list[int]:
+        """Cells of the order complex per degree, from the kept cosets of
+        each type and the chains from it."""
+        return self._sizes(self._lengths)
+
     def cells(self, max_cells: int) -> int:
-        """Number of cells, checked against `max_cells`.  Two checks come
-        before the count.  The identity has no right descents, so each pair
-        T < U of non-empty types is a 1-cell e*W_T < e*W_U of both sets:
-        sum_T (2^|T| - 2) over the non-empty types bounds the cells from
-        below (the 1-cells at radius 0), read off the clique sizes before
-        the face poset of the nerve is built.  The sharp set is counted by
-        testing every coset of the ball, so the cosets are checked first."""
+        """Number of cells of the order complex, checked against
+        `max_cells`.  Two checks come before the count.  The identity has no
+        right descents, so each pair T < U of non-empty types is a 1-cell
+        e*W_T < e*W_U of both sets: sum_T (2^|T| - 2) over the non-empty
+        types bounds the cells from below (the 1-cells at radius 0), read
+        off the clique sizes before the face poset of the nerve is built.
+        The sharp set is counted by testing every coset of the ball, so the
+        cosets are checked first."""
         edges = sum((1 << len(t)) - 2 for t in self.ball._sphericals[1:])
         check_size(edges, "or more cells", max_cells)
         if self.sharp:
@@ -357,43 +380,49 @@ class CellIndex:
         check_size(total, "cells", max_cells)
         return total
 
-    def _slots(self, t: Subset, d: int) -> tuple[list[int], list[int]]:
-        """The face slots of the d-cells from type t.  Slot j of a cell is
-        base[src] + val, where base[0] is the offset of its bottom in degree
-        d-1 and base[n] that of the coset above the bottom of the n-th strict
-        superset of t.  Slot j deletes the type at place d-j of the chain."""
-        up = {u: n for n, u in enumerate(self.ball._supersets[t], 1)}
-        tables = self._chains
-        same = tables[t][d - 1]
-        src, val = [], []
-        for chain in tables[t][d]:
-            for m in range(d, 0, -1):
-                src.append(0)
-                val.append(same[chain[:m] + chain[m + 1 :]])
-            src.append(up[chain[1]])
-            val.append(tables[chain[1]][d - 1][chain[1:]])
-        return src, val
+    def _slots(self, t: Subset, top: int) -> tuple[int, list[tuple[int, list[int], list[int]]]]:
+        """The face slots of the d-cubes from type t, for 0 < d < top, in
+        `cube_signs` order.  Slot j of a cube is base[src] + val, where
+        base[0] is the offset of its bottom in degree d-1 and base[n] that of
+        the coset above the bottom of the n-th clique of |t| + 1 elements
+        containing t; also the number of those cliques.  The up-list of a
+        coset names the cosets above it in (size, T) order of their types,
+        so those cliques come first."""
+        supersets, cubes = self.ball._supersets[t], self._cubes
+        up = {u: n for n, u in enumerate(supersets, 1) if len(u) == len(t) + 1}
+        slots = []
+        for d in range(1, top):
+            src, val = [], []
+            for u in cubes[t][d]:
+                for s in sorted(set(u).difference(t)):
+                    lower, upper = tuple(x for x in u if x != s), tuple(sorted((*t, s)))
+                    src += (0, up[upper])
+                    val += (cubes[t][d - 1][lower], cubes[upper][d - 1][u])
+            if src:
+                slots.append((d, src, val))
+        return len(up), slots
 
     def chain_complex(self) -> ChainComplex:
-        """The boundary maps, in the slot layout of `ChainComplex`.  The
-        boundary entries count against the cell limit (`from_faces`) before
-        any is listed; the offsets must give the counted cells."""
-        counts = self.counts
-        faces: list = [array("i") for _ in counts]
-        cc = ChainComplex.from_faces(counts, faces)
+        """The boundary maps of the cube complex, in the slot layout of
+        `ChainComplex` with `cube_signs`.  The boundary entries count
+        against the cell limit (`from_faces`) before any is listed; the
+        offsets must give the counted cells."""
+        cubes_from = {t: list(map(len, tables)) for t, tables in self._cubes.items()}
+        sizes = self._sizes(cubes_from)
+        faces: list = [array("i") for _ in sizes]
+        cc = ChainComplex.from_faces(sizes, faces, list(map(cube_signs, range(len(sizes)))))
         types = [t for _, places in self._kept for t in places]
-        lengths = [{t: n[j] for t, n in self._lengths.items()} for j in range(len(counts))]
-        offsets = [array("q", accumulate(map(n.__getitem__, types), initial=0)) for n in lengths]
-        assert [off[-1] for off in offsets] == counts, "built cells differ from the count"
-        slots: dict[Subset, list[tuple[int, list[int], list[int]]]] = {}
+        per_degree = [{t: n[d] for t, n in cubes_from.items()} for d in range(len(sizes))]
+        offsets = [array("q", accumulate(map(n.__getitem__, types), initial=0)) for n in per_degree]
+        assert [off[-1] for off in offsets] == sizes, "built cells differ from the count"
+        slots: dict[Subset, tuple[int, list[tuple[int, list[int], list[int]]]]] = {}
         for b, _, t, above in self.ball._numbered(self._kept):
             if t not in slots:
-                slots[t] = [
-                    (d, *self._slots(t, d)) for d in range(1, len(counts)) if self._lengths[t][d]
-                ]
-            for d, src, val in slots[t]:
+                slots[t] = self._slots(t, len(sizes))
+            k, by_degree = slots[t]
+            for d, src, val in by_degree:
                 lower = offsets[d - 1]
-                base = [lower[b], *map(lower.__getitem__, above)]
+                base = [lower[b], *map(lower.__getitem__, above[:k])]
                 faces[d].extend(map(add, map(base.__getitem__, src), val))
         return cc
 

@@ -123,15 +123,25 @@ def coface_csr(n: int, faces, width: int) -> tuple[array, array]:
     return offsets, flat
 
 
+def simplex_signs(d: int) -> tuple[int, ...]:
+    """The slot signs of a d-simplex: slot j omits the vertex at place d-j,
+    with sign (-1)^(d-j)."""
+    return tuple((-1) ** (d - j) for j in range(d + 1))
+
+
 class ChainComplex:
     """Boundary maps of a complex, as cells per degree and flat face lists.
 
-    `sizes[d]` is the number of d-cells.  `faces[d]` is one flat `array('i')`
-    of (d-1)-cell indices (4-byte entries: no complex that fits in memory
-    has 2^31 cells): cell i of degree d >= 1 owns slots i*(d+1) ...
-    i*(d+1)+d, and slot j, which omits the vertex at place d-j, has sign
-    (-1)^(d-j), read off its position.  `coreduce` reads the cofaces of each
-    degree in the same flat form (`coface_csr`).
+    `sizes[d]` is the number of d-cells.  `signs[d]` holds the incidence of
+    each face slot of a d-cell, the same for every cell of the degree, and
+    its length w_d is the number of slots: `simplex_signs(d)` for
+    simplices, 2d signs for the cubes of a Davis extract (`CellIndex`);
+    `signs[0]` is empty.  `faces[d]` is one flat `array('i')` of (d-1)-cell
+    indices (4-byte entries: no complex that fits in memory has 2^31
+    cells): cell i of degree d >= 1 owns slots i*w_d ... i*w_d + w_d - 1,
+    and each slot's sign is read off its position.  The faces of a cell are
+    distinct and every incidence is +-1.  `coreduce` reads the cofaces of
+    each degree in the same flat form (`coface_csr`).
 
     Built from simplices: `cells` are strictly increasing tuples of vertex
     positions below `vertex_count` that generate the complex, in any order
@@ -150,6 +160,7 @@ class ChainComplex:
             given[len(s)][s] = None
         top = max(given, default=1) - 1 if vertex_count else 0
         self.sizes = [vertex_count] + [0] * top if vertex_count else []
+        self.signs = [()] + [simplex_signs(d) for d in range(1, len(self.sizes))]
         self.faces: list = [array("i") for _ in range(top + 1)]
         upper: dict = given.pop(top + 1, {})
         entries = 0
@@ -167,13 +178,14 @@ class ChainComplex:
             upper = seen
 
     @classmethod
-    def from_faces(cls, sizes: list[int], faces: list) -> ChainComplex:
-        """A complex given by its cells per degree and its face lists, laid
-        out as above.  Its boundary entries are checked against the cell
-        limit first, so a caller may fill the lists once this returns."""
-        check_size(sum((d + 1) * n for d, n in enumerate(sizes) if d), "boundary entries")
+    def from_faces(cls, sizes: list[int], faces: list, signs: list[tuple[int, ...]]) -> ChainComplex:
+        """A complex given by its cells per degree, its face lists and its
+        slot signs, laid out as above.  Its boundary entries, sum_d w_d
+        sizes[d], are checked against the cell limit first, so a caller may
+        fill the lists once this returns."""
+        check_size(sum(len(w) * n for w, n in zip(signs, sizes)), "boundary entries")
         cc = cls.__new__(cls)
-        cc.sizes, cc.faces = sizes, faces
+        cc.sizes, cc.faces, cc.signs = sizes, faces, signs
         return cc
 
     def cell_levels(self, vertex_levels: Iterable[int]) -> list[bytearray]:
@@ -182,7 +194,7 @@ class ChainComplex:
         level 0 are the full subcomplex on the level-0 vertices."""
         levels = [bytearray(vertex_levels)]
         for d in range(1, len(self.sizes)):
-            flags = reduce(or_, _slot_flags(levels[-1], self.faces[d], d + 1))
+            flags = reduce(or_, _slot_flags(levels[-1], self.faces[d], len(self.signs[d])))
             levels.append(bytearray(flags.to_bytes(self.sizes[d], "little")))
         return levels
 
@@ -224,12 +236,13 @@ class ChainComplex:
         """
         sizes, faces = self.sizes, self.faces
         top = len(sizes)
+        widths = list(map(len, self.signs))
         # per cell: 0 active, 1 critical, 2 removed as the lower cell of a
         # pair, 3 removed as the upper cell, 4 waiting for its level; and its
         # number of active faces
         if levels is None:
             state = [bytearray(n) for n in sizes]
-            live = [bytearray([d + 1 if d else 0]) * n for d, n in enumerate(sizes)]
+            live = [bytearray([w]) * n for w, n in zip(widths, sizes)]
         else:
             # level 0 starts active, with all its faces; level 1 waits, and
             # counts its faces of level 1, the active ones once it starts.
@@ -237,8 +250,8 @@ class ChainComplex:
             state = [cells.translate(_WAIT) for cells in levels]
             live = [bytearray(sizes[0])]
             for d in range(1, top):
-                count = sum(_slot_flags(levels[d - 1], faces[d], d + 1))
-                count += int.from_bytes(levels[d].translate(bytes([d + 1]) + bytes(255)), "little")
+                count = sum(_slot_flags(levels[d - 1], faces[d], widths[d]))
+                count += int.from_bytes(levels[d].translate(bytes([widths[d]]) + bytes(255)), "little")
                 live.append(bytearray(count.to_bytes(sizes[d], "little")))
         # per degree, the upper cell b of each pair (a, b) in the order the
         # pairs are made, and per cell removed, the place of its pair in that
@@ -249,7 +262,7 @@ class ChainComplex:
         queue: deque[tuple[int, int]] = deque()  # (degree, cell)
         # per degree d >= 1, the d-cells that have each (d-1)-cell as a face;
         # None above the top degree
-        cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], d + 1) for d in range(1, top)] + [None]
+        cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], widths[d]) for d in range(1, top)] + [None]
 
         def release(d: int, x: int) -> None:
             # the d-cell x stops being active: each active coface loses an
@@ -273,7 +286,7 @@ class ChainComplex:
                     here, count = state[d], live[d]
                     if here[b] or count[b] != 1:
                         continue
-                    below, width = state[d - 1], d + 1
+                    below, width = state[d - 1], widths[d]
                     for a in faces[d][b * width : b * width + width]:
                         if not below[a]:
                             break
@@ -333,17 +346,18 @@ class ChainComplex:
         images that do not vanish are kept.
 
         The backward pass is wasted only where every pair is reached, as in
-        a top degree: all 293,437 degree-2 pairs of the spine's radius-1
-        singular set, all degree-3 pairs of a torus filling.  Below the top
-        it prunes (601 of 2,761 degree-1 pairs marked on a radius-2 singular
-        set, 5 of 1,361 on a filling), and a degree with no critical cell
-        marks none, so no image is made there; without it, `coreduce` on
-        the benchmark's fillings and Davis sets measured slower."""
+        a top degree: all 146,561 degree-2 pairs of the cubes of the spine's
+        radius-1 singular set, all degree-3 pairs of a torus filling.  Below
+        the top it prunes (639 of 2,761 degree-1 pairs marked on the cubes
+        of a radius-2 singular set, 5 of 1,361 on a filling), and a degree
+        with no critical cell marks none, so no image is made there;
+        without it, `coreduce` on the benchmark's fillings and Davis sets
+        measured slower."""
         below, above = state[d - 1], state[d]
         place_a, place_b = place[d - 1], place[d]
         cells = critical[d]
-        faces, width = self.faces[d], d + 1
-        signs = [(-1) ** (d - j) for j in range(width)]
+        faces, signs = self.faces[d], self.signs[d]
+        width = len(signs)
         reached = bytearray(len(pairs))  # by the place of the pair
 
         def marked() -> Iterator[int]:

@@ -11,7 +11,7 @@ from typing import Optional
 
 from coxcert.coxeter import INF, CoxeterSystem, _is_spherical_idx, _subset_indices
 from coxcert.davis import DavisBall, SphericalCoset
-from coxcert.homology import ChainComplex, homology
+from coxcert.homology import ChainComplex, homology, simplex_signs
 from coxcert.models import farey_slopes, farrell_quotient
 from coxcert.presentations import Presentation, _evaluate, _perm_inv
 from coxcert.simplicial import SimplicialComplex, faces_closure
@@ -281,7 +281,8 @@ def reference_chain_complex(k: SimplicialComplex) -> ChainComplex:
     for d in range(1, len(basis)):
         face_index = {s: i for i, s in enumerate(basis[d - 1])}
         faces.append([face_index[f] for s in basis[d] for f in combinations(s, d)])
-    return ChainComplex.from_faces([len(cells) for cells in basis], faces)
+    signs = [()] + [simplex_signs(d) for d in range(1, len(basis))]
+    return ChainComplex.from_faces([len(cells) for cells in basis], faces, signs)
 
 
 def chain_cells(cc: ChainComplex) -> list[list[tuple[int, ...]]]:
@@ -291,7 +292,7 @@ def chain_cells(cc: ChainComplex) -> list[list[tuple[int, ...]]]:
     vertices."""
     cells = [[(v,) for v in range(n)] for n in cc.sizes[:1]]
     for d in range(1, len(cc.sizes)):
-        faces, width, below = cc.faces[d], d + 1, cells[d - 1]
+        faces, width, below = cc.faces[d], len(cc.signs[d]), cells[d - 1]
         if d == 1:
             cells.append(list(zip(faces[::2], faces[1::2])))
             continue
@@ -302,10 +303,24 @@ def chain_cells(cc: ChainComplex) -> list[list[tuple[int, ...]]]:
     return cells
 
 
+def signed_columns(cc: ChainComplex, d: int) -> list[dict[int, int]]:
+    """The degree-d boundary columns of `cc`, one dict per d-cell, read off
+    its face slots and its slot signs alone."""
+    faces, signs = cc.faces[d], cc.signs[d]
+    width = len(signs)
+    columns = []
+    for i in range(cc.sizes[d]):
+        column: dict[int, int] = {}
+        for f, sign in zip(faces[i * width : (i + 1) * width], signs):
+            column[f] = column.get(f, 0) + sign
+        columns.append(column)
+    return columns
+
+
 def reference_cofaces(cc: ChainComplex, d: int) -> list[list[int]]:
     """The d-cells of `cc` that have each (d-1)-cell as a face, one list per
     (d-1)-cell in increasing order: the oracle for `coface_csr`."""
-    faces, width = cc.faces[d], d + 1
+    faces, width = cc.faces[d], len(cc.signs[d])
     up: list[list[int]] = [[] for _ in range(cc.sizes[d - 1])]
     for i in range(cc.sizes[d]):
         for f in faces[i * width : (i + 1) * width]:

@@ -22,7 +22,6 @@ from coxcert.subdivide import barycentric_subdivision
 
 from helpers import (
     ReferenceBall,
-    chain_cells,
     cycle_complex,
     full_triangle,
     named_simplices,
@@ -35,6 +34,7 @@ from helpers import (
     reference_realization,
     reference_sharp,
     reference_singular,
+    signed_columns,
     two_points,
 )
 
@@ -337,14 +337,14 @@ def test_spine_coset_counts(spine_ball, monkeypatch):
 
 
 def test_spine_sharp_set_pairing(spine_ball):
-    """The pairing on the build the CLI reduces (`from_faces` arrays in the
-    index's numbering): the critical cells and their boundary columns of
-    the spine's radius-1 sharp set, pinned."""
+    """The pairing on the build the CLI reduces (`from_faces` arrays of the
+    cube complex in the index's numbering): the critical cells and their
+    boundary columns of the spine's radius-1 sharp set, pinned."""
     cc = CellIndex(spine_ball, sharp=True).chain_complex()
-    assert cc.sizes == [16366, 40523, 24158]
+    assert cc.sizes == [16366, 28444, 12079]
     assert cc.coreduce() == (
-        [[0], [66, 556], [1027, 1414]],
-        [[], [{}, {}], [{66: -5, 556: 2}, {556: 1, 66: -3}]],
+        [[0], [29, 44, 262], [311, 516, 551]],
+        [[], [{}, {}, {}], [{262: 1, 44: 1}, {262: 2, 29: -5}, {262: -2, 29: 3, 44: -1}]],
     )
 
 
@@ -380,34 +380,51 @@ def test_sharp_view_over_its_guard_walks_no_word(monkeypatch):
 
 
 def _check_index(ball_, sharp):
-    """The cell index of an extract against the oracle that lists its chains:
-    the cells counted before any is built, the view, the cells built, the
-    oracle's simplices, the face slots and the homology must all agree."""
+    """The cell index of an extract against the oracle that lists its chains.
+    The order complex's cells counted before any is built and the view must
+    be the oracle's.  The cubes built must be the intervals [c, c'] of kept
+    cosets, each once: the oracle's vertices (c = c') and edges (c < c').  A
+    cube's bottom is that of its slot 0 and its top that of its slot 1, and
+    the d-cube [T, U], s_1 < ... < s_d the elements of U - T, has the lower
+    face [T, U - s_i] in slot 2i-2, with sign (-1)^i, and the upper face
+    [T + s_i, U] in slot 2i-1, with sign (-1)^(i-1).  The homology must be
+    the oracle's."""
     index = CellIndex(ball_, sharp)
     oracle = reference_sharp(ball_) if sharp else reference_singular(ball_)
     counts = index.counts
     assert counts == oracle.counts()
     view = hash_union_sharp(ball_) if sharp else singular_subcomplex(ball_)
     assert named_simplices(view) == named_simplices(oracle)
-    cc = index.chain_complex()  # asserts that the built offsets give `counts`
-    assert cc.sizes == counts
-    cells = chain_cells(cc)
+    cc = index.chain_complex()  # asserts that the built offsets give the cubes counted
     # the oracle lists the kept cosets in ball order, the index's vertex numbering
-    names = oracle.vertices
-    named = {tuple(names[v] for v in sorted(cell)) for row in cells for cell in row}
-    assert named == named_simplices(oracle)
-    size = {ball_.coset_id(c): len(c.gens) for c in ball_.cosets}
-    sizes = [size[name] for name in names]
-    for d in range(1, len(counts)):
-        faces, width = cc.faces[d], d + 1
-        assert len(faces) == width * counts[d]
-        for i, cell in enumerate(cells[d]):
-            # types grow strictly along a chain; slot j omits the coset at
-            # chain place d - j, with sign (-1)^(d-j)
-            chain = sorted(cell, key=sizes.__getitem__)
-            assert len(chain) == width
-            got = [set(cells[d - 1][faces[i * width + j]]) for j in range(width)]
-            assert got == [set(chain[: d - j] + chain[d - j + 1 :]) for j in range(width)]
+    coset = {ball_.coset_id(c): c for c in ball_.cosets}
+    types = [coset[name].gens for name in oracle.vertices]
+    above = [{t: v} for v, t in enumerate(types)]  # per kept coset, the kept ones above by type
+    for edge in oracle.k_simplices(1):
+        low, high = sorted(edge, key=lambda v: len(types[v]))
+        above[low][types[high]] = high
+    intervals = [{(c, c) for c in range(len(types))}] + [set() for _ in counts[1:]]
+    for c, up in enumerate(above):
+        for t, top in up.items():
+            if top != c:
+                intervals[len(t) - len(types[c])].add((c, top))
+    assert cc.sizes == list(map(len, intervals))
+    ends = [[(c, c) for c in range(len(types))]]  # (bottom, top) of each cube
+    for d in range(1, len(cc.sizes)):
+        faces, width = cc.faces[d], 2 * d
+        assert cc.signs[d] == tuple(s for i in range(1, d + 1) for s in ((-1) ** i, (-1) ** (i - 1)))
+        assert len(faces) == width * cc.sizes[d]
+        below = ends[d - 1]
+        ends.append([(below[faces[i]][0], below[faces[i + 1]][1]) for i in range(0, len(faces), width)])
+        assert set(ends[d]) == intervals[d]  # so each interval once: there are sizes[d]
+        for i, (bottom, top) in enumerate(ends[d]):
+            t, u = types[bottom], types[top]
+            want = []
+            for s in sorted(set(u) - set(t)):
+                lower = tuple(x for x in u if x != s)
+                upper = tuple(sorted(t + (s,)))
+                want += [(bottom, above[bottom][lower]), (above[bottom][upper], top)]
+            assert [below[f] for f in faces[i * width : (i + 1) * width]] == want
     result = chain_homology(cc, reduced=True)
     assert result == reference_homology(oracle, reduced=True)
     return result
@@ -427,6 +444,36 @@ def test_cell_index_matches_the_listed_extract(seed, sharp):
     ball_ = DavisBall(sys, radius)
     assume(sum(CellIndex(ball_, sharp).counts) <= ORACLE_MAX_CELLS)  # large cliques: large at r = 0
     _check_index(ball_, sharp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0), st.booleans())
+def test_cube_build_matches_the_order_complex(seed, sharp):
+    """The cube complex `chain_complex` builds, against the order complex
+    listed by `reference_extract`: its boundary squares to zero, its Euler
+    characteristic is the order complex's, read off `CellIndex.counts`, and
+    its reduced homology is the order complex's."""
+    rng = random.Random(seed)
+    sys = racg_from_flag(random_flag_complex(rng, rng.randint(4, 9), rng.choice((0.3, 0.5, 0.8))))
+    radius = rng.randint(0, 2)
+    while radius and sum(CellIndex(DavisBall(sys, radius), sharp).counts) > ORACLE_MAX_CELLS:
+        radius -= 1
+    ball_ = DavisBall(sys, radius)
+    index = CellIndex(ball_, sharp)
+    assume(sum(index.counts) <= ORACLE_MAX_CELLS)
+    cc = index.chain_complex()
+    columns = [[]] + [signed_columns(cc, d) for d in range(1, len(cc.sizes))]
+    for d in range(2, len(cc.sizes)):
+        for column in columns[d]:
+            total = Counter()
+            for face, sign in column.items():
+                for r, v in columns[d - 1][face].items():
+                    total[r] += sign * v
+            assert not any(total.values())
+    euler = sum((-1) ** d * n for d, n in enumerate(cc.sizes))
+    assert euler == sum((-1) ** j * n for j, n in enumerate(index.counts))
+    oracle = reference_sharp(ball_) if sharp else reference_singular(ball_)
+    assert chain_homology(cc, reduced=True) == reference_homology(oracle, reduced=True)
 
 
 def test_cell_index_keeps_the_torsion_of_flag_rp2():

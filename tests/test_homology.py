@@ -1,12 +1,13 @@
 """Homology engine: SNF correctness against independent oracles."""
 import random
+from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcert.coxeter import racg_from_flag
-from coxcert.davis import davis_ball, hash_union_sharp, singular_subcomplex
+from coxcert.davis import CellIndex, davis_ball, hash_union_sharp, singular_subcomplex
 from coxcert.homology import (
     ChainComplex,
     HomologyResult,
@@ -403,6 +404,35 @@ def test_chain_complex_cap_is_exact(case):
         mp.setenv("COXCERT_SNF_CELL_LIMIT", "0")
         assert ChainComplex(n, [(v,) for v in range(n)]).sizes == [n]
         assert ChainComplex(0, []).sizes == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0), st.integers(0, 2), st.booleans())
+def test_from_faces_cap_is_exact(seed, radius, sharp):
+    """`from_faces` counts the slots of each degree: d + 1 per d-simplex,
+    2d per d-cube, so a Davis extract's cube build writes sum_d 2d n_d
+    entries.  With the cell limit at the entries, the build passes; one
+    below, it raises, for the cubes `CellIndex` builds (its counts made
+    first, with no limit) and for the simplices of the same set."""
+    rng = random.Random(seed)
+    ball = davis_ball(racg_from_flag(random_flag_complex(rng, rng.randint(2, 7))), radius)
+    index = CellIndex(ball, sharp)
+    cubes = index.chain_complex()
+    entries = sum(map(len, cubes.faces))
+    assert entries == sum(2 * d * n for d, n in enumerate(cubes.sizes))
+    simplices = reference_chain_complex((hash_union_sharp if sharp else singular_subcomplex)(ball))
+    faces = sum(map(len, simplices.faces))
+    assert faces == sum((d + 1) * n for d, n in enumerate(simplices.sizes) if d)
+    listed = partial(ChainComplex.from_faces, simplices.sizes, simplices.faces, simplices.signs)
+    with pytest.MonkeyPatch.context() as mp:
+        for build, n in ((index.chain_complex, entries), (listed, faces)):
+            mp.setenv("COXCERT_SNF_CELL_LIMIT", str(n))
+            build()
+            if n:
+                mp.setenv("COXCERT_SNF_CELL_LIMIT", str(n - 1))
+                reason = f"^{n} boundary entries exceed the cap {n - 1}$"
+                with pytest.raises(MatrixSizeError, match=reason):
+                    build()
 
 
 @settings(max_examples=80, deadline=None)
