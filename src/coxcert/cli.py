@@ -19,7 +19,7 @@ from .presentations import (
     spine_presentation,
 )
 from .simplicial import MatrixSizeError, SimplicialComplex, cell_limit, check_size
-from .simplicial import complex_from_json, complex_to_json
+from .simplicial import cells_from_json, complex_from_json, complex_to_json
 from .subdivide import barycentric_subdivision
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .davis import hash_union_sharp, singular_subcomplex  # noqa: F401
@@ -138,11 +138,15 @@ def _load_system_or_complex(path: str) -> tuple[CoxeterSystem, str, Optional[str
 
 
 def cmd_homology(args) -> RunReport:
-    k, digest = _load_complex(args.path)
+    data, digest = _load_json(args.path)
+    vertices, cells = _checked(cells_from_json, data)
+    del data  # the parsed file: free it before the chain build
     report = RunReport("homology", digest)
     try:
-        cc = ChainComplex(len(k.vertices), k.maximal_simplices())
-        del k  # the complex's facets: free them before the coreductions
+        # the listed sets, repeated or nested, generate the chain complex:
+        # no complex is built and no facet sorted out
+        cc = ChainComplex(len(vertices), cells)
+        del vertices, cells  # free them before the coreductions
         result = chain_homology(cc, reduced=args.reduced)
     except MatrixSizeError as exc:
         report.add("homology", "skipped", reduced=args.reduced, reason=str(exc))

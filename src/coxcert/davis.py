@@ -147,14 +147,17 @@ class DavisBall:
         return kept
 
     def _numbered(
-        self, kept: list[tuple[Word, dict[Subset, int]]]
+        self, kept: list[tuple[Word, dict[Subset, int]]], covers: bool = False
     ) -> Iterator[tuple[int, Word, Subset, list[int]]]:
         """Each coset w*W_T of `kept`, a set closed upwards, in ball order:
         its number, w, T, and the numbers of the cosets above it, one per
-        strict superset of T.  One walk numbers them all: a superset u that
-        holds a right descent of w gives a strictly shorter representative,
-        whose cosets are numbered already."""
+        strict superset of T in (size, T) order, or with `covers` one per
+        superset of one more element.  One walk numbers them all: a superset
+        u that holds a right descent of w gives a strictly shorter
+        representative, whose cosets are numbered already."""
         supersets = self._supersets
+        if covers:
+            supersets = {t: [u for u in up if len(u) == len(t) + 1] for t, up in supersets.items()}
         where: dict[Word, tuple[int, dict[Subset, int]]] = {}
         b = 0
         for w, places in kept:
@@ -380,14 +383,13 @@ class CellIndex:
         check_size(total, "cells", max_cells)
         return total
 
-    def _slots(self, t: Subset, top: int) -> tuple[int, list[tuple[int, list[int], list[int]]]]:
+    def _slots(self, t: Subset, top: int) -> list[tuple[int, list[int], list[int]]]:
         """The face slots of the d-cubes from type t, for 0 < d < top, in
         `cube_signs` order.  Slot j of a cube is base[src] + val, where
         base[0] is the offset of its bottom in degree d-1 and base[n] that of
         the coset above the bottom of the n-th clique of |t| + 1 elements
-        containing t; also the number of those cliques.  The up-list of a
-        coset names the cosets above it in (size, T) order of their types,
-        so those cliques come first."""
+        containing t, in (size, T) order: the order of the up-lists that
+        `_numbered` gives with `covers`."""
         supersets, cubes = self.ball._supersets[t], self._cubes
         up = {u: n for n, u in enumerate(supersets, 1) if len(u) == len(t) + 1}
         slots = []
@@ -400,7 +402,7 @@ class CellIndex:
                     val += (cubes[t][d - 1][lower], cubes[upper][d - 1][u])
             if src:
                 slots.append((d, src, val))
-        return len(up), slots
+        return slots
 
     def chain_complex(self) -> ChainComplex:
         """The boundary maps of the cube complex, in the slot layout of
@@ -415,14 +417,13 @@ class CellIndex:
         per_degree = [{t: n[d] for t, n in cubes_from.items()} for d in range(len(sizes))]
         offsets = [array("q", accumulate(map(n.__getitem__, types), initial=0)) for n in per_degree]
         assert [off[-1] for off in offsets] == sizes, "built cells differ from the count"
-        slots: dict[Subset, tuple[int, list[tuple[int, list[int], list[int]]]]] = {}
-        for b, _, t, above in self.ball._numbered(self._kept):
+        slots: dict[Subset, list[tuple[int, list[int], list[int]]]] = {}
+        for b, _, t, above in self.ball._numbered(self._kept, covers=True):
             if t not in slots:
                 slots[t] = self._slots(t, len(sizes))
-            k, by_degree = slots[t]
-            for d, src, val in by_degree:
+            for d, src, val in slots[t]:
                 lower = offsets[d - 1]
-                base = [lower[b], *map(lower.__getitem__, above[:k])]
+                base = [lower[b], *map(lower.__getitem__, above)]
                 faces[d].extend(map(add, map(base.__getitem__, src), val))
         return cc
 

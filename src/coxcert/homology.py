@@ -214,23 +214,24 @@ class ChainComplex:
         removed as the lower cell of the pair (a, b) becomes
         -<d(b), a> (d(b) - <d(b), a> a), its faces resolved the same way.
 
-        One step, `release`, serves every cell that stops being active: the
-        lower then the upper cell of each pair, and each critical cell.  It
-        lowers the active-face count of each active coface, and queues one
-        left with a single active face as its (degree, cell) pair, first in,
-        first out.  The cofaces of each degree are one CSR pair of flat
-        arrays (`coface_csr`), built one degree at a time, each cell's in
-        increasing order: that order sets the order cells are queued in, and
-        so the pairing.
+        One loop makes the pairs and the critical cells.  When a cell stops
+        being active (the lower then the upper cell of each pair, and each
+        critical cell), the active-face count of each active coface drops,
+        and one left with a single active face is queued as its (degree,
+        cell) pair, first in, first out.  The loop reads, per degree d, one
+        tuple of what a pair of degrees (d-1, d) touches.  The cofaces of
+        each degree are one CSR pair of flat arrays (`coface_csr`), built
+        one degree at a time, each cell's in increasing order: that order
+        sets the order cells are queued in, and so the pairing.
 
         With `levels` (`cell_levels`), the subcomplex of level 0 is reduced
         first, then the rest, and no pair joins two levels: a cell of level
-        1 waits in a state that `release` skips.  When level 1 starts, its
-        cells become active, each with its number of faces of level 1, and
-        those with one are queued in (degree, cell) order; the critical rule
-        then finds only active cells, those of level 1.  Every face of level
-        0 is removed by then, so the pairing stays acyclic and is followed
-        as before.  The critical cells of level 0, with their columns, are a
+        1 waits in a state that the counts and the critical rule skip.  When
+        level 1 starts, its cells become active, each with its number of
+        faces of level 1, and those with one are queued in (degree, cell)
+        order; the critical rule then finds only active cells, those of
+        level 1.  Every face of level 0 is removed by then, so the pairing
+        stays acyclic and is followed as before.  The critical cells of level 0, with their columns, are a
         Morse complex of the subcomplex.  With no `levels` there is one
         level and every face counts from the start.
         """
@@ -260,54 +261,62 @@ class ChainComplex:
         place = [array("i", [0]) * n for n in sizes]
         critical: list[list[int]] = [[] for _ in sizes]
         queue: deque[tuple[int, int]] = deque()  # (degree, cell)
-        # per degree d >= 1, the d-cells that have each (d-1)-cell as a face;
+        # per degree d >= 1, the d-cells that have each (d-1)-cell as a face
+        cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], widths[d]) for d in range(1, top)]
+        # per degree d >= 1, what a pair of degrees (d-1, d) reads: the
+        # states of both, the counts of d, the faces and width of d, the
+        # pairs, the places of both and the CSR cofaces of the (d-1)-cells;
         # None above the top degree
-        cofaces = [None] + [coface_csr(sizes[d - 1], faces[d], widths[d]) for d in range(1, top)] + [None]
-
-        def release(d: int, x: int) -> None:
-            # the d-cell x stops being active: each active coface loses an
-            # active face, and one left with a single active face is queued
-            if cofaces[d + 1]:
-                above, count = state[d + 1], live[d + 1]
-                off, flat = cofaces[d + 1]
-                for c in flat[off[x] : off[x + 1]]:
-                    if not above[c]:
-                        count[c] -= 1
-                        if count[c] == 1:
-                            queue.append((d + 1, c))
+        reads = [None] * (top + 1)
+        for d in range(1, top):
+            reads[d] = (state[d - 1], state[d], live[d], faces[d], widths[d], upper[d - 1],
+                        place[d - 1], place[d], *cofaces[d])
+        push, pop = queue.append, queue.popleft
 
         for level in range(2 if levels else 1):
             if level:
                 self._activate(levels, state, live, queue)
             start = [0] * top
             while True:
-                while queue:
-                    d, b = queue.popleft()
-                    here, count = state[d], live[d]
+                if queue:
+                    d, b = pop()
+                    below, here, count, cells, width, pairs, place_a, place_b, off, flat = reads[d]
                     if here[b] or count[b] != 1:
                         continue
-                    below, width = state[d - 1], widths[d]
-                    for a in faces[d][b * width : b * width + width]:
+                    for a in cells[b * width : b * width + width]:
                         if not below[a]:
                             break
                     below[a], here[b] = 2, 3
-                    pairs = upper[d - 1]
-                    place[d - 1][a] = place[d][b] = len(pairs)
+                    place_a[a] = place_b[b] = len(pairs)
                     pairs.append(b)
-                    release(d - 1, a)
-                    release(d, b)
-                # no pair left: the lowest-degree active cell becomes critical
-                for d in range(top):
-                    i = state[d].find(0, start[d])
-                    if i >= 0:
-                        break
-                    start[d] = sizes[d]
+                    # a stops being active: each active coface loses an
+                    # active face, and one left with a single one is queued
+                    for c in flat[off[a] : off[a + 1]]:
+                        if not here[c]:
+                            count[c] -= 1
+                            if count[c] == 1:
+                                push((d, c))
                 else:
-                    break
-                start[d] = i + 1
-                state[d][i] = 1
-                critical[d].append(i)
-                release(d, i)
+                    # no pair left: the lowest-degree active cell becomes critical
+                    for d in range(top):
+                        b = state[d].find(0, start[d])
+                        if b >= 0:
+                            break
+                        start[d] = sizes[d]
+                    else:
+                        break
+                    start[d] = b + 1
+                    state[d][b] = 1
+                    critical[d].append(b)
+                # b, the upper cell of the pair or the critical cell, stops too
+                if reads[d + 1]:
+                    _, above, count, _, _, _, _, _, off, flat = reads[d + 1]
+                    for c in flat[off[b] : off[b + 1]]:
+                        if not above[c]:
+                            count[c] -= 1
+                            if count[c] == 1:
+                                push((d + 1, c))
+        del reads  # so that `_follow` can free each degree's cofaces below
         columns = [[]]
         for d in range(1, top):
             columns.append(self._follow(d, state, place, upper[d - 1], critical, cofaces[d]))
@@ -345,32 +354,38 @@ class ChainComplex:
         image is kept (`cofaces`, the CSR pair of `coface_csr`).  Only the
         images that do not vanish are kept.
 
-        The backward pass is wasted only where every pair is reached, as in
-        a top degree: all 146,561 degree-2 pairs of the cubes of the spine's
-        radius-1 singular set, all degree-3 pairs of a torus filling.  Below
-        the top it prunes (639 of 2,761 degree-1 pairs marked on the cubes
-        of a radius-2 singular set, 5 of 1,361 on a filling), and a degree
-        with no critical cell marks none, so no image is made there;
-        without it, `coreduce` on the benchmark's fillings and Davis sets
-        measured slower."""
+        In the top degree the backward pass would mark every pair or nearly
+        (all 12,418 degree-3 pairs of a 3-slope torus filling, all 146,561
+        degree-2 pairs of the cubes of the spine's radius-1 singular set),
+        so there, when a critical cell exists, every pair counts as marked
+        and the forward pass alone limits the images: 266 on the filling
+        and 33,035 on the cubes, the same with or without the marks.
+        Marking more pairs makes no image wrong, since the marks of a pair
+        cover all those its image reads.  Below the top the backward pass
+        prunes (191 images instead of 5,511 on the filling's degree 2), and
+        a degree with no critical cell marks none, so no image is made
+        there."""
         below, above = state[d - 1], state[d]
         place_a, place_b = place[d - 1], place[d]
         cells = critical[d]
         faces, signs = self.faces[d], self.signs[d]
         width = len(signs)
-        reached = bytearray(len(pairs))  # by the place of the pair
+        if cells and d == len(self.sizes) - 1:
+            reached = bytearray([1]) * len(pairs)  # by the place of the pair
+        else:
+            reached = bytearray(len(pairs))
 
-        def marked() -> Iterator[int]:
-            # the given cells, then the b of each marked pair, last first
-            yield from cells
-            k = len(pairs)
-            while (k := reached.rfind(1, 0, k)) >= 0:
-                yield pairs[k]
+            def marked() -> Iterator[int]:
+                # the given cells, then the b of each marked pair, last first
+                yield from cells
+                k = len(pairs)
+                while (k := reached.rfind(1, 0, k)) >= 0:
+                    yield pairs[k]
 
-        for b in marked():
-            for r in faces[b * width : (b + 1) * width]:
-                if below[r] == 2:
-                    reached[place_a[r]] = 1
+            for b in marked():
+                for r in faces[b * width : (b + 1) * width]:
+                    if below[r] == 2:
+                        reached[place_a[r]] = 1
 
         images: dict[int, dict[int, int]] = {}  # by the place of the pair; none is empty
         pushed = bytearray(len(pairs))  # marked pairs whose b has a face that counts

@@ -111,27 +111,26 @@ def _maximal(n: int, cells: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...],
     return tuple(facets)
 
 
-def faces_closure(
+def vertex_positions(
     sets: Sequence[Iterable[str]],
     vertices: Optional[Sequence[str]] = None,
     max_cells: Optional[int] = None,
-) -> SimplicialComplex:
-    """Smallest simplicial complex containing the given vertex sets; here
-    vertex names become positions, and no face is listed.
+) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The universe of vertex names, and each given vertex set as the
+    increasing tuple of its names' positions there; no face is listed.
 
     The universe defaults to the sorted union of the sets; an explicit
-    `vertices` sequence fixes both universe and order, and with no sets
-    gives the complex of those vertices alone.  `ValueError` is raised, in
-    this order, for an empty set; for more than `max_cells` faces with two
-    or more vertices, counted per set (2^n - 1 - n for a set of n vertices)
-    before any is listed; for a vertex outside the universe; and, from the
-    constructor, for a name repeated in it.
+    `vertices` sequence fixes both universe and order.  `ValueError` is
+    raised, in this order, for an empty set; for more than `max_cells`
+    faces with two or more vertices, counted per set (2^n - 1 - n for a set
+    of n vertices) before any is listed; for a vertex outside the universe;
+    and for a name repeated in it.
     """
     sets = [tuple(m) for m in sets]
     if not all(sets):
         raise ValueError("empty member set")
     if max_cells is not None:
-        faces = sum((1 << n) - 1 - n for n in (len(set(m)) for m in sets))
+        faces = sum((1 << n) - 1 - n for n in map(len, map(set, sets)))
         check_size(faces, "faces of two or more vertices, counted per listed set,", max_cells)
     used = set(chain.from_iterable(sets))
     if vertices is None:
@@ -143,7 +142,20 @@ def faces_closure(
             v = next(v for m in sets for v in m if v in outside)
             raise ValueError(f"vertex {v!r} outside declared universe")
     pos = {v: i for i, v in enumerate(universe)}
-    return SimplicialComplex(universe, [tuple(sorted({pos[v] for v in m})) for m in sets])
+    if len(pos) != len(universe):
+        raise ValueError("duplicate vertex ids")
+    return universe, [tuple(sorted(set(map(pos.__getitem__, m)))) for m in sets]
+
+
+def faces_closure(
+    sets: Sequence[Iterable[str]],
+    vertices: Optional[Sequence[str]] = None,
+    max_cells: Optional[int] = None,
+) -> SimplicialComplex:
+    """Smallest simplicial complex containing the given vertex sets, on the
+    universe and positions of `vertex_positions`, with its checks; with
+    `vertices` and no sets, the complex of those vertices alone."""
+    return SimplicialComplex(*vertex_positions(sets, vertices, max_cells))
 
 
 def wedge(
@@ -347,10 +359,11 @@ def complex_to_json(k: SimplicialComplex) -> dict:
     }
 
 
-def complex_from_json(data: Mapping) -> SimplicialComplex:
-    """Complex of a JSON object, after checks on its shape, built from its
-    listed sets by `faces_closure` with its checks; the cell limit caps the
-    faces they span."""
+def cells_from_json(data: Mapping) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The vertex names and the listed sets as positions (`vertex_positions`,
+    with its checks) of a complex JSON object, after checks on its shape;
+    the cell limit caps the faces the sets span.  `homology` builds its
+    chain complex from these alone."""
     if not isinstance(data, Mapping):
         raise ValueError("complex JSON must be an object")
     try:
@@ -358,10 +371,18 @@ def complex_from_json(data: Mapping) -> SimplicialComplex:
         maximal = data["maximal_simplices"]
     except (KeyError, TypeError) as exc:
         raise ValueError("complex JSON needs 'vertices' and 'maximal_simplices'") from exc
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not isinstance(vertices, list) or not all(map(isinstance, vertices, repeat(str))):
         raise ValueError("'vertices' must be a list of strings")
-    if not isinstance(maximal, list) or not all(
-        isinstance(m, list) and all(isinstance(v, str) for v in m) for m in maximal
+    if not (
+        isinstance(maximal, list)
+        and all(map(isinstance, maximal, repeat(list)))
+        and all(map(isinstance, chain.from_iterable(maximal), repeat(str)))
     ):
         raise ValueError("'maximal_simplices' must be a list of vertex lists")
-    return faces_closure(maximal, vertices, cell_limit())
+    return vertex_positions(maximal, vertices, cell_limit())
+
+
+def complex_from_json(data: Mapping) -> SimplicialComplex:
+    """Complex of a JSON object: the complex that the listed sets of
+    `cells_from_json`, with its checks, generate."""
+    return SimplicialComplex(*cells_from_json(data))

@@ -223,13 +223,15 @@ def test_homology_report_matches_the_loaded_complex(tmp_path_factory, data, redu
 
 
 def test_homology_command_never_closes_the_complex(tmp_path, capsys, monkeypatch):
-    """`homology` hands the loaded complex's facets to `ChainComplex`, which
-    closes them itself: the complex's `simplices` is never read."""
+    """`homology` hands the listed sets of the file to `ChainComplex`, which
+    closes them itself: no `SimplicialComplex` is built, and no complex's
+    `simplices` is read."""
     path = write_complex(tmp_path, projective_plane())
 
-    def refuse(self):
-        raise AssertionError("the complex was closed")
+    def refuse(self, *args):
+        raise AssertionError("a complex was built or closed")
 
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
     monkeypatch.setattr(SimplicialComplex, "simplices", property(refuse))
     code, report = run_cli(capsys, "homology", path)
     assert code == 0

@@ -1,10 +1,11 @@
 """Homology engine: SNF correctness against independent oracles."""
 import random
 from functools import partial
+from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coxcert.coxeter import racg_from_flag
 from coxcert.davis import CellIndex, davis_ball, hash_union_sharp, singular_subcomplex
@@ -268,10 +269,19 @@ def test_coreduced_homology_matches_reference_on_davis_sets(seed, radius, sharp)
     _check_against_reference(_davis_set(seed, radius, sharp))
 
 
+def _sphere_and_ball() -> SimplicialComplex:
+    """The boundary of the 4-simplex beside a solid tetrahedron: the
+    sphere's critical 3-cell reaches none of the ball's pairs of degrees 2
+    and 3, so `coreduce` makes images for top pairs that no critical cell
+    reaches."""
+    return faces_closure([*combinations("abcde", 4), "wxyz"])
+
+
 FIXED = {
     "rp2": projective_plane,
     "farrell-z14": lambda: farrell_quotient([(2, 5), (4, 3)]),
     "farrell-z7": lambda: farrell_quotient([(3, -2), (3, 5), (2, 1)]),
+    "sphere-and-ball": _sphere_and_ball,
 }
 
 
@@ -296,10 +306,12 @@ def test_coreduced_homology_keeps_torsion(k, h1_torsion):
         st.tuples(st.sampled_from(sorted(FIXED))),
     )
 )
+@example(("sphere-and-ball",))
 def test_coreduce_matches_eager_reference(case):
     """Pairing, then following the pairing, gives the critical cells and the
     critical boundary columns of the eager change of basis in the same
-    numbering, dict for dict, built from every simplex or the maximal ones."""
+    numbering, dict for dict, built from every simplex or the maximal ones;
+    also where some top pairs are reached from no critical top cell."""
     if case[0] == "random":
         rng = random.Random(case[1])
         k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
