@@ -4,7 +4,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .coxeter import CoxeterSystem, Word, _check_ra, ball, coset_rep, right_descents
 from .homology import ChainComplex
 from .simplicial import SimplicialComplex, capped, cell_limit, check_size, cliques
-from .subdivide import face_poset, order_complex
+from .subdivide import order_complex
 # unused here, but kept bound: the benchmark's tracing hooks wrap these names
 from .coxeter import in_special_subgroup, min_coset_rep, nerve, reduce  # noqa: F401
 from .simplicial import square_report  # noqa: F401
@@ -54,19 +54,27 @@ class DavisBall:
         self._sphericals: list[Subset] = [()] + list(capped(cliques(system.link)))
 
     @cached_property
-    def _supersets(self) -> dict[Subset, list[Subset]]:
-        """Strict supersets of each type, for the up-lists; built on first use.
+    def _above(self) -> dict[Subset, list[dict[Subset, int]]]:
+        """The cliques above each type, built on first use: table m of type
+        T maps each clique of |T| + m elements containing T to its place in
+        (size, T) order, and table 0 is {T: 0}.  Every type has the tables
+        0..dim L + 2, so table 1 exists even when the nerve is empty.
 
-        A type of size k lies in 2^k - 1 of these lists, the empty type's
-        included, so the entries are counted from the sizes first and
-        checked against the cell limit before any list is built.
+        A clique of size k lies in the tables of its 2^k - 1 strict subsets,
+        the empty type's included, so the entries are counted from the sizes
+        first and checked against the cell limit before any table is built.
+        The cliques come in (size, T) order, so each table fills in order.
         """
         entries = sum((1 << len(t)) - 1 for t in self._sphericals)
         check_size(entries, "entries in the up-lists of the nerve's types")
-        faces, _, up = face_poset(SimplicialComplex(self.system.generators, self._sphericals[1:]))
-        supersets = {t: [faces[j] for j in above] for t, above in zip(faces, up)}
-        supersets[()] = faces
-        return supersets
+        top = len(self._sphericals[-1]) + 1  # dim L + 2
+        above = {t: [{t: 0}] + [{} for _ in range(top)] for t in self._sphericals}
+        for u in self._sphericals:
+            for k in range(len(u)):
+                for t in combinations(u, k):
+                    table = above[t][len(u) - k]
+                    table[u] = len(table)
+        return above
 
     def coset_counts(self) -> list[int]:
         """Number of cosets of each type size 0..dim L + 1, without listing them.
@@ -151,13 +159,15 @@ class DavisBall:
     ) -> Iterator[tuple[int, Word, Subset, list[int]]]:
         """Each coset w*W_T of `kept`, a set closed upwards, in ball order:
         its number, w, T, and the numbers of the cosets above it, one per
-        strict superset of T in (size, T) order, or with `covers` one per
-        superset of one more element.  One walk numbers them all: a superset
-        u that holds a right descent of w gives a strictly shorter
+        strict superset of T in (size, T) order (the tables 1, 2, ... of
+        `_above[T]` in turn), or with `covers` one per superset of one more
+        element, in the order of table 1.  One walk numbers them all: a
+        superset u that holds a right descent of w gives a strictly shorter
         representative, whose cosets are numbered already."""
-        supersets = self._supersets
-        if covers:
-            supersets = {t: [u for u in up if len(u) == len(t) + 1] for t, up in supersets.items()}
+        stop = 2 if covers else None
+        supersets = {
+            t: [u for up in tables[1:stop] for u in up] for t, tables in self._above.items()
+        }
         where: dict[Word, tuple[int, dict[Subset, int]]] = {}
         b = 0
         for w, places in kept:
@@ -284,46 +294,17 @@ class CellIndex:
     and fewer cells.
 
     The kept cosets are numbered in ball order, and the d-cube [b, U] is
-    numbered offset_d[b] + k, k the place of U in the table of the cliques
-    of |T| + d elements containing T.  Its upper face [T + s, U] moves the
-    bottom to the coset of type T + s above it; its lower face [T, U - s]
-    keeps the bottom.  So the cells per degree are known before any is
-    built: the kept cosets of each type times the chains, or the cubes, from
-    that type.  The singular set's kept cosets are counted in closed form;
-    the sharp set's are counted by a walk of every coset of the ball, which
-    `cells` checks first.
+    numbered offset_d[b] + k, k the place of U in `DavisBall._above[T][d]`.
+    Its upper face [T + s, U] moves the bottom to the coset of type T + s
+    above it; its lower face [T, U - s] keeps the bottom.  So the cells per
+    degree are known before any is built: the kept cosets of each type times
+    the cubes from that type, and the chains from the cubes.  The singular
+    set's kept cosets are counted in closed form; the sharp set's are
+    counted by a walk of every coset of the ball, which `cells` checks first.
     """
 
     def __init__(self, ball_: DavisBall, sharp: bool):
         self.ball, self.sharp = ball_, sharp
-        self._width = ball_.singular_dim() + 1
-
-    @cached_property
-    def _lengths(self) -> dict[Subset, list[int]]:
-        """The number of chains of types from each non-empty type, by length
-        0..dim L; larger types first, so each sums over its supersets.  Built
-        on first use, from the face poset of the nerve."""
-        lengths: dict[Subset, list[int]] = {}
-        for t in reversed(self.ball._sphericals[1:]):
-            n = [1] + [0] * (self._width - 1)
-            for u in self.ball._supersets[t]:
-                n[1:] = map(add, n[1:], lengths[u])
-            lengths[t] = n
-        return lengths
-
-    @cached_property
-    def _cubes(self) -> dict[Subset, list[dict[Subset, int]]]:
-        """The cliques containing each non-empty type, by the number d of
-        elements they add: the tables of the d-cubes from the type, each
-        clique mapped to its place in (size, T) order."""
-        cubes: dict[Subset, list[dict[Subset, int]]] = {}
-        for t in self.ball._sphericals[1:]:
-            tables: list[dict[Subset, int]] = [{t: 0}] + [{} for _ in range(self._width - 1)]
-            for u in self.ball._supersets[t]:
-                table = tables[len(u) - len(t)]
-                table[u] = len(table)
-            cubes[t] = tables
-        return cubes
 
     def _keep(self, w: Word, types: list[Subset]) -> Iterator[Subset]:
         """The kept types of the cosets w*W_T: those that meet walls(w) in
@@ -349,21 +330,34 @@ class CellIndex:
         by_size = self.ball.coset_counts()
         return {t: by_size[len(t)] // sizes[len(t)] for t in sphericals if t}
 
-    def _sizes(self, per_cell: dict[Subset, list[int]]) -> list[int]:
-        # cells per degree: the kept cosets of each type times its cells
-        counts = [0] * self._width
+    def _cube_counts(self) -> list[int]:
+        """The d-cubes per degree d, up to the last non-zero: the kept
+        cosets of each type T times the cliques of |T| + d elements
+        containing T."""
+        above = self.ball._above
+        counts = [0] * len(above[()])
         for t, n in self._per_type.items():
-            for j, m in enumerate(per_cell[t]):
-                counts[j] += n * m
+            for d, table in enumerate(above[t]):
+                counts[d] += n * len(table)
         while counts and not counts[-1]:
             counts.pop()
         return counts
 
     @cached_property
     def counts(self) -> list[int]:
-        """Cells of the order complex per degree, from the kept cosets of
-        each type and the chains from it."""
-        return self._sizes(self._lengths)
+        """Cells of the order complex per degree, from the cubes.  A d-chain
+        from w*W_T up to w*W_U is an ordered partition of U - T into d
+        blocks, so an m-cube holds surj(m, d) of the d-chains, the
+        surjections of m elements onto d: surj(m, d) = d (surj(m-1, d) +
+        surj(m-1, d-1))."""
+        cubes = self._cube_counts()
+        counts = [0] * len(cubes)
+        surj = [1]  # surj(m, d) for d = 0..m
+        for n in cubes:
+            for d, ways in enumerate(surj):
+                counts[d] += n * ways
+            surj = [d * (a + b) for d, (a, b) in enumerate(zip(surj + [0], [0] + surj))]
+        return counts
 
     def cells(self, max_cells: int) -> int:
         """Number of cells of the order complex, checked against
@@ -371,9 +365,9 @@ class CellIndex:
         right descents, so each pair T < U of non-empty types is a 1-cell
         e*W_T < e*W_U of both sets: sum_T (2^|T| - 2) over the non-empty
         types bounds the cells from below (the 1-cells at radius 0), read
-        off the clique sizes before the face poset of the nerve is built.
-        The sharp set is counted by testing every coset of the ball, so the
-        cosets are checked first."""
+        off the clique sizes before the tables of `DavisBall._above` are
+        built.  The sharp set is counted by testing every coset of the
+        ball, so the cosets are checked first."""
         edges = sum((1 << len(t)) - 2 for t in self.ball._sphericals[1:])
         check_size(edges, "or more cells", max_cells)
         if self.sharp:
@@ -386,20 +380,20 @@ class CellIndex:
     def _slots(self, t: Subset, top: int) -> list[tuple[int, list[int], list[int]]]:
         """The face slots of the d-cubes from type t, for 0 < d < top, in
         `cube_signs` order.  Slot j of a cube is base[src] + val, where
-        base[0] is the offset of its bottom in degree d-1 and base[n] that of
-        the coset above the bottom of the n-th clique of |t| + 1 elements
-        containing t, in (size, T) order: the order of the up-lists that
-        `_numbered` gives with `covers`."""
-        supersets, cubes = self.ball._supersets[t], self._cubes
-        up = {u: n for n, u in enumerate(supersets, 1) if len(u) == len(t) + 1}
+        base[0] is the offset of its bottom in degree d-1 and base[1 + k]
+        that of the coset above its bottom whose type is at place k in
+        `_above[t][1]`: the order of the up-lists `_numbered` gives with
+        `covers`."""
+        above = self.ball._above
+        tables = above[t]
         slots = []
         for d in range(1, top):
             src, val = [], []
-            for u in cubes[t][d]:
+            for u in tables[d]:
                 for s in sorted(set(u).difference(t)):
                     lower, upper = tuple(x for x in u if x != s), tuple(sorted((*t, s)))
-                    src += (0, up[upper])
-                    val += (cubes[t][d - 1][lower], cubes[upper][d - 1][u])
+                    src += (0, 1 + tables[1][upper])
+                    val += (tables[d - 1][lower], above[upper][d - 1][u])
             if src:
                 slots.append((d, src, val))
         return slots
@@ -409,12 +403,13 @@ class CellIndex:
         `ChainComplex` with `cube_signs`.  The boundary entries count
         against the cell limit (`from_faces`) before any is listed; the
         offsets must give the counted cells."""
-        cubes_from = {t: list(map(len, tables)) for t, tables in self._cubes.items()}
-        sizes = self._sizes(cubes_from)
+        sizes = self._cube_counts()
         faces: list = [array("i") for _ in sizes]
         cc = ChainComplex.from_faces(sizes, faces, list(map(cube_signs, range(len(sizes)))))
         types = [t for _, places in self._kept for t in places]
-        per_degree = [{t: n[d] for t, n in cubes_from.items()} for d in range(len(sizes))]
+        per_degree = [
+            {t: len(tables[d]) for t, tables in self.ball._above.items()} for d in range(len(sizes))
+        ]
         offsets = [array("q", accumulate(map(n.__getitem__, types), initial=0)) for n in per_degree]
         assert [off[-1] for off in offsets] == sizes, "built cells differ from the count"
         slots: dict[Subset, list[tuple[int, list[int], list[int]]]] = {}

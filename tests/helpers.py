@@ -9,13 +9,13 @@ from math import comb
 import random
 from typing import Optional
 
-from coxcert.coxeter import INF, CoxeterSystem, _is_spherical_idx, _subset_indices
+from coxcert.coxeter import INF, CoxeterSystem, _is_spherical_idx, _subset_indices, nerve
 from coxcert.davis import DavisBall, SphericalCoset
 from coxcert.homology import ChainComplex, homology, simplex_signs
 from coxcert.models import farey_slopes, farrell_quotient
 from coxcert.presentations import Presentation, _evaluate, _perm_inv
 from coxcert.simplicial import SimplicialComplex, faces_closure
-from coxcert.subdivide import order_complex
+from coxcert.subdivide import face_poset, order_complex
 
 
 def is_spherical(sys, subset) -> bool:
@@ -892,6 +892,16 @@ def reference_fixed_cosets(ball_: DavisBall, g) -> set:
     }
 
 
+def reference_supersets(ball_: DavisBall) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The strict supersets of each type, the empty one included, in (size,
+    lex) order: the up-lists of the face poset of the nerve, listed on their
+    own and not from the ball's tables."""
+    faces, _, up = face_poset(nerve(ball_.system))
+    supersets = {t: [faces[j] for j in above] for t, above in zip(faces, up)}
+    supersets[()] = faces
+    return supersets
+
+
 def reference_extract(ball_: DavisBall, keep) -> SimplicialComplex:
     """Order complex of the cosets `keep` accepts, built by `order_complex`: the
     oracle for `CellIndex`."""
@@ -903,12 +913,13 @@ def reference_extract(ball_: DavisBall, keep) -> SimplicialComplex:
     # representative normalized to T by greedy descent, looked up among the
     # listed cosets
     index = {c: i for i, c in enumerate(ball_.cosets)}
+    supersets = reference_supersets(ball_)
     up = []
     for i in kept:
         c = ball_.cosets[i]
         above = [
             index[(reference_min_coset_rep(ball_.system, c.rep, t), t)]
-            for t in ball_._supersets[c.gens]
+            for t in supersets[c.gens]
         ]
         up.append([ids[j] for j in above if ids[j] >= 0])
     return order_complex([ball_.coset_id(ball_.cosets[i]) for i in kept], up)

@@ -423,15 +423,15 @@ def test_simplex_nerve_is_refused_before_its_face_poset(tmp_path, capsys, monkey
     """A 14-vertex simplex at radius 0: its 16,384 cosets fit under the cap.
     The 1-cells e*W_T < e*W_U of both sets (3^14 - 2^15 + 1 of them) and
     the order pairs of the dump (3^14 - 2^14) are counted from the clique
-    sizes, so each step ends "skipped" at once, with no face poset of the
-    nerve and no coset listed."""
+    sizes, so each step ends "skipped" at once, with no coset listed and
+    none of the face poset of the nerve built: no table of `DavisBall._above`."""
     path = write_complex(tmp_path, SimplicialComplex([f"v{i}" for i in range(14)], [tuple(range(14))]))
     dump = tmp_path / "ball.json"
 
     def refuse(*args):
-        raise AssertionError("the face poset of the nerve was built")
+        raise AssertionError("the tables of the cliques above each type were built")
 
-    monkeypatch.setattr(davis, "face_poset", refuse)
+    monkeypatch.setattr(DavisBall, "_above", property(refuse))
     monkeypatch.setattr(DavisBall, "_elements", refuse)
     argv = [flag, str(dump)] if flag == "--dump" else [flag]
     start = time.monotonic()
@@ -553,7 +553,7 @@ def test_ball_of_long_words_is_skipped_before_the_walk(tmp_path, flag, step):
 def test_dense_nerve_up_lists_are_counted_before_any_is_built(tmp_path, capsys, monkeypatch, flag):
     """Twelve commuting generators: the 4,096 cliques fit under a limit of
     10,000, but their up-lists hold 3^12 - 2^12 = 527,345 entries, counted
-    from the clique sizes before the face poset is built."""
+    from the clique sizes before any table of `DavisBall._above` is built."""
     n = 12
     path = tmp_path / "k12.json"
     path.write_text(json.dumps({
@@ -564,9 +564,11 @@ def test_dense_nerve_up_lists_are_counted_before_any_is_built(tmp_path, capsys, 
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "10000")
 
     def refuse(*args):
-        raise AssertionError("the face poset of the nerve was built")
+        raise AssertionError("a table of the cliques above a type was built")
 
-    monkeypatch.setattr(davis, "face_poset", refuse)
+    # `DavisBall._above` runs its entry check, then fills its tables over
+    # the subsets of each clique: the fill is refused, the check is not
+    monkeypatch.setattr(davis, "combinations", refuse)
     argv = [flag, str(dump)] if flag == "--dump" else [flag]
     code, report = run_cli(capsys, "davis", str(path), "--radius", "0", *argv)
     assert code == 0

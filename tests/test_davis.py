@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coxcert.coxeter import INF, CoxeterSystem, racg_from_flag
 from coxcert.davis import (
@@ -34,6 +34,7 @@ from helpers import (
     reference_realization,
     reference_sharp,
     reference_singular,
+    reference_supersets,
     signed_columns,
     two_points,
 )
@@ -283,10 +284,10 @@ def test_cosets_and_dimensions_build_no_up_lists(monkeypatch):
     """The up-lists cost 2^|T| entries per clique T; only the order complexes read them."""
     import coxcert.davis as davis
 
-    def refuse(k, start=0):
-        raise AssertionError("face poset built")
+    def refuse(*args):
+        raise AssertionError("tables of the cliques above each type built")
 
-    monkeypatch.setattr(davis, "face_poset", refuse)
+    monkeypatch.setattr(davis.DavisBall, "_above", property(refuse))
     n = 12
     entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     b = davis.DavisBall(CoxeterSystem([f"g{i}" for i in range(n)], entries), 0)
@@ -474,6 +475,29 @@ def test_cube_build_matches_the_order_complex(seed, sharp):
     assert euler == sum((-1) ** j * n for j, n in enumerate(index.counts))
     oracle = reference_sharp(ball_) if sharp else reference_singular(ball_)
     assert chain_homology(cc, reduced=True) == reference_homology(oracle, reduced=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6), st.sampled_from((0.3, 0.6, 0.9)), st.integers(min_value=0))
+@example(0, 0.9, 0)  # the empty nerve: every type still has a table 1
+@example(1, 0.9, 0)  # a single vertex
+@example(4, 1.0, 0)  # a tetrahedron: cubes of every dimension up to 4
+def test_clique_tables_match_the_face_poset(n, p, seed):
+    """`DavisBall._above` against the up-lists of the face poset of the
+    nerve, table by table and place by place, and `CellIndex.counts`, read
+    off the tables through surj(m, d), against the listed order complexes."""
+    ball_ = DavisBall(racg_from_flag(random_flag_complex(random.Random(seed), n, p)), 1)
+    supersets = reference_supersets(ball_)
+    assert set(ball_._above) == set(supersets)
+    for t, tables in ball_._above.items():
+        assert len(tables) >= 2 and tables[0] == {t: 0}
+        assert sum(map(len, tables[1:])) == len(supersets[t])
+        for m, table in enumerate(tables[1:], 1):
+            group = [u for u in supersets[t] if len(u) == len(t) + m]
+            assert list(table.items()) == [(u, k) for k, u in enumerate(group)]
+    for sharp, oracle in ((False, reference_singular(ball_)), (True, reference_sharp(ball_))):
+        sizes = Counter(len(s) - 1 for s in oracle.simplices)
+        assert CellIndex(ball_, sharp).counts == [sizes[d] for d in range(len(sizes))]
 
 
 def test_cell_index_keeps_the_torsion_of_flag_rp2():

@@ -12,9 +12,11 @@ docstring) somewhere in the package, its scripts, the benchmark or the
 acceptance tests; a definition only unit tests reach is dead code.  One
 function reads the environment, `simplicial.cell_limit`, so the cell limit
 is one setting, read where each cap is checked; one function builds a
-1-skeleton, `simplicial._skeleton`, so every graph test reads one graph; and
+1-skeleton, `simplicial._skeleton`, so every graph test reads one graph;
 one function raises `MatrixSizeError`, `simplicial.check_size`, so every cap
-refusal has one message shape.  Every command is a fresh process, so
+refusal has one message shape; and `davis.py` tables the cliques above each
+type straight from the clique list, with no `face_poset` imported and no
+`SimplicialComplex` built.  Every command is a fresh process, so
 `import coxcert.cli` loads nothing that costs start-up time or memory
 without use: no `dataclasses`, no `inspect`, and no `hashlib`, which loads
 OpenSSL; the input digest comes from the interpreter's builtin SHA-256,
@@ -315,6 +317,42 @@ def test_size_error_raiser_finder_names_the_innermost_function():
         "        raise ValueError('MatrixSizeError')\n"
     )
     assert size_error_raisers(source) == {"<module>", "g", "h"}
+
+
+def face_poset_detours(source: str) -> list[str]:
+    """Each import of `face_poset` and each call of `face_poset` or
+    `SimplicialComplex`, by name or as an attribute, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name == "face_poset"]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("face_poset", "SimplicialComplex"):
+                found.append(f"{node.lineno}: call {name}")
+    return found
+
+
+def test_davis_tables_cliques_without_a_face_poset():
+    """The cliques above each type of a Davis ball come from one table,
+    `DavisBall._above`, built straight from the clique list: `davis.py`
+    imports no `face_poset` and builds no `SimplicialComplex` (its order
+    complexes come from `subdivide.order_complex`)."""
+    assert face_poset_detours((ROOT / "src" / "coxcert" / "davis.py").read_text()) == []
+
+
+def test_face_poset_detour_finder_sees_imports_and_calls():
+    source = (
+        "from .subdivide import face_poset as fp, order_complex\n"
+        "from .simplicial import SimplicialComplex\n"
+        "import coxcert.subdivide as sd\n"
+        "def f(k: SimplicialComplex):\n"
+        "    return fp(k), sd.face_poset(k), simplicial.SimplicialComplex([], [])\n"
+        "x = SimplicialComplex\n"
+    )
+    assert face_poset_detours(source) == [
+        "1: import face_poset", "5: call face_poset", "5: call SimplicialComplex"
+    ]
 
 
 def run_bare(probe: str) -> str:
