@@ -213,6 +213,8 @@ class ChainComplex:
         face removed as the upper cell of a pair vanishes, and a face a
         removed as the lower cell of the pair (a, b) becomes
         -<d(b), a> (d(b) - <d(b), a> a), its faces resolved the same way.
+        In degree 1 that image is a single critical vertex (`_roots`); above,
+        `_follow` resolves it.
 
         One loop makes the pairs and the critical cells.  When a cell stops
         being active (the lower then the upper cell of each pair, and each
@@ -231,9 +233,10 @@ class ChainComplex:
         faces of level 1, and those with one are queued in (degree, cell)
         order; the critical rule then finds only active cells, those of
         level 1.  Every face of level 0 is removed by then, so the pairing
-        stays acyclic and is followed as before.  The critical cells of level 0, with their columns, are a
-        Morse complex of the subcomplex.  With no `levels` there is one
-        level and every face counts from the start.
+        stays acyclic and is followed as before.  The critical cells of
+        level 0, with their columns, are a Morse complex of the subcomplex.
+        With no `levels` there is one level and every face counts from the
+        start.
         """
         sizes, faces = self.sizes, self.faces
         top = len(sizes)
@@ -316,11 +319,15 @@ class ChainComplex:
                             count[c] -= 1
                             if count[c] == 1:
                                 push((d + 1, c))
-        del reads  # so that `_follow` can free each degree's cofaces below
+        del reads  # so that each degree's cofaces can be freed below
         columns = [[]]
         for d in range(1, top):
-            columns.append(self._follow(d, state, place, upper[d - 1], critical, cofaces[d]))
-            cofaces[d] = None
+            if d == 1:  # no cofaces read
+                cofaces[1] = None
+                columns.append(self._roots(state[0], place[0], upper[0], critical[1]))
+            else:
+                columns.append(self._follow(d, state, place, upper[d - 1], critical, cofaces[d]))
+                cofaces[d] = None
         return critical, columns
 
     def _activate(self, levels: list, state: list, live: list, queue: deque) -> None:
@@ -336,10 +343,43 @@ class ChainComplex:
                 single = flags & int.from_bytes(live[d].translate(_ONE), "little")
                 queue.extend(zip(repeat(d), compress(range(n), single.to_bytes(n, "little"))))
 
+    def _roots(self, below: bytearray, place: array, pairs: array, edges: list) -> list:
+        """Boundaries of the critical edges in the critical vertices, by one
+        pass over the pairs of degrees 0 and 1 in pairing order.
+
+        `pairs[k]` is the edge b of the k-th pair (a, b), and `place[a]` is
+        k.  Its other vertex a' was removed before a was paired (critical,
+        or the lower cell of an earlier pair), and the two slot signs of an
+        edge are opposite ((-1, +1) for simplices and cubes alike), so the
+        image of a, -<d(b), a> (d(b) - <d(b), a> a), is the image of a' with
+        coefficient +1.  So the paired edges form a forest, each tree with
+        one critical vertex, its root, and the image of every vertex is its
+        root, set before the vertex is reached.  An edge with faces f0, f1
+        has the column s0 root(f0) + s1 root(f1), in slot order, empty when
+        the two roots agree: always with one level, where each component is
+        one tree, but not when an edge of level 1 joins two trees of level 0.
+        No image dict is made."""
+        faces = self.faces[1]
+        s0, s1 = self.signs[1]
+        assert s0 + s1 == 0, "an edge's slot signs must be opposite"
+        root = list(range(len(below)))  # the critical vertices are their own
+        for k, b in enumerate(pairs):
+            f0, f1 = faces[2 * b], faces[2 * b + 1]
+            if below[f0] == 2 and place[f0] == k:
+                root[f0] = root[f1]
+            else:
+                root[f1] = root[f0]
+        columns = []
+        for e in edges:
+            r0, r1 = root[faces[2 * e]], root[faces[2 * e + 1]]
+            columns.append({r0: s0, r1: s1} if r0 != r1 else {})
+        return columns
+
     def _follow(
         self, d: int, state: list, place: list, pairs: array, critical: list, cofaces: tuple
     ) -> list:
-        """Boundaries of the critical d-cells in the critical (d-1)-cells.
+        """Boundaries of the critical d-cells in the critical (d-1)-cells,
+        for d >= 2 (degree 1 follows roots instead: `_roots`).
 
         `pairs[k]` is the cell b of the k-th pair (a, b) of degrees d-1 and
         d, and `place[d - 1][a]` and `place[d][b]` are k.  The image of a is

@@ -329,7 +329,7 @@ def reference_cofaces(cc: ChainComplex, d: int) -> list[list[int]]:
 
 
 def reference_coreduce(
-    k: SimplicialComplex, basis=None
+    k: SimplicialComplex, basis=None, levels=None
 ) -> tuple[list[list[int]], list[list[dict[int, int]]]]:
     """Coreductions with an eager change of basis: the oracle for
     `ChainComplex.coreduce`, with the same pairing order and the same result
@@ -341,13 +341,25 @@ def reference_coreduce(
     restricted to the faces of b that are critical by then; entries on
     removed cells go stale and are skipped.  At the end the column of each
     critical cell is trimmed to its critical entries.
+
+    `levels`, when given, is the level, 0 or 1, of each vertex; a cell's is
+    the largest of its vertices'.  The cells of level 1 wait, with their
+    columns still updated, until no cell of level 0 is active; then they
+    become active, each with its number of faces of level 1, and those with
+    one are queued in (degree, cell) order, as in `coreduce(levels)`.
     """
     basis = basis or [k.k_simplices(d) for d in range(k.dim() + 1)]
     top = len(basis)
     cols = [boundary_columns(k, d, basis) for d in range(1, top)]
-    # per cell: 0 active, 1 critical, 2 removed; and its number of active faces
-    state = [bytearray(len(cells)) for cells in basis]
-    live = [bytearray([d + 1 if d else 0]) * len(cells) for d, cells in enumerate(basis)]
+    levels = list(levels) if levels is not None else [0] * len(k.vertices)
+    cell_level = [[max(levels[v] for v in s) for s in cells] for cells in basis]
+    # per cell: 0 active, 1 critical, 2 removed, 3 waiting for its level;
+    # and its number of active faces (of level 1, while it waits)
+    state = [bytearray(3 * x for x in lv) for lv in cell_level]
+    live = [bytearray(len(cells)) for cells in basis]
+    for d in range(1, top):
+        for i, col in enumerate(cols[d - 1]):
+            live[d][i] = sum(cell_level[d - 1][r] for r in col) if cell_level[d][i] else len(col)
     critical: list[list[int]] = [[] for _ in basis]
     queue: deque[tuple[int, int]] = deque()
     cofaces = []
@@ -382,34 +394,42 @@ def reference_coreduce(
                 if count[c] == 1:
                     queue.append((d + 1, c))
 
-    start = [0] * top
-    while True:
-        while queue:
-            d, b = queue.popleft()
-            if state[d][b] or live[d][b] != 1:
-                continue
-            below = state[d - 1]
-            fill = []
-            for r, v in cols[d - 1][b].items():
-                if below[r] == 0:
-                    a, pivot = r, v
-                elif below[r] == 1:
-                    fill.append((r, v))
-            below[a] = state[d][b] = 2
-            release(d - 1, a, fill, pivot)
-            release(d, b)
-        for d in range(top):
-            cells, i = state[d], start[d]
-            while i < len(cells) and cells[i]:
-                i += 1
-            start[d] = i
-            if i < len(cells):
+    for level in range(2 if any(levels) else 1):
+        if level:
+            for d, cells in enumerate(state):
+                for i, s in enumerate(cells):
+                    if s == 3:
+                        cells[i] = 0
+                        if live[d][i] == 1:
+                            queue.append((d, i))
+        start = [0] * top
+        while True:
+            while queue:
+                d, b = queue.popleft()
+                if state[d][b] or live[d][b] != 1:
+                    continue
+                below = state[d - 1]
+                fill = []
+                for r, v in cols[d - 1][b].items():
+                    if below[r] == 0:
+                        a, pivot = r, v
+                    elif below[r] == 1:
+                        fill.append((r, v))
+                below[a] = state[d][b] = 2
+                release(d - 1, a, fill, pivot)
+                release(d, b)
+            for d in range(top):
+                cells, i = state[d], start[d]
+                while i < len(cells) and cells[i]:
+                    i += 1
+                start[d] = i
+                if i < len(cells):
+                    break
+            else:
                 break
-        else:
-            break
-        cells[i] = 1
-        critical[d].append(i)
-        release(d, i)
+            cells[i] = 1
+            critical[d].append(i)
+            release(d, i)
     boundaries: list[list[dict[int, int]]] = [[]]
     for d in range(1, top):
         below = state[d - 1]

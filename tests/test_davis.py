@@ -511,6 +511,44 @@ def test_cell_index_keeps_the_torsion_of_flag_rp2():
     assert sharp.torsion(1) == (2,) and sharp.degrees() == [1]
 
 
+def _square_and_point():
+    """A flag 4-cycle and a vertex apart: disconnected, with H1 = Z."""
+    return faces_closure([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("p",)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(min_value=0)),
+        st.tuples(st.sampled_from(("two-points", "square", "square-and-point"))),
+    ),
+    st.integers(0, 2),
+)
+@example(("two-points",), 2)
+@example(("square",), 2)
+@example(("square-and-point",), 2)
+def test_singular_set_is_n_r_copies_of_the_nerve(case, radius):
+    """The reduced homology of the singular set of a radius-r ball, from its
+    cubes, is N_r copies of the reduced homology of L, N_r the number of
+    elements of length <= r (`coset_counts()[0]`): each element adds a copy
+    of L' along a contractible overlap.  Random flag L, disconnected L and
+    L with H1 != 0 included."""
+    if case[0] == "random":
+        rng = random.Random(case[1])
+        l = random_flag_complex(rng, rng.randint(2, 7), rng.choice((0.2, 0.5, 0.8)))
+    else:
+        l = {"two-points": two_points, "square": lambda: cycle_complex(4),
+             "square-and-point": _square_and_point}[case[0]]()
+    ball_ = davis_ball(racg_from_flag(l), radius)
+    copies = ball_.coset_counts()[0]
+    nerve = homology(l, reduced=True)
+    singular = chain_homology(CellIndex(ball_, sharp=False).chain_complex(), reduced=True)
+    assert singular.degrees() == nerve.degrees()
+    for d in nerve.degrees():
+        assert singular.betti(d) == copies * nerve.betti(d)
+        assert singular.torsion(d) == tuple(sorted(nerve.torsion(d) * copies))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0))
 def test_coset_counts_match_the_per_length_sum(seed):

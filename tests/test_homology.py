@@ -5,7 +5,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coxcert.coxeter import racg_from_flag
 from coxcert.davis import CellIndex, davis_ball, hash_union_sharp, singular_subcomplex
@@ -277,8 +277,15 @@ def _sphere_and_ball() -> SimplicialComplex:
     return faces_closure([*combinations("abcde", 4), "wxyz"])
 
 
+def _two_circles() -> SimplicialComplex:
+    """Two disjoint hollow triangles: two critical vertices and two critical
+    edges, each edge's column empty."""
+    return faces_closure([("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"), ("x", "z")])
+
+
 FIXED = {
     "rp2": projective_plane,
+    "two-circles": _two_circles,
     "farrell-z14": lambda: farrell_quotient([(2, 5), (4, 3)]),
     "farrell-z7": lambda: farrell_quotient([(3, -2), (3, 5), (2, 1)]),
     "sphere-and-ball": _sphere_and_ball,
@@ -307,6 +314,7 @@ def test_coreduced_homology_keeps_torsion(k, h1_torsion):
     )
 )
 @example(("sphere-and-ball",))
+@example(("two-circles",))
 def test_coreduce_matches_eager_reference(case):
     """Pairing, then following the pairing, gives the critical cells and the
     critical boundary columns of the eager change of basis in the same
@@ -447,6 +455,44 @@ def test_from_faces_cap_is_exact(seed, radius, sharp):
                     build()
 
 
+def _components(k: SimplicialComplex, keep: list[bool]) -> int:
+    """Components of the full subcomplex of k on the kept vertices."""
+    parent = list(range(len(k.vertices)))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for s in k.simplices:
+        if len(s) == 2 and keep[s[0]] and keep[s[1]]:
+            parent[find(s[0])] = find(s[1])
+    return sum(keep[v] and find(v) == v for v in range(len(parent)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.just("random"), st.integers(min_value=0), st.integers(0, 2**9 - 1)))
+@example(("path",))
+def test_two_level_coreduce_matches_eager_reference(case):
+    """`coreduce(levels)` against the eager reference in two levels, dict
+    for dict, on complexes whose level-0 subcomplex A has two or more
+    components: so some critical edges of level 1 join two roots, and their
+    degree-1 columns are not empty (the path a - w - b with A = {a, b} has
+    one, a - b)."""
+    if case[0] == "path":
+        k, sub = faces_closure([("a", "w"), ("b", "w")]), [True, True, False]
+    else:
+        rng = random.Random(case[1])
+        k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
+        sub = [bool(case[2] >> v & 1) for v in range(len(k.vertices))]
+    assume(_components(k, sub) >= 2)
+    vertex_levels = [0 if a else 1 for a in sub]
+    for cells in (k.simplices, k.maximal_simplices()):
+        cc = ChainComplex(len(k.vertices), cells)
+        got = cc.coreduce(cc.cell_levels(vertex_levels))
+        assert got == reference_coreduce(k, chain_cells(cc), vertex_levels)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0), st.integers(0, 2**9 - 1))
 def test_pair_ranks_match_the_cone_on_the_subcomplex(seed, mask):
@@ -458,19 +504,30 @@ def test_pair_ranks_match_the_cone_on_the_subcomplex(seed, mask):
     rng = random.Random(seed)
     k = random_complex(rng, rng.randint(3, 9), rng.randint(1, 12))
     sub = [bool(mask >> v & 1) for v in range(len(k.vertices))]
-    pairs = []
-    follow = ChainComplex._follow
+    pairs, degrees = [], []
+    roots, follow = ChainComplex._roots, ChainComplex._follow
 
-    def spy(self, d, state, place, upper, critical, cofaces):
+    def record(cc, d, below, place, upper):
         # the j-th pair of degrees d-1 and d is (a, upper[j]), a the lower
         # cell with place j
-        lower = {place[d - 1][a]: a for a, s in enumerate(state[d - 1]) if s == 2}
-        levels = self.cell_levels(0 if a else 1 for a in sub)
+        lower = {place[a]: a for a, s in enumerate(below) if s == 2}
+        levels = cc.cell_levels(0 if a else 1 for a in sub)
         pairs.extend((levels[d - 1][lower[j]], levels[d][b]) for j, b in enumerate(upper))
+        degrees.append(d)
+
+    def spy_roots(self, below, place, upper, edges):
+        record(self, 1, below, place, upper)
+        return roots(self, below, place, upper, edges)
+
+    def spy_follow(self, d, state, place, upper, critical, cofaces):
+        record(self, d, state[d - 1], place[d - 1], upper)
         return follow(self, d, state, place, upper, critical, cofaces)
 
-    with mock.patch.object(ChainComplex, "_follow", spy):
+    with mock.patch.object(ChainComplex, "_roots", spy_roots), \
+            mock.patch.object(ChainComplex, "_follow", spy_follow):
         sub_betti, relative, connecting = pair_ranks(k, sub)
+    # every degree's pairs are read, degree 1's by `_roots`
+    assert degrees == list(range(1, k.dim() + 1))
     assert all(x == y for x, y in pairs)
 
     inside = [s for s in k.simplices if all(sub[v] for v in s)]
