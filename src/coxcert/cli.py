@@ -5,6 +5,7 @@ import argparse
 import json
 import sys
 import time
+from os import _exit
 from typing import Optional
 
 from .coxeter import hyperbolicity, racg_from_flag, nerve as nerve_of
@@ -431,6 +432,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritten(exc: OSError) -> int:
+    """A report that cannot be written is an input-style error, like an
+    unwritable output path: one line on stderr, exit 2."""
+    print(f"cannot write the report: {exc}", file=sys.stderr)
+    return 2
+
+
+def _emit(text: str, code: int) -> int:
+    try:
+        print(text)
+    except OSError as exc:
+        return _unwritten(exc)
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -439,12 +455,38 @@ def main(argv: Optional[list[str]] = None) -> int:
         _checked(cell_limit)  # a malformed cell cap is an input error, before any work
         report: RunReport = args.func(args)
     except InputError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 2
+        return _emit(json.dumps({"error": str(exc)}, sort_keys=True), 2)
     report.timing_seconds = round(time.monotonic() - start, 3)
-    print(json.dumps(report.to_json(), indent=1, sort_keys=True))
-    return report.exit_code()
+    return _emit(json.dumps(report.to_json(), indent=1, sort_keys=True), report.exit_code())
+
+
+def _observed() -> bool:
+    """A tracer, a profiler or (Python 3.12+) a `sys.monitoring` tool is
+    attached, and may still have output to write at exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    )
+
+
+def entry() -> None:
+    """The process entry of `coxcert` and `python -m coxcert.cli`: run
+    `main`, flush the report, and end the process with `_exit`, skipping the
+    interpreter's teardown.  Every file the commands write is closed by
+    then, and none registers an exit hook.  Under a tracer or a profiler
+    the process exits normally, so their own output is written."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _unwritten(exc)
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    _exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

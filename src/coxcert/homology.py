@@ -1,11 +1,13 @@
-"""Integral simplicial homology: coreductions, then one dense exact Smith
-normal form on the critical cells they leave."""
+"""Integral simplicial homology: coreductions, then an exact Smith normal
+form of the critical cells they leave, dense on each connected block."""
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import defaultdict, deque
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, count, repeat
+from math import gcd
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
@@ -19,17 +21,64 @@ def snf_divisors(columns: Iterable[dict[int, int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of a sparse integer matrix,
     in chain order d1 | d2 | ....
 
-    `columns[j]` maps row index to entry.  Exact dense elimination with
-    arbitrary-precision integers over the nonzero rows and columns; the
-    m x n array counts against the cell limit before it is allocated.
-    One loop over the pivot position: an entry of least absolute value in
-    the remaining block moves there, and its column and row are reduced
-    modulo it.  A remainder left, or an entry of the block that the pivot
-    does not divide (its row is added to the pivot row), becomes a smaller
-    pivot; otherwise the pivot divides the whole block and is recorded.
-    `homology` calls it only on the critical cells left by coreductions.
+    `columns[j]` maps row index to entry.  The nonzero columns fall into
+    connected blocks, the components of the graph joining each row to the
+    columns with an entry in it; the matrix is block diagonal up to order,
+    so each block has its own SNF (`_dense_divisors`).  The blocks'
+    diagonals then merge into one chain, the units first: each other entry
+    x is carried up the chain by (a, x) -> (gcd, lcm) steps, which sorts
+    the exponents of every prime.  The entries that divide x, a prefix of
+    the chain, keep their place and are skipped by bisection; once x
+    divides an entry, the rest move up one place.  The SNF is unique, so
+    this is the SNF of the whole matrix.  `homology` calls it only on the
+    critical cells left by coreductions.
     """
     cols = [col for col in ({r: v for r, v in c.items() if v} for c in columns) if col]
+    parent: dict[int, int] = {}  # a forest over the rows, one tree per block
+
+    def find(r: int) -> int:
+        while (p := parent[r]) != r:
+            parent[r] = r = parent[p]
+        return r
+
+    for col in cols:
+        for r in col:
+            parent.setdefault(r, r)
+        first, *rest = map(find, col)
+        for r in rest:
+            parent[r] = first
+    blocks: defaultdict[int, list[dict[int, int]]] = defaultdict(list)
+    for col in cols:
+        blocks[find(next(iter(col)))].append(col)
+    units = 0
+    divisors: list[int] = []
+    for block in blocks.values():
+        for x in _dense_divisors(block):
+            if x == 1:
+                units += 1
+                continue
+            i = bisect_left(divisors, True, key=lambda d: x % d != 0)
+            while i < len(divisors) and divisors[i] % x:
+                a = divisors[i]
+                g = gcd(a, x)
+                divisors[i], x = g, a // g * x
+                i = bisect_left(divisors, True, i + 1, key=lambda d: x % d != 0)
+            divisors.insert(i, x)
+    return [1] * units + divisors
+
+
+def _dense_divisors(cols: list[dict[int, int]]) -> list[int]:
+    """The SNF diagonal of one block of nonzero columns, in chain order.
+
+    Exact dense elimination with arbitrary-precision integers over the
+    block's rows and columns; the m x n array counts against the cell
+    limit before it is allocated.  One loop over the pivot position: an
+    entry of least absolute value in the remaining block moves there, and
+    its column and row are reduced modulo it.  A remainder left, or an
+    entry of the block that the pivot does not divide (its row is added to
+    the pivot row), becomes a smaller pivot; otherwise the pivot divides
+    the whole block and is recorded.
+    """
     rmap = {r: i for i, r in enumerate(sorted({r for col in cols for r in col}))}
     m, n = len(rmap), len(cols)
     check_size(m * n, f"entries of a dense {m} x {n} SNF array")

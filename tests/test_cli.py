@@ -1080,3 +1080,96 @@ def test_dump_refusal_is_the_balls_own(tmp_path, capsys):
         assert code == 0
         assert report["steps"][-1]["data"]["reason"] == str(refused.value) == reason
 
+
+# -- the process entry ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, complex_, expected",
+    [("racg", cycle_complex(5), 0), ("hyperbolic", hollow_triangle(), 1), ("nerve", None, 2)],
+)
+def test_child_exit_codes_come_with_whole_reports(tmp_path, command, complex_, expected):
+    """`python -m coxcert.cli` ends through `cli.entry`: each exit code comes
+    with a report that parses whole, and nothing on stderr."""
+    path = write_complex(tmp_path, complex_) if complex_ else str(tmp_path / "missing.json")
+    code, report = run_child(command, path)
+    assert code == expected
+    if expected == 2:
+        assert "missing.json" in report["error"]
+    else:
+        assert report["overall"] == ("pass" if expected == 0 else "fail")
+
+
+def test_child_report_past_a_pipe_buffer_arrives_whole(tmp_path):
+    k = SimplicialComplex([f"v{i}" for i in range(300)], [(i,) for i in range(300)])
+    code, report = run_child("racg", write_complex(tmp_path, k))
+    assert code == 0
+    matrix = report["steps"][0]["data"]["system"]["matrix"]
+    assert len(matrix) == 300 and all(len(row) == 300 for row in matrix)
+    assert len(json.dumps(report, indent=1, sort_keys=True)) > 1 << 16
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("spine", ["--out", "--cert-out"]), ("davis", ["--dump"])]
+)
+def test_child_writes_the_files_of_an_in_process_run(tmp_path, capsys, command, flags):
+    argv = [command]
+    if command == "davis":
+        argv += [write_complex(tmp_path, cycle_complex(5)), "--radius", "1"]
+    written = {}
+    for where in ("child", "main"):
+        paths = [str(tmp_path / f"{where}{i}.json") for i in range(len(flags))]
+        full = argv + [x for pair in zip(flags, paths) for x in pair]
+        code, report = run_child(*full) if where == "child" else run_cli(capsys, *full)
+        assert code == 0
+        written[where] = [Path(p).read_bytes() for p in paths]
+    assert written["child"] == written["main"]
+
+
+def test_profiled_child_still_prints_its_stats(tmp_path):
+    """Under a profiler the entry exits normally, so cProfile's table follows the report."""
+    out = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "coxcert.cli", "farrell", "--slopes", "1"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+    )
+    assert out.returncode == 0 and out.stderr == ""
+    report, stats = out.stdout.split("\n}\n", 1)
+    assert json.loads(report + "}")["overall"] == "pass"
+    assert "function calls" in stats and "ncalls" in stats
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("vertices", [3, 300])
+def test_unwritable_report_exits_2(tmp_path, vertices):
+    """A report that cannot be written is an input-style error: exit 2 and one
+    line on stderr.  With stdout buffered, the small report fails at the
+    final flush in `entry`, the large one (past the buffer) at the print in
+    `main`."""
+    k = SimplicialComplex([f"v{i}" for i in range(vertices)], [(i,) for i in range(vertices)])
+    path = write_complex(tmp_path, k)
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "coxcert.cli", "racg", path],
+            env=dict(env, PYTHONPATH=str(ROOT / "src")),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert out.returncode == 2
+    assert out.stderr.startswith("cannot write the report: ")
+    assert out.stderr.count("\n") == 1
+
+
+def test_installed_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"coxcert": "coxcert.cli:entry"}
+    assert (ROOT / "src" / "coxcert" / "cli.py").read_text().endswith(
+        '\nif __name__ == "__main__":\n    entry()\n'
+    )

@@ -11,6 +11,7 @@ from coxcert.coxeter import racg_from_flag
 from coxcert.davis import CellIndex, davis_ball, hash_union_sharp, singular_subcomplex
 from coxcert.homology import (
     ChainComplex,
+    _dense_divisors,
     HomologyResult,
     coface_csr,
     homology,
@@ -115,14 +116,54 @@ def test_snf_matches_sympy_smith_normal_form():
 
 
 def test_dense_residual_is_capped_before_allocation(monkeypatch):
-    """50 nonzeros fit under the cap of 100; the 50 x 50 dense array must
-    not, though it fits a cap of 2,500."""
+    """One connected block, 2(I + N) with N the shift: its 99 nonzeros fit
+    under the cap of 100; the 50 x 50 dense array must not, though it fits a
+    cap of 2,500."""
+    def bidiagonal(n):
+        return [{j: 2} if j == 0 else {j - 1: 2, j: 2} for j in range(n)]
+
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "100")
     with pytest.raises(MatrixSizeError, match="^2500 entries of a dense 50 x 50 SNF array"):
-        snf_divisors([{i: 2} for i in range(50)])
-    assert snf_divisors([{i: 2} for i in range(10)]) == [2] * 10
+        snf_divisors(bidiagonal(50))
+    assert snf_divisors(bidiagonal(10)) == [2] * 10
     monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "2500")
-    assert snf_divisors([{i: 2} for i in range(50)]) == [2] * 50
+    assert snf_divisors(bidiagonal(50)) == [2] * 50
+
+
+def test_blocks_are_capped_one_at_a_time(monkeypatch):
+    """30 blocks on interleaved rows k and k + 30, [[1, 1], [1, -1]] (SNF
+    1, 2) and [[2, 2], [0, 3]] (SNF 1, 6) in turn: each 2 x 2 block fits the
+    cap of 100, their dense 60 x 60 union does not.  So do 2,000 diagonal
+    entries 2 and 3 in turn, whose chain is 1,000 units and 1,000 sixes."""
+    cols = []
+    for k in range(30):
+        if k % 2:
+            cols += [{k: 1, k + 30: 1}, {k: 1, k + 30: -1}]
+        else:
+            cols += [{k: 2}, {k: 2, k + 30: 3}]
+    monkeypatch.setenv("COXCERT_SNF_CELL_LIMIT", "100")
+    assert snf_divisors(cols) == [1] * 30 + [2] * 15 + [6] * 15
+    with pytest.raises(MatrixSizeError, match="^3600 entries of a dense 60 x 60 SNF array"):
+        _dense_divisors(cols)
+    assert snf_divisors([{i: 2 + i % 2} for i in range(2000)]) == [1] * 1000 + [6] * 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0))
+def test_block_snf_matches_the_dense_loop_on_the_whole_matrix(seed):
+    """Random block-diagonal matrices, rows and columns shuffled: the SNF by
+    connected blocks equals the dense loop run on all columns at once."""
+    rng = random.Random(seed)
+    rows = list(range(40))
+    rng.shuffle(rows)
+    cols = []
+    for _ in range(rng.randint(1, 6)):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        mine, rows = rows[:m], rows[m:]
+        cols += [{r: rng.choice((0, 0, rng.randint(-6, 6))) for r in mine} for _ in range(n)]
+    rng.shuffle(cols)
+    cols = [{r: v for r, v in c.items() if v} for c in cols]
+    assert snf_divisors(cols) == _dense_divisors([c for c in cols if c])
 
 
 def _compose(upper, lower):

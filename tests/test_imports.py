@@ -14,7 +14,8 @@ function reads the environment, `simplicial.cell_limit`, so the cell limit
 is one setting, read where each cap is checked; one function builds a
 1-skeleton, `simplicial._skeleton`, so every graph test reads one graph;
 one function raises `MatrixSizeError`, `simplicial.check_size`, so every cap
-refusal has one message shape; and `davis.py` tables the cliques above each
+refusal has one message shape; one function, `cli.entry`, ends the process,
+so `main` and the library return; and `davis.py` tables the cliques above each
 type straight from the clique list, with no `face_poset` imported and no
 `SimplicialComplex` built.  Every command is a fresh process, so
 `import coxcert.cli` loads nothing that costs start-up time or memory
@@ -317,6 +318,51 @@ def test_size_error_raiser_finder_names_the_innermost_function():
         "        raise ValueError('MatrixSizeError')\n"
     )
     assert size_error_raisers(source) == {"<module>", "g", "h"}
+
+
+def exit_callers(source: str) -> set[str]:
+    """Innermost functions that call `_exit` or `exit`, by name or as an
+    attribute (`os._exit`, `sys.exit`); `<module>` for a call outside any
+    function."""
+    callers = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in ("_exit", "exit"):
+                    callers.add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_only_the_process_entry_ends_the_process():
+    """`cli.entry` alone ends the process; `main`, which tests and the traced
+    benchmark call in process, and every library function return instead."""
+    callers = {f"{path.stem}.{name}" for path in MODULES for name in exit_callers(path.read_text())}
+    assert callers == {"cli.entry"}
+
+
+def test_exit_caller_finder_names_the_innermost_function():
+    source = (
+        "import os, sys\n"
+        "from os import _exit\n"
+        "if __name__ == '__main__':\n"
+        "    sys.exit(main())\n"
+        "def f():\n"
+        "    def g():\n"
+        "        _exit(0)\n"
+        "    return g, os._exit\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        os._exit(1)\n"
+        "    def k(self):\n"
+        "        return exit_code(), '_exit'\n"
+    )
+    assert exit_callers(source) == {"<module>", "g", "h"}
 
 
 def face_poset_detours(source: str) -> list[str]:
